@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from repro.core import MechanismConfig, TrampolineSkipMechanism
-from repro.experiments.runner import run_workload
+from repro.experiments.runner import retire, run_workload
 from repro.obs import Observability
 from repro.obs.events import EventBus
 from repro.uarch import CPU
@@ -52,7 +52,7 @@ def _record(**numbers) -> None:
 def _run_plain() -> None:
     wl = Workload(ALL_WORKLOADS["memcached"].config())
     cpu = CPU(mechanism=TrampolineSkipMechanism(MechanismConfig(abtb_entries=256)))
-    cpu.run(wl.trace(REQUESTS))
+    retire(cpu, wl.trace_chunks(REQUESTS))
     cpu.finalize()
 
 
@@ -62,11 +62,11 @@ def _run_with_obs(obs: Observability | None) -> None:
         mechanism=TrampolineSkipMechanism(MechanismConfig(abtb_entries=256)),
         hooks=obs.hooks() if obs is not None else None,
     )
-    stream = wl.trace(REQUESTS)
+    sampler = None
     if obs is not None:
         obs.attach_workload(wl)
-        stream = obs.instrument(stream, cpu, "bench")
-    cpu.run(stream)
+        sampler = obs.sampler(cpu, "bench")
+    retire(cpu, wl.trace_chunks(REQUESTS), sampler=sampler)
     if obs is not None:
         obs.finish_run(cpu, "bench")
     cpu.finalize()
@@ -130,7 +130,7 @@ def _run_workload_path(progress=None) -> None:
 
 def test_disabled_event_bus_overhead_under_5_percent():
     """The telemetry-plane gate: ``run_workload`` with no progress
-    callback (hence no ``_counted_stream`` wrapper, no bus emissions —
+    callback (hence no sync hook, no bus emissions —
     exactly what a bus-less ``run_campaign`` drives) must cost within 5%
     of re-running itself.  Interleaved arms, best-of like the obs gate;
     the baseline arm is the same function so the only difference is the
@@ -165,8 +165,8 @@ def test_disabled_event_bus_overhead_under_5_percent():
 def test_enabled_event_bus_cost_is_reported():
     """Informational: progress counting + bus emission per retired batch.
 
-    The progress callback batches (``PROGRESS_EVERY`` events per call),
-    so even the enabled path must stay cheap — bounded here at 2x as a
+    The progress callback fires once per retired batch, so even the
+    enabled path must stay cheap — bounded here at 2x as a
     sanity rail, recorded exactly in the JSON output.
     """
     bus = EventBus(capacity=4096)

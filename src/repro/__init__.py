@@ -41,19 +41,15 @@ def quick_comparison(
     abtb_entries: int = 256,
     seed: int | None = None,
     obs=None,
-    backend: str = "reference",
 ):
     """Run one workload on the base and enhanced CPUs and compare.
 
     Returns a dict with the two counter bundles, the trampoline skip rate
     and the overall speedup — the package's one-call demo.  Pass an
     :class:`repro.obs.Observability` as ``obs`` to capture traces,
-    metric series and hot-trampoline profiles from both runs.  ``backend``
-    selects the simulation engine (``"reference"`` or ``"batched"``); an
-    ``obs`` session forces the reference interpreter, whose event-by-event
-    pacing the instrumentation relies on.
+    metric series and hot-trampoline profiles from both runs.
     """
-    from repro.uarch.backend import make_runner
+    from repro.experiments.runner import retire
 
     module = ALL_WORKLOADS[workload]
     results = {}
@@ -63,16 +59,12 @@ def quick_comparison(
     ):
         cfg = module.config() if seed is None else module.config(seed=seed)
         wl = Workload(cfg)
-        hooks = obs.hooks() if obs is not None else None
-        cpu = CPU(mechanism=mech, hooks=hooks)
-        run = make_runner(cpu, backend)
-        if obs is not None:
-            run = cpu.run
-        stream = wl.trace(n_requests)
+        cpu = CPU(mechanism=mech, hooks=obs.hooks() if obs is not None else None)
+        sampler = None
         if obs is not None:
             obs.attach_workload(wl)
-            stream = obs.instrument(stream, cpu, label)
-        run(stream)
+            sampler = obs.sampler(cpu, label)
+        retire(cpu, wl.trace_chunks(n_requests), sampler=sampler)
         if obs is not None:
             obs.finish_run(cpu, label)
         results[label] = cpu.finalize()

@@ -53,10 +53,6 @@ Subcommands:
   shard results by age/count, never touching one referenced by a live
   campaign.
 
-``compare`` and ``campaign`` accept ``--backend {reference,batched}`` to
-pick the simulation engine; the batched backend is the vectorized hot
-path whose equivalence ``difftest`` enforces.
-
 ``run``, ``compare``, ``profile``, ``chaos`` and ``campaign`` all accept
 the observability flags ``--trace-out``, ``--metrics-out`` and
 ``--sample-every`` (see ``docs/OBSERVABILITY.md``).  ``run`` records
@@ -129,9 +125,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     obs = Observability.from_flags(args)
-    result = quick_comparison(
-        args.workload, args.requests, args.abtb, obs=obs, backend=args.backend
-    )
+    result = quick_comparison(args.workload, args.requests, args.abtb, obs=obs)
     base, enh = result["base"], result["enhanced"]
     print(f"workload  : {args.workload}")
     print(f"requests  : {args.requests}   ABTB entries: {args.abtb}")
@@ -146,6 +140,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core import MechanismConfig, TrampolineSkipMechanism
+    from repro.experiments.runner import retire
     from repro.uarch import CPU
     from repro.workloads import Workload
 
@@ -161,8 +156,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     obs.attach_workload(workload)
     mechanism = TrampolineSkipMechanism(MechanismConfig(abtb_entries=args.abtb))
     cpu = CPU(mechanism=mechanism, hooks=obs.hooks())
-    stream = obs.instrument(workload.trace(args.requests), cpu, args.workload)
-    cpu.run(stream)
+    retire(
+        cpu, workload.trace_chunks(args.requests),
+        sampler=obs.sampler(cpu, args.workload),
+    )
     obs.finish_run(cpu, args.workload)
     counters = cpu.finalize()
 
@@ -225,19 +222,12 @@ def _install_sigterm_handler() -> None:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.resilience import (
-        FaultPlan,
-        IncidentRecorder,
-        SupervisorPolicy,
-        WatchdogPolicy,
-    )
+    from repro.resilience import FaultPlan, IncidentRecorder, SupervisorPolicy
 
     scale = PAPER if args.scale == "paper" else SMOKE
     obs = Observability.from_flags(args)
 
-    want_recorder = bool(
-        args.supervise or args.incidents_out or args.manifest or args.watchdog_every
-    )
+    want_recorder = bool(args.supervise or args.incidents_out or args.manifest)
     recorder = None
     if want_recorder:
         recorder = obs.incident_recorder() if obs is not None else IncidentRecorder()
@@ -245,18 +235,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     kill_match, kill_attempts = _parse_fault_spec(args.chaos_kill)
     hang_match, hang_attempts = _parse_fault_spec(args.chaos_hang)
     fault_plan = None
-    if kill_match or hang_match or args.chaos_diverge:
+    if kill_match or hang_match:
         fault_plan = FaultPlan(
             kill_match=kill_match,
             kill_attempts=kill_attempts,
             kill_after_spill=args.chaos_kill_after_spill,
             hang_match=hang_match,
             hang_attempts=hang_attempts,
-            diverge_match=args.chaos_diverge or "",
         )
-    watchdog = (
-        WatchdogPolicy(check_every=args.watchdog_every) if args.watchdog_every else None
-    )
     supervisor_policy = None
     if args.supervise:
         supervisor_policy = SupervisorPolicy(
@@ -276,13 +262,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             machine_cache_dir=args.machine_cache,
             trace_cache_dir=args.trace_cache,
-            backend=args.backend,
             recorder=recorder,
             supervise=args.supervise,
             supervisor_policy=supervisor_policy,
             fault_plan=fault_plan,
             manifest_path=args.manifest,
-            watchdog=watchdog,
         )
     except KeyboardInterrupt:
         # run_campaign has already flushed the checkpoint and recorded
@@ -435,7 +419,6 @@ def _cmd_drill(args: argparse.Namespace) -> int:
         workloads=tuple(args.workloads),
         abtb_sizes=tuple(args.abtb),
         scale=args.scale,
-        backend=args.backend,
         seed=args.seed,
         workers=args.workers,
         vanish_worker_lease=0 if args.no_vanish else 1,
@@ -513,11 +496,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         "workloads": args.workloads,
         "abtb_sizes": args.abtb,
         "scale": args.scale,
-        "backend": args.backend,
         "seed": args.seed,
         "timeout_s": args.timeout,
         "max_retries": args.retries,
-        "watchdog_every": args.watchdog_every,
     }
     status, response = client.post("/campaigns", spec)
     if status != 201:
@@ -688,7 +669,8 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
     if args.action == "save":
         from repro.core import MechanismConfig, TrampolineSkipMechanism
-        from repro.trace.engine import TraceCursor
+        from repro.experiments.runner import retire
+        from repro.trace.store import stream_segments
         from repro.uarch import CPU
         from repro.workloads import Workload
 
@@ -698,19 +680,12 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         if args.enhanced:
             mechanism = TrampolineSkipMechanism(MechanismConfig(abtb_entries=args.abtb))
         cpu = CPU(mechanism=mechanism)
-        cursor = TraceCursor(workload.startup_trace())
-        cpu.run(cursor)
-        workload.reset_usage_stats()
-        if args.requests:
-            cursor = TraceCursor(
-                workload.trace(args.requests, include_marks=False),
-                base_index=cursor.index,
-            )
-            cpu.run(cursor)
+        startup, warmup, _measured = stream_segments(workload, args.requests, 0)
+        position = retire(cpu, startup) + retire(cpu, warmup)
         cpu.finalize()
         state = MachineState.capture(
             cpu,
-            trace_position=cursor.index,
+            trace_position=position,
             meta={
                 "workload": args.workload,
                 "warmup_requests": args.requests,
@@ -795,11 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("workload", choices=sorted(ALL_WORKLOADS))
     compare.add_argument("--requests", type=int, default=80)
     compare.add_argument("--abtb", type=int, default=256)
-    compare.add_argument(
-        "--backend", choices=("reference", "batched"), default="reference",
-        help="simulation engine (batched = vectorized hot path; "
-        "identical counters, enforced by 'difftest')",
-    )
     _add_obs_flags(compare)
     compare.set_defaults(func=_cmd_compare)
 
@@ -869,13 +839,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-cache",
         default=None,
         metavar="DIR",
-        help="content-addressed trace store; with --backend batched each workload's "
-        "trace is generated and serialised once, then loaded as structured-array "
-        "batches by every pair, shard and repeat run",
-    )
-    campaign.add_argument(
-        "--backend", choices=("reference", "batched"), default="reference",
-        help="simulation engine for every pair, serial or sharded",
+        help="content-addressed trace store: each workload's trace is generated "
+        "and serialised once, then loaded as structured-array batches by every "
+        "pair, shard and repeat run",
     )
     resilience = campaign.add_argument_group("resilience")
     resilience.add_argument(
@@ -903,12 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(partial results, quarantined shards, incident counts)",
     )
     resilience.add_argument(
-        "--watchdog-every", type=int, default=0, metavar="N",
-        help="with --backend batched: cross-check against the reference "
-        "interpreter every N sync points; on divergence, record an incident "
-        "and fall back to the reference backend (0 disables)",
-    )
-    resilience.add_argument(
         "--chaos-kill", default=None, metavar="MATCH[:N]",
         help="fault injection (tests/CI): SIGKILL the worker of shards whose "
         "key contains MATCH on their first N attempts [default N: 1]",
@@ -922,11 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-hang", default=None, metavar="MATCH[:N]",
         help="fault injection: wedge the worker of matching shards "
         "(no heartbeats) on their first N attempts",
-    )
-    resilience.add_argument(
-        "--chaos-diverge", default=None, metavar="MATCH",
-        help="fault injection: force a watchdog divergence on matching shards "
-        "(requires --backend batched and --watchdog-every)",
     )
     _add_obs_flags(campaign)
     campaign.set_defaults(func=_cmd_campaign)
@@ -1068,8 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--trace-cache", default=None, metavar="DIR",
-        help="content-addressed trace store (shared with serial campaigns; "
-        "effective with --backend batched)",
+        help="content-addressed trace store (shared with serial campaigns)",
     )
     worker.add_argument(
         "--chaos-kill-after", type=int, default=0, metavar="N",
@@ -1098,14 +1052,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--scale", choices=("smoke", "paper"), default="smoke")
     submit.add_argument("--abtb", type=int, nargs="+", default=[256])
-    submit.add_argument("--backend", choices=("reference", "batched"), default="reference")
     submit.add_argument("--seed", type=int, default=None)
     submit.add_argument("--timeout", type=float, default=None, help="per-run timeout in seconds")
     submit.add_argument("--retries", type=int, default=2, help="worker-side retries per pair")
-    submit.add_argument(
-        "--watchdog-every", type=int, default=0, metavar="N",
-        help="backend divergence watchdog interval (with --backend batched)",
-    )
     submit.add_argument(
         "--no-wait", dest="wait", action="store_false",
         help="return immediately after the campaign is accepted",
@@ -1151,9 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     drill.add_argument("--abtb", type=int, nargs="+", default=[16, 64, 256])
     drill.add_argument("--scale", choices=("smoke", "paper"), default="smoke")
-    drill.add_argument(
-        "--backend", choices=("reference", "batched"), default="reference"
-    )
     drill.add_argument(
         "--seed", type=int, default=1337,
         help="fault-injector seed (the drill replays bit-for-bit) [default: 1337]",

@@ -1,6 +1,7 @@
 """Differential correctness: prove the batched backend equals the reference."""
 
 from repro.difftest.harness import (
+    ABLATION_SHAPES,
     DEFAULT_ABTB_SIZES,
     DiffReport,
     Divergence,
@@ -12,6 +13,7 @@ from repro.difftest.harness import (
 )
 
 __all__ = [
+    "ABLATION_SHAPES",
     "DEFAULT_ABTB_SIZES",
     "DiffReport",
     "Divergence",

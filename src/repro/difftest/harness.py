@@ -28,11 +28,12 @@ interpreter cannot split a lookahead window either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.config import MechanismConfig
 from repro.core.mechanism import TrampolineSkipMechanism
 from repro.errors import ConfigError
+from repro.isa.arch import Arch
 from repro.trace.engine import LinkMode
 from repro.uarch.backend import BatchedBackend
 from repro.uarch.cpu import CPU, CPUConfig
@@ -245,6 +246,14 @@ def diff_backends(
     )
 
 
+def _config(workload: str, seed: int | None):
+    try:
+        module = ALL_WORKLOADS[workload]
+    except KeyError:
+        raise ConfigError(f"unknown workload {workload!r}") from None
+    return module.config() if seed is None else module.config(seed=seed)
+
+
 def workload_events(
     workload: str,
     requests: int = 12,
@@ -252,12 +261,7 @@ def workload_events(
     include_startup: bool = True,
 ) -> list:
     """Materialise one seeded workload slice (startup + request window)."""
-    try:
-        module = ALL_WORKLOADS[workload]
-    except KeyError:
-        raise ConfigError(f"unknown workload {workload!r}") from None
-    cfg = module.config() if seed is None else module.config(seed=seed)
-    wl = Workload(cfg, LinkMode.DYNAMIC)
+    wl = Workload(_config(workload, seed), LinkMode.DYNAMIC)
     events = list(wl.startup_trace()) if include_startup else []
     events.extend(wl.trace(requests))
     return events
@@ -272,15 +276,61 @@ def workload_batches(
     """The same seeded workload slice as :func:`workload_events`, generated
     through the array-native path (:meth:`Workload.startup_batch` /
     :meth:`Workload.trace_batch`) on a fresh workload instance."""
-    try:
-        module = ALL_WORKLOADS[workload]
-    except KeyError:
-        raise ConfigError(f"unknown workload {workload!r}") from None
-    cfg = module.config() if seed is None else module.config(seed=seed)
-    wl = Workload(cfg, LinkMode.DYNAMIC)
+    wl = Workload(_config(workload, seed), LinkMode.DYNAMIC)
     batches = [wl.startup_batch()] if include_startup else []
     batches.append(wl.trace_batch(requests))
     return batches
+
+
+#: Apache run shapes the ablation feeds through ``run_workload`` beyond
+#: the default x86 DYNAMIC configurations: label suffix → (workload
+#: config overrides, mechanism config; None builds a base machine).  The
+#: ablation switches contexts every 120k instructions, which a difftest
+#: slice would never reach; a 3k interval puts several switches into
+#: even a three-request slice.
+ABLATION_SHAPES = {
+    "arm/base": ({"arch": Arch.ARM}, None),
+    "arm/enhanced": ({"arch": Arch.ARM}, MechanismConfig()),
+    "cs=3k/flush": ({"context_switch_interval": 3_000}, MechanismConfig()),
+    "cs=3k/asid": (
+        {"context_switch_interval": 3_000},
+        MechanismConfig(asid_support=True),
+    ),
+    "no-bloom": ({}, MechanismConfig(use_bloom=False)),
+    "bloom=2048": ({}, MechanismConfig(bloom_bits=2048)),
+}
+
+
+def _difftest_config(
+    config,
+    mechanism_config: MechanismConfig | None,
+    label: str,
+    requests: int,
+    batch_events: int,
+    cpu_config: CPUConfig | None,
+    generation: str,
+) -> DiffReport:
+    """Differential run of one workload configuration (see
+    :func:`difftest_workload`).  The array arm retires the chunk streams
+    production runs retire."""
+    if generation not in ("array", "legacy"):
+        raise ConfigError(f"unknown generation {generation!r}; expected 'array' or 'legacy'")
+    wl = Workload(config, LinkMode.DYNAMIC)
+    events = [*wl.startup_trace(), *wl.trace(requests)]
+    fast_batches = None
+    if generation == "array":
+        wl = Workload(config, LinkMode.DYNAMIC)
+        fast_batches = [*wl.startup_chunks(), *wl.trace_chunks(requests)]
+
+    def make_cpu() -> CPU:
+        mechanism = None
+        if mechanism_config is not None:
+            mechanism = TrampolineSkipMechanism(mechanism_config)
+        return CPU(cpu_config, mechanism)
+
+    return diff_backends(
+        events, make_cpu, batch_events=batch_events, label=label, fast_batches=fast_batches
+    )
 
 
 def difftest_workload(
@@ -302,43 +352,26 @@ def difftest_workload(
     then covers the per-set state of the organization under test.
 
     ``generation`` picks what the *fast* machine consumes: ``"array"``
-    (the default) feeds it batches from the vectorized generation path —
-    legacy-iterator generation + reference retirement vs array-native
-    generation + batched retirement, the full-pipeline equivalence the
-    numpy-native pipeline must uphold; ``"legacy"`` feeds both machines
-    the identical materialised event list, isolating backend behaviour
-    (PR 4's original comparison).
+    (the default) feeds it the chunk streams of the vectorized generation
+    path — legacy-iterator generation + reference retirement vs
+    array-native generation + batched retirement, the full-pipeline
+    equivalence every production run relies on; ``"legacy"`` feeds both
+    machines the identical materialised event list, isolating backend
+    behaviour.
     """
-    if generation not in ("array", "legacy"):
-        raise ConfigError(f"unknown generation {generation!r}; expected 'array' or 'legacy'")
-    events = workload_events(workload, requests=requests, seed=seed)
-    fast_batches = (
-        workload_batches(workload, requests=requests, seed=seed)
-        if generation == "array"
-        else None
-    )
-
     if mechanism_config is not None and abtb_entries is not None:
         raise ConfigError("pass abtb_entries or mechanism_config, not both")
-
-    def make_cpu() -> CPU:
-        mechanism = None
-        if mechanism_config is not None:
-            mechanism = TrampolineSkipMechanism(mechanism_config)
-        elif abtb_entries is not None:
-            mechanism = TrampolineSkipMechanism(MechanismConfig(abtb_entries=abtb_entries))
-        return CPU(cpu_config, mechanism)
-
     if mechanism_config is not None:
         ways = mechanism_config.abtb_ways or "full"
         mech_label = f"abtb={mechanism_config.abtb_entries}/{ways}"
     elif abtb_entries is not None:
+        mechanism_config = MechanismConfig(abtb_entries=abtb_entries)
         mech_label = f"abtb={abtb_entries}"
     else:
         mech_label = "base"
-    label = f"{workload}/{mech_label}"
-    return diff_backends(
-        events, make_cpu, batch_events=batch_events, label=label, fast_batches=fast_batches
+    return _difftest_config(
+        _config(workload, seed), mechanism_config, f"{workload}/{mech_label}",
+        requests, batch_events, cpu_config, generation,
     )
 
 
@@ -350,7 +383,8 @@ def run_matrix(
     batch_events: int = 4096,
     generation: str = "array",
 ) -> list[DiffReport]:
-    """The full correctness matrix: every profile × {base, each ABTB size}.
+    """The full correctness matrix: every profile × {base, each ABTB size},
+    plus the :data:`ABLATION_SHAPES` whenever Apache is selected.
 
     This is the gate EXPERIMENTS.md refers to: published numbers may only
     come from a backend that is difftest-clean on this matrix.  By default
@@ -369,6 +403,15 @@ def run_matrix(
                     seed=seed,
                     batch_events=batch_events,
                     generation=generation,
+                )
+            )
+        if name != "apache":
+            continue
+        for suffix, (overrides, mechanism_config) in ABLATION_SHAPES.items():
+            reports.append(
+                _difftest_config(
+                    replace(_config(name, seed), **overrides), mechanism_config,
+                    f"{name}/{suffix}", requests, batch_events, None, generation,
                 )
             )
     return reports

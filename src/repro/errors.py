@@ -113,11 +113,6 @@ class WorkerDeathError(SupervisorError):
     """A supervised worker process died without delivering its outcome."""
 
 
-class BackendDivergenceError(ResilienceError):
-    """The runtime watchdog caught the fast backend diverging from the
-    reference interpreter (results must fall back, never be published)."""
-
-
 # -------------------------------------------------------------- service
 #
 # The campaign service (src/repro/service/) — lease-based manager/worker

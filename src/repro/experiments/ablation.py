@@ -23,12 +23,16 @@ from repro.core.config import MechanismConfig
 from repro.isa.arch import Arch
 from repro.core.mechanism import TrampolineSkipMechanism
 from repro.experiments.registry import Experiment, register
-from repro.experiments.runner import run_workload
+from repro.experiments.runner import retire, run_workload
 from repro.experiments.scale import SMOKE, Scale
-from repro.workloads import apache
+from repro.uarch.backend import BatchedBackend
+from repro.uarch.cpu import CPU
+from repro.workloads import Workload, apache
 
 BLOOM_SIZES = (2048, 8192, 32768, 1 << 17)
-ABLATION_ABTB = 96  # capacity-constrained, so replacement policy matters
+#: Capacity-constrained, so replacement policy matters: Apache touches
+#: 301 distinct trampolines in the SMOKE window.
+ABLATION_ABTB = 64
 
 
 def _run(scale: Scale, mech_cfg: MechanismConfig, workload_cfg=None):
@@ -104,29 +108,20 @@ def prefork_study(scale: Scale, processes: int = 6):
     out = {}
     per_worker = max(2, scale.measured("apache") // processes)
     for label, asid in (("flush on switch", False), ("ASID retention", True)):
-        from repro.core.mechanism import TrampolineSkipMechanism
-        from repro.uarch.cpu import CPU
-
-        wl_module_cfg = apache.config()
-        wl = _build_workload(wl_module_cfg)
+        wl = Workload(apache.config())
         mech = TrampolineSkipMechanism(MechanismConfig(asid_support=asid))
         cpu = CPU(mechanism=mech)
-        cpu.run(wl.startup_trace())
+        retire(cpu, wl.startup_chunks())
         cpu.finalize()
         snap = cpu.counters.copy()
-        cpu.run(wl.prefork_trace(processes, per_worker))
+        # prefork_trace has no array twin, so it is batched on the fly.
+        BatchedBackend(cpu).run(wl.prefork_trace(processes, per_worker))
         cpu.finalize()
         window = cpu.counters.delta(snap)
         skipped = window.trampolines_skipped
         total = skipped + window.trampolines_executed
         out[label] = (skipped / total if total else 0.0, window.context_switches)
     return out
-
-
-def _build_workload(cfg):
-    from repro.workloads.base import Workload
-
-    return Workload(cfg)
 
 
 def run(scale: Scale = SMOKE) -> Report:

@@ -42,7 +42,7 @@ def measure(scale: Scale, processes: int = MODEL_PROCESSES):
     wl.patcher.spaces = children  # workers patch their own text lazily
     baseline = measure_cow(wl.phys, children)
     # Drive requests; the engine patches call sites as they first execute.
-    for _ in wl.trace(scale.measured("apache"), include_marks=False):
+    for _ in wl.trace_chunks(scale.measured("apache"), include_marks=False):
         pass
     after = measure_cow(wl.phys, children)
     pages = wl.patcher.stats.pages_touched

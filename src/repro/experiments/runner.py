@@ -16,9 +16,11 @@ import inspect
 import json
 import math
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,10 +32,16 @@ from repro.errors import CheckpointCorruptionError, ConfigError, ExperimentError
 from repro.resilience.incidents import IncidentKind, IncidentRecorder
 from repro.resilience.integrity import read_artifact, write_artifact
 from repro.resilience.supervisor import CampaignSupervisor, FaultPlan, SupervisorPolicy
-from repro.resilience.watchdog import DivergenceWatchdog, WatchdogPolicy
-from repro.trace.engine import LinkMode, TraceCursor
-from repro.trace.store import TraceStore, apply_stats, generate_bundle, trace_key
-from repro.uarch.backend import BatchedBackend, make_runner
+from repro.trace.batch import TraceBatch
+from repro.trace.engine import LinkMode
+from repro.trace.store import (
+    TraceStore,
+    apply_stats,
+    generate_bundle,
+    stream_segments,
+    trace_key,
+)
+from repro.uarch.backend import BatchedBackend
 from repro.uarch.counters import PerfCounters
 from repro.uarch.cpu import CPU, CPUConfig
 from repro.uarch.machine import (
@@ -72,14 +80,6 @@ class RunResult:
     unmatched_marks: int = 0
     #: Request samples discarded for non-finite or negative cycle deltas.
     dropped_samples: int = 0
-    #: Engine that actually produced the window ("reference" | "batched").
-    #: Differs from the requested backend when the divergence watchdog
-    #: fell back mid-run.
-    backend_used: str = "reference"
-    #: True when the divergence watchdog caught the fast backend drifting
-    #: from the reference interpreter; the window then comes from the
-    #: reference shadow machine.
-    diverged: bool = False
 
     def requests_of(self, class_name: str) -> list[RequestSample]:
         """Samples of one request class."""
@@ -154,25 +154,82 @@ def warmup_machine_key(
     )
 
 
-#: How many trace events a progress callback batches before firing —
-#: large enough that the counting wrapper is noise, small enough that a
-#: heartbeat always has fresh numbers.
-PROGRESS_EVERY = 2048
+def _cut_at_intervals(chunks, every: int, cuts: deque):
+    """Slice ``chunks`` just after each row where the cumulative
+    ``n_instr`` column crosses a multiple of ``every``; the stream
+    position past each such row is appended to ``cuts`` before the slice
+    ending there is handed on."""
+    total = 0
+    position = 0
+    for chunk in chunks:
+        data = chunk.data
+        cum = np.cumsum(data["n_instr"]) + total
+        crossings = np.flatnonzero(np.diff(cum // every, prepend=total // every)) + 1
+        start = 0
+        for end in crossings.tolist():
+            cuts.append(position + end)
+            yield TraceBatch(data[start:end], chunk.tags)
+            start = end
+        if start < len(data):
+            yield TraceBatch(data[start:], chunk.tags)
+        if len(data):
+            total = int(cum[-1])
+        position += len(data)
 
 
-def _counted_stream(events, progress, every: int = PROGRESS_EVERY):
-    """Wrap an event stream so ``progress(delta)`` fires every ``every``
-    retired events (plus once at stream end).  Only exists when a caller
-    asked for progress — the disabled path runs the unwrapped stream."""
-    pending = 0
-    for ev in events:
-        pending += 1
-        if pending >= every:
-            progress(pending)
-            pending = 0
-        yield ev
-    if pending:
-        progress(pending)
+def retire(cpu: CPU, chunks, sampler=None, progress=None) -> int:
+    """Retire a stream of :class:`~repro.trace.batch.TraceBatch` chunks
+    on ``cpu`` through :meth:`BatchedBackend.run_batches`; returns the
+    number of events retired.
+
+    This is how every production run retires events.  ``sampler`` (a
+    :class:`~repro.obs.metrics.PerfCounterSampler`) samples at the first
+    batch sync point after every ``sampler.every`` trace instructions —
+    batches are cut where the cumulative ``n_instr`` column crosses each
+    boundary — and once more at the end of the stream.  ``progress(n)``
+    receives the events retired since its previous call at every sync
+    point.
+    """
+    backend = BatchedBackend(cpu)
+    if sampler is None and progress is None:
+        backend.run_batches(chunks)
+        return backend.position
+    cuts: deque = deque()
+    if sampler is not None:
+        chunks = _cut_at_intervals(chunks, sampler.every, cuts)
+    reported = 0
+    sampled_at = None
+
+    def on_sync(position: int) -> None:
+        nonlocal reported, sampled_at
+        if progress is not None and position > reported:
+            progress(position - reported)
+            reported = position
+        if cuts and position >= cuts[0]:
+            while cuts and position >= cuts[0]:
+                cuts.popleft()
+            sampler.sample()
+            sampled_at = position
+
+    backend.run_batches(chunks, sync_hook=on_sync)
+    if sampler is not None and sampled_at != backend.position:
+        sampler.sample()
+    return backend.position
+
+
+def _legacy_segments(workload: Workload, warmup_requests: int, measured_requests: int):
+    """Iterator twins of :func:`~repro.trace.store.stream_segments` (the
+    reference oracle's input), with the same ordering contract."""
+
+    def startup():
+        yield from workload.startup_trace()
+        workload.reset_usage_stats()
+
+    return (
+        startup(),
+        workload.trace(warmup_requests, include_marks=False),
+        workload.trace(measured_requests, start_id=warmup_requests),
+    )
 
 
 def run_workload(
@@ -188,12 +245,15 @@ def run_workload(
     obs_label: str | None = None,
     machine_cache: CheckpointStore | None = None,
     trace_cache: TraceStore | None = None,
-    backend: str = "reference",
-    recorder: IncidentRecorder | None = None,
-    watchdog: WatchdogPolicy | None = None,
+    backend: str = "batched",
     progress=None,
 ) -> RunResult:
     """Run startup + warmup, then measure a steady-state window.
+
+    Generation is array-native and retirement batched (:func:`retire`):
+    with no ``trace_cache`` the workload's startup, warm-up and measured
+    windows stream straight into the backend chunk by chunk, so memory
+    stays bounded by about one batch.
 
     ``strict_marks=True`` turns unmatched begin/end marks in the window
     into an :class:`ExperimentError`; otherwise they are counted on the
@@ -202,79 +262,45 @@ def run_workload(
     ``obs`` is an optional :class:`repro.obs.Observability` session: the
     profiler hooks onto the CPU, the counter sampler rides every phase of
     the run (startup included — that is where the ABTB warm-up transient
-    lives), and request windows become trace spans.
+    lives), and request windows become trace spans.  An obs session
+    bypasses both caches, because a cache hit skips the work it observes.
 
     ``machine_cache`` enables warm-up reuse: startup + warm-up state is
     checkpointed per machine configuration, and a later run with the
     *identical* configuration restores it instead of re-simulating —
     the trace generator is drained to the same position (generation is
     stateful and cannot be skipped), so the measurement window is
-    counter-for-counter identical to an uncached run.  The cache is
-    bypassed when ``obs`` is active, because skipping warm-up simulation
-    would silently drop its trace spans and counter samples.
+    counter-for-counter identical to an uncached run.
 
-    ``trace_cache`` (a :class:`~repro.trace.store.TraceStore`) engages
-    the array-native interchange path: the workload's startup, warm-up
-    and measured windows are generated once as structured-array
-    :class:`~repro.trace.batch.TraceBatch` segments, serialised through
-    the binary codec, and on every later run with the identical recipe
-    *loaded* and retired zero-copy by the batched backend — no
-    generation at all.  Combined with a ``machine_cache`` hit, the run
-    reduces to restoring the warm machine and retiring the measured
-    batch.  The path only engages for ``backend="batched"`` with no
-    ``obs`` session and no armed watchdog (those paths need the live
-    event iterator); otherwise ``trace_cache`` is ignored.  Equivalence
-    with the iterator path is enforced by :mod:`repro.difftest`.
+    ``trace_cache`` (a :class:`~repro.trace.store.TraceStore`) stores the
+    three generated segments through the binary codec; every later run
+    with the identical recipe *loads* them instead of generating.
+    Combined with a ``machine_cache`` hit, the run reduces to restoring
+    the warm machine and retiring the measured batch.
 
-    ``backend`` selects the simulation engine (see
-    :data:`repro.uarch.backend.BACKENDS`): ``"reference"`` is the
-    interpreter, ``"batched"`` the vectorized backend, which is
-    counter-for-counter equivalent (enforced by :mod:`repro.difftest`).
-    An ``obs`` session forces the reference path regardless:
-    ``obs.instrument()`` samples counters *between* stream events, and
-    batching would decouple sampling from simulation.
+    ``progress(n)`` is told about retired events at every batch sync
+    point.
 
-    ``watchdog`` (a :class:`~repro.resilience.watchdog.WatchdogPolicy`)
-    arms the runtime divergence watchdog when the backend is ``"batched"``:
-    every stream — startup, warm-up and the measurement window — runs
-    under cross-checking against a shadow reference machine, and on
-    divergence the run falls back to the shadow (``diverged`` /
-    ``backend_used`` on the result record what happened; ``recorder``
-    gets the incidents).
+    ``backend="reference"`` is the test oracle, not a production path:
+    the legacy event iterators retire on the reference interpreter
+    (:meth:`CPU.run`).  It honours ``machine_cache`` and the profiler,
+    and ignores ``trace_cache``, counter sampling and ``progress``.
+    Equivalence of the two is enforced by :mod:`repro.difftest` and the
+    golden-counter tests.
     """
+    if backend not in ("batched", "reference"):
+        raise ConfigError(f"unknown backend {backend!r}; expected 'batched' or 'reference'")
     label = label or ("enhanced" if mechanism else "base")
     obs_label = obs_label or label
     workload = Workload(config, mode)
-    hooks = obs.hooks() if obs is not None else None
-    cpu = CPU(cpu_config, mechanism, hooks=hooks)
-    run = make_runner(cpu, backend)  # validates the name even when obs wins
+    cpu = CPU(cpu_config, mechanism, hooks=obs.hooks() if obs is not None else None)
     if obs is not None:
-        run = cpu.run
         obs.attach_workload(workload)
+        machine_cache = trace_cache = None
 
-    dog = None
-    if (
-        watchdog is not None
-        and watchdog.enabled
-        and backend == "batched"
-        and obs is None
-    ):
-        shadow_mechanism = (
-            TrampolineSkipMechanism(mechanism.config) if mechanism is not None else None
-        )
-        shadow = CPU(cpu_config, shadow_mechanism)
-        dog = DivergenceWatchdog(
-            cpu, shadow, policy=watchdog, recorder=recorder, label=obs_label
-        )
-        run = dog.run
-
-    def active() -> CPU:
-        return dog.active_cpu if dog is not None else cpu
-
-    use_cache = machine_cache is not None and obs is None
     cache_key = None
     state = None
-    if use_cache:
+    if machine_cache is not None:
         cache_key = warmup_machine_key(
             config, mode, cpu.config,
             mechanism.config if mechanism is not None else None,
@@ -282,19 +308,11 @@ def run_workload(
         )
         state = machine_cache.load(cache_key)
 
-    use_trace = (
-        trace_cache is not None
-        and obs is None
-        and dog is None
-        and backend == "batched"
-    )
-    if use_trace:
-        # Array-native interchange path: the whole trace exists as three
-        # structured-array segments — loaded from the store on a hit,
-        # generated once through the batch-emitting twins on a miss —
-        # and the batched backend retires them zero-copy.  Generation
-        # usage statistics travel in the store's sidecar, so a hit never
-        # touches the (stateful) iterator generators at all.
+    if backend == "reference":
+        segments = _legacy_segments(workload, warmup_requests, measured_requests)
+    elif trace_cache is not None:
+        # Generation usage statistics travel in the store's sidecar, so a
+        # hit never touches the (stateful) generators at all.
         bundle_key = trace_key(config, mode, warmup_requests, measured_requests)
         bundle = trace_cache.load(bundle_key)
         if bundle is None:
@@ -302,138 +320,59 @@ def run_workload(
             trace_cache.save(bundle_key, bundle)
         else:
             apply_stats(bundle.stats, workload)
-        batched = BatchedBackend(cpu)
+        segments = [(batch,) for batch in bundle.segments()]
+    else:
+        segments = stream_segments(workload, warmup_requests, measured_requests)
+    startup, warmup, measured = segments
 
-        def drive(batch) -> None:
-            if progress is None:
-                batched.run_batches((batch,))
-                return
-            for piece in batch.slices(PROGRESS_EVERY):
-                batched.run_batches((piece,))
-                progress(len(piece.data))
-
-        if state is not None:
-            state.restore_into(cpu)
-        else:
-            drive(bundle.startup)
-            drive(bundle.warmup)
-        cpu.finalize()
-        if state is None and use_cache and cache_key is not None:
-            machine_cache.save(
-                cache_key,
-                MachineState.capture(
-                    cpu,
-                    meta={
-                        "workload": config.name,
-                        "mode": mode.value,
-                        "label": label,
-                        "warmup_requests": warmup_requests,
-                    },
-                ),
-            )
-        snapshot = cpu.counters.copy()
-        marks_before = len(cpu.marks)
-        drive(bundle.measured)
-        cpu.finalize()
-        window = cpu.counters.delta(snapshot)
-        requests, unmatched, dropped = _pair_marks(
-            cpu, marks_before, strict=strict_marks
-        )
-        return RunResult(
-            label,
-            window,
-            requests,
-            workload,
-            cpu,
-            mechanism,
-            unmatched_marks=unmatched,
-            dropped_samples=dropped,
-            backend_used="batched",
-        )
+    def run(stream) -> None:
+        if backend == "reference":
+            cpu.run(stream)
+            return
+        sampler = obs.sampler(cpu, obs_label) if obs is not None else None
+        retire(cpu, stream, sampler=sampler, progress=progress)
 
     if state is not None:
-        # Warm machine found: advance the (stateful) trace generator by
-        # draining the startup and warm-up streams — no simulation — and
-        # restore the simulated structures from the checkpoint.
-        TraceCursor(workload.startup_trace()).drain()
-        workload.reset_usage_stats()
-        if warmup_requests:
-            TraceCursor(workload.trace(warmup_requests, include_marks=False)).drain()
+        # Warm machine found: advance the generator past startup and
+        # warm-up without simulating, and restore the simulated state.
+        for _ in chain(startup, warmup):
+            pass
         state.restore_into(cpu)
-        if dog is not None:
-            state.restore_into(dog.shadow)
-            dog.finalize()
-        else:
-            cpu.finalize()
     else:
-        stream = workload.startup_trace()
-        if obs is not None:
-            stream = obs.instrument(stream, cpu, obs_label)
-        if progress is not None:
-            stream = _counted_stream(stream, progress)
-        run(stream)
-        workload.reset_usage_stats()  # Table 3 / Fig 4 cover organic execution
+        run(startup)
         if warmup_requests:
-            stream = workload.trace(warmup_requests, include_marks=False)
-            if obs is not None:
-                stream = obs.instrument(stream, cpu, obs_label)
-            if progress is not None:
-                stream = _counted_stream(stream, progress)
-            run(stream)
-        if dog is not None:
-            dog.finalize()
-        else:
-            cpu.finalize()
-        if use_cache and cache_key is not None:
-            machine_cache.save(
-                cache_key,
-                MachineState.capture(
-                    active(),
-                    meta={
-                        "workload": config.name,
-                        "mode": mode.value,
-                        "label": label,
-                        "warmup_requests": warmup_requests,
-                    },
-                ),
-            )
-    # Watchdog invariant: a completed stream leaves primary and shadow
-    # *verified* equal (or the fallback already happened), so the window
-    # snapshot below is valid for whichever machine finishes the run.
-    snapshot = active().counters.copy()
-    marks_before = len(active().marks)
-
-    stream = workload.trace(measured_requests, start_id=warmup_requests)
-    if obs is not None:
-        stream = obs.instrument(stream, cpu, obs_label)
-    if progress is not None:
-        stream = _counted_stream(stream, progress)
-    run(stream)
-    if dog is not None:
-        dog.finalize()
-    else:
-        cpu.finalize()
+            run(warmup)
+    cpu.finalize()
+    if state is None and machine_cache is not None:
+        machine_cache.save(
+            cache_key,
+            MachineState.capture(
+                cpu,
+                meta={
+                    "workload": config.name,
+                    "mode": mode.value,
+                    "label": label,
+                    "warmup_requests": warmup_requests,
+                },
+            ),
+        )
+    snapshot = cpu.counters.copy()
+    marks_before = len(cpu.marks)
+    run(measured)
+    cpu.finalize()
     if obs is not None:
         obs.finish_run(cpu, obs_label, marks_from=marks_before)
-    measured_cpu = active()
-    window = measured_cpu.counters.delta(snapshot)
-    requests, unmatched, dropped = _pair_marks(
-        measured_cpu, marks_before, strict=strict_marks
-    )
+    window = cpu.counters.delta(snapshot)
+    requests, unmatched, dropped = _pair_marks(cpu, marks_before, strict=strict_marks)
     return RunResult(
-        label or ("enhanced" if mechanism else "base"),
+        label,
         window,
         requests,
         workload,
-        measured_cpu,
-        mechanism if measured_cpu is cpu else measured_cpu.mechanism,
+        cpu,
+        mechanism,
         unmatched_marks=unmatched,
         dropped_samples=dropped,
-        backend_used=(
-            dog.backend_used if dog is not None
-            else ("reference" if obs is not None else backend)
-        ),
-        diverged=dog.diverged if dog is not None else False,
     )
 
 
@@ -447,9 +386,7 @@ def run_pair(
     obs=None,
     machine_cache: CheckpointStore | None = None,
     trace_cache: TraceStore | None = None,
-    backend: str = "reference",
-    recorder: IncidentRecorder | None = None,
-    watchdog: WatchdogPolicy | None = None,
+    backend: str = "batched",
     progress=None,
 ) -> tuple[RunResult, RunResult]:
     """Base vs enhanced over identical traces of a named workload.
@@ -459,8 +396,8 @@ def run_pair(
     machine's warm-up is independent of the ABTB size, so an ABTB sweep
     re-simulates base warm-up exactly once, and repeated campaigns reuse
     everything.  ``backend`` is passed through to :func:`run_workload`;
-    warm-machine checkpoints are shareable across backends because the
-    backends are counter-for-counter equivalent.
+    warm-machine checkpoints are shareable between the production path
+    and the oracle because the two are counter-for-counter equivalent.
 
     ``trace_cache`` shares *generated traces* the same way: the trace
     key covers only the workload recipe and window lengths — not the
@@ -493,8 +430,7 @@ def run_pair(
                 cfg, mech, warmup, measured, cpu_config,
                 label=label, obs=obs, obs_label=obs_label,
                 machine_cache=machine_cache, trace_cache=trace_cache,
-                backend=backend,
-                recorder=recorder, watchdog=watchdog, progress=progress,
+                backend=backend, progress=progress,
             )
         )
     base, enhanced = results
@@ -667,8 +603,7 @@ class CampaignResult:
         for key, summary in sorted(self.completed.items()):
             speedup = summary.get("speedup")
             text = f"{speedup:.4f}x" if isinstance(speedup, float) else "?"
-            flag = "  [diverged->reference]" if summary.get("diverged_backend") else ""
-            lines.append(f"  {key:<42} speedup {text}{flag}")
+            lines.append(f"  {key:<42} speedup {text}")
         for key, reason in sorted(self.failed.items()):
             lines.append(f"  {key:<42} FAILED: {reason}")
         for key, info in sorted(self.quarantined.items()):
@@ -707,7 +642,7 @@ class CampaignPoint:
 
 def summarize_pair(base: RunResult, enhanced: RunResult) -> dict:
     """JSON-serialisable summary of one base/enhanced pair."""
-    out = {
+    return {
         "instructions": int(base.counters.instructions),
         "base_cycles": float(base.counters.cycles),
         "enhanced_cycles": float(enhanced.counters.cycles),
@@ -719,11 +654,6 @@ def summarize_pair(base: RunResult, enhanced: RunResult) -> dict:
         "skip_rate": float(enhanced.skip_rate),
         "unmatched_marks": base.unmatched_marks + enhanced.unmatched_marks,
     }
-    if getattr(base, "diverged", False) or getattr(enhanced, "diverged", False):
-        # Only present when the watchdog fell back, so summaries from
-        # healthy runs keep their historical shape byte-for-byte.
-        out["diverged_backend"] = True
-    return out
 
 
 def _load_checkpoint(
@@ -1028,24 +958,13 @@ def _campaign_worker(task: dict) -> dict:
         if task.get("trace_cache_dir") is not None
         else None
     )
-    watchdog = task.get("watchdog")
-    if task.get("force_diverge"):
-        base = watchdog if watchdog is not None else WatchdogPolicy()
-        watchdog = WatchdogPolicy(
-            check_every=base.check_every or WatchdogPolicy().check_every,
-            force_diverge_at_check=1,
-        )
 
-    def run_fn(w, s, n, mechanism=None, cpu=None, gate=None):
-        rec = gate.recorder(recorder) if gate is not None else recorder
+    def run_fn(w, s, n, mechanism=None, cpu=None):
         return run_pair(
             w, s, abtb_entries=n,
             cpu_config=CPUConfig.from_dict(cpu) if cpu else None,
             mechanism_config=MechanismConfig(**mechanism) if mechanism else None,
-            obs=obs, machine_cache=cache,
-            trace_cache=traces,
-            backend=task.get("backend", "reference"),
-            recorder=rec, watchdog=watchdog,
+            obs=obs, machine_cache=cache, trace_cache=traces,
         )
 
     outcome = _run_one_pair(
@@ -1079,13 +998,11 @@ def run_campaign(
     jobs: int = 1,
     machine_cache_dir: str | Path | None = None,
     trace_cache_dir: str | Path | None = None,
-    backend: str = "reference",
     recorder: IncidentRecorder | None = None,
     supervise: bool = False,
     supervisor_policy: SupervisorPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     manifest_path: str | Path | None = None,
-    watchdog: WatchdogPolicy | None = None,
     bus=None,
     campaign_id: str = "",
     points: Sequence[CampaignPoint] | None = None,
@@ -1121,11 +1038,9 @@ def run_campaign(
     ``machine_cache_dir`` holds warm-machine checkpoints shared by all
     workers (see :func:`run_workload`); atomic writes make the racy
     first-fill benign.  ``trace_cache_dir`` holds the content-addressed
-    trace store: with ``backend="batched"`` every shard serialises each
-    workload's trace once and thereafter loads the stored batches
-    instead of regenerating them (see :func:`run_workload`).  ``backend``
-    selects the simulation engine for every pair, serial or sharded
-    (custom ``run_fn`` callables ignore it).
+    trace store: every shard serialises each workload's trace once and
+    thereafter loads the stored batches instead of regenerating them
+    (see :func:`run_workload`).
 
     With an ``obs`` session, each pair attempt runs under a host-clock
     trace span and the sweep's progress lands in counters
@@ -1141,13 +1056,11 @@ def run_campaign(
     with backoff, quarantine of repeatedly failing shards (the campaign
     then completes *degraded*; see :attr:`CampaignResult.degraded`), and
     salvage of completed work from dead workers.  ``fault_plan`` injects
-    deterministic worker kills/hangs/divergences for tests and the chaos
-    CI job.  ``recorder`` collects every incident — corrupted campaign
+    deterministic worker kills/hangs for tests and the chaos CI job.
+    ``recorder`` collects every incident — corrupted campaign
     checkpoints are then healed (entries requeued) instead of raising.
-    ``watchdog`` arms the backend divergence watchdog in every pair (only
-    meaningful with ``backend="batched"``), and ``manifest_path`` writes
-    an integrity-checked end-of-campaign manifest including quarantined
-    shards and incident counts.
+    ``manifest_path`` writes an integrity-checked end-of-campaign
+    manifest including quarantined shards and incident counts.
 
     ``bus`` (a :class:`repro.obs.events.EventBus`) narrates the sweep:
     one ``campaign_started`` event up front, one ``pair_completed`` /
@@ -1175,17 +1088,14 @@ def run_campaign(
         )
     parallel = jobs > 1 and default_callables and not supervise
     if run_fn is None:
-        def run_fn(w, s, n, mechanism=None, cpu=None, gate=None):
-            rec = gate.recorder(recorder) if gate is not None else recorder
+        def run_fn(w, s, n, mechanism=None, cpu=None):
             return run_pair(
                 w, s, abtb_entries=n,
                 cpu_config=CPUConfig.from_dict(cpu) if cpu else None,
                 mechanism_config=(
                     MechanismConfig(**mechanism) if mechanism else None
                 ),
-                obs=obs, machine_cache=machine_cache,
-                trace_cache=trace_cache,
-                backend=backend, recorder=rec, watchdog=watchdog,
+                obs=obs, machine_cache=machine_cache, trace_cache=trace_cache,
             )
     path = Path(checkpoint_path) if checkpoint_path is not None else None
     completed = _load_checkpoint(path, recorder) if path is not None else {}
@@ -1212,12 +1122,11 @@ def run_campaign(
         bus.emit(
             "campaign_started",
             f"campaign over {len(specs)} point(s) at scale {scale_name} "
-            f"(backend={backend}, jobs={jobs})",
+            f"(jobs={jobs})",
             campaign_id=campaign_id,
             workloads=sorted({w for _k, w, _a, _m, _c in specs}),
             abtb_sizes=list(abtb_sizes) if points is None else [],
             points=len(specs),
-            backend=backend,
             jobs=jobs,
         )
     tasks: list[tuple[str, str, int, dict | None, dict | None]] = []
@@ -1227,14 +1136,7 @@ def run_campaign(
         else:
             tasks.append((key, workload, abtb, mech_cfg, cpu_cfg))
 
-    if (
-        trace_cache is not None
-        and backend == "batched"
-        and obs is None
-        and watchdog is None
-        and tasks
-        and (parallel or supervise)
-    ):
+    if trace_cache is not None and obs is None and tasks and (parallel or supervise):
         # Seed the cross-shard artifacts before fanning out — otherwise
         # every concurrently-started cold shard of the same workload
         # regenerates the identical trace bundle and re-simulates the
@@ -1354,11 +1256,6 @@ def run_campaign(
             ),
             "trace_cache_dir": (
                 str(trace_cache_dir) if trace_cache_dir is not None else None
-            ),
-            "backend": backend,
-            "watchdog": watchdog,
-            "force_diverge": bool(
-                fault_plan is not None and fault_plan.should_diverge(key)
             ),
         }
 
@@ -1528,7 +1425,7 @@ def _prefill_caches(
             )
             if machine_cache.load(base_key) is not None:
                 continue
-            BatchedBackend(cpu).run_batches((bundle.startup, bundle.warmup))
+            retire(cpu, (bundle.startup, bundle.warmup))
             cpu.finalize()
             machine_cache.save(
                 base_key,

@@ -133,16 +133,13 @@ class Observability:
             return present[0]
         return ChainedHooks(*present)
 
-    def instrument(
-        self, events: Iterable[TraceEvent], cpu: CPU, label: str
-    ) -> Iterable[TraceEvent]:
-        """Wrap an event stream with counter sampling for ``label``.
-
-        Returns the stream unchanged when sampling is off — the null-sink
-        fast path adds no generator frame.
-        """
+    def sampler(self, cpu: CPU, label: str) -> PerfCounterSampler | None:
+        """A registered counter sampler for one stream of ``label`` on
+        ``cpu`` (None when sampling is off).  The batched runner fires it
+        from the backend's sync points; see
+        :func:`repro.experiments.runner.retire`."""
         if self.sample_every <= 0 or self.metrics is None:
-            return events
+            return None
         sampler = PerfCounterSampler(
             cpu,
             self.metrics,
@@ -153,7 +150,19 @@ class Observability:
             tracer_tid=self.tid_for(label) if label else 1,
         )
         self.samplers.append(sampler)
-        return sampled(events, sampler)
+        return sampler
+
+    def instrument(
+        self, events: Iterable[TraceEvent], cpu: CPU, label: str
+    ) -> Iterable[TraceEvent]:
+        """Wrap an event stream for the reference interpreter with counter
+        sampling for ``label``.
+
+        Returns the stream unchanged when sampling is off — the null-sink
+        fast path adds no generator frame.
+        """
+        sampler = self.sampler(cpu, label)
+        return events if sampler is None else sampled(events, sampler)
 
     def incident_recorder(self):
         """An :class:`~repro.resilience.incidents.IncidentRecorder` wired

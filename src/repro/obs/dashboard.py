@@ -679,13 +679,13 @@ function renderLeases(snap) {
       l.lease_id, l.key, l.worker_id, l.attempt,
       (l.expires_in_s === undefined ? "–" : l.expires_in_s.toFixed(1) + "s"),
       p.events_done === undefined ? "–" : fmt(p.events_done),
-      p.workload || "–", p.backend || "–"
+      p.workload || "–"
     ];
   });
   renderTable("leases",
     [{label: "lease"}, {label: "shard"}, {label: "worker"},
      {label: "attempt", num: true}, {label: "expires in", num: true},
-     {label: "events retired", num: true}, {label: "workload"}, {label: "backend"}],
+     {label: "events retired", num: true}, {label: "workload"}],
     rows,
     snap.mode === "live" ? "No live leases." : "Lease state is live-only.");
 }

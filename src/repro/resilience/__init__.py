@@ -5,7 +5,7 @@ back to correct baseline behaviour; this package gives the *campaign
 infrastructure* the same property.  Three pillars:
 
 * :mod:`repro.resilience.incidents` — a unified incident log: every
-  anomaly (corrupt artifact, dead worker, backend divergence) becomes a
+  anomaly (corrupt artifact, dead worker, lost lease) becomes a
   structured :class:`~repro.resilience.incidents.Incident` recorded by an
   :class:`~repro.resilience.incidents.IncidentRecorder` that also feeds
   obs metrics counters and tracer instants;
@@ -15,10 +15,7 @@ infrastructure* the same property.  Three pillars:
 * :mod:`repro.resilience.supervisor` — explicitly supervised campaign
   worker processes: per-shard heartbeats, hang detection, kill-and-requeue
   with exponential backoff, quarantine after repeated failures, and
-  salvage of completed work from a dead worker's spill checkpoint;
-* :mod:`repro.resilience.watchdog` — a runtime divergence watchdog that
-  cross-checks the batched backend against the reference interpreter at
-  sync points and falls back to the reference backend on divergence.
+  salvage of completed work from a dead worker's spill checkpoint.
 
 See ``docs/RESILIENCE.md`` for the state machines and policies.
 """
@@ -43,15 +40,9 @@ from repro.resilience.supervisor import (
     SupervisorPolicy,
     SupervisorReport,
 )
-from repro.resilience.watchdog import (
-    DivergenceWatchdog,
-    WatchdogPolicy,
-    snapshot_hash,
-)
 
 __all__ = [
     "CampaignSupervisor",
-    "DivergenceWatchdog",
     "FaultPlan",
     "INCIDENT_SCHEMA_VERSION",
     "INTEGRITY_VERSION",
@@ -61,10 +52,8 @@ __all__ = [
     "ShardState",
     "SupervisorPolicy",
     "SupervisorReport",
-    "WatchdogPolicy",
     "payload_checksum",
     "read_artifact",
-    "snapshot_hash",
     "validate_incident_log",
     "write_artifact",
 ]

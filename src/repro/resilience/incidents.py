@@ -2,7 +2,7 @@
 
 An :class:`Incident` is the structured record of something that went
 wrong (or was healed) while campaign infrastructure was running: a
-corrupted checkpoint, a dead worker, a backend divergence.  Incidents are
+corrupted checkpoint, a dead worker, an expired lease.  Incidents are
 *diagnostics, not results* — they never change simulated numbers, only
 how the harness reacts — so the recorder is deliberately permissive:
 recording can never raise into the code path that is busy recovering.
@@ -59,10 +59,6 @@ class IncidentKind(enum.Enum):
     #: A dead worker's completed outcome was salvaged from its spill
     #: checkpoint instead of being re-run.
     SHARD_SALVAGED = "shard_salvaged"
-    #: The watchdog caught the fast backend diverging from the reference.
-    BACKEND_DIVERGENCE = "backend_divergence"
-    #: The run switched to the reference backend after a divergence.
-    BACKEND_FALLBACK = "backend_fallback"
     #: The chaos oracle observed a stale-target violation.
     ORACLE_VIOLATION = "oracle_violation"
     #: A shard lease expired (worker crash, hang or partition); the shard
@@ -76,8 +72,8 @@ class IncidentKind(enum.Enum):
     #: miss and recomputed.
     RESULT_CORRUPT = "result_corrupt"
     #: Two completions of the same config hash disagreed; the first
-    #: stored result wins (determinism means this indicates a bug or a
-    #: diverged-backend marker, never silent corruption of aggregates).
+    #: stored result wins (determinism means this indicates a bug, never
+    #: silent corruption of aggregates).
     RESULT_CONFLICT = "result_conflict"
     #: The campaign manager rebuilt in-flight campaigns from its journal
     #: after a restart.
@@ -176,7 +172,7 @@ class IncidentRecorder:
         bus: a :class:`repro.obs.events.EventBus` (or None) — every
             incident also lands on the bus as an ``incident`` event, so
             anything that records through this recorder (the supervisor,
-            the divergence watchdog, the campaign manager) shows up in
+            the stores, the campaign manager) shows up in
             the live ``/events`` stream without knowing the bus exists.
         clock: timestamp source (overridable for deterministic tests).
     """

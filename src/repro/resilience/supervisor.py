@@ -121,18 +121,12 @@ class FaultPlan:
     #: detection).
     hang_match: str = ""
     hang_attempts: int = 1
-    #: Force a watchdog divergence for matching shards (consumed by the
-    #: experiment runner, not by the supervisor).
-    diverge_match: str = ""
 
     def should_kill(self, key: str, attempt: int) -> bool:
         return bool(self.kill_match) and self.kill_match in key and attempt <= self.kill_attempts
 
     def should_hang(self, key: str, attempt: int) -> bool:
         return bool(self.hang_match) and self.hang_match in key and attempt <= self.hang_attempts
-
-    def should_diverge(self, key: str) -> bool:
-        return bool(self.diverge_match) and self.diverge_match in key
 
 
 # --------------------------------------------------------------- worker side

@@ -92,7 +92,6 @@ class DrillSpec:
     workloads: tuple[str, ...] = ("apache",)
     abtb_sizes: tuple[int, ...] = (16, 64, 256)
     scale: str = "smoke"
-    backend: str = "reference"
     seed: int = 1337
     workers: int = 3
     #: Worker 0 vanishes (in-process SIGKILL) on this lease grant (0 = off).
@@ -117,7 +116,6 @@ class DrillSpec:
             "workloads": list(self.workloads),
             "abtb_sizes": list(self.abtb_sizes),
             "scale": self.scale,
-            "backend": self.backend,
         }
 
     @property
@@ -272,7 +270,6 @@ def run_drill(
         _SCALES[spec.scale],
         abtb_sizes=tuple(spec.abtb_sizes),
         machine_cache_dir=cache_dir,
-        backend=spec.backend,
     )
     report.serial = _result_counters(serial)
     mark("serial_reference_done", **report.serial)

@@ -111,11 +111,7 @@ def referenced_result_keys(data_dir: str | Path) -> set[str]:
             continue  # unreplayable spec: protects nothing
         for workload in spec.workloads:
             for abtb in spec.abtb_sizes:
-                keys.add(
-                    shard_result_key(
-                        workload, abtb, spec.scale, spec.backend, spec.seed
-                    )
-                )
+                keys.add(shard_result_key(workload, abtb, spec.scale, spec.seed))
     return keys
 
 

@@ -87,11 +87,9 @@ def _shard_payload(spec: CampaignSpec, workload: str, abtb: int) -> dict:
         "workload": workload,
         "abtb": abtb,
         "scale": spec.scale,
-        "backend": spec.backend,
         "seed": spec.seed,
         "timeout_s": spec.timeout_s,
         "max_retries": spec.max_retries,
-        "watchdog_every": spec.watchdog_every,
     }
 
 
@@ -308,10 +306,9 @@ class CampaignManager:
             self.bus.emit(
                 "campaign_submitted",
                 f"campaign {cid} submitted ({len(campaign.shards)} shard(s), "
-                f"backend={spec.backend}, scale={spec.scale})",
+                f"scale={spec.scale})",
                 campaign_id=cid,
                 shards=len(campaign.shards),
-                backend=spec.backend,
             )
             self._refresh_gauges()
             return cid
@@ -473,7 +470,7 @@ class CampaignManager:
         reclaim: tuple[str, str] | None = None,
     ) -> dict | None:
         """Extend a lease; optionally banks the heartbeat's shard progress
-        (events retired, current workload, backend in use) so lease rows
+        (events retired, current workload) so lease rows
         and the dashboard show live progress instead of just lease age.
 
         ``reclaim`` — ``(campaign_id, key)`` of the shard the worker is
@@ -541,7 +538,6 @@ class CampaignManager:
         record = {
             "events_done": int(progress.get("events_done", 0)),
             "workload": str(progress.get("workload", "")),
-            "backend": str(progress.get("backend", "")),
             "updated_at": self.clock(),
         }
         self._progress[(cid, key)] = record
@@ -550,14 +546,12 @@ class CampaignManager:
             worker["last_progress"] = {**record, "campaign_id": cid, "key": key}
         self.bus.emit(
             "shard_progress",
-            f"shard {key}: {record['events_done']} event(s) retired "
-            f"({record['backend'] or 'unknown backend'})",
+            f"shard {key}: {record['events_done']} event(s) retired",
             campaign_id=cid,
             shard_key=key,
             worker_id=worker_id,
             events_done=record["events_done"],
             workload=record["workload"],
-            backend=record["backend"],
         )
         self.metrics.series("service.progress.events_done").append(
             self.clock(), float(record["events_done"])
@@ -762,9 +756,7 @@ class CampaignManager:
                     key=key,
                     workload=workload,
                     abtb=abtb,
-                    result_key=shard_result_key(
-                        workload, abtb, spec.scale, spec.backend, spec.seed
-                    ),
+                    result_key=shard_result_key(workload, abtb, spec.scale, spec.seed),
                     payload=_shard_payload(spec, workload, abtb),
                 )
         return campaign

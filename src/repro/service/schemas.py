@@ -3,7 +3,7 @@
 Every request body the REST API accepts is parsed through one of these
 schemas before it touches the manager: unknown fields are rejected, types
 are checked, and domain constraints (known workloads, positive ABTB
-sizes, valid scale/backend names) are enforced — a malformed request can
+sizes, valid scale names) are enforced — a malformed request can
 never put the manager into a state its journal cannot replay.  Failures
 raise :class:`~repro.errors.SchemaError`, which the API layer maps onto
 HTTP 400 with the message in the response body.
@@ -22,9 +22,6 @@ from repro.errors import SchemaError
 #: Scale presets the service accepts (resolved lazily to avoid importing
 #: the experiment registry at schema-validation time).
 SCALE_NAMES = ("smoke", "paper")
-
-#: Simulation engines the service accepts (mirrors repro.uarch.backend.BACKENDS).
-BACKEND_NAMES = ("reference", "batched")
 
 
 def _require_dict(data: object, what: str) -> dict:
@@ -86,11 +83,9 @@ class CampaignSpec:
     workloads: tuple[str, ...]
     abtb_sizes: tuple[int, ...] = (256,)
     scale: str = "smoke"
-    backend: str = "reference"
     seed: int | None = None
     timeout_s: float | None = None
     max_retries: int = 2
-    watchdog_every: int = 0
 
     def __post_init__(self) -> None:
         what = "campaign spec"
@@ -119,18 +114,10 @@ class CampaignSpec:
             raise SchemaError(
                 f"{what}: scale {self.scale!r} not in {SCALE_NAMES}"
             )
-        if self.backend not in BACKEND_NAMES:
-            raise SchemaError(
-                f"{what}: backend {self.backend!r} not in {BACKEND_NAMES}"
-            )
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise SchemaError(f"{what}: timeout_s must be positive, got {self.timeout_s}")
         if self.max_retries < 0:
             raise SchemaError(f"{what}: max_retries must be >= 0, got {self.max_retries}")
-        if self.watchdog_every < 0:
-            raise SchemaError(
-                f"{what}: watchdog_every must be >= 0, got {self.watchdog_every}"
-            )
 
     @classmethod
     def from_dict(cls, data: object) -> "CampaignSpec":
@@ -138,10 +125,7 @@ class CampaignSpec:
         data = _require_dict(data, what)
         _reject_unknown(
             data,
-            {
-                "workloads", "abtb_sizes", "scale", "backend", "seed",
-                "timeout_s", "max_retries", "watchdog_every",
-            },
+            {"workloads", "abtb_sizes", "scale", "seed", "timeout_s", "max_retries"},
             what,
         )
         workloads = data.get("workloads")
@@ -155,18 +139,13 @@ class CampaignSpec:
         max_retries = data.get("max_retries", 2)
         if isinstance(max_retries, bool) or not isinstance(max_retries, int):
             raise SchemaError(f"{what}: 'max_retries' must be an integer")
-        watchdog_every = data.get("watchdog_every", 0)
-        if isinstance(watchdog_every, bool) or not isinstance(watchdog_every, int):
-            raise SchemaError(f"{what}: 'watchdog_every' must be an integer")
         return cls(
             workloads=tuple(workloads),
             abtb_sizes=tuple(abtb_sizes),
             scale=_str_field(data, "scale", what, "smoke"),
-            backend=_str_field(data, "backend", what, "reference"),
             seed=_opt_int(data, "seed", what),
             timeout_s=_opt_number(data, "timeout_s", what),
             max_retries=max_retries,
-            watchdog_every=watchdog_every,
         )
 
     def as_dict(self) -> dict:
@@ -175,11 +154,9 @@ class CampaignSpec:
             "workloads": list(self.workloads),
             "abtb_sizes": list(self.abtb_sizes),
             "scale": self.scale,
-            "backend": self.backend,
             "seed": self.seed,
             "timeout_s": self.timeout_s,
             "max_retries": self.max_retries,
-            "watchdog_every": self.watchdog_every,
         }
 
 
@@ -233,37 +210,31 @@ class ShardProgress:
     """Optional per-shard progress a heartbeat may carry.
 
     ``events_done`` is the count of trace events the worker has retired
-    so far on its current shard; ``workload`` / ``backend`` name what it
-    is running and on which engine.  All fields default to "unknown" so
-    old workers that renew without progress remain valid.
+    so far on its current shard; ``workload`` names what it is running.
+    All fields default to "unknown" so old workers that renew without
+    progress remain valid.
     """
 
     events_done: int = 0
     workload: str = ""
-    backend: str = ""
 
     @classmethod
     def from_dict(cls, data: object) -> "ShardProgress":
         what = "shard progress"
         data = _require_dict(data, what)
-        _reject_unknown(data, {"events_done", "workload", "backend"}, what)
+        _reject_unknown(data, {"events_done", "workload"}, what)
         events_done = data.get("events_done", 0)
         if isinstance(events_done, bool) or not isinstance(events_done, int):
             raise SchemaError(f"{what}: 'events_done' must be an integer")
         if events_done < 0:
             raise SchemaError(f"{what}: 'events_done' must be >= 0, got {events_done}")
         workload = data.get("workload", "")
-        backend = data.get("backend", "")
-        if not isinstance(workload, str) or not isinstance(backend, str):
-            raise SchemaError(f"{what}: 'workload' and 'backend' must be strings")
-        return cls(events_done=events_done, workload=workload, backend=backend)
+        if not isinstance(workload, str):
+            raise SchemaError(f"{what}: 'workload' must be a string")
+        return cls(events_done=events_done, workload=workload)
 
     def as_dict(self) -> dict:
-        return {
-            "events_done": self.events_done,
-            "workload": self.workload,
-            "backend": self.backend,
-        }
+        return {"events_done": self.events_done, "workload": self.workload}
 
 
 @dataclass(frozen=True)

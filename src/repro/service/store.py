@@ -1,7 +1,7 @@
 """Durable, content-addressed shard result store.
 
 Shard execution is deterministic: the summary of one (workload × ABTB ×
-scale × seed × backend) pair is a pure function of its recipe.  The store
+scale × seed) pair is a pure function of its recipe.  The store
 exploits that by keying every result on the *config hash* of the recipe
 (:func:`shard_result_key`), with three consequences:
 
@@ -10,8 +10,7 @@ exploits that by keying every result on the *config hash* of the recipe
   a resubmitted campaign) dedupes against the stored result instead of
   double-counting;
 * **first-write-wins determinism** — a conflicting second write (which
-  determinism says should never happen outside a diverged-backend
-  marker) is recorded as a ``result_conflict`` incident and discarded,
+  determinism says should never happen) is recorded as a ``result_conflict`` incident and discarded,
   so aggregates can never silently drift;
 * **durability** — results are integrity-enveloped files
   (:mod:`repro.resilience.integrity`): a bit-flipped result is detected
@@ -41,7 +40,6 @@ def shard_result_key(
     workload: str,
     abtb_entries: int,
     scale: str,
-    backend: str = "reference",
     seed: int | None = None,
 ) -> str:
     """Config hash identifying one shard's result.
@@ -56,7 +54,6 @@ def shard_result_key(
         workload=workload,
         abtb_entries=abtb_entries,
         scale=scale,
-        backend=backend,
         seed=seed,
     )
 
@@ -111,14 +108,13 @@ class ResultStore:
 
         ``deduped`` is True when an intact result for ``key`` already
         existed — the new bytes are then discarded (first write wins) and
-        a disagreement beyond the ``diverged_backend`` marker raises a
-        ``result_conflict`` incident.
+        a disagreement raises a ``result_conflict`` incident.
         """
         path = self.path(key)
         existing = self.get(key)
         if existing is not None:
             self.dedups += 1
-            if _strip_divergence(existing.get("summary")) != _strip_divergence(summary):
+            if existing.get("summary") != summary:
                 if self.recorder is not None:
                     self.recorder.record(
                         IncidentKind.RESULT_CONFLICT,
@@ -136,11 +132,3 @@ class ResultStore:
         if not self.root.exists():
             return []
         return sorted(p.name[: -len(".result.json")] for p in self.root.glob("*.result.json"))
-
-
-def _strip_divergence(summary: object) -> object:
-    """Summaries modulo the ``diverged_backend`` marker (a watchdog
-    fallback changes the marker, never the counters)."""
-    if not isinstance(summary, dict):
-        return summary
-    return {k: v for k, v in summary.items() if k != "diverged_backend"}

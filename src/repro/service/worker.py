@@ -3,7 +3,7 @@
 The execution path is deliberately the *same code* the serial campaign
 runner uses — :func:`repro.experiments.runner._run_one_pair` over
 :func:`repro.experiments.runner.run_pair` with the same retry/timeout
-policy, watchdog and incident recorder — which is what makes a service
+policy and incident recorder — which is what makes a service
 campaign's :class:`~repro.experiments.runner.CampaignResult`
 counter-for-counter identical to a serial one.
 
@@ -38,7 +38,6 @@ from repro.errors import ServiceError
 from repro.experiments.runner import RetryPolicy, _run_one_pair, run_pair
 from repro.experiments.scale import PAPER, SMOKE
 from repro.resilience.incidents import IncidentRecorder
-from repro.resilience.watchdog import WatchdogPolicy
 from repro.trace.store import TraceStore
 from repro.uarch.machine import CheckpointStore
 
@@ -206,13 +205,11 @@ class _ProgressTracker:
         self._lock = threading.Lock()
         self.events_done = 0
         self.workload = ""
-        self.backend = ""
 
-    def begin(self, workload: str, backend: str) -> None:
+    def begin(self, workload: str) -> None:
         with self._lock:
             self.events_done = 0
             self.workload = workload
-            self.backend = backend
 
     def add(self, n: int) -> None:
         with self._lock:
@@ -220,11 +217,7 @@ class _ProgressTracker:
 
     def snapshot(self) -> dict:
         with self._lock:
-            return {
-                "events_done": self.events_done,
-                "workload": self.workload,
-                "backend": self.backend,
-            }
+            return {"events_done": self.events_done, "workload": self.workload}
 
 
 class WorkerVanished(ServiceError):
@@ -279,8 +272,8 @@ class WorkerAgent:
         machine_cache_dir: warm-machine checkpoint cache shared with the
             serial runner (optional but a large speedup across shards).
         trace_cache_dir: content-addressed trace store shared with the
-            campaign runner; with ``backend="batched"`` shards load
-            serialised trace batches instead of regenerating them.
+            campaign runner; shards load serialised trace batches instead
+            of regenerating them.
         chaos: fault injector (drills/CI only).
         stop_event: external stop signal; the agent finishes the shard in
             hand, delivers it, then exits (graceful drain).
@@ -479,17 +472,13 @@ class WorkerAgent:
     def _execute(self, grant: dict) -> dict:
         """Run one shard exactly the way the serial campaign loop would."""
         payload = grant["payload"]
-        self.progress.begin(
-            payload.get("workload", ""), payload.get("backend", "reference")
-        )
+        self.progress.begin(payload.get("workload", ""))
         scale = _SCALES[payload["scale"]]
         policy = RetryPolicy(
             timeout_s=payload.get("timeout_s"),
             max_retries=int(payload.get("max_retries", 2)),
         )
         recorder = IncidentRecorder()
-        watchdog_every = int(payload.get("watchdog_every") or 0)
-        watchdog = WatchdogPolicy(check_every=watchdog_every) if watchdog_every else None
         machine_cache = (
             CheckpointStore(self.machine_cache_dir, recorder=recorder)
             if self.machine_cache_dir
@@ -502,23 +491,18 @@ class WorkerAgent:
         )
 
         def run_fn(workload: str, scale_obj, abtb: int, gate=None):
-            # Gate the progress/recorder callbacks per attempt: a
-            # timed-out attempt's abandoned thread keeps simulating, and
-            # without the gate it would keep banking progress (and
-            # incidents) into the retry attempt's heartbeats.
+            # Gate the progress callback per attempt: a timed-out
+            # attempt's abandoned thread keeps simulating, and without the
+            # gate it would keep banking progress into the retry
+            # attempt's heartbeats.
             progress = self.progress.add
-            rec = recorder
             if gate is not None:
                 progress = gate.wrap(progress)
-                rec = gate.recorder(recorder)
             return run_pair(
                 workload,
                 scale_obj,
                 abtb,
                 seed=payload.get("seed"),
-                backend=payload.get("backend", "reference"),
-                recorder=rec,
-                watchdog=watchdog,
                 machine_cache=machine_cache,
                 trace_cache=trace_cache,
                 progress=progress,

@@ -157,7 +157,7 @@ def run_sweep(
 
     ``spec=None`` resumes whatever spec ``out_dir`` was created with.
     Completed points are skipped via the campaign checkpoint; everything
-    else runs through the batched backend, sharded when ``jobs > 1``.
+    else runs, sharded when ``jobs > 1``.
     Analysis artifacts are (re)written on every invocation, so a resumed
     or even fully-cached run still refreshes ``analysis/``.
     """
@@ -179,7 +179,6 @@ def run_sweep(
         jobs=jobs,
         machine_cache_dir=out / "machine-cache",
         trace_cache_dir=out / "trace-cache",
-        backend="batched",
         recorder=recorder,
         bus=bus,
         supervise=supervise,

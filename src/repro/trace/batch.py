@@ -64,6 +64,34 @@ EVENT_DTYPE = np.dtype(
 )
 
 
+class TagTable:
+    """First-appearance-first tag interning for one batch's tag table.
+
+    Unhashable tags are stored without deduplication.
+    """
+
+    __slots__ = ("tags", "_index")
+
+    def __init__(self) -> None:
+        self.tags: list = []
+        self._index: dict = {}
+
+    def intern(self, tag: object) -> int:
+        """Index of ``tag`` in :attr:`tags`, appending it on first sight."""
+        try:
+            ti = self._index.get(tag)
+        except TypeError:  # unhashable tag: store without dedup
+            ti = None
+        if ti is None:
+            ti = len(self.tags)
+            self.tags.append(tag)
+            try:
+                self._index[tag] = ti
+            except TypeError:
+                pass
+        return ti
+
+
 class TraceBatch:
     """A fixed-size run of trace events in columnar form.
 
@@ -87,9 +115,8 @@ class TraceBatch:
             events = list(events)
         m = len(events)
         data = np.empty(m, dtype=EVENT_DTYPE)
-        tags: list = []
         if not m:
-            return cls(data, tags)
+            return cls(data, [])
         data["kind"] = np.fromiter(map(_GET_KIND, events), np.int16, m)
         data["pc"] = np.fromiter(map(_GET_PC, events), np.int64, m)
         data["n_instr"] = np.fromiter(map(_GET_N_INSTR, events), np.int64, m)
@@ -98,24 +125,13 @@ class TraceBatch:
         data["mem_addr"] = np.fromiter(map(_GET_MEM_ADDR, events), np.int64, m)
         data["taken"] = np.fromiter(map(_GET_TAKEN, events), np.int8, m)
         tag_idx: np.ndarray | None = None
-        tag_index: dict = {}
+        table = TagTable()
         for i, tag in enumerate(map(_GET_TAG, events)):
             if tag is None:
                 continue
-            try:
-                ti = tag_index.get(tag)
-            except TypeError:  # unhashable tag: store without dedup
-                ti = None
-            if ti is None:
-                ti = len(tags)
-                tags.append(tag)
-                try:
-                    tag_index[tag] = ti
-                except TypeError:
-                    pass
             if tag_idx is None:
                 tag_idx = np.full(m, -1, np.int32)
-            tag_idx[i] = ti
+            tag_idx[i] = table.intern(tag)
         if tag_idx is None:
             data["tag"] = -1
         else:
@@ -127,7 +143,29 @@ class TraceBatch:
                 f"batch contains event kind outside [0, {MAX_EVENT_KIND}]: "
                 f"min={lo}, max={hi}"
             )
-        return cls(data, tags)
+        return cls(data, table.tags)
+
+    @classmethod
+    def concat(cls, batches: Iterable["TraceBatch"]) -> "TraceBatch":
+        """Join batches end to end into one.
+
+        Tags are re-interned first-appearance-first across the whole run,
+        so the result is identical (bytes included) to one batch built
+        over the concatenated stream.
+        """
+        batches = list(batches)
+        data = np.concatenate([b.data for b in batches] or [np.empty(0, EVENT_DTYPE)])
+        table = TagTable()
+        start = 0
+        for batch in batches:
+            end = start + len(batch.data)
+            if batch.tags:
+                remap = np.array([table.intern(t) for t in batch.tags], np.int32)
+                col = data["tag"][start:end]
+                tagged = col >= 0
+                col[tagged] = remap[col[tagged]]
+            start = end
+        return cls(data, table.tags)
 
     def __len__(self) -> int:
         return len(self.data)

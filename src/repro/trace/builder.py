@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.isa.events import TraceEvent
 from repro.isa.kinds import EventKind
-from repro.trace.batch import EVENT_DTYPE, TraceBatch
+from repro.trace.batch import EVENT_DTYPE, TagTable, TraceBatch
 
 #: Integer event-kind constants for hot row emission (``EventKind.X`` is an
 #: IntEnum — attribute access plus ``int()`` per event is measurable).
@@ -58,30 +58,22 @@ class BatchBuilder:
         tags: the batch tag table being interned into.
     """
 
-    __slots__ = ("rows", "tags", "_tag_index")
+    __slots__ = ("rows", "_table")
 
     def __init__(self) -> None:
         self.rows: list[int] = []
-        self.tags: list = []
-        self._tag_index: dict = {}
+        self._table = TagTable()
 
     def __len__(self) -> int:
         return len(self.rows) // ROW_WIDTH
 
+    @property
+    def tags(self) -> list:
+        return self._table.tags
+
     def tag_id(self, tag: object) -> int:
         """Intern ``tag`` (first-appearance order) and return its index."""
-        try:
-            ti = self._tag_index.get(tag)
-        except TypeError:  # unhashable tag: store without dedup
-            ti = None
-        if ti is None:
-            ti = len(self.tags)
-            self.tags.append(tag)
-            try:
-                self._tag_index[tag] = ti
-            except TypeError:
-                pass
-        return ti
+        return self._table.intern(tag)
 
     def extend_events(self, events: Iterable[TraceEvent]) -> None:
         """Append already-materialised events (the generic fallback used
@@ -99,6 +91,17 @@ class BatchBuilder:
                 1 if ev.taken else 0,
                 -1 if tag is None else self.tag_id(tag),
             )
+
+    def take(self) -> TraceBatch:
+        """Build everything appended so far and start an empty chunk.
+
+        The row list is cleared in place, so ``rows`` aliases held by
+        emitters stay valid; the next chunk interns its tags afresh.
+        """
+        batch = self.build()
+        self.rows.clear()
+        self._table = TagTable()
+        return batch
 
     def build(self) -> TraceBatch:
         """Convert everything appended so far into one :class:`TraceBatch`."""

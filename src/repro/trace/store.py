@@ -124,24 +124,38 @@ def apply_stats(stats: dict, workload) -> None:
     workload.engine.resolutions_emitted = int(stats["resolutions_emitted"])
 
 
-def generate_bundle(workload, warmup_requests: int, measured_requests: int) -> TraceBundle:
-    """Generate all three segments through the array-native path.
+def stream_segments(workload, warmup_requests: int, measured_requests: int):
+    """The three segments as lazy chunk streams, in generation order.
 
-    Mirrors the live-run sequence exactly: startup, usage-stat reset
-    (Table 3 / Fig 4 cover organic execution only), unmarked warm-up,
-    then the marked measurement window with request ids continuing after
-    the warm-up's.  Generation is stateful (the context-switch clock and
-    binding state persist across segments) — segments cannot be produced
-    independently, which is why the bundle is all-or-nothing.
+    The sequence is startup, usage-stat reset (Table 3 / Fig 4 cover
+    organic execution only), unmarked warm-up, then the marked
+    measurement window with request ids continuing after the warm-up's.
+    Generation is stateful (the context-switch clock and binding state
+    persist across segments), so each stream must be exhausted before
+    the next one is started.
     """
-    startup = workload.startup_batch()
-    workload.reset_usage_stats()
-    warmup = (
-        workload.trace_batch(warmup_requests, include_marks=False)
-        if warmup_requests
-        else TraceBatch(startup.data[:0], [])
+
+    def startup():
+        yield from workload.startup_chunks()
+        workload.reset_usage_stats()
+
+    return (
+        startup(),
+        workload.trace_chunks(warmup_requests, include_marks=False),
+        workload.trace_chunks(measured_requests, start_id=warmup_requests),
     )
-    measured = workload.trace_batch(measured_requests, start_id=warmup_requests)
+
+
+def generate_bundle(workload, warmup_requests: int, measured_requests: int) -> TraceBundle:
+    """All three segments of :func:`stream_segments`, each concatenated.
+
+    The segments cannot be produced independently, which is why the
+    bundle is all-or-nothing.
+    """
+    startup, warmup, measured = (
+        TraceBatch.concat(stream)
+        for stream in stream_segments(workload, warmup_requests, measured_requests)
+    )
     return TraceBundle(startup, warmup, measured, collect_stats(workload))
 
 

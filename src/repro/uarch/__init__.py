@@ -1,6 +1,6 @@
 """Microarchitectural models: caches, TLBs, branch prediction, CPU."""
 
-from repro.uarch.backend import BACKENDS, BatchedBackend, make_runner
+from repro.uarch.backend import BatchedBackend
 from repro.uarch.btb import BTB
 from repro.uarch.cache import SetAssociativeCache
 from repro.uarch.component import ComponentRegistry, SimComponent, default_registry
@@ -13,7 +13,6 @@ from repro.uarch.timing import TimingModel
 from repro.uarch.tlb import TLB
 
 __all__ = [
-    "BACKENDS",
     "BTB",
     "BatchedBackend",
     "CPU",
@@ -33,5 +32,4 @@ __all__ = [
     "TimingModel",
     "default_registry",
     "machine_key",
-    "make_runner",
 ]

@@ -52,9 +52,6 @@ from repro.isa.kinds import MAX_EVENT_KIND, EventKind
 from repro.trace.batch import TraceBatch, iter_batches
 from repro.uarch.cpu import Mark
 
-#: Backend names accepted by runners, the CLI and the difftest harness.
-BACKENDS = ("reference", "batched")
-
 _K_BLOCK = int(EventKind.BLOCK)
 _K_CALL_DIRECT = int(EventKind.CALL_DIRECT)
 _K_CALL_INDIRECT = int(EventKind.CALL_INDIRECT)
@@ -230,9 +227,8 @@ class BatchedBackend:
         No ``to_events`` / ``from_events`` round trip happens: oversized
         batches are re-cut into zero-copy views
         (:meth:`TraceBatch.slices`) of at most ``batch_events`` rows, so
-        sync-point spacing (and therefore difftest comparability and
-        watchdog cadence) is identical to a :meth:`run` over the same
-        stream.
+        sync-point spacing (and therefore difftest comparability) is
+        identical to a :meth:`run` over the same stream.
         """
 
         def resliced():
@@ -1435,12 +1431,3 @@ class BatchedBackend:
                 r_pushes, r_pops, r_mis,
             )
         )
-
-
-def make_runner(cpu, backend: str = "reference", batch_events: int = 4096):
-    """A ``run(events)`` callable for ``cpu`` under the named backend."""
-    if backend == "reference":
-        return cpu.run
-    if backend == "batched":
-        return BatchedBackend(cpu, batch_events).run
-    raise ConfigError(f"unknown backend {backend!r}; expected one of {BACKENDS}")

@@ -54,6 +54,11 @@ from repro.trace.engine import CALL_SITE_LEN, ExecutionEngine, LinkMode
 from repro.workloads.profiles import PopularityProfile, WeightedSampler
 
 
+#: Generated rows per chunk before a stream cuts at the next request or
+#: import-pair boundary: the batched backend's batch size.
+CHUNK_ROWS = 4096
+
+
 def stable_hash(text: str) -> int:
     """Deterministic 32-bit hash (Python's str hash is salted per process)."""
     return zlib.crc32(text.encode())
@@ -593,12 +598,16 @@ class Workload:
     # flow, same per-event values — but appends flat integer rows to a
     # :class:`~repro.trace.builder.BatchBuilder` instead of yielding
     # ``TraceEvent`` objects, and warm library calls replay precomputed
-    # engine templates (:meth:`ExecutionEngine.call_rows`).  The legacy
-    # iterators stay as the reference oracle: ``difftest.run_matrix``
-    # proves full-CPU-snapshot equality between the two paths.
+    # engine templates (:meth:`ExecutionEngine.call_rows`).  Generation
+    # streams: a chunk is cut at the first import-pair (startup) or
+    # request (trace) boundary at or past ``CHUNK_ROWS`` rows, so a run
+    # never holds more than about one backend batch of generated rows.
+    # The legacy iterators stay as the reference oracle:
+    # ``difftest.run_matrix`` proves full-CPU-snapshot equality between
+    # the two paths.
 
-    def startup_batch(self) -> TraceBatch:
-        """Batch twin of :meth:`startup_trace` (event-for-event identical)."""
+    def startup_chunks(self) -> Iterator[TraceBatch]:
+        """Batch twin of :meth:`startup_trace`, as a chunk stream."""
         builder = BatchBuilder()
         rng = np.random.default_rng(np.random.SeedSequence([self.config.seed, 55]))
         rc = self.config.request_classes[0]
@@ -606,16 +615,19 @@ class Workload:
         for pairs in self._pairs_by_module.values():
             for pair in pairs:
                 self._library_call_rows(rc, pair, pair.sites[0], rng, depth, None, builder)
-        return builder.build()
+                if len(builder) >= CHUNK_ROWS:
+                    yield builder.take()
+        if len(builder):
+            yield builder.take()
 
-    def trace_batch(
+    def trace_chunks(
         self,
         n_requests: int,
         include_marks: bool = True,
         classes: list[RequestClass] | None = None,
         start_id: int = 0,
-    ) -> TraceBatch:
-        """Batch twin of :meth:`trace` (event-for-event identical)."""
+    ) -> Iterator[TraceBatch]:
+        """Batch twin of :meth:`trace`, as a chunk stream."""
         builder = BatchBuilder()
         rows = builder.rows
         rng = np.random.default_rng(np.random.SeedSequence([self.config.seed, 77, start_id]))
@@ -630,7 +642,26 @@ class Workload:
             self._request_rows(rc, request_id, req_rng, builder)
             if include_marks:
                 rows += (K_MARK, 0, 0, 0, 0, 0, 1, builder.tag_id(("end", rc.name, request_id)))
-        return builder.build()
+            if len(builder) >= CHUNK_ROWS:
+                yield builder.take()
+        if len(builder):
+            yield builder.take()
+
+    def startup_batch(self) -> TraceBatch:
+        """Batch twin of :meth:`startup_trace` (event-for-event identical)."""
+        return TraceBatch.concat(self.startup_chunks())
+
+    def trace_batch(
+        self,
+        n_requests: int,
+        include_marks: bool = True,
+        classes: list[RequestClass] | None = None,
+        start_id: int = 0,
+    ) -> TraceBatch:
+        """Batch twin of :meth:`trace` (event-for-event identical)."""
+        return TraceBatch.concat(
+            self.trace_chunks(n_requests, include_marks, classes, start_id)
+        )
 
     def _request_rows(
         self, rc: RequestClass, request_id: int, rng: np.random.Generator, builder: BatchBuilder

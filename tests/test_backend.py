@@ -27,7 +27,7 @@ from repro.isa.events import (
 )
 from repro.trace.batch import TraceBatch, iter_batches
 from repro.uarch import CPU
-from repro.uarch.backend import BACKENDS, BatchedBackend, make_runner
+from repro.uarch.backend import BatchedBackend
 from repro.uarch.cpu import CPUHooks
 from repro.workloads import ALL_WORKLOADS
 from repro.workloads.base import Workload
@@ -168,17 +168,6 @@ class TestHooks:
 
 
 class TestRunnerSelection:
-    def test_backends_registry(self):
-        assert BACKENDS == ("reference", "batched")
-
-    def test_make_runner_reference_is_cpu_run(self):
-        cpu = CPU()
-        assert make_runner(cpu, "reference") == cpu.run
-
-    def test_make_runner_rejects_unknown(self):
-        with pytest.raises(ConfigError):
-            make_runner(CPU(), "warp-speed")
-
     def test_batched_backend_rejects_bad_batch(self):
         with pytest.raises(ConfigError):
             BatchedBackend(CPU(), 0)
@@ -197,10 +186,10 @@ class TestRunnerIntegration:
         from repro.experiments.scale import Scale
 
         scale = Scale("tiny", {"memcached": (2, 6)})
-        ref_base, ref_enh = run_pair("memcached", scale, abtb_entries=64, seed=7)
-        fast_base, fast_enh = run_pair(
-            "memcached", scale, abtb_entries=64, seed=7, backend="batched"
+        ref_base, ref_enh = run_pair(
+            "memcached", scale, abtb_entries=64, seed=7, backend="reference"
         )
+        fast_base, fast_enh = run_pair("memcached", scale, abtb_entries=64, seed=7)
         assert ref_base.counters.as_dict() == fast_base.counters.as_dict()
         assert ref_enh.counters.as_dict() == fast_enh.counters.as_dict()
         assert ref_enh.requests == fast_enh.requests

@@ -203,9 +203,9 @@ class TestAttemptGate:
         gate = AttemptGate()
         recorder = IncidentRecorder()
         proxy = gate.recorder(recorder)
-        proxy.record("watchdog_divergence", "before expire", severity="warning")
+        proxy.record("result_conflict", "before expire", severity="warning")
         gate.expire()
-        proxy.record("watchdog_divergence", "after expire", severity="warning")
+        proxy.record("result_conflict", "after expire", severity="warning")
         assert len(recorder) == 1
         # Non-record attributes pass through to the wrapped recorder.
         assert proxy.counts() == recorder.counts()

@@ -8,9 +8,12 @@ divergence to a minimal event window with named snapshot fields.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.difftest import (
+    ABLATION_SHAPES,
     DEFAULT_ABTB_SIZES,
     diff_backends,
     difftest_workload,
@@ -20,8 +23,10 @@ from repro.difftest import (
 )
 from repro.errors import ConfigError
 from repro.isa.events import block, jmp_direct
+from repro.isa.kinds import EventKind
 from repro.uarch import CPU
 from repro.uarch.btb import BTB
+from repro.workloads import Workload, apache
 
 
 class TestSnapshotDiff:
@@ -66,6 +71,21 @@ class TestCleanRuns:
             "memcached/abtb=16",
         ]
         assert all(r.ok for r in reports)
+
+    def test_ablation_shapes_clean(self):
+        reports = run_matrix(workloads=["apache"], abtb_sizes=(), requests=3)
+        assert [r.label for r in reports] == [
+            "apache/base", *(f"apache/{suffix}" for suffix in ABLATION_SHAPES)
+        ]
+        assert all(r.ok for r in reports), "\n".join(r.render() for r in reports)
+
+    def test_context_switch_shapes_switch(self):
+        # The ASID cells only test something if the slice really switches.
+        for overrides, _mechanism in ABLATION_SHAPES.values():
+            if "context_switch_interval" in overrides:
+                batch = Workload(replace(apache.config(), **overrides)).trace_batch(3)
+                switches = batch.data["kind"] == int(EventKind.CONTEXT_SWITCH)
+                assert switches.sum() >= 2
 
     def test_default_matrix_covers_two_abtb_sizes(self):
         assert len(DEFAULT_ABTB_SIZES) == 2

@@ -168,6 +168,11 @@ class TestAblation:
         assert without.mechanism.stats.unsafe_skips == 0
         assert abs(without.skip_rate - with_bloom.skip_rate) < 0.1
 
+    def test_replacement_study_runs(self):
+        skip = ablation.replacement_study(Scale("tiny", {"apache": (1, 3)}))
+        assert set(skip) == {"lru", "fifo"}
+        assert all(0.0 < rate < 1.0 for rate in skip.values())
+
 
 @pytest.mark.slow
 class TestFullSmokeShapes:

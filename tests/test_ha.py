@@ -644,11 +644,11 @@ class TestResultGc:
         _complete(manager, cid, key)
         # Two orphans: results no live campaign references.
         manager.store.put(
-            shard_result_key("nginx", 64, "smoke", "reference", None),
+            shard_result_key("nginx", 64, "smoke"),
             {"orphan": 1}, {},
         )
         manager.store.put(
-            shard_result_key("redis", 64, "smoke", "reference", None),
+            shard_result_key("redis", 64, "smoke"),
             {"orphan": 2}, {},
         )
         manager.shutdown()

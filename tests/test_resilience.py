@@ -3,13 +3,12 @@
 Covers the integrity envelope (checksummed, schema-versioned artifacts),
 checkpoint-corruption handling in both the machine cache and the campaign
 checkpoint, the binary trace codec's corruption taxonomy, the campaign
-supervisor (kill/requeue, spill salvage, hang/quarantine), the backend
-divergence watchdog, the incident recorder, and the ``incidents`` CLI.
+supervisor (kill/requeue, spill salvage, hang/quarantine), the incident
+recorder, and the ``incidents`` CLI.
 
 The acceptance property threaded through the campaign tests: a campaign
-that survives a SIGKILLed worker, a corrupted machine checkpoint and a
-forced backend divergence must still produce counters identical to an
-unperturbed serial reference run.
+that survives a SIGKILLed worker and a corrupted machine checkpoint must
+still produce counters identical to an unperturbed serial reference run.
 """
 
 from __future__ import annotations
@@ -25,13 +24,7 @@ from repro.errors import (
     TraceCorruptionError,
     TraceError,
 )
-from repro.experiments.runner import (
-    _load_checkpoint,
-    _save_checkpoint,
-    run_campaign,
-    run_pair,
-    summarize_pair,
-)
+from repro.experiments.runner import _load_checkpoint, _save_checkpoint, run_campaign
 from repro.experiments.scale import SMOKE
 from repro.isa import events as ev
 from repro.resilience import (
@@ -41,7 +34,6 @@ from repro.resilience import (
     IncidentRecorder,
     ShardState,
     SupervisorPolicy,
-    WatchdogPolicy,
     read_artifact,
     validate_incident_log,
     write_artifact,
@@ -92,16 +84,6 @@ def _machine_state() -> MachineState:
     cpu = CPU()
     cpu.run([ev.block(0x1000, 50), ev.call_direct(0x10C8, 0x2000), ev.block(0x2000, 10)])
     return MachineState.capture(cpu, trace_position=3)
-
-
-def _strip_divergence(completed: dict) -> dict:
-    """Campaign counters with the watchdog's marker flag removed."""
-    out = {}
-    for key, summary in completed.items():
-        summary = dict(summary)
-        summary.pop("diverged_backend", None)
-        out[key] = summary
-    return out
 
 
 # ------------------------------------------------------ integrity envelope
@@ -432,7 +414,7 @@ class TestSupervisor:
             CampaignSupervisor(_echo_worker, [("a", 1), ("a", 2)])
 
 
-# --------------------------------------------------- watchdog + campaigns
+# ------------------------------------------------------ resilient campaigns
 #
 # These drive real simulations at SMOKE scale, so they live behind a
 # shared serial reference fixture to pay the baseline cost once.
@@ -448,47 +430,11 @@ def serial_reference(tmp_path_factory):
     return run_campaign(WORKLOADS, SMOKE, abtb_sizes=ABTB, jobs=1)
 
 
-class TestWatchdog:
-    def test_clean_batched_run_matches_reference(self):
-        ref = run_pair("apache", SMOKE, abtb_entries=64)
-        watched = run_pair(
-            "apache",
-            SMOKE,
-            abtb_entries=64,
-            backend="batched",
-            watchdog=WatchdogPolicy(check_every=1),
-        )
-        assert summarize_pair(*watched) == summarize_pair(*ref)
-        assert not watched[0].diverged and not watched[1].diverged
-        assert watched[0].backend_used == "batched"
-
-    def test_forced_divergence_falls_back_to_reference(self):
-        ref = run_pair("apache", SMOKE, abtb_entries=64)
-        recorder = IncidentRecorder()
-        diverged = run_pair(
-            "apache",
-            SMOKE,
-            abtb_entries=64,
-            backend="batched",
-            recorder=recorder,
-            watchdog=WatchdogPolicy(check_every=1, force_diverge_at_check=1),
-        )
-        assert diverged[0].diverged and diverged[0].backend_used == "reference"
-        counts = recorder.counts()
-        assert counts["backend_divergence"] >= 1 and counts["backend_fallback"] >= 1
-        # The marked summary differs from the reference ONLY by the marker.
-        summary = summarize_pair(*diverged)
-        assert summary.pop("diverged_backend") is True
-        assert summary == summarize_pair(*ref)
-
-
 class TestSupervisedCampaign:
-    def test_survives_kill_corruption_and_divergence(
-        self, serial_reference, tmp_path
-    ):
+    def test_survives_kill_and_corruption(self, serial_reference, tmp_path):
         """The acceptance scenario: one campaign run survives a SIGKILLed
-        worker, a corrupted machine checkpoint and a forced backend
-        divergence — and its counters match the serial reference."""
+        worker and a corrupted machine checkpoint — and its counters
+        match the serial reference."""
         cache_dir = tmp_path / "machines"
         # Seed the machine cache, then corrupt one checkpoint in place.
         run_campaign(
@@ -509,32 +455,19 @@ class TestSupervisedCampaign:
             abtb_sizes=ABTB,
             jobs=2,
             supervise=True,
-            backend="batched",
             machine_cache_dir=cache_dir,
             checkpoint_path=checkpoint,
             manifest_path=manifest,
             recorder=recorder,
             supervisor_policy=FAST,
-            fault_plan=FaultPlan(
-                kill_match="memcached", kill_attempts=1, diverge_match="apache"
-            ),
-            watchdog=WatchdogPolicy(check_every=1),
+            fault_plan=FaultPlan(kill_match="memcached", kill_attempts=1),
         )
         assert result.ok and not result.degraded
-        assert _strip_divergence(result.completed) == _strip_divergence(
-            serial_reference.completed
-        )
-        # The divergence marker sits exactly on the faulted pair.
-        diverged_keys = [
-            k for k, s in result.completed.items() if s.get("diverged_backend")
-        ]
-        assert diverged_keys and all("apache" in k for k in diverged_keys)
+        assert result.completed == serial_reference.completed
         counts = recorder.counts()
         assert counts["worker_death"] >= 1
         assert counts["shard_requeued"] >= 1
         assert counts["checkpoint_corrupt"] >= 1
-        assert counts["backend_divergence"] >= 1
-        assert counts["backend_fallback"] >= 1
         # Manifest is a valid integrity artifact recording the whole story.
         payload = read_artifact(manifest, "repro.campaign-manifest", 1)
         assert sorted(payload["completed"]) == sorted(result.completed)
@@ -614,8 +547,8 @@ class TestIncidentRecorder:
         recorder = obs.incident_recorder()
         recorder.record(IncidentKind.WORKER_DEATH, "shard died", key="s1")
         recorder.record(IncidentKind.WORKER_DEATH, "again", key="s1")
-        recorder.record(IncidentKind.BACKEND_DIVERGENCE, "hash mismatch", severity="fatal")
-        assert recorder.counts() == {"backend_divergence": 1, "worker_death": 2}
+        recorder.record(IncidentKind.RESULT_CONFLICT, "summary mismatch", severity="fatal")
+        assert recorder.counts() == {"result_conflict": 1, "worker_death": 2}
         assert obs.metrics.counter("incidents.total").value == 3
         assert obs.metrics.counter("incidents.worker_death").value == 2
 
@@ -669,7 +602,7 @@ class TestIncidentsCli:
     def test_require_present_and_missing(self, tmp_path, capsys):
         path = self._write_log(tmp_path)
         assert cli_main(["incidents", str(path), "--require", "worker_death"]) == 0
-        assert cli_main(["incidents", str(path), "--require", "backend_divergence"]) == 1
+        assert cli_main(["incidents", str(path), "--require", "result_conflict"]) == 1
 
     def test_json_output(self, tmp_path, capsys):
         path = self._write_log(tmp_path)

@@ -327,14 +327,6 @@ class TestResultStore:
         assert store.get(key)["summary"]["speedup"] == 1.5
         assert recorder.counts().get("result_conflict") == 1
 
-    def test_divergence_marker_is_not_a_conflict(self, tmp_path):
-        recorder = IncidentRecorder()
-        store = ResultStore(tmp_path, recorder=recorder)
-        key = shard_result_key("apache", 64, "smoke")
-        store.put(key, {"speedup": 1.5}, {})
-        store.put(key, {"speedup": 1.5, "diverged_backend": True}, {})
-        assert "result_conflict" not in recorder.counts()
-
     def test_corrupt_result_is_miss_with_incident(self, tmp_path):
         recorder = IncidentRecorder()
         store = ResultStore(tmp_path, recorder=recorder)

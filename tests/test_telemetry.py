@@ -21,7 +21,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import SchemaError
-from repro.experiments.runner import _counted_stream, run_campaign
+from repro.experiments.runner import retire, run_campaign
 from repro.experiments.scale import SMOKE
 from repro.obs.dashboard import (
     load_snapshot_from_dir,
@@ -37,6 +37,8 @@ from repro.service import CampaignManager, CampaignSpec
 from repro.service.api import ManagerServer
 from repro.service.schemas import RenewRequest, ShardProgress
 from repro.service.worker import ManagerClient, WorkerAgent, _ProgressTracker
+from repro.uarch import CPU
+from repro.workloads import Workload, memcached
 
 
 class Clock:
@@ -200,13 +202,9 @@ class TestIncidentBusMirroring:
 
 class TestShardProgress:
     def test_round_trip(self):
-        progress = ShardProgress.from_dict(
-            {"events_done": 4096, "workload": "apache", "backend": "batched"}
-        )
+        progress = ShardProgress.from_dict({"events_done": 4096, "workload": "apache"})
         assert progress.events_done == 4096
-        assert progress.as_dict() == {
-            "events_done": 4096, "workload": "apache", "backend": "batched",
-        }
+        assert progress.as_dict() == {"events_done": 4096, "workload": "apache"}
 
     def test_defaults(self):
         assert ShardProgress.from_dict({}).events_done == 0
@@ -240,21 +238,20 @@ class TestShardProgress:
 class TestProgressTracker:
     def test_tracker_accumulates_per_shard(self):
         tracker = _ProgressTracker()
-        tracker.begin("apache", "batched")
+        tracker.begin("apache")
         tracker.add(100)
         tracker.add(28)
-        assert tracker.snapshot() == {
-            "events_done": 128, "workload": "apache", "backend": "batched",
-        }
-        tracker.begin("memcached", "reference")
+        assert tracker.snapshot() == {"events_done": 128, "workload": "apache"}
+        tracker.begin("memcached")
         assert tracker.snapshot()["events_done"] == 0
 
-    def test_counted_stream_batches_and_flushes(self):
+    def test_retire_reports_progress_at_sync_points(self):
+        chunks = list(Workload(memcached.config()).trace_chunks(40))
         seen = []
-        out = list(_counted_stream(iter(range(10)), seen.append, every=4))
-        assert out == list(range(10))
-        assert seen == [4, 4, 2]
-        assert sum(seen) == 10
+        retired = retire(CPU(), chunks, progress=seen.append)
+        assert retired == sum(len(c) for c in chunks) == sum(seen)
+        assert len(seen) > 1
+        assert all(0 < n <= 4096 + 1 for n in seen)
 
 
 # -------------------------------------------------- manager progress bank
@@ -286,8 +283,7 @@ class TestManagerTelemetry:
         clock.advance(2.0)
         renewed = manager.renew(
             grant["lease_id"], worker_id,
-            progress={"events_done": 512, "workload": "apache",
-                      "backend": "reference"},
+            progress={"events_done": 512, "workload": "apache"},
         )
         assert renewed is not None
         clock.advance(1.0)

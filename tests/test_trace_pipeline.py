@@ -16,7 +16,7 @@ import pytest
 from repro.core import MechanismConfig, TrampolineSkipMechanism
 from repro.difftest.harness import diff_backends, workload_batches, workload_events
 from repro.errors import TraceError
-from repro.experiments.runner import run_campaign, run_pair, run_workload
+from repro.experiments.runner import run_campaign, run_pair
 from repro.experiments.scale import Scale
 from repro.isa.kinds import EventKind
 from repro.trace.batch import TraceBatch
@@ -275,8 +275,8 @@ class TestRunnerTraceCache:
     def test_cold_and_warm_match_reference(self, tmp_path):
         reference = self._pair(backend="reference")
         store = TraceStore(tmp_path)
-        cold = self._pair(backend="batched", trace_cache=store)
-        warm = self._pair(backend="batched", trace_cache=store)
+        cold = self._pair(trace_cache=store)
+        warm = self._pair(trace_cache=store)
         assert reference == cold == warm
 
     def test_trace_cache_ignored_for_reference_backend(self, tmp_path):
@@ -284,15 +284,6 @@ class TestRunnerTraceCache:
         result = self._pair(backend="reference", trace_cache=store)
         assert result == self._pair(backend="reference")
         assert not list(tmp_path.rglob("meta.json"))  # never engaged
-
-    def test_backend_used_reported(self, tmp_path):
-        cfg = ALL_WORKLOADS["memcached"].config(seed=SEED)
-        result = run_workload(
-            cfg, warmup_requests=1, measured_requests=2,
-            backend="batched", trace_cache=TraceStore(tmp_path),
-        )
-        assert result.backend_used == "batched"
-        assert result.requests
 
 
 # ------------------------------------------------------------ determinism
@@ -313,7 +304,7 @@ class TestDeterminism:
             root = tmp_path / f"jobs{jobs}"
             result = run_campaign(
                 ("memcached", "apache"), scale, abtb_sizes=(16,),
-                jobs=jobs, backend="batched",
+                jobs=jobs,
                 machine_cache_dir=root / "machines",
                 trace_cache_dir=root / "traces",
             )
