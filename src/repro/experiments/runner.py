@@ -713,9 +713,8 @@ def _attempt_with_timeout(fn: Callable[[], object], timeout_s: float | None):
     is abandoned (daemonised via ``shutdown(wait=False)``) — acceptable
     for a simulator run, and the reason timeouts should be generous.
     The abandoned thread keeps executing; callers that feed it callbacks
-    (progress, incident recorders) must gate them through an
-    :class:`AttemptGate` so a zombie attempt cannot write into the retry
-    attempt's results.
+    (progress reports, for one) must wrap them in an :class:`AttemptGate`
+    so a zombie attempt cannot write into the retry attempt's results.
     """
     if timeout_s is None:
         return fn()
@@ -736,11 +735,11 @@ class AttemptGate:
 
     A timed-out attempt's worker thread cannot be killed (see
     :func:`_attempt_with_timeout`), so it survives into the retry and
-    keeps calling whatever ``progress``/recorder callbacks it was
-    given — double-counting progress and incidents into the *new*
-    attempt's results.  Each attempt therefore gets a fresh gate; the
-    retry loop flips it with :meth:`expire` before retrying, turning the
-    zombie's callbacks into no-ops.
+    keeps calling whatever callbacks it was given — double-counting
+    ``progress`` into the *new* attempt's results.  Each attempt
+    therefore gets a fresh gate; the retry loop flips it with
+    :meth:`expire` before retrying, turning the zombie's callbacks into
+    no-ops.
     """
 
     __slots__ = ("_live",)
@@ -766,30 +765,6 @@ class AttemptGate:
                 return callback(*args, **kwargs)
 
         return gated
-
-    def recorder(self, recorder):
-        """An incident-recorder proxy that drops records once expired."""
-        if recorder is None:
-            return None
-        return _GatedRecorder(self, recorder)
-
-
-class _GatedRecorder:
-    """Recorder proxy: ``record`` is gated, everything else delegates."""
-
-    __slots__ = ("_gate", "_inner")
-
-    def __init__(self, gate: AttemptGate, inner) -> None:
-        self._gate = gate
-        self._inner = inner
-
-    def record(self, *args, **kwargs):
-        if self._gate.live:
-            return self._inner.record(*args, **kwargs)
-        return None
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
 
 def _accepted_kwargs(fn) -> frozenset:

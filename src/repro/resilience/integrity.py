@@ -3,18 +3,19 @@
 Every persistent artifact the campaign layer trusts across process
 boundaries — machine checkpoints, campaign resume checkpoints, shard
 spill files, manifests — is written through this module.  The on-disk
-form is an *envelope*::
+form is an *envelope*, one line of compact JSON with sorted keys::
 
-    {
-      "schema": "repro.machine-state",     # artifact family
-      "schema_version": 2,                 # family's schema version
-      "sha256": "<hex digest>",            # over the canonical payload
-      "payload": { ... }                   # the actual content
-    }
+    {"payload": { ... },                   # the actual content
+     "schema": "repro.machine-state",      # artifact family
+     "schema_version": 2,                  # family's schema version
+     "sha256": "<hex digest>"}             # over the canonical payload
 
 The checksum is computed over the canonical payload serialisation
 (``json.dumps(payload, sort_keys=True)``), so it is independent of the
-envelope's own formatting.  Writes are atomic (temp file + ``os.replace``),
+envelope's own formatting: envelopes written in the older ``indent=2``
+layout still read.  The payload is serialised once per write: that one
+canonical text is hashed and spliced into the envelope as it stands
+(:func:`envelope_text`).  Writes are atomic (temp file + ``os.replace``),
 so a crash mid-write leaves either the old artifact or none — never a
 torn one.  Reads verify the envelope shape, schema name, schema version
 and checksum, raising :class:`~repro.errors.CheckpointCorruptionError`
@@ -53,24 +54,39 @@ def payload_checksum(payload: object) -> str:
     return hashlib.sha256(canonical_payload(payload).encode()).hexdigest()
 
 
-def wrap_artifact(payload: object, schema: str, schema_version: int) -> str:
-    """Serialise a payload into its envelope text (deterministic bytes)."""
-    envelope = {
-        "schema": schema,
-        "schema_version": schema_version,
-        "sha256": payload_checksum(payload),
-        "payload": payload,
-    }
-    return json.dumps(envelope, indent=2, sort_keys=True)
+def envelope_text(canonical: str, schema: str, schema_version: int) -> str:
+    """The envelope around already-canonical payload text.
+
+    ``canonical`` must be :func:`canonical_payload` of the payload.  The
+    result is byte-identical to ``json.dumps(envelope, sort_keys=True)``
+    ("payload" < "schema" < "schema_version" < "sha256"), built without
+    encoding the payload a second time.
+    """
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    return (
+        f'{{"payload": {canonical}, "schema": {json.dumps(schema)}, '
+        f'"schema_version": {json.dumps(schema_version)}, "sha256": "{digest}"}}'
+    )
 
 
 def write_artifact(
     path: str | Path, payload: object, schema: str, schema_version: int
 ) -> Path:
     """Atomically write an integrity-checked artifact."""
+    return write_canonical(path, canonical_payload(payload), schema, schema_version)
+
+
+def write_canonical(
+    path: str | Path, canonical: str, schema: str, schema_version: int
+) -> Path:
+    """Atomically write the envelope around canonical payload text.
+
+    For callers that already hold ``canonical_payload(payload)`` (and have
+    checked it): the text is hashed and written as it stands.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = wrap_artifact(payload, schema, schema_version)
+    text = envelope_text(canonical, schema, schema_version)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.core.config import MechanismConfig
 from repro.core.mechanism import TrampolineSkipMechanism
 from repro.errors import CheckpointCorruptionError, ConfigError
 from repro.resilience.incidents import IncidentKind
-from repro.resilience.integrity import read_artifact, write_artifact
+from repro.resilience.integrity import canonical_payload, read_artifact, write_canonical
 from repro.uarch.cpu import CPU, CPUConfig
 
 #: Schema version of serialised machine states.  Version 2: embeds the
@@ -116,8 +116,12 @@ class MachineState:
     # --------------------------------------------------------- persistence
 
     def to_json(self) -> str:
-        """Canonical JSON (sorted keys, so equal states serialise equally)."""
-        return json.dumps(asdict(self), sort_keys=True)
+        """Canonical JSON (sorted keys, so equal states serialise equally).
+
+        The fields already hold JSON-safe dicts and lists, so they are
+        encoded as they stand, without a deep copy.
+        """
+        return canonical_payload({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_payload(cls, data: object) -> "MachineState":
@@ -147,12 +151,15 @@ class MachineState:
     def save(self, path: str | Path) -> Path:
         """Atomically write the state inside an integrity envelope.
 
-        The round-trip is validated first; the payload checksum and schema
-        version in the envelope let :meth:`load` distinguish truncation and
-        bit rot from honest absence.
+        The state is encoded once: that canonical text is round-trip
+        validated, hashed and written, so a state that fails validation
+        is never written.  The payload checksum and schema version in the
+        envelope let :meth:`load` distinguish truncation and bit rot from
+        honest absence.
         """
-        self.validate_roundtrip()
-        return write_artifact(path, asdict(self), MACHINE_STATE_SCHEMA, MACHINE_STATE_VERSION)
+        text = self.to_json()
+        _validate_text(text)
+        return write_canonical(path, text, MACHINE_STATE_SCHEMA, MACHINE_STATE_VERSION)
 
     @classmethod
     def load(cls, path: str | Path) -> "MachineState":
@@ -170,26 +177,32 @@ class MachineState:
     def validate_roundtrip(self) -> None:
         """Prove the state survives JSON and restores bit-for-bit.
 
-        Serialises to JSON, rebuilds a fresh machine from the parsed copy,
-        and compares its re-taken snapshot against the original payload.
         Raises :class:`ConfigError` on any divergence — a checkpoint that
         fails this must never be written to disk.
         """
-        clone = MachineState.from_json(self.to_json())
-        cpu = clone.build_cpu()
-        retaken = cpu.snapshot()
-        original = json.loads(json.dumps(self.cpu))  # normalise tuples → lists
-        if retaken != original:
-            diverged = [
-                name
-                for name in original.get("components", {})
-                if retaken.get("components", {}).get(name)
-                != original["components"].get(name)
-            ]
-            raise ConfigError(
-                f"machine state failed round-trip validation "
-                f"(diverging components: {diverged or 'top-level fields'})"
-            )
+        _validate_text(self.to_json())
+
+
+def _validate_text(text: str) -> None:
+    """Round-trip check of a machine state's canonical JSON text.
+
+    Rebuilds a fresh machine from one parse of ``text`` and compares its
+    re-taken snapshot against a second, independent parse, so the restore
+    cannot have touched the copy it is compared with.
+    """
+    retaken = MachineState.from_json(text).build_cpu().snapshot()
+    original = json.loads(text)["cpu"]
+    if retaken != original:
+        diverged = [
+            name
+            for name in original.get("components", {})
+            if retaken.get("components", {}).get(name)
+            != original["components"].get(name)
+        ]
+        raise ConfigError(
+            f"machine state failed round-trip validation "
+            f"(diverging components: {diverged or 'top-level fields'})"
+        )
 
 
 def machine_key(**parts) -> str:

@@ -331,7 +331,8 @@ class Workload:
         the source, and most slots are never exercised by a given run.
         """
         target = len(used) * max(self.config.plt_sparsity, 1)
-        pool = [s for s in available if s not in set(used)]
+        used_set = set(used)
+        pool = [s for s in available if s not in used_set]
         extra = min(target - len(used), len(pool))
         padding = list(rng.choice(np.array(pool, dtype=object), extra, replace=False)) if extra > 0 else []
         combined = list(used) + padding

@@ -27,7 +27,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scale import SMOKE
 from repro.trace.engine import LinkMode
-from repro.resilience import IncidentRecorder
 from repro.trace.store import TraceStore, generate_bundle, trace_key
 from repro.workloads import ALL_WORKLOADS, Workload
 
@@ -198,18 +197,6 @@ class TestAttemptGate:
         gated(2)
         assert hits == [1]
         assert gate.wrap(None) is None
-
-    def test_recorder_proxy_gates_record_and_delegates_rest(self):
-        gate = AttemptGate()
-        recorder = IncidentRecorder()
-        proxy = gate.recorder(recorder)
-        proxy.record("result_conflict", "before expire", severity="warning")
-        gate.expire()
-        proxy.record("result_conflict", "after expire", severity="warning")
-        assert len(recorder) == 1
-        # Non-record attributes pass through to the wrapped recorder.
-        assert proxy.counts() == recorder.counts()
-        assert gate.recorder(None) is None
 
     def test_abandoned_attempt_callbacks_are_dropped(self):
         """The exact double-count scenario: attempt 1 times out, its thread

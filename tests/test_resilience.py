@@ -20,6 +20,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.errors import (
     CheckpointCorruptionError,
+    ConfigError,
     ExperimentError,
     TraceCorruptionError,
     TraceError,
@@ -34,6 +35,7 @@ from repro.resilience import (
     IncidentRecorder,
     ShardState,
     SupervisorPolicy,
+    payload_checksum,
     read_artifact,
     validate_incident_log,
     write_artifact,
@@ -86,6 +88,17 @@ def _machine_state() -> MachineState:
     return MachineState.capture(cpu, trace_position=3)
 
 
+def _indented_envelope(payload, schema: str, schema_version: int) -> str:
+    """An envelope in the older ``indent=2`` on-disk layout."""
+    envelope = {
+        "schema": schema,
+        "schema_version": schema_version,
+        "sha256": payload_checksum(payload),
+        "payload": payload,
+    }
+    return json.dumps(envelope, indent=2, sort_keys=True)
+
+
 # ------------------------------------------------------ integrity envelope
 
 
@@ -129,6 +142,26 @@ class TestIntegrityEnvelope:
         with pytest.raises(CheckpointCorruptionError) as exc:
             read_artifact(path, "repro.test", 1)
         assert exc.value.reason == "bad-envelope"
+
+    def test_written_artifact_is_one_compact_line(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        payload = {"b": [1, 2.5, None], "a": {"quote\"d": "caf\u00e9", "t": (3, 4)}}
+        write_artifact(path, payload, "repro.test", 7)
+        text = path.read_text()
+        assert "\n" not in text
+        envelope = {
+            "schema": "repro.test",
+            "schema_version": 7,
+            "sha256": payload_checksum(payload),
+            "payload": payload,
+        }
+        assert text == json.dumps(envelope, sort_keys=True)
+
+    def test_indented_envelope_still_reads(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        payload = {"b": [1, 2, 3], "a": {"nested": True}}
+        path.write_text(_indented_envelope(payload, "repro.test", 1))
+        assert read_artifact(path, "repro.test", 1) == payload
 
 
 # ------------------------------------------------- machine checkpoint store
@@ -189,6 +222,27 @@ class TestCheckpointStoreCorruption:
         envelope = json.loads(path.read_text())
         assert envelope["schema"] == MACHINE_STATE_SCHEMA
         assert envelope["schema_version"] == MACHINE_STATE_VERSION
+
+    def test_indented_machine_state_still_hits(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        state = _machine_state()
+        payload = json.loads(state.to_json())
+        store.path("k").write_text(
+            _indented_envelope(payload, MACHINE_STATE_SCHEMA, MACHINE_STATE_VERSION)
+        )
+        loaded = store.load("k")
+        assert loaded is not None and store.hits == 1 and store.misses == 0
+        assert loaded.to_json() == state.to_json()
+
+    def test_diverging_state_never_written(self, tmp_path):
+        state = _machine_state()
+        sets = state.cpu["components"]["l1i"]["sets"]
+        rows = next(rows for rows in sets if len(rows) > 1)
+        rows.reverse()  # out of stamp order: restore re-sorts the set
+        path = tmp_path / "k.machine.json"
+        with pytest.raises(ConfigError, match="l1i"):
+            state.save(path)
+        assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------------------------- campaign checkpoint
