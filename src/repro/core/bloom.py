@@ -38,7 +38,10 @@ class BloomFilter:
         self.bits = bits
         self.hashes = hashes
         self._mask = bits - 1
-        self._bitset = 0
+        # Bit ``pos`` is bit ``pos & 7`` of byte ``pos >> 3``: a probe or
+        # insert touches one byte, where a Python int bitset would copy
+        # the whole filter on every shift.
+        self._bytes = bytearray(bits // 8)
         # Distinct keys currently represented (re-inserting a key the
         # filter already holds must not grow the population, or the
         # analytic false-positive estimate drifts from reality).
@@ -69,8 +72,9 @@ class BloomFilter:
         the population unchanged.
         """
         self.adds += 1
+        b = self._bytes
         for pos in self._positions(key):
-            self._bitset |= 1 << pos
+            b[pos >> 3] |= 1 << (pos & 7)
         self._keys.add(key)
 
     def maybe_contains(self, key: int) -> bool:
@@ -80,16 +84,16 @@ class BloomFilter:
             # The probe is counted (hardware always queries), but an
             # empty filter has no bits set: the miss is immediate.
             return False
-        bitset = self._bitset
+        b = self._bytes
         for pos in self._positions(key):
-            if not (bitset >> pos) & 1:
+            if not b[pos >> 3] >> (pos & 7) & 1:
                 return False
         self.hits += 1
         return True
 
     def clear(self) -> None:
         """Reset all bits (performed together with an ABTB flush)."""
-        self._bitset = 0
+        self._bytes = bytearray(self.bits // 8)
         self._keys.clear()
 
     # --------------------------------------------------------- SimComponent
@@ -99,7 +103,7 @@ class BloomFilter:
         return {
             "bits": self.bits,
             "hashes": self.hashes,
-            "bitset": hex(self._bitset),
+            "bitset": hex(int.from_bytes(self._bytes, "little")),
             "keys": sorted(self._keys),
             "population": len(self._keys),
             "adds": self.adds,
@@ -116,6 +120,12 @@ class BloomFilter:
                 f"(bits={self.bits}, hashes={self.hashes})"
             )
         bitset = int(state["bitset"], 16)
+        if bitset < 0 or bitset >> self.bits:
+            raise ConfigError(
+                f"bloom: snapshot bitset {state['bitset']!r} does not fit "
+                f"{self.bits} bits"
+            )
+        b = bytearray(bitset.to_bytes(self.bits // 8, "little"))
         keys = {int(k) for k in state["keys"]}
         if int(state["population"]) != len(keys):
             raise ConfigError(
@@ -124,12 +134,12 @@ class BloomFilter:
             )
         for key in keys:
             for pos in self._positions(key):
-                if not (bitset >> pos) & 1:
+                if not b[pos >> 3] >> (pos & 7) & 1:
                     raise ConfigError(
                         f"bloom: snapshot bitset is missing bit {pos} for "
                         f"key {key:#x}"
                     )
-        self._bitset = bitset
+        self._bytes = b
         self._keys = keys
         self.adds = int(state["adds"])
         self.queries = int(state["queries"])
@@ -159,7 +169,7 @@ class BloomFilter:
     @property
     def set_bits(self) -> int:
         """Number of bits currently set."""
-        return bin(self._bitset).count("1")
+        return int.from_bytes(self._bytes, "little").bit_count()
 
     @property
     def false_positive_rate(self) -> float:

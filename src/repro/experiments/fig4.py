@@ -30,7 +30,8 @@ def frequency_curves(scale: Scale) -> dict[str, list[int]]:
             warmup_requests=scale.warmup(name),
             measured_requests=scale.measured(name),
         )
-        out[name] = result.workload.frequency_curve()
+        counts = [n for _caller, _symbol, n in result.usage["pair_counts"]]
+        out[name] = sorted(counts, reverse=True)
     return out
 
 

@@ -36,7 +36,7 @@ from repro.trace.batch import TraceBatch
 from repro.trace.engine import LinkMode
 from repro.trace.store import (
     TraceStore,
-    apply_stats,
+    collect_stats,
     generate_bundle,
     stream_segments,
     trace_key,
@@ -72,7 +72,11 @@ class RunResult:
     label: str
     counters: PerfCounters
     requests: list[RequestSample]
-    workload: Workload
+    #: Generation usage statistics of the warm-up + measured windows, as
+    #: :func:`~repro.trace.store.collect_stats` writes them into the trace
+    #: store's sidecar: touched pairs, per-pair counts, calls and
+    #: resolutions emitted (Table 3 / Figure 4).
+    usage: dict
     cpu: CPU
     mechanism: TrampolineSkipMechanism | None = None
     #: Begin/end marks that had no partner in the window (0 for a healthy
@@ -274,7 +278,8 @@ def run_workload(
 
     ``trace_cache`` (a :class:`~repro.trace.store.TraceStore`) stores the
     three generated segments through the binary codec; every later run
-    with the identical recipe *loads* them instead of generating.
+    with the identical recipe *loads* them instead of generating, and
+    links no program: the result's ``usage`` is the stored sidecar.
     Combined with a ``machine_cache`` hit, the run reduces to restoring
     the warm machine and retiring the measured batch.
 
@@ -292,11 +297,13 @@ def run_workload(
         raise ConfigError(f"unknown backend {backend!r}; expected 'batched' or 'reference'")
     label = label or ("enhanced" if mechanism else "base")
     obs_label = obs_label or label
-    workload = Workload(config, mode)
+    if obs is not None:
+        machine_cache = trace_cache = None
+    # A run with a trace cache links the program only on a miss (below).
+    workload = Workload(config, mode) if backend == "reference" or trace_cache is None else None
     cpu = CPU(cpu_config, mechanism, hooks=obs.hooks() if obs is not None else None)
     if obs is not None:
         obs.attach_workload(workload)
-        machine_cache = trace_cache = None
 
     cache_key = None
     state = None
@@ -308,18 +315,18 @@ def run_workload(
         )
         state = machine_cache.load(cache_key)
 
+    usage = None
     if backend == "reference":
         segments = _legacy_segments(workload, warmup_requests, measured_requests)
     elif trace_cache is not None:
         # Generation usage statistics travel in the store's sidecar, so a
-        # hit never touches the (stateful) generators at all.
+        # hit never builds the workload or touches its generators at all.
         bundle_key = trace_key(config, mode, warmup_requests, measured_requests)
         bundle = trace_cache.load(bundle_key)
         if bundle is None:
-            bundle = generate_bundle(workload, warmup_requests, measured_requests)
+            bundle = generate_bundle(Workload(config, mode), warmup_requests, measured_requests)
             trace_cache.save(bundle_key, bundle)
-        else:
-            apply_stats(bundle.stats, workload)
+        usage = bundle.stats
         segments = [(batch,) for batch in bundle.segments()]
     else:
         segments = stream_segments(workload, warmup_requests, measured_requests)
@@ -360,6 +367,8 @@ def run_workload(
     marks_before = len(cpu.marks)
     run(measured)
     cpu.finalize()
+    if usage is None:
+        usage = collect_stats(workload)
     if obs is not None:
         obs.finish_run(cpu, obs_label, marks_from=marks_before)
     window = cpu.counters.delta(snapshot)
@@ -368,7 +377,7 @@ def run_workload(
         label,
         window,
         requests,
-        workload,
+        usage,
         cpu,
         mechanism,
         unmatched_marks=unmatched,

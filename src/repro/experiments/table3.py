@@ -32,8 +32,8 @@ def measure_distinct(scale: Scale) -> dict[str, tuple[int, int]]:
             measured_requests=scale.measured(name),
         )
         out[name] = (
-            result.workload.distinct_trampolines_touched,
-            sum(result.workload.pair_counts.values()),
+            len(result.usage["touched_pairs"]),
+            sum(n for _caller, _symbol, n in result.usage["pair_counts"]),
         )
     return out
 

@@ -18,7 +18,9 @@ canonical text is hashed and spliced into the envelope as it stands
 (:func:`envelope_text`).  Writes are atomic (temp file + ``os.replace``),
 so a crash mid-write leaves either the old artifact or none — never a
 torn one.  Reads verify the envelope shape, schema name, schema version
-and checksum, raising :class:`~repro.errors.CheckpointCorruptionError`
+and checksum (an envelope in the one-line layout by hashing its stored
+payload bytes, so only the payload is parsed and nothing is
+re-encoded), raising :class:`~repro.errors.CheckpointCorruptionError`
 with a machine-readable ``reason`` on any failure; owners translate that
 into "rebuild" (re-simulate a machine checkpoint, requeue campaign
 entries) and record an incident, rather than trusting corrupt bytes.
@@ -101,13 +103,52 @@ def write_canonical(
     return path
 
 
+def _stored_payload_text(text: str, schema: str, schema_version: int) -> str | None:
+    """The payload span of an envelope in exactly :func:`envelope_text`'s
+    layout for this schema and version whose SHA-256 matches the stored
+    digest, else ``None``.
+
+    A matching digest proves the span is the canonical text hashed at
+    write time, so it can be parsed on its own, without re-encoding.
+    """
+    head = '{"payload": '
+    tail = (
+        f', "schema": {json.dumps(schema)}, '
+        f'"schema_version": {json.dumps(schema_version)}, "sha256": "'
+    )
+    end = len(text) - len(tail) - 66  # 64 hex digits, then '"}'
+    if (
+        end < len(head)
+        or not text.startswith(head)
+        or not text.startswith(tail, end)
+        or not text.endswith('"}')
+    ):
+        return None
+    span = text[len(head):end]
+    if hashlib.sha256(span.encode()).hexdigest() != text[-66:-2]:
+        return None
+    return span
+
+
 def unwrap_artifact(text: str, schema: str, schema_version: int, source: object = None):
     """Validate an envelope's text and return its payload.
+
+    An envelope in :func:`envelope_text`'s layout is verified by hashing
+    the stored payload bytes and parsing only them.  Anything else — the
+    older ``indent=2`` layout, another schema or version, a damaged
+    envelope or a checksum mismatch — takes the full parse and
+    re-encode below, which names what is wrong.
 
     Raises :class:`CheckpointCorruptionError` with ``reason`` one of
     ``not-json | bad-envelope | wrong-schema | wrong-version |
     checksum-mismatch``.
     """
+    span = _stored_payload_text(text, schema, schema_version)
+    if span is not None:
+        try:
+            return json.loads(span)
+        except json.JSONDecodeError:
+            pass  # hashed, but not a JSON value: the full parse names it
     try:
         envelope = json.loads(text)
     except json.JSONDecodeError as exc:

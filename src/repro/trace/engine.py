@@ -42,7 +42,10 @@ from repro.trace.builder import (
     K_BLOCK,
     K_CALL_DIRECT,
     K_CALL_INDIRECT,
+    K_JMP_DIRECT,
     K_JMP_INDIRECT,
+    K_LOAD,
+    K_STORE,
 )
 
 #: Where ld.so's resolver code lives (one page of hot resolver text).
@@ -222,9 +225,11 @@ class ExecutionEngine:
 
         Emits event-for-event what :meth:`call_events` would — the first
         call per (caller, symbol) still takes the full ``bind_call`` +
-        resolver path through :meth:`call_events` — but warm calls replay
-        a precomputed per-binding template (one dict hit, two list
-        appends) without re-binding or building ``TraceEvent`` objects.
+        resolver path, as rows (:meth:`_dynamic_call_rows`) for ELF PLT
+        calls and through :meth:`call_events` in the other modes — but
+        warm calls replay a precomputed per-binding template (one dict
+        hit, two list appends) without re-binding or building
+        ``TraceEvent`` objects.
         Templates are invalidated wholesale whenever the program's
         ``binding_epoch`` moves, so GOT rewrites, ifunc reselection,
         dlclose and dlopen all force re-binding through the slow path.
@@ -245,8 +250,13 @@ class ExecutionEngine:
                     # cannot be baked into the template.
                     builder.rows.append(builder.tag_id("plt"))
             return info
-        events, binding = self.call_events(caller, symbol, site_pc)
-        builder.extend_events(events)
+        if self.mode is LinkMode.DYNAMIC and self.call_style is CallStyle.ELF_PLT:
+            self.calls_emitted += 1
+            binding = self.program.bind_call(caller, symbol)
+            self._dynamic_call_rows(binding, site_pc, builder)
+        else:
+            events, binding = self.call_events(caller, symbol, site_pc)
+            builder.extend_events(events)
         info = (binding.func_addr, binding.func_size, binding.via_plt)
         if self.mode is LinkMode.STATIC:
             self._templates[(caller, symbol)] = (
@@ -303,13 +313,8 @@ class ExecutionEngine:
         events.append(trampoline)
         return events
 
-    def _dynamic_call_events(self, binding: CallBinding, site_pc: int) -> list[TraceEvent]:
-        """``call stub; [adds;] jmp *GOT`` — plus the resolver on first call."""
-        if not binding.first_call:
-            return [call_direct(site_pc, binding.plt_addr)] + self._stub_events(
-                binding, binding.func_addr
-            )
-
+    def _note_resolution(self, binding: CallBinding, site_pc: int) -> None:
+        """Count a lazy resolution and report it to the tracer."""
         self.resolutions_emitted += 1
         if self.tracer is not None:
             self.tracer.instant(
@@ -320,6 +325,15 @@ class ExecutionEngine:
                 site_pc=hex(site_pc),
                 resolver_instructions=binding.resolver_instructions,
             )
+
+    def _dynamic_call_events(self, binding: CallBinding, site_pc: int) -> list[TraceEvent]:
+        """``call stub; [adds;] jmp *GOT`` — plus the resolver on first call."""
+        if not binding.first_call:
+            return [call_direct(site_pc, binding.plt_addr)] + self._stub_events(
+                binding, binding.func_addr
+            )
+
+        self._note_resolution(binding, site_pc)
         events: list[TraceEvent] = []
         # The unresolved GOT slot points back at the stub's lazy tail.
         events.append(call_direct(site_pc, binding.plt_addr))
@@ -363,6 +377,59 @@ class ExecutionEngine:
         # Final jump to the freshly resolved function (register-indirect).
         events.append(jmp_indirect(pc + 8, binding.func_addr, 0))
         return events
+
+    def _dynamic_call_rows(
+        self, binding: CallBinding, site_pc: int, builder: BatchBuilder
+    ) -> None:
+        """Row twin of :meth:`_dynamic_call_events` (ELF PLT calls): the
+        call, the stub, and on a first call the lazy tail, PLT0 and the
+        resolver walk of :meth:`_resolver_events`, appended to ``builder``."""
+        params = self.arch_params
+        rows = builder.rows
+        first = binding.first_call
+        if first:
+            self._note_resolution(binding, site_pc)
+        plt = binding.plt_addr
+        rows += (K_CALL_DIRECT, site_pc, 1, 5, plt, 0, 1, -1)
+        branch_pc = plt
+        if params.stub_prefix_instrs:
+            rows += (
+                K_BLOCK, plt, params.stub_prefix_instrs, params.stub_prefix_bytes, 0, 0, 1, -1,
+            )
+            branch_pc = plt + params.stub_prefix_bytes
+        rows += (
+            K_JMP_INDIRECT, branch_pc, 1, params.branch_bytes,
+            binding.plt_push_addr if first else binding.func_addr, binding.got_addr,
+            1, builder.tag_id("plt"),
+        )
+        if not first:
+            return
+        push, plt0 = binding.plt_push_addr, binding.plt0_addr
+        rows += (
+            K_BLOCK, push, 1, 5, 0, 0, 1, -1,
+            K_JMP_DIRECT, push + 5, 1, 5, plt0, 0, 1, -1,
+            K_BLOCK, plt0, 2, 16, 0, 0, 1, -1,
+            K_JMP_DIRECT, plt0 + 14, 1, 5, RESOLVER_TEXT_BASE, 0, 1, -1,
+        )
+        n = max(binding.resolver_instructions, 64)
+        loads = max(binding.resolver_loads, 1)
+        chunk = max(n // (loads + 1), 4)
+        pc = RESOLVER_TEXT_BASE
+        salt = zlib.crc32(f"{binding.caller}:{binding.symbol}".encode()) * 2654435761
+        for i in range(loads):
+            addr = SYMTAB_DATA_BASE + ((salt + i * 8191) % SYMTAB_DATA_SPAN) & ~0x7
+            rows += (
+                K_BLOCK, pc, chunk, chunk * 4, 0, 0, 1, -1,
+                K_LOAD, pc + chunk * 4, 1, 4, 0, addr, 1, -1,
+            )
+            pc += chunk * 4 + 8
+            if pc > RESOLVER_TEXT_BASE + 0x3000:
+                pc = RESOLVER_TEXT_BASE
+        emitted = loads * (chunk + 1)
+        if emitted < n:
+            rows += (K_BLOCK, pc, n - emitted, (n - emitted) * 4, 0, 0, 1, -1)
+        rows += (K_STORE, pc + 4, 1, 4, 0, binding.got_addr, 1, builder.tag_id("got-store"))
+        rows += (K_JMP_INDIRECT, pc + 8, 1, 6, binding.func_addr, 0, 1, -1)
 
     def dlclose_events(self, library: str) -> list[TraceEvent]:
         """Unload a library at runtime and emit the GOT-reset stores.

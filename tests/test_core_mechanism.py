@@ -92,6 +92,19 @@ class TestBloomFilter:
         with pytest.raises(ConfigError):
             BloomFilter(1024, 0)
 
+    def test_restore_rejects_bits_outside_the_filter(self):
+        bloom = BloomFilter(1024, 2)
+        bloom.add(0x1000)
+        state = bloom.snapshot()
+        restored = BloomFilter(1024, 2)
+        restored.restore(state)
+        assert restored.snapshot() == state and restored.maybe_contains(0x1000)
+        wide = dict(state, bitset=hex(int(state["bitset"], 16) | 1 << 1024))
+        with pytest.raises(ConfigError, match="does not fit"):
+            BloomFilter(1024, 2).restore(wide)
+        with pytest.raises(ConfigError, match="does not fit"):
+            BloomFilter(1024, 2).restore(dict(state, bitset="-0x1"))
+
 
 class TestABTB:
     def test_lookup_after_insert(self):

@@ -35,12 +35,14 @@ from repro.resilience import (
     IncidentRecorder,
     ShardState,
     SupervisorPolicy,
+    integrity,
     payload_checksum,
     read_artifact,
     validate_incident_log,
     write_artifact,
 )
 from repro.resilience.incidents import load_incident_log
+from repro.resilience.integrity import write_canonical
 from repro.trace.batch import TRACE_HEADER_SIZE, TraceBatch
 from repro.uarch import CPU
 from repro.uarch.machine import (
@@ -162,6 +164,24 @@ class TestIntegrityEnvelope:
         payload = {"b": [1, 2, 3], "a": {"nested": True}}
         path.write_text(_indented_envelope(payload, "repro.test", 1))
         assert read_artifact(path, "repro.test", 1) == payload
+
+    def test_one_line_artifact_reads_without_reencoding(self, tmp_path, monkeypatch):
+        path = tmp_path / "artifact.json"
+        payload = {"b": [1, 2.5, None], "a": {"quote\"d": "café"}}
+        write_artifact(path, payload, "repro.test", 3)
+
+        def no_reencode(payload):
+            raise AssertionError("payload re-encoded on read")
+
+        monkeypatch.setattr(integrity, "payload_checksum", no_reencode)
+        assert read_artifact(path, "repro.test", 3) == payload
+
+    def test_hashed_span_that_is_not_json_rejected(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        write_canonical(path, "{not json", "repro.test", 1)
+        with pytest.raises(CheckpointCorruptionError) as exc:
+            read_artifact(path, "repro.test", 1)
+        assert exc.value.reason == "not-json"
 
 
 # ------------------------------------------------- machine checkpoint store

@@ -16,19 +16,20 @@ import pytest
 from repro.core import MechanismConfig, TrampolineSkipMechanism
 from repro.difftest.harness import diff_backends, workload_batches, workload_events
 from repro.errors import TraceError
-from repro.experiments.runner import run_campaign, run_pair
+from repro.experiments.runner import run_campaign, run_pair, summarize_pair
 from repro.experiments.scale import Scale
 from repro.isa.kinds import EventKind
 from repro.trace.batch import TraceBatch
 from repro.trace.engine import LinkMode
 from repro.trace.store import (
     TraceStore,
-    apply_stats,
+    collect_stats,
     generate_bundle,
     trace_key,
 )
 from repro.uarch import CPU
 from repro.uarch.backend import BatchedBackend
+from repro.uarch.machine import CheckpointStore
 from repro.workloads import ALL_WORKLOADS
 from repro.workloads.base import Workload
 
@@ -218,11 +219,9 @@ class TestTraceStore:
         assert loaded is not None
         for got, want in zip(loaded.segments(), bundle.segments()):
             assert got.to_bytes() == want.to_bytes()
-        fresh = _workload("memcached")
-        apply_stats(loaded.stats, fresh)
-        assert fresh.touched_pairs == wl.touched_pairs
-        assert fresh.pair_counts == wl.pair_counts
-        assert fresh.engine.calls_emitted == wl.engine.calls_emitted
+        assert loaded.stats == collect_stats(wl)
+        assert len(loaded.stats["touched_pairs"]) == wl.distinct_trampolines_touched
+        assert loaded.stats["calls_emitted"] == wl.engine.calls_emitted
 
     def test_corrupt_segment_reads_as_miss(self, tmp_path):
         bundle, wl = self._bundle()
@@ -267,9 +266,8 @@ class TestRunnerTraceCache:
             base.counters.cycles,
             enhanced.counters.cycles,
             len(base.requests),
-            base.workload.distinct_trampolines_touched,
-            sorted(base.workload.pair_counts.items()),
-            base.workload.engine.calls_emitted,
+            base.usage,
+            enhanced.usage,
         )
 
     def test_cold_and_warm_match_reference(self, tmp_path):
@@ -278,6 +276,22 @@ class TestRunnerTraceCache:
         cold = self._pair(trace_cache=store)
         warm = self._pair(trace_cache=store)
         assert reference == cold == warm
+        assert reference[4]["calls_emitted"] > 0
+
+    def test_warm_pair_links_no_program(self, tmp_path, monkeypatch):
+        caches = dict(
+            trace_cache=TraceStore(tmp_path / "traces"),
+            machine_cache=CheckpointStore(tmp_path / "machines"),
+        )
+        filled = run_pair("memcached", self.SCALE, abtb_entries=16, **caches)
+
+        def no_link(self, *args, **kwargs):
+            raise AssertionError("a warm run built a Workload")
+
+        monkeypatch.setattr(Workload, "__init__", no_link)
+        warm = run_pair("memcached", self.SCALE, abtb_entries=16, **caches)
+        assert summarize_pair(*warm) == summarize_pair(*filled)
+        assert [r.usage for r in warm] == [r.usage for r in filled]
 
     def test_trace_cache_ignored_for_reference_backend(self, tmp_path):
         store = TraceStore(tmp_path)
