@@ -1,7 +1,7 @@
 """Chaos harness: fault injection + a stale-target correctness oracle.
 
 See :mod:`repro.chaos.campaign` for the one-call entry points
-(:func:`run_chaos`, :func:`run_campaign`) and ``python -m repro chaos``
+(:func:`run_chaos`, :func:`run_fault_campaign`) and ``python -m repro chaos``
 for the CLI.
 """
 
@@ -10,9 +10,9 @@ from repro.chaos.campaign import (
     CampaignReport,
     ChaosRunConfig,
     ChaosRunResult,
-    run_campaign,
     run_chaos,
     run_corruption_trials,
+    run_fault_campaign,
 )
 from repro.chaos.faults import (
     CORRUPTION_KINDS,
@@ -30,13 +30,6 @@ from repro.chaos.faults import (
     default_faults,
 )
 from repro.chaos.injector import SAFE_HEADS, InjectionRecord, Injector
-from repro.chaos.net import (
-    PARTITION_DIRECTIONS,
-    FaultyTransport,
-    InjectedNetworkError,
-    NetFaultInjector,
-    NetFaultPolicy,
-)
 from repro.chaos.oracle import RESET, CorrectnessOracle, SkipRecord
 
 __all__ = [
@@ -53,20 +46,15 @@ __all__ = [
     "corrupted_stream",
     "default_faults",
     "Fault",
-    "FaultyTransport",
     "GotRewriteFault",
     "IfuncReselectFault",
-    "InjectedNetworkError",
     "InjectionRecord",
     "Injector",
     "LossyCoherence",
-    "NetFaultInjector",
-    "NetFaultPolicy",
-    "PARTITION_DIRECTIONS",
     "RESET",
-    "run_campaign",
     "run_chaos",
     "run_corruption_trials",
+    "run_fault_campaign",
     "SAFE_HEADS",
     "SkipRecord",
     "SpuriousInvalFault",

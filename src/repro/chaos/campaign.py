@@ -320,7 +320,7 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def run_campaign(
+def run_fault_campaign(
     cfg: CampaignConfig = CampaignConfig(), obs=None, recorder=None
 ) -> CampaignReport:
     """Run seeded rounds (cycling workloads, one dual-core round per
@@ -329,7 +329,7 @@ def run_campaign(
     ``recorder`` (an :class:`~repro.resilience.incidents.IncidentRecorder`)
     turns every oracle violation and missed corruption detection into a
     structured incident, so chaos findings land in the same log as
-    supervisor and integrity anomalies.
+    worker and integrity anomalies.
     """
     plan: list[tuple[str, bool]] = [(w, False) for w in cfg.workloads]
     plan.append((cfg.workloads[0], True))

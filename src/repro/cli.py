@@ -13,8 +13,8 @@ Subcommands:
   correctness oracle (exit 0 iff the campaign verdict is OK);
 * ``campaign`` — hardened (workload × ABTB) sweep with per-run timeout,
   retry with backoff, and integrity-checked checkpoint/resume; with
-  ``--supervise`` the shards run under the self-healing supervisor
-  (heartbeats, hang detection, requeue, quarantine, salvage) and the
+  ``--jobs N`` the shards run on N worker processes leasing from one
+  queue (heartbeats, hang detection, requeue, quarantine) and the
   command exits 0 when complete, 3 when complete-but-degraded
   (quarantined shards, partial manifest), 1 on failure;
 * ``sweep run|resume|report`` — declarative design-space exploration
@@ -38,17 +38,9 @@ Subcommands:
   API, lease-based shard queue, write-ahead journal, content-addressed
   result store), ``worker`` pulls and executes shard leases against a
   manager, and ``submit`` submits a campaign and waits, with the same
-  0/3/1 exit-code convention as ``campaign``.  ``serve --follow URL``
-  runs a *standby* manager instead: it tails the leader's journal over
-  the replication endpoints and promotes itself (bumped fencing epoch)
-  when the leader is lost.  ``worker --manager`` accepts several URLs —
-  an ordered failover list.  SIGTERM is graceful everywhere: the manager
-  snapshots its journal, workers drain the shard in hand, ``campaign``
-  flushes its checkpoint and exits 130;
-* ``drill`` — the fleet-level HA chaos drill (see
-  ``docs/SERVICE.md``): leader kill, standby promotion, network fault
-  injection and partition windows over a live campaign, asserting the
-  result counter-identical to a serial run (exit 0/3/1);
+  0/3/1 exit-code convention as ``campaign``.  SIGTERM is graceful
+  everywhere: the manager snapshots its journal, workers drain the shard
+  in hand, ``campaign`` flushes its checkpoint and exits 130;
 * ``service gc`` — campaign-aware result-store retention: evict stored
   shard results by age/count, never touching one referenced by a live
   campaign.
@@ -178,7 +170,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import CampaignConfig, run_campaign as run_chaos_campaign
+    from repro.chaos import CampaignConfig, run_fault_campaign
 
     cfg = CampaignConfig(
         seed=args.seed,
@@ -191,7 +183,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         abtb_entries=args.abtb,
     )
     obs = Observability.from_flags(args)
-    report = run_chaos_campaign(cfg, obs=obs)
+    report = run_fault_campaign(cfg, obs=obs)
     print(report.render())
     _report_exports(obs)
     return 0 if report.ok else 1
@@ -222,12 +214,12 @@ def _install_sigterm_handler() -> None:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.resilience import FaultPlan, IncidentRecorder, SupervisorPolicy
+    from repro.resilience import FaultPlan, IncidentRecorder, LeasePolicy
 
     scale = PAPER if args.scale == "paper" else SMOKE
     obs = Observability.from_flags(args)
 
-    want_recorder = bool(args.supervise or args.incidents_out or args.manifest)
+    want_recorder = bool(args.incidents_out or args.manifest)
     recorder = None
     if want_recorder:
         recorder = obs.incident_recorder() if obs is not None else IncidentRecorder()
@@ -239,16 +231,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         fault_plan = FaultPlan(
             kill_match=kill_match,
             kill_attempts=kill_attempts,
-            kill_after_spill=args.chaos_kill_after_spill,
             hang_match=hang_match,
             hang_attempts=hang_attempts,
         )
-    supervisor_policy = None
-    if args.supervise:
-        supervisor_policy = SupervisorPolicy(
-            shard_deadline_s=args.shard_deadline,
-            max_shard_failures=args.max_shard_failures,
-        )
+    lease_policy = LeasePolicy(
+        shard_deadline_s=args.shard_deadline,
+        max_shard_failures=args.max_shard_failures,
+    )
 
     _install_sigterm_handler()
     try:
@@ -263,8 +252,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             machine_cache_dir=args.machine_cache,
             trace_cache_dir=args.trace_cache,
             recorder=recorder,
-            supervise=args.supervise,
-            supervisor_policy=supervisor_policy,
+            lease_policy=lease_policy,
             fault_plan=fault_plan,
             manifest_path=args.manifest,
         )
@@ -297,49 +285,23 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.resilience import IncidentRecorder, SupervisorPolicy
+    from repro.resilience import IncidentRecorder, LeasePolicy
     from repro.service.api import ManagerServer
     from repro.service.manager import CampaignManager
-    from repro.service.standby import StandbyManager
 
     _install_sigterm_handler()
     recorder = IncidentRecorder()
-    policy = SupervisorPolicy(
+    policy = LeasePolicy(
         shard_deadline_s=args.lease_ttl,
         max_shard_failures=args.max_shard_failures,
     )
     try:
-        if args.follow:
-            standby = StandbyManager(
-                args.data_dir,
-                leader_url=args.follow,
-                policy=policy,
-                recorder=recorder,
-                poll_interval_s=args.follow_poll,
-                misses_to_promote=args.misses_to_promote,
-                snapshot_every=args.snapshot_every,
-            )
-            print(
-                f"serve: standby following {args.follow} "
-                f"(data: {args.data_dir}; promotes after "
-                f"{args.misses_to_promote} missed pull(s))",
-                flush=True,
-            )
-            manager = standby.run()
-            if manager is None:  # stopped before the leader was lost
-                return 0
-            print(
-                f"serve: PROMOTED to leader at epoch {manager.epoch} "
-                f"({len(manager.campaigns)} campaign(s) recovered)",
-                flush=True,
-            )
-        else:
-            manager = CampaignManager(
-                args.data_dir,
-                policy=policy,
-                recorder=recorder,
-                snapshot_every=args.snapshot_every,
-            )
+        manager = CampaignManager(
+            args.data_dir,
+            policy=policy,
+            recorder=recorder,
+            snapshot_every=args.snapshot_every,
+        )
         server = ManagerServer(
             manager, host=args.host, port=args.port, verbose=args.verbose
         )
@@ -350,8 +312,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server.start()
         print(
             f"serve: manager listening on {server.url} "
-            f"(data: {args.data_dir}, lease TTL {args.lease_ttl:.1f}s, "
-            f"epoch {manager.epoch})",
+            f"(data: {args.data_dir}, lease TTL {args.lease_ttl:.1f}s)",
             flush=True,
         )
         server.serve_wait()
@@ -405,48 +366,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         + (" (manager went away; drained)" if stats.get("manager_lost") else "")
     )
     return 0
-
-
-def _cmd_drill(args: argparse.Namespace) -> int:
-    from repro.chaos.net import NetFaultPolicy
-    from repro.service.drill import DrillSpec, run_drill
-
-    _install_sigterm_handler()
-    net = None
-    if args.net_off:
-        net = NetFaultPolicy(seed=args.seed)  # all probabilities zero
-    spec = DrillSpec(
-        workloads=tuple(args.workloads),
-        abtb_sizes=tuple(args.abtb),
-        scale=args.scale,
-        seed=args.seed,
-        workers=args.workers,
-        vanish_worker_lease=0 if args.no_vanish else 1,
-        partition_window_s=args.partition_window,
-        net=net,
-        shard_deadline_s=args.lease_ttl,
-        deadline_s=args.deadline,
-    )
-    try:
-        report = run_drill(
-            spec,
-            args.root,
-            log=(lambda line: print(f"drill: {line}", flush=True))
-            if args.verbose
-            else (lambda line: None),
-        )
-    except KeyboardInterrupt:
-        print("drill: interrupted", file=sys.stderr)
-        return 130
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"drill: wrote report {args.report_out}", file=sys.stderr)
-    return report.exit_code
 
 
 def _cmd_service_gc(args: argparse.Namespace) -> int:
@@ -826,7 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard pairs over N worker processes (results are byte-identical to serial)",
+        help="shard pairs over N worker processes leasing from one queue; dead or "
+        "hung workers are replaced (results are byte-identical to serial)",
     )
     campaign.add_argument(
         "--machine-cache",
@@ -845,19 +765,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience = campaign.add_argument_group("resilience")
     resilience.add_argument(
-        "--supervise", action="store_true",
-        help="run shards under the self-healing supervisor: heartbeats, hang "
-        "detection, kill-and-requeue with backoff, quarantine, spill salvage "
-        "(exit 3 = completed degraded)",
-    )
-    resilience.add_argument(
         "--shard-deadline", type=float, default=120.0, metavar="SECONDS",
-        help="heartbeat silence after which a supervised worker is declared "
-        "hung and killed [default: 120]",
+        help="with --jobs: heartbeat silence after which a worker's lease "
+        "expires and the worker is killed [default: 120]",
     )
     resilience.add_argument(
         "--max-shard-failures", type=int, default=3, metavar="N",
-        help="process-level failures before a shard is quarantined [default: 3]",
+        help="process-level failures before a shard is quarantined "
+        "(exit 3 = completed degraded) [default: 3]",
     )
     resilience.add_argument(
         "--incidents-out", default=None, metavar="PATH",
@@ -870,13 +785,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--chaos-kill", default=None, metavar="MATCH[:N]",
-        help="fault injection (tests/CI): SIGKILL the worker of shards whose "
-        "key contains MATCH on their first N attempts [default N: 1]",
-    )
-    resilience.add_argument(
-        "--chaos-kill-after-spill", action="store_true",
-        help="with --chaos-kill: kill after the spill checkpoint is written, "
-        "exercising salvage instead of requeue",
+        help="fault injection (tests/CI, needs --jobs): SIGKILL the worker of "
+        "shards whose key contains MATCH on their first N attempts [default N: 1]",
     )
     resilience.add_argument(
         "--chaos-hang", default=None, metavar="MATCH[:N]",
@@ -981,21 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
     )
-    serve.add_argument(
-        "--follow", default=None, metavar="URL",
-        help="run as a standby: tail URL's journal via the replication "
-        "endpoints, then promote (bumped fencing epoch) and serve on "
-        "--port when the leader is lost",
-    )
-    serve.add_argument(
-        "--follow-poll", type=float, default=0.5, metavar="SECONDS",
-        help="replication pull interval in standby mode [default: 0.5]",
-    )
-    serve.add_argument(
-        "--misses-to-promote", type=int, default=6, metavar="N",
-        help="consecutive failed replication pulls before the standby "
-        "promotes itself [default: 6]",
-    )
     serve.set_defaults(func=_cmd_serve)
 
     worker = sub.add_parser(
@@ -1004,9 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
         "manager, execute, heartbeat, report (SIGTERM drains gracefully)",
     )
     worker.add_argument(
-        "--manager", nargs="+", default=["http://127.0.0.1:8023"], metavar="URL",
-        help="manager base URL(s); several form an ordered failover list "
-        "(leader first, standby after) [default: http://127.0.0.1:8023]",
+        "--manager", default="http://127.0.0.1:8023", metavar="URL",
+        help="manager base URL [default: http://127.0.0.1:8023]",
     )
     worker.add_argument("--name", default="", help="worker name (diagnostics)")
     worker.add_argument(
@@ -1027,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--chaos-kill-after", type=int, default=0, metavar="N",
-        help="fault injection (drills/CI): SIGKILL self on the Nth lease grant",
+        help="fault injection (CI): SIGKILL self on the Nth lease grant",
     )
     worker.add_argument(
         "--chaos-hang-after", type=int, default=0, metavar="N",
@@ -1042,9 +936,8 @@ def build_parser() -> argparse.ArgumentParser:
         "exit 0 complete / 3 degraded / 1 failed",
     )
     submit.add_argument(
-        "--manager", nargs="+", default=["http://127.0.0.1:8023"], metavar="URL",
-        help="manager base URL(s); several form an ordered failover list "
-        "(leader first, standby after) [default: http://127.0.0.1:8023]",
+        "--manager", default="http://127.0.0.1:8023", metavar="URL",
+        help="manager base URL [default: http://127.0.0.1:8023]",
     )
     submit.add_argument(
         "--workloads", nargs="+", choices=sorted(ALL_WORKLOADS),
@@ -1082,61 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless at least one incident of KIND is present (repeatable)",
     )
     incidents.set_defaults(func=_cmd_incidents)
-
-    drill = sub.add_parser(
-        "drill",
-        help="fleet-level HA chaos drill: leader kill + standby promotion "
-        "+ network faults over a live campaign, asserting the result "
-        "counter-identical to a serial run (exit 0/3/1)",
-    )
-    drill.add_argument(
-        "--root", required=True, metavar="DIR",
-        help="drill working directory (leader/standby state, caches, "
-        "incidents.jsonl)",
-    )
-    drill.add_argument(
-        "--workloads", nargs="+", choices=sorted(ALL_WORKLOADS),
-        default=["apache"],
-    )
-    drill.add_argument("--abtb", type=int, nargs="+", default=[16, 64, 256])
-    drill.add_argument("--scale", choices=("smoke", "paper"), default="smoke")
-    drill.add_argument(
-        "--seed", type=int, default=1337,
-        help="fault-injector seed (the drill replays bit-for-bit) [default: 1337]",
-    )
-    drill.add_argument(
-        "--workers", type=int, default=3, help="fleet size [default: 3]"
-    )
-    drill.add_argument(
-        "--lease-ttl", type=float, default=6.0, metavar="SECONDS",
-        help="shard lease deadline during the drill [default: 6]",
-    )
-    drill.add_argument(
-        "--partition-window", type=float, default=0.4, metavar="SECONDS",
-        help="post-promotion worker→leader partition length (0 = off) "
-        "[default: 0.4]",
-    )
-    drill.add_argument(
-        "--deadline", type=float, default=180.0, metavar="SECONDS",
-        help="abort the drill after this long [default: 180]",
-    )
-    drill.add_argument(
-        "--no-vanish", action="store_true",
-        help="keep all workers alive (skip the in-process SIGKILL)",
-    )
-    drill.add_argument(
-        "--net-off", action="store_true",
-        help="disable probabilistic network faults (partitions still run)",
-    )
-    drill.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="also write the full drill report as JSON",
-    )
-    drill.add_argument("--json", action="store_true", help="JSON report on stdout")
-    drill.add_argument(
-        "--verbose", action="store_true", help="print the drill timeline live"
-    )
-    drill.set_defaults(func=_cmd_drill)
 
     service = sub.add_parser(
         "service", help="campaign-service maintenance (result-store gc)"

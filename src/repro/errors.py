@@ -86,8 +86,7 @@ class ResilienceError(ReproError):
 class CheckpointCorruptionError(ResilienceError):
     """An integrity-checked artifact failed validation.
 
-    Covers machine checkpoints, campaign checkpoints, shard spill files
-    and manifests: truncation, bit flips (checksum mismatch), wrong
+    Covers machine checkpoints, campaign checkpoints and manifests: truncation, bit flips (checksum mismatch), wrong
     schema name or schema version.  Callers in the resilience layer treat
     this as "rebuild the artifact" (re-simulate / requeue), never as
     "trust the bytes".
@@ -102,15 +101,8 @@ class CheckpointCorruptionError(ResilienceError):
 
 
 class SupervisorError(ResilienceError):
-    """The campaign supervisor was misused or hit an internal error."""
-
-
-class WorkerHangError(SupervisorError):
-    """A supervised worker missed its heartbeat deadline and was killed."""
-
-
-class WorkerDeathError(SupervisorError):
-    """A supervised worker process died without delivering its outcome."""
+    """The lease queue or the local worker loop was misused (bad policy,
+    duplicate shard keys)."""
 
 
 # -------------------------------------------------------------- service
@@ -131,22 +123,3 @@ class SchemaError(ServiceError):
     """
 
 
-class LeaseError(ServiceError):
-    """A shard lease operation was invalid (unknown, expired or not
-    owned by the requesting worker)."""
-
-
-class FencedWriteError(ServiceError):
-    """A write carried a fencing epoch that does not match the manager's.
-
-    Raised (and mapped onto HTTP 409 with ``"fenced": true``) in both
-    directions: a *stale worker* still stamping the pre-failover epoch
-    must re-register against the current leader, and a *revived stale
-    leader* receiving requests stamped with a newer epoch must refuse to
-    merge them — its journal is no longer the truth.
-    """
-
-    def __init__(self, message: str, ours: int = 0, theirs: int = 0) -> None:
-        super().__init__(message)
-        self.ours = ours
-        self.theirs = theirs

@@ -17,7 +17,7 @@ import json
 import math
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -31,7 +31,8 @@ from repro.core.mechanism import TrampolineSkipMechanism
 from repro.errors import CheckpointCorruptionError, ConfigError, ExperimentError
 from repro.resilience.incidents import IncidentKind, IncidentRecorder
 from repro.resilience.integrity import read_artifact, write_artifact
-from repro.resilience.supervisor import CampaignSupervisor, FaultPlan, SupervisorPolicy
+from repro.resilience.leases import LeasePolicy
+from repro.resilience.workers import FaultPlan, LocalWorkers
 from repro.trace.batch import TraceBatch
 from repro.trace.engine import LinkMode
 from repro.trace.store import (
@@ -580,7 +581,7 @@ class CampaignResult:
     failed: dict[str, str] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)
     resumed: int = 0  # pairs skipped because the checkpoint had them
-    #: Shards the supervisor gave up on (key → failure details); the
+    #: Shards the lease queue gave up on (key → failure details); the
     #: campaign still completes, *degraded*, with a partial manifest.
     quarantined: dict[str, dict] = field(default_factory=dict)
     #: Aggregated trace-store load outcomes across the parent and every
@@ -638,8 +639,8 @@ class CampaignPoint:
     ``mechanism`` is a dict of :class:`~repro.core.config.MechanismConfig`
     kwargs and ``cpu`` a (possibly partial) dict understood by
     :meth:`~repro.uarch.cpu.CPUConfig.from_dict` — plain JSON-safe dicts,
-    so points pickle cleanly across the process-pool boundary and keys
-    stay stable in checkpoints.
+    so points pass to worker processes unchanged and keys stay stable in
+    checkpoints.
     """
 
     key: str
@@ -920,7 +921,7 @@ def _obs_from_spec(spec: dict | None):
 
 
 def _campaign_worker(task: dict) -> dict:
-    """Process-pool entry point: run one pair in a fresh interpreter.
+    """Worker-process entry point: run one pair outside the parent.
 
     Rebuilds the per-worker obs session and machine cache from picklable
     specs, runs the pair through :func:`_run_one_pair`, and ships the
@@ -983,8 +984,7 @@ def run_campaign(
     machine_cache_dir: str | Path | None = None,
     trace_cache_dir: str | Path | None = None,
     recorder: IncidentRecorder | None = None,
-    supervise: bool = False,
-    supervisor_policy: SupervisorPolicy | None = None,
+    lease_policy: LeasePolicy | None = None,
     fault_plan: FaultPlan | None = None,
     manifest_path: str | Path | None = None,
     bus=None,
@@ -997,8 +997,8 @@ def run_campaign(
     list of :class:`CampaignPoint` tasks, each carrying its own
     checkpoint key and optional mechanism/CPU config dicts — the
     substrate the sweep engine (:mod:`repro.sweep`) builds on.  All the
-    machinery below (retry, checkpointing, sharding, supervision,
-    cache prefill) applies to points exactly as it does to grid pairs;
+    machinery below (retry, checkpointing, sharding, cache prefill)
+    applies to points exactly as it does to grid pairs;
     ``workloads``/``abtb_sizes`` must be empty when points are given.
 
     Transient failures (:class:`ExperimentError`, including timeouts) are
@@ -1008,13 +1008,22 @@ def run_campaign(
     a partial result.  ``run_fn`` and ``sleep_fn`` exist for tests: the
     default ``run_fn`` is :func:`run_pair`.
 
-    ``jobs > 1`` shards the remaining pairs over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Every pair is
-    simulated by exactly one worker with the same retry/timeout
-    discipline as the serial path, outcomes are merged in the serial
-    loop's deterministic order, and the campaign checkpoint is still
-    written incrementally as pairs finish — so a sharded campaign
-    produces byte-identical summaries and checkpoints to a serial one.
+    ``jobs > 1`` shards the remaining pairs over ``jobs`` long-lived
+    worker processes that take leases from a
+    :class:`~repro.resilience.leases.LeaseQueue` in this process (see
+    :mod:`repro.resilience.workers`).  Every pair runs through
+    :func:`_campaign_worker` with the same retry/timeout discipline as
+    the serial path, outcomes are merged in the serial loop's
+    deterministic order, and the campaign checkpoint is still written
+    as pairs land — so a sharded campaign produces byte-identical
+    summaries and checkpoints to a serial one.  Crash tolerance comes
+    with it: a worker that dies fails its lease, a worker whose lease
+    expires (``lease_policy.shard_deadline_s`` without a heartbeat) is
+    killed, the shard is requeued with backoff, and a shard failing
+    ``lease_policy.max_shard_failures`` times is quarantined — the
+    campaign then completes *degraded* (see
+    :attr:`CampaignResult.degraded`).  ``fault_plan`` injects
+    deterministic worker kills/hangs for tests and the chaos CI job.
     Sharding requires the default ``run_fn``/``sleep_fn`` (custom
     callables don't cross process boundaries); otherwise the campaign
     silently runs serially.
@@ -1034,13 +1043,6 @@ def run_campaign(
     sample into their own registries/tracers, which are merged into the
     parent session in deterministic pair order.
 
-    ``supervise=True`` replaces the bare process pool with the
-    :class:`~repro.resilience.supervisor.CampaignSupervisor`: per-shard
-    heartbeats, hang detection (``supervisor_policy``), kill-and-requeue
-    with backoff, quarantine of repeatedly failing shards (the campaign
-    then completes *degraded*; see :attr:`CampaignResult.degraded`), and
-    salvage of completed work from dead workers.  ``fault_plan`` injects
-    deterministic worker kills/hangs for tests and the chaos CI job.
     ``recorder`` collects every incident — corrupted campaign
     checkpoints are then healed (entries requeued) instead of raising.
     ``manifest_path`` writes an integrity-checked end-of-campaign
@@ -1064,13 +1066,12 @@ def run_campaign(
         if trace_cache_dir is not None
         else None
     )
-    default_callables = run_fn is None and sleep_fn is time.sleep
-    if supervise and not default_callables:
+    parallel = jobs > 1 and run_fn is None and sleep_fn is time.sleep
+    if fault_plan is not None and not parallel:
         raise ConfigError(
-            "supervise=True requires the default run_fn/sleep_fn "
-            "(worker processes cannot inherit custom callables)"
+            "fault injection needs worker processes: jobs > 1 and the "
+            "default run_fn/sleep_fn"
         )
-    parallel = jobs > 1 and default_callables and not supervise
     if run_fn is None:
         def run_fn(w, s, n, mechanism=None, cpu=None):
             return run_pair(
@@ -1120,7 +1121,7 @@ def run_campaign(
         else:
             tasks.append((key, workload, abtb, mech_cfg, cpu_cfg))
 
-    if trace_cache is not None and obs is None and tasks and (parallel or supervise):
+    if trace_cache is not None and obs is None and tasks and parallel:
         # Seed the cross-shard artifacts before fanning out — otherwise
         # every concurrently-started cold shard of the same workload
         # regenerates the identical trace bundle and re-simulates the
@@ -1188,8 +1189,18 @@ def run_campaign(
                 attempts=outcome["attempts"],
                 speedup=outcome["summary"]["speedup"],
             )
-        if path is not None:
-            _save_checkpoint(path, result.completed)
+
+    #: Summaries of every pair that has landed, in arrival order — ahead
+    #: of ``result.completed``, which fills in task order.
+    landed: dict[str, dict] = {}
+
+    def land(key: str, outcome: dict) -> None:
+        """Checkpoint a finished pair the moment it lands (the file's
+        sorted keys make the bytes independent of arrival order)."""
+        if outcome["failed"] is None:
+            landed[key] = outcome["summary"]
+            if path is not None:
+                _save_checkpoint(path, {**result.completed, **landed})
 
     def merge_worker_state(outcome: dict) -> None:
         """Fold a worker's obs/incident state into the parent session."""
@@ -1244,112 +1255,57 @@ def run_campaign(
         }
 
     def execute() -> CampaignResult:
-        # ----------------------------------------------------- supervised
-        if supervise:
-            live: dict[str, dict] = {}
-
-            def on_complete(key: str, outcome: dict) -> None:
-                # Incremental checkpoint the moment a shard lands (completion
-                # order; sorted keys keep the bytes order-independent).
-                if outcome.get("failed") is None and outcome.get("summary") is not None:
-                    live[key] = outcome["summary"]
-                    if path is not None:
-                        staged = dict(result.completed)
-                        staged.update(live)
-                        _save_checkpoint(path, staged)
-
-            supervisor = CampaignSupervisor(
-                _campaign_worker,
-                [
-                    (key, make_task(key, workload, abtb, mech_cfg, cpu_cfg))
-                    for key, workload, abtb, mech_cfg, cpu_cfg in tasks
-                ],
-                jobs=jobs,
-                policy=supervisor_policy,
-                recorder=recorder,
-                fault_plan=fault_plan,
-                spill_dir=path.parent / f"{path.name}.spill" if path is not None else None,
-                on_complete=on_complete,
-            )
-            report = supervisor.run()
-            # Fold in deterministic task order, like the serial loop.
-            for key, *_rest in tasks:
-                if key in report.outcomes:
-                    outcome = report.outcomes[key]
-                    absorb(outcome)
-                    merge_worker_state(outcome)
-                elif key in report.quarantined:
-                    result.quarantined[key] = dict(report.quarantined[key])
-            return finish()
-
         if not parallel:
             for key, workload, abtb, mech_cfg, cpu_cfg in tasks:
-                absorb(
-                    _run_one_pair(
-                        key, workload, scale, abtb, policy, run_fn, sleep_fn,
-                        obs=obs, mechanism=mech_cfg, cpu=cpu_cfg,
-                    )
+                outcome = _run_one_pair(
+                    key, workload, scale, abtb, policy, run_fn, sleep_fn,
+                    obs=obs, mechanism=mech_cfg, cpu=cpu_cfg,
                 )
+                land(key, outcome)
+                absorb(outcome)
             return finish()
 
-        # -------------------------------------------------------- sharded
-        outcomes: dict[str, dict] = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(
-                    _campaign_worker,
-                    make_task(key, workload, abtb, mech_cfg, cpu_cfg),
-                ): key
+        report = LocalWorkers(
+            _campaign_worker,
+            [
+                (key, make_task(key, workload, abtb, mech_cfg, cpu_cfg))
                 for key, workload, abtb, mech_cfg, cpu_cfg in tasks
-            }
-            for future in as_completed(futures):
-                key = futures[future]
-                try:
-                    outcome = future.result()
-                except Exception as exc:  # worker process died
-                    outcome = {
-                        "key": key, "attempts": 1, "retries": 0,
-                        "failed": f"worker crashed: {type(exc).__name__}: {exc}",
-                        "summary": None, "metrics_state": None, "tracer_events": None,
-                    }
-                outcomes[key] = outcome
-                # Incremental checkpoint as pairs land (arrival order; the
-                # file's sorted keys make the bytes order-independent).
-                if path is not None and outcome["failed"] is None:
-                    staged = dict(result.completed)
-                    staged.update(
-                        {
-                            k: o["summary"]
-                            for k, o in outcomes.items()
-                            if o["failed"] is None
-                        }
-                    )
-                    _save_checkpoint(path, staged)
-
+            ],
+            jobs=jobs,
+            policy=lease_policy,
+            recorder=recorder,
+            fault_plan=fault_plan,
+            on_outcome=land,
+        ).run()
         # Merge in the serial loop's order so attempts/completed/failed and
         # the obs streams are deterministic regardless of arrival order.
         for key, *_rest in tasks:
-            outcome = outcomes[key]
-            absorb(outcome)
-            merge_worker_state(outcome)
+            if key in report.outcomes:
+                outcome = report.outcomes[key]
+                absorb(outcome)
+                merge_worker_state(outcome)
+            elif key in report.quarantined:
+                result.quarantined[key] = dict(report.quarantined[key])
         return finish()
 
     try:
         return execute()
     except KeyboardInterrupt:
         # SIGINT/SIGTERM (the CLI converts the latter) mid-campaign:
-        # flush what we have through the atomic checkpoint path and say
-        # so in the incident log, instead of dying mid-write and leaving
-        # the next resume to guess.
+        # flush every pair that has landed — sharded outcomes are not in
+        # result.completed until the merge — through the atomic
+        # checkpoint path and say so in the incident log, instead of
+        # dying mid-write and leaving the next resume to guess.
+        done = {**result.completed, **landed}
         if path is not None:
-            _save_checkpoint(path, result.completed)
+            _save_checkpoint(path, done)
         if recorder is not None:
             recorder.record(
                 IncidentKind.SHUTDOWN,
-                f"campaign interrupted with {len(result.completed)} pair(s) "
+                f"campaign interrupted with {len(done)} pair(s) "
                 f"completed; checkpoint flushed, resume will skip them",
                 severity="warning",
-                completed=len(result.completed),
+                completed=len(done),
                 checkpoint=str(path) if path is not None else None,
             )
         raise

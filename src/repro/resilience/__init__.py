@@ -2,7 +2,7 @@
 
 The paper's mechanism is trustworthy because every speculative skip falls
 back to correct baseline behaviour; this package gives the *campaign
-infrastructure* the same property.  Three pillars:
+infrastructure* the same property.  Four pillars:
 
 * :mod:`repro.resilience.incidents` — a unified incident log: every
   anomaly (corrupt artifact, dead worker, lost lease) becomes a
@@ -12,10 +12,12 @@ infrastructure* the same property.  Three pillars:
 * :mod:`repro.resilience.integrity` — content-checksummed, schema-versioned
   JSON artifacts written atomically; corrupted or truncated files are
   *detected* (and rebuilt by their owners) instead of trusted;
-* :mod:`repro.resilience.supervisor` — explicitly supervised campaign
-  worker processes: per-shard heartbeats, hang detection, kill-and-requeue
-  with exponential backoff, quarantine after repeated failures, and
-  salvage of completed work from a dead worker's spill checkpoint.
+* :mod:`repro.resilience.leases` — the :class:`LeaseQueue` every campaign
+  engine schedules with: deadline leases renewed by heartbeat, expiry,
+  requeue with exponential backoff, quarantine after repeated failures;
+* :mod:`repro.resilience.workers` — the local engine behind
+  ``run_campaign(jobs > 1)``: long-lived worker processes taking leases
+  from a queue in the parent, with dead and hung workers replaced.
 
 See ``docs/RESILIENCE.md`` for the state machines and policies.
 """
@@ -33,25 +35,29 @@ from repro.resilience.integrity import (
     read_artifact,
     write_artifact,
 )
-from repro.resilience.supervisor import (
-    CampaignSupervisor,
-    FaultPlan,
-    ShardState,
-    SupervisorPolicy,
-    SupervisorReport,
+from repro.resilience.leases import (
+    ExpiredLease,
+    Lease,
+    LeasePolicy,
+    LeaseQueue,
+    ShardPhase,
 )
+from repro.resilience.workers import FaultPlan, LeaseReport, LocalWorkers
 
 __all__ = [
-    "CampaignSupervisor",
+    "ExpiredLease",
     "FaultPlan",
     "INCIDENT_SCHEMA_VERSION",
     "INTEGRITY_VERSION",
     "Incident",
     "IncidentKind",
     "IncidentRecorder",
-    "ShardState",
-    "SupervisorPolicy",
-    "SupervisorReport",
+    "Lease",
+    "LeasePolicy",
+    "LeaseQueue",
+    "LeaseReport",
+    "LocalWorkers",
+    "ShardPhase",
     "payload_checksum",
     "read_artifact",
     "validate_incident_log",

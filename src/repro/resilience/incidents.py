@@ -47,18 +47,16 @@ class IncidentKind(enum.Enum):
     CAMPAIGN_CHECKPOINT_CORRUPT = "campaign_checkpoint_corrupt"
     #: A serialised trace artifact failed to decode.
     TRACE_CORRUPT = "trace_corrupt"
-    #: A supervised worker process died without delivering its outcome.
+    #: A local worker process died (or raised) without delivering its
+    #: outcome.
     WORKER_DEATH = "worker_death"
-    #: A supervised worker missed its heartbeat deadline and was killed.
+    #: A local worker missed its lease deadline and was killed.
     WORKER_HANG = "worker_hang"
     #: A shard was requeued (with backoff) after a worker failure.
     SHARD_REQUEUED = "shard_requeued"
     #: A shard exhausted its failure budget and was quarantined; the
     #: campaign completes degraded, with a partial-result manifest.
     SHARD_QUARANTINED = "shard_quarantined"
-    #: A dead worker's completed outcome was salvaged from its spill
-    #: checkpoint instead of being re-run.
-    SHARD_SALVAGED = "shard_salvaged"
     #: The chaos oracle observed a stale-target violation.
     ORACLE_VIOLATION = "oracle_violation"
     #: A shard lease expired (worker crash, hang or partition); the shard
@@ -81,19 +79,6 @@ class IncidentKind(enum.Enum):
     #: A graceful shutdown (SIGTERM/SIGINT) flushed state mid-campaign
     #: instead of dying mid-write.
     SHUTDOWN = "shutdown"
-    #: A standby manager lost contact with its leader (health checks
-    #: exhausted); promotion follows.
-    LEADER_LOST = "leader_lost"
-    #: A standby manager promoted itself to leader under a bumped
-    #: fencing epoch.
-    PROMOTED = "promoted"
-    #: A write was rejected because its fencing epoch did not match the
-    #: manager's — either a stale worker after a failover, or a revived
-    #: stale leader refusing to merge newer-epoch writes.
-    FENCED_WRITE = "fenced_write"
-    #: The network fault injector perturbed a service request (drop,
-    #: delay, duplicate, truncation, 5xx mangle, partition).
-    NET_FAULT = "net_fault"
     #: The result-store garbage collector evicted a stored shard result
     #: under the retention policy.
     RESULT_EVICTED = "result_evicted"
@@ -171,7 +156,7 @@ class IncidentRecorder:
         tracer: a :class:`repro.obs.tracer.Tracer` (or None).
         bus: a :class:`repro.obs.events.EventBus` (or None) — every
             incident also lands on the bus as an ``incident`` event, so
-            anything that records through this recorder (the supervisor,
+            anything that records through this recorder (the local workers,
             the stores, the campaign manager) shows up in
             the live ``/events`` stream without knowing the bus exists.
         clock: timestamp source (overridable for deterministic tests).

@@ -1,8 +1,8 @@
 """Integrity-checked JSON artifacts: checksummed, versioned, atomic.
 
 Every persistent artifact the campaign layer trusts across process
-boundaries — machine checkpoints, campaign resume checkpoints, shard
-spill files, manifests — is written through this module.  The on-disk
+boundaries — machine checkpoints, campaign resume checkpoints,
+manifests — is written through this module.  The on-disk
 form is an *envelope*, one line of compact JSON with sorted keys::
 
     {"payload": { ... },                   # the actual content

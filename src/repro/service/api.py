@@ -52,7 +52,7 @@ import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.errors import FencedWriteError, SchemaError, ServiceError
+from repro.errors import SchemaError, ServiceError
 from repro.obs.dashboard import render_dashboard, snapshot_from_manager
 from repro.obs.events import downsample
 from repro.obs.metrics import TimeSeries
@@ -154,20 +154,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._route_post()
         except SchemaError as exc:
             self._send_json(400, {"error": str(exc)})
-        except FencedWriteError as exc:
-            # 409 + "fenced": the write's epoch does not match this
-            # manager's.  The body carries our epoch so a stale *worker*
-            # can tell it must fail over and re-register, while a stale
-            # *leader* fencing a newer-epoch write simply refuses it.
-            self._send_json(
-                409,
-                {
-                    "error": str(exc),
-                    "fenced": True,
-                    "epoch": exc.ours,
-                    "request_epoch": exc.theirs,
-                },
-            )
         except ServiceError as exc:
             status = 503 if "shut down" in str(exc) else 409
             self._send_json(status, {"error": str(exc)})
@@ -185,21 +171,9 @@ class _Handler(BaseHTTPRequestHandler):
                 {
                     "ok": True,
                     "campaigns": len(manager.list_campaigns()),
-                    "role": "leader",
-                    "epoch": manager.epoch,
                     "seq": manager.journal.seq,
                 },
             )
-        elif parts == ["replication", "state"]:
-            since = self._int_param(query, "since", 0)
-            self._send_json(200, manager.replication_state(since))
-        elif parts == ["replication", "result"]:
-            key = query.get("key", "")
-            payload = manager.replica_result(key) if key else None
-            if payload is None:
-                self._send_json(404, {"error": f"no stored result {key!r}"})
-            else:
-                self._send_json(200, payload)
         elif parts == ["metrics"]:
             if query.get("format") == "jsonl":
                 self._send(200, manager.metrics.to_jsonl(), "application/x-ndjson")
@@ -365,7 +339,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
         elif parts == ["leases"]:
             request = LeaseRequest.from_dict(body)
-            grant = manager.lease(request.worker_id, epoch=request.epoch)
+            grant = manager.lease(request.worker_id)
             if grant is None:
                 self._send_json(
                     200,
@@ -385,12 +359,6 @@ class _Handler(BaseHTTPRequestHandler):
                 progress=(
                     request.progress.as_dict()
                     if request.progress is not None
-                    else None
-                ),
-                epoch=request.epoch,
-                reclaim=(
-                    (request.reclaim_campaign_id, request.reclaim_key)
-                    if request.reclaim_key
                     else None
                 ),
             )
@@ -413,7 +381,6 @@ class _Handler(BaseHTTPRequestHandler):
                     request.key,
                     request.error,
                     request.worker_id,
-                    epoch=request.epoch,
                     attempt=request.attempt,
                 ),
             )
@@ -432,7 +399,6 @@ def _is_get_route(parts: list[str]) -> bool:
         in (
             ["healthz"], ["metrics"], ["incidents"], ["events"],
             ["events", "log"], ["timeseries"], ["dash"], ["dash", "data"],
-            ["replication", "state"], ["replication", "result"],
         )
         or (len(parts) == 2 and parts[0] == "campaigns")
         or (len(parts) == 3 and parts[0] == "campaigns" and parts[2] == "result")
@@ -484,9 +450,7 @@ class ManagerServer:
         self._httpd.idle_retry_s = idle_retry_s  # type: ignore[attr-defined]
         self._httpd.sse_keepalive_s = sse_keepalive_s  # type: ignore[attr-defined]
         self._httpd.stop_event = self._stop  # type: ignore[attr-defined]
-        self.tick_interval_s = max(
-            manager.policy.poll_interval_s, manager.policy.shard_deadline_s / 10.0
-        )
+        self.tick_interval_s = manager.policy.shard_deadline_s / 10.0
 
     @property
     def host(self) -> str:

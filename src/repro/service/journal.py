@@ -27,27 +27,12 @@ Durability and corruption rules:
   the WAL is truncated only *after* the snapshot is durable, and replay
   skips WAL records already covered by the snapshot's ``seq``, so a
   crash between the two steps merely replays harmlessly twice.
-
-Replication support (the HA layer, :mod:`repro.service.standby`):
-
-* the journal retains the records appended since the last compaction in
-  memory (:meth:`Journal.records_since`) so a follower can *tail* the
-  WAL incrementally instead of re-reading files;
-* :meth:`Journal.append_replica` writes a record received from a leader
-  verbatim — same seq, re-checksummed — so a promoted standby's WAL
-  replays exactly like the leader's would have;
-* the **fencing epoch** lives beside the journal in ``epoch.json``
-  (:func:`load_epoch` / :func:`store_epoch`, atomic + fsync'd): it is
-  bumped by promotion and must survive any crash, because a revived
-  stale leader keeping its old epoch is precisely what makes fencing
-  work.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,11 +72,6 @@ class Journal:
         self.snapshot_path = self.root / "snapshot.json"
         self._fh = None
         self._seq = 0
-        #: Seq covered by the last durable snapshot (0: none yet).
-        self.snapshot_seq = 0
-        #: Records appended since the last snapshot, retained so a
-        #: replication follower can tail the WAL without re-reading it.
-        self._recent: list[dict] = []
 
     # ---------------------------------------------------------------- load
 
@@ -144,8 +124,6 @@ class Journal:
             state.records.append(record)
             state.last_seq = max(state.last_seq, seq)
         state.records.sort(key=lambda r: r["seq"])
-        self.snapshot_seq = snapshot_seq
-        self._recent = list(state.records)
         return state
 
     # -------------------------------------------------------------- append
@@ -166,37 +144,11 @@ class Journal:
             raise ServiceError("journal is not open for append (call open_for_append)")
         self._seq += 1
         body = {"seq": self._seq, "type": record_type, "data": data}
-        self._write_line(body)
-        self._recent.append(body)
-        return self._seq
-
-    def append_replica(self, record: dict) -> bool:
-        """Durably append a record replicated from a leader, preserving
-        its seq (re-checksummed locally).  Returns False for records the
-        follower already holds (``seq <= current``) — replication is
-        at-least-once and duplicates are expected, not errors."""
-        if self._fh is None:
-            raise ServiceError("journal is not open for append (call open_for_append)")
-        seq = int(record["seq"])
-        if seq <= self._seq:
-            return False
-        body = {"seq": seq, "type": record["type"], "data": record["data"]}
-        self._write_line(body)
-        self._seq = seq
-        self._recent.append(body)
-        return True
-
-    def _write_line(self, body: dict) -> None:
         line = json.dumps({**body, "sha256": payload_checksum(body)}, sort_keys=True)
         self._fh.write(line + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
-
-    def records_since(self, seq: int) -> list[dict]:
-        """Retained records newer than ``seq`` (replication tail).  A
-        follower older than the last compaction cannot be served from
-        here — it needs a full snapshot (``seq < snapshot_seq``)."""
-        return [dict(r) for r in self._recent if r["seq"] > seq]
+        return self._seq
 
     @property
     def seq(self) -> int:
@@ -204,16 +156,12 @@ class Journal:
 
     # ------------------------------------------------------------ snapshot
 
-    def write_snapshot(self, state: dict, seq: int | None = None) -> Path:
+    def write_snapshot(self, state: dict) -> Path:
         """Atomically snapshot the full state, then truncate the WAL.
 
         The snapshot records the seq it covers; a crash after the rename
         but before the truncate only causes harmless double-replay.
-        ``seq`` lets a replication follower stamp the *leader's* seq on
-        a mirrored snapshot (default: this journal's own current seq).
         """
-        if seq is not None:
-            self._seq = int(seq)
         path = write_artifact(
             self.snapshot_path,
             {"seq": self._seq, "state": state},
@@ -225,49 +173,12 @@ class Journal:
         self._fh = open(self.wal_path, "w", encoding="utf-8")
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self.snapshot_seq = self._seq
-        self._recent = []
         return path
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-# ------------------------------------------------------------ fencing epoch
-
-
-def load_epoch(path: str | Path, default: int = 1) -> int:
-    """The fencing epoch stored at ``path`` (``default`` when absent or
-    unreadable — a manager that cannot read its epoch must not invent a
-    high one, so corruption degrades to the *oldest* plausible epoch and
-    the fencing check still protects newer leaders)."""
-    try:
-        payload = json.loads(Path(path).read_text())
-        epoch = int(payload["epoch"])
-        return epoch if epoch >= 1 else default
-    except (OSError, ValueError, TypeError, KeyError):
-        return default
-
-
-def store_epoch(path: str | Path, epoch: int) -> None:
-    """Durably (atomic rename + fsync) store the fencing epoch."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps({"epoch": int(epoch)}))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _parse_record(line: str) -> tuple[dict | None, str]:

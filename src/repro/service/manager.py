@@ -29,14 +29,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import FencedWriteError, ServiceError
+from repro.errors import ServiceError
 from repro.experiments.runner import CampaignResult, pair_key
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.incidents import IncidentKind, IncidentRecorder
-from repro.resilience.supervisor import SupervisorPolicy
-from repro.service.queue import LeaseQueue, ShardPhase
-from repro.service.journal import Journal, load_epoch, store_epoch
+from repro.resilience.leases import LeasePolicy, LeaseQueue, ShardPhase
+from repro.service.journal import Journal
 from repro.service.schemas import CampaignSpec, CompleteRequest
 from repro.service.store import ResultStore, shard_result_key
 
@@ -98,8 +97,8 @@ class CampaignManager:
 
     Args:
         data_dir: root for the journal, snapshot and result store.
-        policy: lease TTL / quarantine budget / backoff (the supervisor
-            policy vocabulary from PR 5).
+        policy: lease TTL / quarantine budget / backoff, shared with the
+            local workers behind ``run_campaign(jobs > 1)``.
         recorder: incident recorder (one is created when omitted).
         metrics: metrics registry for ``/metrics`` (created when omitted).
         bus: event bus for ``/events`` (created when omitted; incidents
@@ -111,16 +110,15 @@ class CampaignManager:
     def __init__(
         self,
         data_dir: str | Path,
-        policy: SupervisorPolicy | None = None,
+        policy: LeasePolicy | None = None,
         recorder: IncidentRecorder | None = None,
         metrics: MetricsRegistry | None = None,
         bus: EventBus | None = None,
         clock=time.monotonic,
         snapshot_every: int = 50,
-        reclaim_grace_s: float = 0.0,
     ) -> None:
         self.data_dir = Path(data_dir)
-        self.policy = policy or SupervisorPolicy()
+        self.policy = policy or LeasePolicy()
         self.recorder = recorder if recorder is not None else IncidentRecorder()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.bus = bus if bus is not None else EventBus(metrics=self.metrics)
@@ -136,12 +134,6 @@ class CampaignManager:
         self._fail_seen: set[tuple[str, str, str, int]] = set()
         self.store = ResultStore(self.data_dir / "results", recorder=self.recorder)
         self.journal = Journal(self.data_dir / "journal")
-        #: Fencing epoch: monotonic, durable, bumped by standby promotion.
-        #: Stamped requests from any other epoch are rejected (HTTP 409),
-        #: in both directions — see :class:`repro.errors.FencedWriteError`.
-        self.epoch_path = self.data_dir / "epoch.json"
-        self.epoch = load_epoch(self.epoch_path)
-        store_epoch(self.epoch_path, self.epoch)
         self.queue = LeaseQueue(self.policy, clock=clock)
         self.campaigns: dict[str, _Campaign] = {}
         self.workers: dict[str, dict] = {}
@@ -150,11 +142,6 @@ class CampaignManager:
         self._next_worker = 1
         self._appends_since_snapshot = 0
         self._closed = False
-        #: Until this instant, lease() grants nothing *new* while renew
-        #: reclaims still work — a freshly promoted manager holds grants
-        #: back long enough for in-flight workers' heartbeats to
-        #: re-establish their leases, so no shard runs twice.
-        self._grants_open_at = self.clock() + max(0.0, reclaim_grace_s)
         self.recover()
 
     # ------------------------------------------------------------ recovery
@@ -361,12 +348,10 @@ class CampaignManager:
                     if stored is None:
                         # The stored result rotted after completion:
                         # demote and recompute rather than publish a gap.
+                        qkey = self._qkey(campaign_id, meta.key)
                         meta.state = "pending"
-                        self.queue.add(
-                            self._qkey(campaign_id, meta.key),
-                            meta.payload,
-                            failures=meta.failures,
-                        )
+                        self.queue.discard(qkey)
+                        self.queue.add(qkey, meta.payload, failures=meta.failures)
                         return None
                     result.completed[meta.key] = stored["summary"]
                     result.attempts[meta.key] = meta.attempts or 1
@@ -383,12 +368,11 @@ class CampaignManager:
     def register_worker(self, name: str = "", worker_id: str = "") -> dict:
         """Register a worker (idempotent when it brings a ``worker_id``).
 
-        A worker failing over to a promoted leader — or retrying a
-        duplicated register through a flaky network — asks to keep the id
-        it already holds, so its in-flight lease reclaim and completion
-        attribution survive the failover.  Unknown brought ids are
-        *adopted* (registration is soft state, never journaled; the new
-        leader has no worker table to check against).
+        The worker agent chooses its own id, so a register it re-sends
+        (or that the network duplicates) re-registers it instead of
+        minting a ghost entry.  Unknown brought ids are *adopted*
+        (registration is soft state, never journaled); a caller that
+        brings none gets a fresh ``wNNN`` id.
         """
         with self._lock:
             self._check_open()
@@ -421,18 +405,14 @@ class CampaignManager:
         return {
             "worker_id": worker_id,
             "lease_ttl_s": self.policy.shard_deadline_s,
-            "renew_every_s": self.policy.shard_deadline_s / 3.0,
-            "epoch": self.epoch,
+            "renew_every_s": self.policy.heartbeat_interval_s,
         }
 
-    def lease(self, worker_id: str, epoch: int = 0) -> dict | None:
+    def lease(self, worker_id: str) -> dict | None:
         """Sweep expiries, then lease the next ready shard (None: no work)."""
         with self._lock:
             self._check_open()
-            self._check_epoch(epoch, "lease", worker_id=worker_id)
             self.tick()
-            if self.clock() < self._grants_open_at:
-                return None  # reclaim grace window: renewals only
             acquired = self.queue.acquire(worker_id)
             if acquired is None:
                 return None
@@ -457,78 +437,26 @@ class CampaignManager:
                 "attempt": lease.attempt,
                 "payload": payload,
                 "ttl_s": self.policy.shard_deadline_s,
-                "renew_every_s": self.policy.shard_deadline_s / 3.0,
-                "epoch": self.epoch,
+                "renew_every_s": self.policy.heartbeat_interval_s,
             }
 
     def renew(
-        self,
-        lease_id: str,
-        worker_id: str,
-        progress: dict | None = None,
-        epoch: int = 0,
-        reclaim: tuple[str, str] | None = None,
+        self, lease_id: str, worker_id: str, progress: dict | None = None
     ) -> dict | None:
         """Extend a lease; optionally banks the heartbeat's shard progress
         (events retired, current workload) so lease rows
         and the dashboard show live progress instead of just lease age.
-
-        ``reclaim`` — ``(campaign_id, key)`` of the shard the worker is
-        executing — turns an unknown lease into a *re-established* one
-        when this manager simply forgot it (promoted standby, restarted
-        leader: leases are soft state).  That path is what lets a shard
-        in flight across a failover finish under its original worker with
-        zero re-execution.
+        None when the lease is gone (expired, or forgotten by a restart):
+        the worker keeps computing and still delivers.
         """
         with self._lock:
             self._check_open()
-            self._check_epoch(epoch, "renew", worker_id=worker_id)
-            renewed = self.queue.renew(lease_id, worker_id)
-            if renewed is None and reclaim is not None:
-                return self._reclaim(lease_id, worker_id, reclaim, progress)
-            if renewed is None:
+            if self.queue.renew(lease_id, worker_id) is None:
                 return None
             self.metrics.counter("service.leases_renewed").inc()
             if progress:
                 self._bank_progress(lease_id, worker_id, progress)
             return {"lease_id": lease_id, "ttl_s": self.policy.shard_deadline_s}
-
-    def _reclaim(
-        self,
-        lease_id: str,
-        worker_id: str,
-        reclaim: tuple[str, str],
-        progress: dict | None,
-    ) -> dict | None:
-        cid, key = reclaim
-        campaign = self.campaigns.get(cid)
-        meta = campaign.shards.get(key) if campaign is not None else None
-        if campaign is None or meta is None or campaign.cancelled:
-            return None
-        if meta.state != "pending":
-            return None  # already terminal here: let the worker drop it
-        lease = self.queue.reclaim(self._qkey(cid, key), worker_id, lease_id)
-        if lease is None:
-            return None  # someone else holds it now
-        self._lease_index[lease.lease_id] = (cid, key)
-        self.metrics.counter("service.leases_reclaimed").inc()
-        self.bus.emit(
-            "shard_leased",
-            f"shard {key} lease reclaimed by {worker_id} after failover "
-            f"(lease {lease.lease_id})",
-            campaign_id=cid,
-            shard_key=key,
-            worker_id=worker_id,
-            lease_id=lease.lease_id,
-            attempt=lease.attempt,
-        )
-        if progress:
-            self._bank_progress(lease.lease_id, worker_id, progress)
-        return {
-            "lease_id": lease.lease_id,
-            "ttl_s": self.policy.shard_deadline_s,
-            "reclaimed": True,
-        }
 
     def _bank_progress(self, lease_id: str, worker_id: str, progress: dict) -> None:
         entry = self._lease_index.get(lease_id)
@@ -561,10 +489,6 @@ class CampaignManager:
         """Bank one shard outcome (idempotent; see CompleteRequest doc)."""
         with self._lock:
             self._check_open()
-            self._check_epoch(
-                request.epoch, "complete",
-                worker_id=request.worker_id, key=request.key,
-            )
             campaign = self.campaigns.get(request.campaign_id)
             if campaign is None:
                 return {"status": "unknown-campaign"}
@@ -608,12 +532,10 @@ class CampaignManager:
         key: str,
         error: str,
         worker_id: str,
-        epoch: int = 0,
         attempt: int = 0,
     ) -> dict:
         with self._lock:
             self._check_open()
-            self._check_epoch(epoch, "fail", worker_id=worker_id, key=key)
             campaign = self.campaigns.get(campaign_id)
             meta = campaign.shards.get(key) if campaign is not None else None
             if campaign is None or meta is None:
@@ -709,34 +631,6 @@ class CampaignManager:
     def _check_open(self) -> None:
         if self._closed:
             raise ServiceError("manager is shut down")
-
-    def _check_epoch(self, theirs: int, op: str, **context) -> None:
-        """Fence a stamped write from another epoch (0 = unstamped, let
-        through: pre-HA workers and local callers never stamp)."""
-        if theirs == 0 or theirs == self.epoch:
-            return
-        direction = (
-            "stale writer must re-register against the current leader"
-            if theirs < self.epoch
-            else "this manager is a stale leader; refusing to merge"
-        )
-        self.metrics.counter("service.fenced_writes").inc()
-        self.recorder.record(
-            IncidentKind.FENCED_WRITE,
-            f"{op} fenced: request epoch {theirs} != manager epoch "
-            f"{self.epoch} ({direction})",
-            severity="warning",
-            op=op,
-            ours=self.epoch,
-            theirs=theirs,
-            **context,
-        )
-        raise FencedWriteError(
-            f"{op} carries epoch {theirs} but this manager is at epoch "
-            f"{self.epoch}: {direction}",
-            ours=self.epoch,
-            theirs=theirs,
-        )
 
     @staticmethod
     def _qkey(campaign_id: str, key: str) -> str:
@@ -903,32 +797,29 @@ class CampaignManager:
         if self._appends_since_snapshot >= self.snapshot_every:
             self._snapshot()
 
-    def _snapshot_state(self) -> dict:
-        """The full journal-snapshot state dict (also served to a
-        replication follower that is older than the last compaction)."""
-        return {
-            "next_campaign": self._next_campaign,
-            "next_worker": self._next_worker,
-            "campaigns": {
-                cid: {
-                    "spec": c.spec.as_dict(),
-                    "cancelled": c.cancelled,
-                    "shards": {
-                        key: {
-                            "state": m.state,
-                            "failures": m.failures,
-                            "attempts": m.attempts,
-                            "last_error": m.last_error,
-                        }
-                        for key, m in c.shards.items()
-                    },
-                }
-                for cid, c in self.campaigns.items()
-            },
-        }
-
     def _snapshot(self) -> None:
-        self.journal.write_snapshot(self._snapshot_state())
+        self.journal.write_snapshot(
+            {
+                "next_campaign": self._next_campaign,
+                "next_worker": self._next_worker,
+                "campaigns": {
+                    cid: {
+                        "spec": c.spec.as_dict(),
+                        "cancelled": c.cancelled,
+                        "shards": {
+                            key: {
+                                "state": m.state,
+                                "failures": m.failures,
+                                "attempts": m.attempts,
+                                "last_error": m.last_error,
+                            }
+                            for key, m in c.shards.items()
+                        },
+                    }
+                    for cid, c in self.campaigns.items()
+                },
+            }
+        )
         self._appends_since_snapshot = 0
 
     def _refresh_gauges(self) -> None:
@@ -944,45 +835,6 @@ class CampaignManager:
         self.metrics.series("service.queue.pending").append(t, float(counts["pending"]))
         self.metrics.series("service.queue.leased").append(t, float(counts["leased"]))
         self.metrics.series("service.active_campaigns").append(t, float(active))
-
-    # -------------------------------------------------------- replication
-
-    def replication_state(self, since_seq: int) -> dict:
-        """One replication pull for a follower that has applied records
-        up to ``since_seq``.
-
-        A follower inside the retained tail gets incremental ``records``;
-        one older than the last compaction gets a full ``snapshot``
-        (state + the seq it covers) instead.  ``result_keys`` is read
-        under the same lock as the journal tail — and the leader stores a
-        result *before* journaling its completion — so every completion
-        visible in ``records``/``snapshot`` has its result fetchable by
-        the time the follower asks.  The pull carries the leader's epoch:
-        a follower that ever sees a *higher* epoch than its leader's
-        original one knows a newer leader exists somewhere.
-        """
-        with self._lock:
-            out = {
-                "epoch": self.epoch,
-                "seq": self.journal.seq,
-                "snapshot_seq": self.journal.snapshot_seq,
-                "result_keys": self.store.keys(),
-            }
-            if since_seq < self.journal.snapshot_seq:
-                out["snapshot"] = {
-                    "seq": self.journal.seq,
-                    "state": self._snapshot_state(),
-                }
-                out["records"] = []
-            else:
-                out["records"] = self.journal.records_since(since_seq)
-            return out
-
-    def replica_result(self, key: str) -> dict | None:
-        """One stored result payload for a replication follower (None:
-        missing or corrupt — the follower simply retries next round)."""
-        with self._lock:
-            return self.store.get(key)
 
     # ---------------------------------------------------------- telemetry
 

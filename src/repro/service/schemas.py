@@ -61,15 +61,6 @@ def _opt_int(data: dict, name: str, what: str) -> int | None:
     return value
 
 
-def _epoch_field(data: dict, what: str) -> int:
-    """The optional fencing ``epoch`` stamp (0 = unstamped, accepted for
-    pre-HA workers; the manager only fences stamped requests)."""
-    value = data.get("epoch", 0)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SchemaError(f"{what}: 'epoch' must be a non-negative integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """What to sweep: the submit body and the journaled campaign recipe.
@@ -164,10 +155,9 @@ class CampaignSpec:
 class RegisterRequest:
     """``POST /workers/register`` body.
 
-    ``worker_id`` makes re-registration idempotent: a worker failing over
-    to a promoted leader (or retrying a duplicated register) asks to keep
-    the id it already holds, so its in-flight lease reclaim and its
-    completions keep their attribution across the failover.
+    ``worker_id`` makes registration idempotent: the worker agent
+    chooses its id, so a register it retries re-registers the same
+    worker rather than adding a ghost one.
     """
 
     name: str = ""
@@ -192,17 +182,13 @@ class LeaseRequest:
     """``POST /leases`` (acquire) body."""
 
     worker_id: str
-    epoch: int = 0
 
     @classmethod
     def from_dict(cls, data: object) -> "LeaseRequest":
         what = "lease request"
         data = _require_dict(data, what)
-        _reject_unknown(data, {"worker_id", "epoch"}, what)
-        return cls(
-            worker_id=_str_field(data, "worker_id", what),
-            epoch=_epoch_field(data, what),
-        )
+        _reject_unknown(data, {"worker_id"}, what)
+        return cls(worker_id=_str_field(data, "worker_id", what))
 
 
 @dataclass(frozen=True)
@@ -239,46 +225,23 @@ class ShardProgress:
 
 @dataclass(frozen=True)
 class RenewRequest:
-    """``POST /leases/<id>/renew`` body (progress is optional).
-
-    ``reclaim`` carries ``{campaign_id, key}`` of the shard the worker is
-    executing.  A manager that does not know the lease (promoted standby,
-    restarted leader — leases are soft state) re-establishes it on that
-    shard instead of answering 410, which is what lets an in-flight shard
-    survive a failover without re-execution.
-    """
+    """``POST /leases/<id>/renew`` body (progress is optional)."""
 
     worker_id: str
     progress: ShardProgress | None = None
-    epoch: int = 0
-    reclaim_campaign_id: str = ""
-    reclaim_key: str = ""
 
     @classmethod
     def from_dict(cls, data: object) -> "RenewRequest":
         what = "renew request"
         data = _require_dict(data, what)
-        _reject_unknown(data, {"worker_id", "progress", "epoch", "reclaim"}, what)
+        _reject_unknown(data, {"worker_id", "progress"}, what)
         progress_data = data.get("progress")
         progress = (
             ShardProgress.from_dict(progress_data)
             if progress_data is not None
             else None
         )
-        reclaim = data.get("reclaim")
-        reclaim_campaign_id = reclaim_key = ""
-        if reclaim is not None:
-            reclaim = _require_dict(reclaim, f"{what}: 'reclaim'")
-            _reject_unknown(reclaim, {"campaign_id", "key"}, f"{what}: 'reclaim'")
-            reclaim_campaign_id = _str_field(reclaim, "campaign_id", f"{what}: 'reclaim'")
-            reclaim_key = _str_field(reclaim, "key", f"{what}: 'reclaim'")
-        return cls(
-            worker_id=_str_field(data, "worker_id", what),
-            progress=progress,
-            epoch=_epoch_field(data, what),
-            reclaim_campaign_id=reclaim_campaign_id,
-            reclaim_key=reclaim_key,
-        )
+        return cls(worker_id=_str_field(data, "worker_id", what), progress=progress)
 
 
 @dataclass(frozen=True)
@@ -295,15 +258,12 @@ class CompleteRequest:
     key: str
     worker_id: str
     outcome: dict
-    epoch: int = 0
 
     @classmethod
     def from_dict(cls, data: object) -> "CompleteRequest":
         what = "complete request"
         data = _require_dict(data, what)
-        _reject_unknown(
-            data, {"campaign_id", "key", "worker_id", "outcome", "epoch"}, what
-        )
+        _reject_unknown(data, {"campaign_id", "key", "worker_id", "outcome"}, what)
         outcome = data.get("outcome")
         outcome = _require_dict(outcome, f"{what}: 'outcome'")
         if "summary" not in outcome and not outcome.get("failed"):
@@ -318,7 +278,6 @@ class CompleteRequest:
             key=_str_field(data, "key", what),
             worker_id=_str_field(data, "worker_id", what),
             outcome=outcome,
-            epoch=_epoch_field(data, what),
         )
 
 
@@ -335,7 +294,6 @@ class FailRequest:
     key: str
     worker_id: str
     error: str
-    epoch: int = 0
     attempt: int = 0
 
     @classmethod
@@ -343,7 +301,7 @@ class FailRequest:
         what = "fail request"
         data = _require_dict(data, what)
         _reject_unknown(
-            data, {"campaign_id", "key", "worker_id", "error", "epoch", "attempt"}, what
+            data, {"campaign_id", "key", "worker_id", "error", "attempt"}, what
         )
         attempt = data.get("attempt", 0)
         if isinstance(attempt, bool) or not isinstance(attempt, int) or attempt < 0:
@@ -353,6 +311,5 @@ class FailRequest:
             key=_str_field(data, "key", what),
             worker_id=_str_field(data, "worker_id", what),
             error=_str_field(data, "error", what),
-            epoch=_epoch_field(data, what),
             attempt=attempt,
         )

@@ -18,7 +18,7 @@ Lease discipline:
 * a manager that is briefly unreachable (restarting) is retried with
   backoff by :class:`ManagerClient` rather than treated as fatal.
 
-:class:`WorkerChaos` is the built-in fault injector for drills and the
+:class:`WorkerChaos` is the built-in fault injector for the
 service-smoke CI job: it SIGKILLs or wedges the worker after the Nth
 lease grant, exercising the expiry → requeue → reassign path end to end.
 """
@@ -32,6 +32,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import uuid
 from dataclasses import dataclass
 
 from repro.errors import ServiceError
@@ -49,8 +50,8 @@ def http_exchange(url: str, method: str, data, timeout_s: float) -> tuple[int, b
 
     HTTP error statuses are returned, not raised; connection-level
     failures propagate as ``URLError``/``OSError`` for the client's
-    retry loop.  Pluggable: drills swap this for a
-    :class:`repro.chaos.net.FaultyTransport` with the same signature.
+    retry loop.  Pluggable: tests swap in a scripted transport with the
+    same signature.
     """
     request = urllib.request.Request(
         url,
@@ -72,27 +73,24 @@ class ManagerClient:
     as ``(status, payload)`` like any other response, with two
     exceptions treated as transport-level and retried in place:
 
-    * **HTTP 502** — a mid-path mangle (the fault injector's proxy
-      failure); deliberately *not* 503, which the manager answers during
-      genuine graceful shutdown and must keep reaching the caller so
-      workers drain instead of hammering a dying leader;
+    * **HTTP 502** — a mid-path proxy failure; deliberately *not* 503,
+      which the manager answers during genuine graceful shutdown and must
+      keep reaching the caller so workers drain instead of hammering a
+      dying manager;
     * an **undecodable 200 body** — a truncated response; the request is
       re-sent (every service endpoint is idempotent, so a duplicate
       delivery is harmless and better than acting on half an answer).
 
-    ``base_url`` accepts a single URL or an **ordered endpoint list**
-    ``[leader, standby, ...]``: connection-level failures rotate to the
-    next endpoint before retrying, which is the whole client side of
-    manager failover.  Retry sleeps use PR 9's
-    :class:`~repro.experiments.runner.RetryPolicy` — capped exponential
-    backoff with sha256-keyed jitter (keyed by endpoint + path, so a
-    fleet of workers does not hammer a recovering manager in lockstep).
-    ``retry_delay_s`` is kept as the backoff base for back-compat.
+    Connection-level failures (a manager restarting) are retried too.
+    Retry sleeps use :class:`~repro.experiments.runner.RetryPolicy` —
+    capped exponential backoff with sha256-keyed jitter (keyed by the
+    request URL, so a fleet of workers does not hammer a recovering
+    manager in lockstep).  ``retry_delay_s`` is the backoff base.
     """
 
     def __init__(
         self,
-        base_url: str | list[str] | tuple[str, ...],
+        base_url: str,
         retries: int = 40,
         retry_delay_s: float = 0.25,
         timeout_s: float = 10.0,
@@ -100,11 +98,7 @@ class ManagerClient:
         transport=None,
         backoff: RetryPolicy | None = None,
     ) -> None:
-        urls = [base_url] if isinstance(base_url, str) else list(base_url)
-        if not urls:
-            raise ServiceError("ManagerClient needs at least one endpoint")
-        self.endpoints = [u.rstrip("/") for u in urls]
-        self._active = 0
+        self.base_url = base_url.rstrip("/")
         self.retries = retries
         self.retry_delay_s = retry_delay_s
         self.timeout_s = timeout_s
@@ -118,67 +112,44 @@ class ManagerClient:
             backoff_max_s=max(4.0 * retry_delay_s, 1.0),
             jitter=0.5,
         )
-        self.failovers = 0
-
-    @property
-    def base_url(self) -> str:
-        """The endpoint currently in use."""
-        return self.endpoints[self._active]
-
-    def rotate(self) -> str:
-        """Move to the next endpoint (failover); returns the new one."""
-        if len(self.endpoints) > 1:
-            self._active = (self._active + 1) % len(self.endpoints)
-            self.failovers += 1
-        return self.base_url
 
     def get(self, path: str) -> tuple[int, dict]:
-        return self._request("GET", path, None)
+        status, raw = self._request("GET", path, None, json_body=True)
+        return status, _decode(raw)[0]
 
     def get_text(self, path: str) -> tuple[int, str]:
         """GET a non-JSON resource (``/incidents`` NDJSON, ``/metrics``)."""
-        request = urllib.request.Request(self.base_url + path, method="GET")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
-                return resp.status, resp.read().decode()
-        except urllib.error.HTTPError as exc:
-            return exc.code, exc.read().decode()
+        status, raw = self._request("GET", path, None, json_body=False)
+        return status, raw.decode()
 
     def post(self, path: str, body: dict | None = None) -> tuple[int, dict]:
-        return self._request("POST", path, body if body is not None else {})
+        data = json.dumps(body if body is not None else {}).encode()
+        status, raw = self._request("POST", path, data, json_body=True)
+        return status, _decode(raw)[0]
 
-    def _request(self, method: str, path: str, body: dict | None) -> tuple[int, dict]:
-        data = json.dumps(body).encode() if body is not None else None
+    def _request(
+        self, method: str, path: str, data: bytes | None, json_body: bool
+    ) -> tuple[int, bytes]:
+        url = self.base_url + path
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
-            url = self.base_url + path
             try:
                 status, raw = self.transport(url, method, data, self.timeout_s)
             except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
                 last_error = exc
-                self.rotate()
-                self._backoff(attempt, path)
-                continue
-            if status == 502:
-                last_error = ServiceError(f"HTTP 502 from {url}")
-                self._backoff(attempt, path)
-                continue
-            payload, intact = _decode(raw)
-            if status == 200 and not intact:
-                last_error = ServiceError(f"undecodable response body from {url}")
-                self._backoff(attempt, path)
-                continue
-            return status, payload
+            else:
+                if status == 502:
+                    last_error = ServiceError(f"HTTP 502 from {url}")
+                elif json_body and status == 200 and not _decode(raw)[1]:
+                    last_error = ServiceError(f"undecodable response body from {url}")
+                else:
+                    return status, raw
+            if attempt < self.retries:
+                self.sleep_fn(self.backoff.backoff(attempt + 1, key=url))
         raise ServiceError(
-            f"manager at {', '.join(self.endpoints)} unreachable after "
+            f"manager at {self.base_url} unreachable after "
             f"{self.retries + 1} attempt(s): {last_error}"
         )
-
-    def _backoff(self, attempt: int, path: str) -> None:
-        if attempt < self.retries:
-            self.sleep_fn(
-                self.backoff.backoff(attempt + 1, key=f"{self.base_url}{path}")
-            )
 
 
 def _decode(raw: bytes) -> tuple[dict, bool]:
@@ -220,41 +191,25 @@ class _ProgressTracker:
             return {"events_done": self.events_done, "workload": self.workload}
 
 
-class WorkerVanished(ServiceError):
-    """An in-process worker was chaos-killed (the thread analog of
-    SIGKILL): it abandons its lease silently — no heartbeat, no fail
-    report, no delivery — and the manager must recover via lease expiry.
-    Raised out of :meth:`WorkerAgent.run`; the drill harness catches it.
-    """
-
-
 @dataclass
 class WorkerChaos:
-    """Fault injection for drills: die or wedge after the Nth lease.
+    """Fault injection for CI: die or wedge after the Nth lease.
 
     ``kill_after_leases=N`` SIGKILLs the worker process the moment it is
     granted its Nth lease — before any result is delivered — so the
     manager sees a silent death and must recover via lease expiry.
     ``hang_after_leases=N`` wedges the worker instead (lease held, no
     renewal, no progress): the expiry path again, but with a live corpse.
-    ``vanish_after_leases=N`` is the in-process analog of the kill: it
-    raises :class:`WorkerVanished` instead of signalling, for drills
-    that run workers as threads rather than subprocesses.
     """
 
     kill_after_leases: int = 0
     hang_after_leases: int = 0
-    vanish_after_leases: int = 0
     leases_granted: int = 0
 
     def on_lease(self) -> None:
         self.leases_granted += 1
         if self.kill_after_leases and self.leases_granted >= self.kill_after_leases:
             os.kill(os.getpid(), signal.SIGKILL)
-        if self.vanish_after_leases and self.leases_granted >= self.vanish_after_leases:
-            raise WorkerVanished(
-                f"worker chaos-vanished at lease {self.leases_granted}"
-            )
         if self.hang_after_leases and self.leases_granted >= self.hang_after_leases:
             while True:  # pragma: no cover - only ever exited by SIGKILL
                 time.sleep(3600)
@@ -274,7 +229,7 @@ class WorkerAgent:
         trace_cache_dir: content-addressed trace store shared with the
             campaign runner; shards load serialised trace batches instead
             of regenerating them.
-        chaos: fault injector (drills/CI only).
+        chaos: fault injector (CI only).
         stop_event: external stop signal; the agent finishes the shard in
             hand, delivers it, then exits (graceful drain).
     """
@@ -298,72 +253,32 @@ class WorkerAgent:
         self.trace_cache_dir = trace_cache_dir
         self.chaos = chaos
         self.stop_event = stop_event if stop_event is not None else threading.Event()
-        self.worker_id = ""
+        #: Chosen here rather than by the manager, so a register the
+        #: client re-sends (a 502, a truncated answer) re-registers this
+        #: worker instead of minting a second, ghost entry.
+        self.worker_id = f"{name or 'worker'}-{uuid.uuid4().hex[:8]}"
         self.renew_every_s = 1.0
-        #: The fencing epoch of the leader we last registered against;
-        #: stamped on every lease/renew/complete/fail so a stale leader
-        #: (or our own staleness after a promotion) is detected, never
-        #: silently merged.
-        self.epoch = 0
         self.progress = _ProgressTracker()
         self.shards_done = 0
         self.shards_failed = 0
         self.leases_lost = 0
-        self.reregistrations = 0
         self.manager_lost = False
 
     def stop(self) -> None:
         self.stop_event.set()
 
     def _register(self) -> None:
-        """(Re-)register, keeping our worker_id when we have one.
-
-        A registration answered with a *lower* epoch than we already
-        hold comes from a revived stale leader: never step the epoch
-        down — rotate to the next endpoint and try again instead.
-        """
-        for _ in range(max(4, 2 * len(self.client.endpoints))):
+        for _ in range(4):
             status, registration = self.client.post(
-                "/workers/register",
-                {"name": self.name, "worker_id": self.worker_id},
+                "/workers/register", {"name": self.name, "worker_id": self.worker_id}
             )
-            if status != 200:
-                if self.stop_event.wait(self.poll_interval_s):
-                    raise ServiceError("worker stopped while registering")
-                continue
-            epoch = int(registration.get("epoch", 0))
-            if self.epoch and epoch and epoch < self.epoch:
-                self.client.rotate()
-                continue
-            if self.worker_id:
-                self.reregistrations += 1
-            self.worker_id = registration["worker_id"]
-            self.renew_every_s = float(registration.get("renew_every_s", 1.0))
-            self.epoch = epoch or self.epoch
-            return
-        raise ServiceError(
-            f"could not register against any of {self.client.endpoints} "
-            f"at epoch >= {self.epoch}"
-        )
-
-    def _post_write(self, path: str, body: dict) -> tuple[int, dict]:
-        """POST a write stamped with our epoch, absorbing one fencing
-        round-trip: fenced by a *newer* epoch means a failover happened
-        under us — re-register (adopting the new epoch) and retry;
-        fenced by an *older* one means a stale leader answered — rotate
-        endpoints and retry.  Second fence in a row is returned as-is.
-        """
-        body = dict(body, epoch=self.epoch)
-        status, response = self.client.post(path, body)
-        if status == 409 and response.get("fenced"):
-            theirs = int(response.get("epoch", 0))
-            if theirs > self.epoch:
-                self._register()
-            else:
-                self.client.rotate()
-            body["epoch"] = self.epoch
-            status, response = self.client.post(path, body)
-        return status, response
+            if status == 200:
+                self.worker_id = registration["worker_id"]
+                self.renew_every_s = float(registration.get("renew_every_s", 1.0))
+                return
+            if self.stop_event.wait(self.poll_interval_s):
+                raise ServiceError("worker stopped while registering")
+        raise ServiceError(f"could not register against {self.client.base_url}")
 
     def run(self) -> dict:
         """The agent main loop; returns run stats when it exits."""
@@ -371,7 +286,7 @@ class WorkerAgent:
         idle_since: float | None = None
         while not self.stop_event.is_set():
             try:
-                status, response = self._post_write(
+                status, response = self.client.post(
                     "/leases", {"worker_id": self.worker_id}
                 )
             except ServiceError:
@@ -440,7 +355,7 @@ class WorkerAgent:
             heartbeat_done.set()
             beat.join(timeout=2.0)
             self.shards_failed += 1
-            self._post_write(
+            self.client.post(
                 "/shards/fail",
                 {
                     "campaign_id": grant["campaign_id"],
@@ -455,7 +370,7 @@ class WorkerAgent:
         beat.join(timeout=2.0)
         if lease_lost.is_set():
             self.leases_lost += 1
-        status, response = self._post_write(
+        status, response = self.client.post(
             "/shards/complete",
             {
                 "campaign_id": grant["campaign_id"],
@@ -523,28 +438,13 @@ class WorkerAgent:
     def _heartbeat(
         self, grant: dict, done: threading.Event, lost: threading.Event
     ) -> None:
-        """Renew the lease until the shard finishes.
-
-        Every renew carries ``reclaim={campaign_id, key}``: a manager
-        that does not know the lease — a promoted standby or a restarted
-        leader, which forgot all soft-state leases — re-establishes it
-        on our shard instead of answering 410, so in-flight work
-        survives the failover under its original worker (and may come
-        back under a fresh lease id, which we adopt).
-        """
+        """Renew the lease until the shard finishes."""
         lease_id = grant["lease_id"]
         while not done.wait(self.renew_every_s):
             try:
-                status, response = self._post_write(
+                status, _ = self.client.post(
                     f"/leases/{lease_id}/renew",
-                    {
-                        "worker_id": self.worker_id,
-                        "progress": self.progress.snapshot(),
-                        "reclaim": {
-                            "campaign_id": grant["campaign_id"],
-                            "key": grant["key"],
-                        },
-                    },
+                    {"worker_id": self.worker_id, "progress": self.progress.snapshot()},
                 )
             except ServiceError:
                 # Manager gone for longer than the client's retry budget:
@@ -555,6 +455,3 @@ class WorkerAgent:
             if status != 200:
                 lost.set()
                 return
-            renewed_id = response.get("lease_id")
-            if renewed_id and renewed_id != lease_id:
-                lease_id = renewed_id  # lease reclaimed after a failover

@@ -15,7 +15,7 @@ out/
 
 Execution rides the campaign runner end to end: points become
 :class:`~repro.experiments.runner.CampaignPoint` tasks, ``jobs`` shards
-them over the process pool, the checkpoint is written incrementally as
+them over local lease workers, the checkpoint is written incrementally as
 points land, and a rerun of the same output directory resumes — a fully
 completed sweep re-executes *zero* points and goes straight to
 analysis.  Trace generation is deduplicated by construction: the trace
@@ -151,7 +151,6 @@ def run_sweep(
     policy: RetryPolicy | None = None,
     recorder=None,
     bus=None,
-    supervise: bool = False,
 ) -> SweepResult:
     """Execute (or resume) a sweep into ``out_dir``.
 
@@ -181,7 +180,6 @@ def run_sweep(
         trace_cache_dir=out / "trace-cache",
         recorder=recorder,
         bus=bus,
-        supervise=supervise,
         campaign_id=f"sweep:{spec.name}",
     )
     return _finish(spec, out, points, campaign, dropped)

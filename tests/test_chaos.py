@@ -26,9 +26,9 @@ from repro.chaos import (
     SpuriousInvalFault,
     corrupted_stream,
     default_faults,
-    run_campaign,
     run_chaos,
     run_corruption_trials,
+    run_fault_campaign,
 )
 from repro.cli import main
 from repro.core import MechanismConfig, TrampolineSkipMechanism
@@ -375,7 +375,7 @@ class TestCampaign:
         # The ISSUE's acceptance bar: >= 5 fault types, >= 1000 injected
         # faults across single- and dual-core runs, zero unsafe skips and
         # zero oracle violations, all corruption trials detected.
-        report = run_campaign(CampaignConfig(seed=2025, min_faults=1000))
+        report = run_fault_campaign(CampaignConfig(seed=2025, min_faults=1000))
         assert report.injected >= 1000
         assert len(report.fault_counts) >= 5
         assert any("dual" in r.label for r in report.runs)
@@ -389,7 +389,7 @@ class TestCampaign:
     def test_campaign_bloom_off_detects_34_hazard(self):
         # Same campaign shape, bloom disabled and the software contract
         # broken: the §3.4 hazard must fire and be detected.
-        report = run_campaign(
+        report = run_fault_campaign(
             CampaignConfig(
                 seed=2025, min_faults=200, use_bloom=False, software_invalidate=False
             )

@@ -2,9 +2,9 @@
 
 Covers the integrity envelope (checksummed, schema-versioned artifacts),
 checkpoint-corruption handling in both the machine cache and the campaign
-checkpoint, the binary trace codec's corruption taxonomy, the campaign
-supervisor (kill/requeue, spill salvage, hang/quarantine), the incident
-recorder, and the ``incidents`` CLI.
+checkpoint, the binary trace codec's corruption taxonomy, the local lease
+workers behind ``run_campaign(jobs > 1)`` (kill/requeue, hang/quarantine),
+the incident recorder, and the ``incidents`` CLI.
 
 The acceptance property threaded through the campaign tests: a campaign
 that survives a SIGKILLed worker and a corrupted machine checkpoint must
@@ -14,9 +14,17 @@ still produce counters identical to an unperturbed serial reference run.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main as cli_main
 from repro.errors import (
     CheckpointCorruptionError,
@@ -29,12 +37,11 @@ from repro.experiments.runner import _load_checkpoint, _save_checkpoint, run_cam
 from repro.experiments.scale import SMOKE
 from repro.isa import events as ev
 from repro.resilience import (
-    CampaignSupervisor,
     FaultPlan,
     IncidentKind,
     IncidentRecorder,
-    ShardState,
-    SupervisorPolicy,
+    LeasePolicy,
+    LocalWorkers,
     integrity,
     payload_checksum,
     read_artifact,
@@ -52,16 +59,14 @@ from repro.uarch.machine import (
     MachineState,
 )
 
-# Fast-converging knobs for supervisor tests: short heartbeats, short
-# deadlines, near-instant backoff.  Wall clock per test stays well under
-# the shortest deadline * retry budget.
-FAST = SupervisorPolicy(
+# Fast-converging knobs for local-worker tests: short deadlines (so
+# heartbeats every 2/3 s), near-instant backoff.  Wall clock per test
+# stays well under the shortest deadline * retry budget.
+FAST = LeasePolicy(
     shard_deadline_s=2.0,
-    heartbeat_interval_s=0.05,
     max_shard_failures=3,
     backoff_base_s=0.05,
     backoff_factor=2.0,
-    poll_interval_s=0.02,
 )
 
 
@@ -69,7 +74,7 @@ FAST = SupervisorPolicy(
 
 
 def _echo_worker(payload):
-    """Module-level (hence picklable under spawn) campaign worker."""
+    """Deterministic shard worker: doubles the payload's value."""
     return {
         "key": payload["key"],
         "failed": False,
@@ -385,7 +390,7 @@ class TestTraceCodec:
             event_from_row(12, 0, 1, 4, 0, 0, 1)
 
 
-# ---------------------------------------------------------- supervisor core
+# ------------------------------------------------------------ local workers
 
 
 def _shards(n: int):
@@ -393,91 +398,77 @@ def _shards(n: int):
 
 
 class TestSupervisor:
-    def test_clean_run(self, tmp_path):
-        sup = CampaignSupervisor(
-            _echo_worker, _shards(3), jobs=2, policy=FAST, spill_dir=tmp_path
-        )
-        report = sup.run()
+    """The local lease loop that supervises ``run_campaign``'s workers."""
+
+    def test_clean_run(self):
+        report = LocalWorkers(_echo_worker, _shards(3), jobs=2, policy=FAST).run()
         assert report.ok and not report.quarantined
         assert sorted(report.outcomes) == ["s0", "s1", "s2"]
         assert report.outcomes["s1"]["summary"] == {"value": 2}
-        assert all(state is ShardState.COMPLETED for state in report.states.values())
 
-    def test_sigkill_requeues_and_completes(self, tmp_path):
+    def test_sigkill_requeues_and_completes(self):
         recorder = IncidentRecorder()
-        sup = CampaignSupervisor(
+        landed = []
+        report = LocalWorkers(
             _echo_worker,
             _shards(3),
             jobs=2,
             policy=FAST,
             recorder=recorder,
             fault_plan=FaultPlan(kill_match="s1", kill_attempts=1),
-            spill_dir=tmp_path,
-        )
-        report = sup.run()
+            on_outcome=lambda key, outcome: landed.append(key),
+        ).run()
         assert report.ok
         # The killed shard still produced the same outcome as its siblings.
         assert report.outcomes["s1"]["summary"] == {"value": 2}
+        assert sorted(landed) == ["s0", "s1", "s2"]
         counts = recorder.counts()
         assert counts["worker_death"] == 1 and counts["shard_requeued"] == 1
 
-    def test_kill_after_spill_salvages(self, tmp_path):
+    def test_more_workers_than_cores_replace_every_dead_worker(self):
+        # "s1" also matches s10 and s11: three first attempts die, each
+        # replaced while the other workers keep leasing.
         recorder = IncidentRecorder()
-        sup = CampaignSupervisor(
+        report = LocalWorkers(
             _echo_worker,
-            _shards(2),
-            jobs=2,
+            _shards(12),
+            jobs=4,
             policy=FAST,
             recorder=recorder,
-            fault_plan=FaultPlan(kill_match="s0", kill_attempts=99, kill_after_spill=True),
-            spill_dir=tmp_path,
-        )
-        report = sup.run()
+            fault_plan=FaultPlan(kill_match="s1", kill_attempts=1),
+        ).run()
         assert report.ok
-        assert report.outcomes["s0"]["salvaged"] is True
-        assert report.outcomes["s0"]["summary"] == {"value": 0}
-        assert report.states["s0"] is ShardState.SALVAGED
-        assert recorder.counts()["shard_salvaged"] == 1
+        assert {k: o["summary"]["value"] for k, o in report.outcomes.items()} == {
+            f"s{i}": 2 * i for i in range(12)
+        }
+        assert recorder.counts()["worker_death"] == 3
 
-    def test_hang_quarantines_after_budget(self, tmp_path):
-        policy = SupervisorPolicy(
-            shard_deadline_s=0.5,
-            heartbeat_interval_s=0.05,
-            max_shard_failures=2,
-            backoff_base_s=0.05,
-            poll_interval_s=0.02,
+    def test_hang_quarantines_after_budget(self):
+        policy = LeasePolicy(
+            shard_deadline_s=0.5, max_shard_failures=2, backoff_base_s=0.05
         )
         recorder = IncidentRecorder()
-        sup = CampaignSupervisor(
+        report = LocalWorkers(
             _echo_worker,
             _shards(2),
             jobs=2,
             policy=policy,
             recorder=recorder,
             fault_plan=FaultPlan(hang_match="s0", hang_attempts=99),
-            spill_dir=tmp_path,
-        )
-        report = sup.run()
+        ).run()
         # The campaign *completes*, degraded: the healthy shard's result is
         # present, the wedged one is quarantined with its failure history.
         assert not report.ok
         assert "s0" in report.quarantined and "s1" in report.outcomes
-        assert report.states["s0"] is ShardState.QUARANTINED
+        assert report.quarantined["s0"]["failures"] == 2
         counts = recorder.counts()
         assert counts["worker_hang"] == 2 and counts["shard_quarantined"] == 1
 
-    def test_worker_exception_quarantines(self, tmp_path):
-        policy = SupervisorPolicy(
-            shard_deadline_s=2.0,
-            heartbeat_interval_s=0.05,
-            max_shard_failures=2,
-            backoff_base_s=0.02,
-            poll_interval_s=0.02,
+    def test_worker_exception_quarantines(self):
+        policy = LeasePolicy(
+            shard_deadline_s=2.0, max_shard_failures=2, backoff_base_s=0.02
         )
-        sup = CampaignSupervisor(
-            _raising_worker, _shards(1), jobs=1, policy=policy, spill_dir=tmp_path
-        )
-        report = sup.run()
+        report = LocalWorkers(_raising_worker, _shards(1), jobs=1, policy=policy).run()
         assert not report.ok and "s0" in report.quarantined
         assert "RuntimeError" in report.quarantined["s0"]["last_error"]
 
@@ -485,7 +476,66 @@ class TestSupervisor:
         from repro.errors import SupervisorError
 
         with pytest.raises(SupervisorError, match="unique"):
-            CampaignSupervisor(_echo_worker, [("a", 1), ("a", 2)])
+            LocalWorkers(_echo_worker, [("a", 1), ("a", 2)])
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat"), reason="reads process state from /proc"
+    )
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        # A parent killed outright (SIGKILL, OOM) runs no cleanup.  Its
+        # idle worker must read EOF and exit; its busy worker must exit
+        # once it finds nobody to deliver to.
+        script = textwrap.dedent(
+            """
+            import os, sys, time
+            from repro.resilience import LeasePolicy, LocalWorkers
+
+            def work(name):
+                with open(os.path.join(sys.argv[1], name + ".pid"), "w") as fh:
+                    fh.write(str(os.getpid()))
+                if name == "slow":
+                    time.sleep(3.0)
+                return {"summary": {}}
+
+            LocalWorkers(
+                work, [("fast", "fast"), ("slow", "slow")], jobs=2,
+                policy=LeasePolicy(shard_deadline_s=60.0),
+            ).run()
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        parent = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env)
+        pid_files = [tmp_path / "fast.pid", tmp_path / "slow.pid"]
+        pids: list[int] = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while not all(f.exists() and f.read_text() for f in pid_files):
+                assert parent.poll() is None, "parent exited before the kill"
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.02)
+            pids = [int(f.read_text()) for f in pid_files]
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 15.0
+            while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)], "orphaned workers live on"
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 # ------------------------------------------------------ resilient campaigns
@@ -528,12 +578,11 @@ class TestSupervisedCampaign:
             SMOKE,
             abtb_sizes=ABTB,
             jobs=2,
-            supervise=True,
             machine_cache_dir=cache_dir,
             checkpoint_path=checkpoint,
             manifest_path=manifest,
             recorder=recorder,
-            supervisor_policy=FAST,
+            lease_policy=FAST,
             fault_plan=FaultPlan(kill_match="memcached", kill_attempts=1),
         )
         assert result.ok and not result.degraded
@@ -549,12 +598,8 @@ class TestSupervisedCampaign:
         assert payload["incident_counts"] == counts
 
     def test_quarantine_yields_degraded_partial_manifest(self, tmp_path):
-        policy = SupervisorPolicy(
-            shard_deadline_s=1.0,
-            heartbeat_interval_s=0.05,
-            max_shard_failures=1,
-            backoff_base_s=0.05,
-            poll_interval_s=0.02,
+        policy = LeasePolicy(
+            shard_deadline_s=1.0, max_shard_failures=1, backoff_base_s=0.05
         )
         recorder = IncidentRecorder()
         manifest = tmp_path / "manifest.json"
@@ -563,9 +608,8 @@ class TestSupervisedCampaign:
             SMOKE,
             abtb_sizes=ABTB,
             jobs=2,
-            supervise=True,
             recorder=recorder,
-            supervisor_policy=policy,
+            lease_policy=policy,
             fault_plan=FaultPlan(hang_match="memcached", hang_attempts=99),
             manifest_path=manifest,
         )
@@ -588,9 +632,8 @@ class TestSupervisedCampaign:
             SMOKE,
             abtb_sizes=ABTB,
             jobs=2,
-            supervise=True,
             recorder=recorder,
-            supervisor_policy=FAST,
+            lease_policy=FAST,
             checkpoint_path=checkpoint,
             fault_plan=FaultPlan(kill_match="apache", kill_attempts=1),
         )
@@ -601,8 +644,7 @@ class TestSupervisedCampaign:
             SMOKE,
             abtb_sizes=ABTB,
             jobs=2,
-            supervise=True,
-            supervisor_policy=FAST,
+            lease_policy=FAST,
             checkpoint_path=checkpoint,
         )
         assert resumed.resumed == len(resumed.completed)
@@ -651,10 +693,10 @@ class TestIncidentRecorder:
     def test_extend_dicts_drops_garbage(self):
         recorder = IncidentRecorder()
         donor = IncidentRecorder(clock=lambda: 1.0)
-        donor.record(IncidentKind.SHARD_SALVAGED, "from worker")
+        donor.record(IncidentKind.WORKER_HANG, "from worker")
         absorbed = recorder.extend_dicts(donor.as_dicts() + [{"nope": True}, 42])
         assert absorbed == 1
-        assert recorder.counts() == {"shard_salvaged": 1}
+        assert recorder.counts() == {"worker_hang": 1}
 
 
 # ------------------------------------------------------------ incidents CLI

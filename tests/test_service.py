@@ -4,10 +4,12 @@ Covers the lease queue's deadline/backoff/quarantine semantics under a
 fake clock, the strict request schemas, the write-ahead journal's
 corruption taxonomy (torn tail vs bit flip vs snapshot loss), the
 content-addressed result store's idempotence, the manager state machine
-(including restart recovery and journal-corruption healing), the REST
-API over real HTTP, the worker agent, and the shutdown-hardening
-satellites (KeyboardInterrupt flushes checkpoints; missing files are
-silent misses, not incidents).
+(including restart recovery and journal-corruption healing), idempotent
+delivery (duplicated registers, fails, submits and every worker-facing
+POST), the ``ManagerClient`` retry contract, campaign-aware result-store
+gc, the REST API over real HTTP, the worker agent, and the
+shutdown-hardening satellites (KeyboardInterrupt flushes checkpoints,
+sharded ones included; missing files are silent misses, not incidents).
 
 The acceptance property: a service campaign that loses a worker to
 SIGKILL *and* has its manager killed and restarted mid-run must produce
@@ -19,34 +21,38 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import threading
 import time
 
 import pytest
 
 from repro.cli import build_parser, main as cli_main
-from repro.errors import SchemaError, ServiceError
+from repro.errors import SchemaError, ServiceError, SupervisorError
+from repro.experiments import runner
 from repro.experiments.runner import (
     _load_checkpoint,
     _save_checkpoint,
+    pair_key,
     run_campaign,
 )
 from repro.experiments.scale import SMOKE
-from repro.resilience import IncidentRecorder, SupervisorPolicy
+from repro.resilience import IncidentRecorder, LeasePolicy, LeaseQueue, ShardPhase
 from repro.resilience.integrity import read_artifact
 from repro.service import (
     CampaignManager,
     CampaignSpec,
     CompleteRequest,
     Journal,
-    LeaseQueue,
+    ResultGcPolicy,
     ResultStore,
-    ShardPhase,
+    collect_garbage,
+    referenced_result_keys,
     shard_result_key,
 )
 from repro.service.api import ManagerServer
 from repro.service.schemas import FailRequest, LeaseRequest
 from repro.service.store import RESULT_SCHEMA, RESULT_SCHEMA_VERSION
-from repro.service.worker import ManagerClient, WorkerAgent
+from repro.service.worker import ManagerClient, WorkerAgent, http_exchange
 
 
 class Clock:
@@ -63,12 +69,11 @@ class Clock:
 
 
 #: Fast-converging lease knobs: TTL 10s on the fake clock, tiny backoff.
-FAST = SupervisorPolicy(
+FAST = LeasePolicy(
     shard_deadline_s=10.0,
     max_shard_failures=3,
     backoff_base_s=1.0,
     backoff_factor=2.0,
-    poll_interval_s=0.01,
 )
 
 
@@ -83,6 +88,20 @@ def _outcome(key: str, failed: str | None = None) -> dict:
         "failed": None,
         "summary": {"speedup": 1.0 + len(key) / 100.0, "instructions": 1000},
     }
+
+
+SPEC = CampaignSpec(workloads=("apache",), abtb_sizes=(16,))
+
+
+def _complete(manager, cid: str, key: str, worker: str = "w001"):
+    return manager.complete(
+        CompleteRequest(
+            campaign_id=cid,
+            key=key,
+            worker_id=worker,
+            outcome={"summary": {"probe": key}, "attempts": 1},
+        )
+    )
 
 
 # --------------------------------------------------------------- lease queue
@@ -109,7 +128,7 @@ class TestLeaseQueue:
     def test_duplicate_add_rejected(self):
         q, _ = self._queue()
         q.add("a", {})
-        with pytest.raises(ServiceError):
+        with pytest.raises(SupervisorError):
             q.add("a", {})
 
     def test_renew_extends_deadline(self):
@@ -541,6 +560,28 @@ class TestManager:
         assert recovered.status(cid)["state"] == "complete"
         assert recovered.result(cid).completed == expected.completed
 
+    def test_result_lost_after_completion_is_recomputed(self, tmp_path):
+        manager, _ = self._manager(tmp_path)
+        cid = manager.submit(CampaignSpec(workloads=("apache",), abtb_sizes=(16, 64)))
+        _drain(manager)
+        expected = manager.result(cid)
+        assert expected is not None
+        lost = next(iter(manager.campaigns[cid].shards.values()))
+        manager.store.path(lost.result_key).unlink()
+        # The gap is not published: the shard goes back in line.
+        assert manager.result(cid) is None
+        assert manager.status(cid)["state"] == "running"
+        grant = manager.lease("w")
+        assert grant["key"] == lost.key
+        manager.complete(
+            CompleteRequest(
+                campaign_id=cid, key=lost.key, worker_id="w",
+                outcome=_outcome(lost.key),
+            )
+        )
+        assert manager.status(cid)["state"] == "complete"
+        assert manager.result(cid).completed == expected.completed
+
     def test_graceful_shutdown_snapshots_and_refuses_further_work(self, tmp_path):
         manager, _ = self._manager(tmp_path)
         manager.submit(CampaignSpec(workloads=("apache",), abtb_sizes=(16,)))
@@ -551,6 +592,350 @@ class TestManager:
         # Restart from the snapshot alone (WAL was truncated into it).
         recovered = CampaignManager(tmp_path / "svc", policy=FAST, clock=Clock())
         assert recovered.status("c0001")["state"] == "running"
+
+
+# ------------------------------------------- registration + fail dedupe
+
+
+class TestIdempotentDelivery:
+    def test_reregistration_keeps_the_worker_id(self, tmp_path):
+        manager = CampaignManager(tmp_path / "svc", policy=FAST)
+        first = manager.register_worker("a")
+        again = manager.register_worker("a", worker_id=first["worker_id"])
+        assert again["worker_id"] == first["worker_id"]
+        assert len(manager.workers) == 1
+
+    def test_foreign_worker_id_is_adopted_not_collided(self, tmp_path):
+        # A brought id the manager never granted is adopted; one shaped
+        # like the manager's own (wNNN) steps its counter past it, so a
+        # fresh grant never collides with it.
+        manager = CampaignManager(tmp_path / "svc", policy=FAST)
+        grant = manager.register_worker("survivor", worker_id="w007-old")
+        assert grant["worker_id"] == "w007-old"
+        fresh = manager.register_worker("newcomer")
+        assert fresh["worker_id"] != "w007-old"
+        assert len(manager.workers) == 2
+
+    def test_duplicate_fail_burns_one_unit_of_quarantine_budget(self, tmp_path):
+        manager = CampaignManager(tmp_path / "svc", policy=FAST)
+        cid = manager.submit(SPEC)
+        key = next(iter(manager.campaigns[cid].shards))
+        first = manager.fail(cid, key, "boom", "w001", attempt=1)
+        second = manager.fail(cid, key, "boom", "w001", attempt=1)
+        assert first["status"] != "deduped"
+        assert second["status"] == "deduped"
+        assert manager.campaigns[cid].shards[key].failures == 1
+
+
+# ------------------------------------------------------------ client
+
+
+def _transport_script(script: list):
+    """A transport that pops canned behaviours: an exception instance to
+    raise, or a ``(status, bytes)`` tuple to return."""
+
+    calls: list[str] = []
+
+    def transport(url, method, data, timeout_s):  # noqa: ARG001
+        calls.append(url)
+        action = script.pop(0)
+        if isinstance(action, Exception):
+            raise action
+        return action
+
+    transport.calls = calls
+    return transport
+
+
+class TestManagerClient:
+    #: Never dialled: every request goes through the scripted transport.
+    URL = "http://127.0.0.1:9"
+
+    def _client(self, transport) -> ManagerClient:
+        return ManagerClient(
+            self.URL, retries=3, retry_delay_s=0.0,
+            sleep_fn=lambda s: None, transport=transport,
+        )
+
+    def test_injected_502_is_retried_in_place(self):
+        transport = _transport_script(
+            [(502, b'{"error": "injected"}'), (200, b'{"ok": true}')]
+        )
+        assert self._client(transport).get("/x") == (200, {"ok": True})
+        assert transport.calls == [f"{self.URL}/x"] * 2
+
+    def test_503_is_not_retried(self):
+        # 503 is the graceful-shutdown answer; retrying it would hide
+        # the drain signal from workers.
+        transport = _transport_script([(503, b'{"error": "stopping"}')])
+        status, _ = self._client(transport).post("/leases", {"worker_id": "w"})
+        assert status == 503
+
+    def test_truncated_body_is_a_transport_failure_not_an_answer(self):
+        transport = _transport_script(
+            [(200, b'{"worker_id": "w00'), (200, b'{"worker_id": "w001"}')]
+        )
+        assert self._client(transport).post("/workers/register", {}) == (
+            200, {"worker_id": "w001"},
+        )
+
+    def test_exhausted_retries_raise_service_error(self):
+        transport = _transport_script([ConnectionError("down")] * 4)
+        with pytest.raises(ServiceError):
+            self._client(transport).get("/x")
+
+    def test_get_text_goes_through_the_transport_and_retries(self):
+        # submit --incidents-out fetches /incidents with get_text while
+        # the manager may be restarting: a refused connection is retried
+        # like any get/post, not escaped as a URLError.
+        transport = _transport_script(
+            [ConnectionError("restarting"), (200, b'{"kind": "shutdown"}\n')]
+        )
+        status, text = self._client(transport).get_text("/incidents")
+        assert (status, text) == (200, '{"kind": "shutdown"}\n')
+        assert transport.calls == [f"{self.URL}/incidents"] * 2
+
+
+# ----------------------------------- duplicate-delivery property (HTTP)
+
+
+def _duplicating_transport(duplicate: bool):
+    """The real HTTP transport, delivering every POST twice when
+    ``duplicate``: at-least-once delivery, where the caller sees the
+    second answer, as after a lost acknowledgement and a retry."""
+
+    def transport(url, method, data, timeout_s):
+        if duplicate and method == "POST":
+            http_exchange(url, method, data, timeout_s)
+        return http_exchange(url, method, data, timeout_s)
+
+    return transport
+
+
+def _scripted_state(tmp_path, name: str, duplicate: bool) -> dict:
+    """Run the same worker-facing POST script against a live server,
+    optionally with every POST duplicated, and return the observable
+    state."""
+    recorder = IncidentRecorder()
+    manager = CampaignManager(tmp_path / name, policy=FAST, recorder=recorder)
+    server = ManagerServer(manager, port=0)
+    server.start()
+    try:
+        client = ManagerClient(
+            server.url, retries=4, retry_delay_s=0.0,
+            sleep_fn=lambda s: None, transport=_duplicating_transport(duplicate),
+        )
+        # Submit through a clean control client: submit is control-plane
+        # and deliberately not id-keyed (its duplicate semantics are the
+        # store-dedupe test below).  Every *worker-facing* POST goes
+        # through the duplicating transport.
+        control = ManagerClient(server.url, retries=0)
+        status, body = control.post(
+            "/campaigns", {"workloads": ["apache"], "abtb_sizes": [16, 64]}
+        )
+        assert status == 201
+        cid = body["campaign_id"]
+        # Registration carries an explicit worker_id, as the worker
+        # agent's does: that is what makes a duplicated register
+        # re-register instead of minting a ghost.
+        status, _ = client.post(
+            "/workers/register", {"name": "dup", "worker_id": "w9"}
+        )
+        assert status == 200
+        status, grant = client.post("/leases", {"worker_id": "w9"})
+        assert status == 200 and grant["lease"]
+        lease = grant["lease"]
+        status, _ = client.post(
+            f"/leases/{lease['lease_id']}/renew",
+            {"worker_id": "w9", "progress": {"events_done": 5}},
+        )
+        assert status == 200
+        status, done = client.post(
+            "/shards/complete",
+            {
+                "campaign_id": lease["campaign_id"],
+                "key": lease["key"],
+                "worker_id": "w9",
+                "outcome": {"summary": {"probe": 1}, "attempts": 1},
+            },
+        )
+        assert status == 200
+        status, second = client.post("/leases", {"worker_id": "w9"})
+        assert status == 200 and second["lease"]
+        status, failed = client.post(
+            "/shards/fail",
+            {
+                "campaign_id": second["lease"]["campaign_id"],
+                "key": second["lease"]["key"],
+                "worker_id": "w9",
+                "error": "scripted failure",
+                "attempt": int(second["lease"]["attempt"]),
+            },
+        )
+        assert status == 200
+        return {
+            "campaign": {
+                k: v
+                for k, v in manager.status(cid).items()
+                if k in ("state", "shards")
+            },
+            "failures": {
+                key: meta.failures
+                for key, meta in manager.campaigns[cid].shards.items()
+            },
+            "workers": sorted(manager.workers),
+            "store_keys": sorted(manager.store.keys()),
+            "incident_kinds": [i.kind for i in recorder.incidents],
+        }
+    finally:
+        server.stop(graceful=True)
+
+
+class TestDuplicateDeliveryProperty:
+    def test_every_worker_post_replayed_twice_is_a_noop(self, tmp_path):
+        plain = _scripted_state(tmp_path, "plain", duplicate=False)
+        doubled = _scripted_state(tmp_path, "doubled", duplicate=True)
+        assert doubled == plain
+
+    def test_worker_agent_register_delivered_twice_adds_one_worker(self, tmp_path):
+        manager = CampaignManager(tmp_path / "svc", policy=FAST)
+        server = ManagerServer(manager, port=0)
+        server.start()
+        try:
+            agent = WorkerAgent(
+                ManagerClient(
+                    server.url, retries=0, transport=_duplicating_transport(True)
+                ),
+                name="dup",
+            )
+            agent._register()
+            assert sorted(manager.workers) == [agent.worker_id]
+        finally:
+            server.stop(graceful=True)
+
+    def test_duplicated_submit_converges_via_the_result_store(self, tmp_path):
+        # Submit is control-plane and not id-keyed, so a duplicated
+        # submit makes a second campaign — but once results exist, the
+        # duplicate completes instantly from the store: same counters,
+        # zero re-execution.
+        manager = CampaignManager(tmp_path / "svc", policy=FAST)
+        cid = manager.submit(SPEC)
+        key = next(iter(manager.campaigns[cid].shards))
+        _complete(manager, cid, key)
+        dup = manager.submit(SPEC)
+        assert manager.status(dup)["state"] == "complete"
+        assert manager.result(dup).completed == manager.result(cid).completed
+
+
+# ------------------------------------------------------------------ gc
+
+
+class TestResultGc:
+    def _populated(self, tmp_path):
+        manager = CampaignManager(tmp_path / "svc", policy=FAST)
+        cid = manager.submit(SPEC)
+        key = next(iter(manager.campaigns[cid].shards))
+        _complete(manager, cid, key)
+        # Two orphans: results no live campaign references.
+        manager.store.put(
+            shard_result_key("nginx", 64, "smoke"),
+            {"orphan": 1}, {},
+        )
+        manager.store.put(
+            shard_result_key("redis", 64, "smoke"),
+            {"orphan": 2}, {},
+        )
+        manager.shutdown()
+        return tmp_path / "svc", manager.campaigns[cid].shards[key].result_key
+
+    def test_policy_refuses_to_guess(self):
+        with pytest.raises(ServiceError):
+            ResultGcPolicy()
+
+    def test_live_campaign_results_are_never_evicted(self, tmp_path):
+        data_dir, live_key = self._populated(tmp_path)
+        assert live_key in referenced_result_keys(data_dir)
+        recorder = IncidentRecorder()
+        report = collect_garbage(
+            data_dir, ResultGcPolicy(max_age_s=0.0), recorder=recorder
+        )
+        assert report.examined == 3
+        assert report.protected == 1
+        assert len(report.evicted) == 2
+        assert live_key not in report.evicted
+        assert [i.kind for i in recorder.incidents] == [
+            "result_evicted", "result_evicted",
+        ]
+        # The store now holds exactly the protected entry.
+        remaining = collect_garbage(data_dir, ResultGcPolicy(max_age_s=0.0))
+        assert remaining.examined == 1 and not remaining.evicted
+
+    def test_count_retention_keeps_newest_unprotected(self, tmp_path):
+        data_dir, _ = self._populated(tmp_path)
+        report = collect_garbage(data_dir, ResultGcPolicy(max_count=1))
+        assert len(report.evicted) == 1  # oldest orphan only
+
+    def test_dry_run_deletes_nothing(self, tmp_path):
+        data_dir, _ = self._populated(tmp_path)
+        report = collect_garbage(
+            data_dir, ResultGcPolicy(max_age_s=0.0, dry_run=True)
+        )
+        assert len(report.evicted) == 2 and report.dry_run
+        # Nothing actually went away.
+        again = collect_garbage(
+            data_dir, ResultGcPolicy(max_age_s=0.0, dry_run=True)
+        )
+        assert again.examined == 3
+
+    def test_cancelled_campaigns_protect_nothing(self, tmp_path):
+        manager = CampaignManager(tmp_path / "svc", policy=FAST)
+        cid = manager.submit(SPEC)
+        key = next(iter(manager.campaigns[cid].shards))
+        _complete(manager, cid, key)
+        manager.cancel(cid)
+        manager.shutdown()
+        assert referenced_result_keys(tmp_path / "svc") == set()
+
+    def test_gc_cli(self, tmp_path, capsys):
+        data_dir, _ = self._populated(tmp_path)
+        rc = cli_main(
+            [
+                "service", "gc",
+                "--data-dir", str(data_dir),
+                "--max-age-s", "0",
+                "--json",
+            ]
+        )
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["evicted_count"] == 2 and payload["protected"] == 1
+
+
+# ------------------------------------------------------------ sweeper
+
+
+class TestSweeperHardening:
+    def test_sweep_survives_transient_tick_failures(self, tmp_path):
+        manager = CampaignManager(tmp_path / "svc", policy=FAST)
+        server = ManagerServer(manager, port=0, idle_retry_s=0.01)
+        original_tick = manager.tick
+        blew_up = threading.Event()
+        ticked_after = threading.Event()
+
+        def flaky_tick():
+            if not blew_up.is_set():
+                blew_up.set()
+                raise RuntimeError("transient sweep hiccup")
+            ticked_after.set()
+            return original_tick()
+
+        manager.tick = flaky_tick
+        server.start()
+        try:
+            assert ticked_after.wait(5.0), "sweeper died on a transient error"
+        finally:
+            manager.tick = original_tick
+            server.stop(graceful=True)
 
 
 # ---------------------------------------------------------------- rest api
@@ -657,6 +1042,44 @@ class TestShutdownHardening:
         resumed = _load_checkpoint(checkpoint, recorder)
         assert set(resumed) == {"apache::abtb=16::scale=smoke"}
 
+    def test_sharded_interrupt_keeps_every_landed_pair(self, tmp_path, monkeypatch):
+        """SIGINT after a worker's pair landed (and was checkpointed) but
+        before the task-order merge: the flush must not erase it, and a
+        resume must skip it."""
+        checkpoint = tmp_path / "campaign.json"
+        held: list[list[str]] = []
+        real_save = runner._save_checkpoint
+
+        def save_then_interrupt(path, completed):
+            real_save(path, completed)
+            held.append(sorted(completed))
+            if len(held) == 1:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner, "_campaign_worker", _synthetic_campaign_worker)
+        monkeypatch.setattr(runner, "_save_checkpoint", save_then_interrupt)
+        recorder = IncidentRecorder()
+        keys = {pair_key(w, n, "smoke") for w in ("apache", "memcached") for n in (16, 64)}
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                ["apache", "memcached"], SMOKE, abtb_sizes=(16, 64),
+                checkpoint_path=checkpoint, jobs=2, recorder=recorder,
+            )
+        assert len(held[0]) == 1
+        flushed = _load_checkpoint(checkpoint, None)
+        assert sorted(flushed) == held[0]  # the landed pair survived the flush
+        shutdown = [i for i in recorder.incidents if i.kind == "shutdown"]
+        assert shutdown[0].context["completed"] == len(flushed)
+
+        monkeypatch.setattr(runner, "_save_checkpoint", real_save)
+        resumed = run_campaign(
+            ["apache", "memcached"], SMOKE, abtb_sizes=(16, 64),
+            checkpoint_path=checkpoint, jobs=2,
+        )
+        assert resumed.resumed == len(flushed)
+        assert set(resumed.attempts) == keys - set(flushed)  # only the rest ran
+        assert set(resumed.completed) == keys
+
     def test_load_checkpoint_missing_is_silent(self, tmp_path):
         recorder = IncidentRecorder()
         assert _load_checkpoint(tmp_path / "absent.json", recorder) == {}
@@ -715,6 +1138,12 @@ class TestShutdownHardening:
         assert json.loads((tmp_path / "t.json").read_text())["traceEvents"]
 
 
+def _synthetic_campaign_worker(task: dict) -> dict:
+    """Stands in for ``runner._campaign_worker`` in forked workers: a
+    deterministic outcome per key, no simulation."""
+    return _outcome(task["key"])
+
+
 # ------------------------------------------------------------- worker + e2e
 
 
@@ -738,7 +1167,7 @@ class TestWorkerAndRecoveryE2E:
     def test_worker_agent_executes_real_shard(self, tmp_path):
         cache = str(tmp_path / "cache")
         serial = run_campaign(["apache"], SMOKE, abtb_sizes=(16,), machine_cache_dir=cache)
-        manager = CampaignManager(tmp_path / "svc", policy=SupervisorPolicy())
+        manager = CampaignManager(tmp_path / "svc", policy=LeasePolicy())
         server = ManagerServer(manager, port=0)
         server.start()
         try:
@@ -769,7 +1198,7 @@ class TestWorkerAndRecoveryE2E:
             ["apache"], SMOKE, abtb_sizes=(16, 64, 256), machine_cache_dir=cache
         )
 
-        policy = SupervisorPolicy(shard_deadline_s=3.0, max_shard_failures=5)
+        policy = LeasePolicy(shard_deadline_s=3.0, max_shard_failures=5)
         data_dir = tmp_path / "svc"
         manager1 = CampaignManager(data_dir, policy=policy)
         server1 = ManagerServer(manager1, port=0)

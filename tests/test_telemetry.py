@@ -32,7 +32,7 @@ from repro.obs.dashboard import (
 from repro.obs.events import Event, EventBus, downsample, load_event_log
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import TrampolineProfiler
-from repro.resilience import IncidentRecorder, SupervisorPolicy
+from repro.resilience import IncidentRecorder, LeasePolicy
 from repro.service import CampaignManager, CampaignSpec
 from repro.service.api import ManagerServer
 from repro.service.schemas import RenewRequest, ShardProgress
@@ -54,12 +54,11 @@ class Clock:
         self.t += dt
 
 
-FAST = SupervisorPolicy(
+FAST = LeasePolicy(
     shard_deadline_s=10.0,
     max_shard_failures=3,
     backoff_base_s=1.0,
     backoff_factor=2.0,
-    poll_interval_s=0.01,
 )
 
 
@@ -716,9 +715,9 @@ class TestWorkerProgressEndToEnd:
         gone."""
         # A short lease TTL makes the heartbeat renew every TTL/3 —
         # several renews land while even a smoke shard is running.
-        policy = SupervisorPolicy(
+        policy = LeasePolicy(
             shard_deadline_s=1.0, max_shard_failures=3,
-            backoff_base_s=0.1, backoff_factor=2.0, poll_interval_s=0.01,
+            backoff_base_s=0.1, backoff_factor=2.0,
         )
         manager = CampaignManager(tmp_path / "svc", policy=policy)
         server = ManagerServer(manager, port=0)
