@@ -6,8 +6,8 @@ claim mechanically rather than trusting it:
 
 * :func:`diff_backends` runs the same materialised event stream through a
   reference CPU and a :class:`~repro.uarch.backend.BatchedBackend`-driven
-  CPU built from the same factory.  At every backend sync point (batch
-  boundary, no lookahead outstanding) the reference machine is advanced to
+  CPU built from the same factory.  At every backend sync point (window
+  end, no lookahead outstanding) the reference machine is advanced to
   the identical stream position and the two full :meth:`CPU.snapshot`
   payloads — every counter, every cache/TLB/BTB entry and LRU order, the
   float cycle clock, mechanism state, marks — are compared field by field.
@@ -21,9 +21,10 @@ claim mechanically rather than trusting it:
 
 Reference-side chunking is sound because sync positions are *pair-closed*:
 the backend never reports a sync point between a trampoline pair head and
-its tail (boundary-crossing pairs retire through the fallback before the
-sync fires), so replaying ``events[done:position]`` through the reference
-interpreter cannot split a lookahead window either.
+the rows its lookahead reads (a window ending on a pair head borrows them
+from the next batch before the sync fires), so replaying
+``events[done:position]`` through the reference interpreter cannot split
+a lookahead window either.
 """
 
 from __future__ import annotations

@@ -1365,7 +1365,11 @@ def _prefill_caches(
             )
             if machine_cache.load(base_key) is not None:
                 continue
-            retire(cpu, (bundle.startup, bundle.warmup))
+            # Two streams, as run_workload retires them: a pair head at
+            # the end of start-up must not pair across the boundary.
+            retire(cpu, (bundle.startup,))
+            if warmup:
+                retire(cpu, (bundle.warmup,))
             cpu.finalize()
             machine_cache.save(
                 base_key,

@@ -5,7 +5,7 @@ objects into one numpy structured array plus a small tag table.  The
 batched form is what the vectorized simulation backend
 (:mod:`repro.uarch.backend`) consumes: numeric columns can be shifted and
 masked for a whole batch at once (cache-line and TLB-page indexing), and
-the scalar hot loop then reads plain Python lists instead of touching one
+the per-structure passes then read plain Python lists instead of touching one
 attribute-heavy event object per step.
 
 The representation is lossless: ``TraceBatch.from_events`` followed by

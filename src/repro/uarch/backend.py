@@ -1,54 +1,68 @@
-"""Batched (vectorized hot path) simulation backend.
+"""Batched simulation backend: retire one structure at a time.
 
 The reference interpreter (:meth:`repro.uarch.cpu.CPU.run`) dispatches one
-handler call per :class:`~repro.isa.events.TraceEvent` and pays Python
-attribute-access overhead for every counter bump and structure probe.  On
-the long workload profiles ~99% of events are straight-line ``BLOCK``
-runs, plain ``LOAD``/``STORE`` accesses, branches, and direct or
-indirect calls and jumps (including the call + ``jmp *GOT`` trampoline
-pairs the paper's mechanism targets) — kinds whose entire effect is
-cache/TLB/predictor arithmetic plus calls into mechanism-owned state.
+handler per :class:`~repro.isa.events.TraceEvent` and touches every
+structure for every event.  :class:`BatchedBackend` retires the same
+stream as numpy :class:`~repro.trace.batch.TraceBatch` windows of at most
+``batch_events`` rows, and within a window it visits each structure once,
+in passes:
 
-:class:`BatchedBackend` exploits that split:
+1. **control** — a scalar pass over the branch, call, store and
+   coherence rows only.  It owns the BTB, gshare, RAS, ABTB and Bloom
+   filter and fires every :class:`~repro.uarch.cpu.CPUHooks` callback,
+   following ``CPU._trampoline_pair`` and the branch handlers row by row.
+   Trampoline pairs are found from the trace alone (a ``CALL_DIRECT``
+   followed by the ``JMP_INDIRECT`` at its target, optionally through a
+   ≤12-byte ``BLOCK`` stub), so the pass yields a *fetch mask* without
+   the stub rows of skipped pairs, a *data mask* (loads, stores,
+   indirect-call loads and the GOT loads of executed jumps) and the rows
+   charged a misprediction or a BTB bubble;
+2. **L1I** and **I-TLB** over the lines and pages of the fetched rows;
+3. **D-TLB** and **L1D** over the data rows;
+4. **L2** over both sides' L1 misses in row order, I-side before D-side
+   within a row (I-side probes use the L1I line number, as ``CPU._fetch``
+   passes it to ``l2.access_line``);
+5. **cycles and marks** from cumulative sums.
 
-* the event stream is cut into :class:`~repro.trace.batch.TraceBatch`
-  chunks (numpy structured arrays); cache-line and TLB-page numbers for
-  whole batches are derived with vectorized shifts up front;
-* a tight scalar loop retires the fast kinds against local copies of the
-  hot counters and the live cache/TLB/BTB/gshare/RAS state, mirroring
-  :meth:`CPU._fetch` / :meth:`CPU._data_access` / the branch and
-  trampoline-pair handlers operation-for-operation — including float
-  addition order, so cycle totals are bit-identical.  Consecutive
-  touches of the same cache line or TLB page (the common case for
-  sequential fetch) are retired as guaranteed hits without re-probing
-  the set, which is exact because the most recently used entry of a
-  structure cannot have been evicted.  Trampoline-pair lookahead becomes
-  an index peek at the next batch rows instead of a cursor round trip;
-* everything else — context switches, coherence invalidations, calls
-  whose trampoline lookahead crosses the batch boundary, and every kind
-  when hooks observe the CPU — *falls back to the reference
-  interpreter*: local state is synced into the
-  CPU, the event retires through ``CPU._dispatch`` exactly as the
-  reference backend would retire it, and the locals are reloaded.
+Nothing on the control side reads cache or TLB state and every cache and
+TLB keeps its own LRU stamp, so the passes are exact.  Within a cache or
+TLB pass a run of ``r`` consecutive touches of one line or page is one
+probe whose entry takes the stamp after the run: the most recently used
+entry cannot have been evicted, so the remaining touches are hits.
 
-Because the fallback runs the reference code itself and the fast path is
-a literal transcription of it, the two backends are counter-for-counter
-equivalent — a property enforced mechanically by :mod:`repro.difftest`
-rather than assumed.
+**Cycles** stay bit-identical to the reference's float sum.  Every row
+gets slots in the order the reference adds its charges::
 
-The backend reports a *sync point* after every batch (``sync_hook``): at
-that moment no lookahead is outstanding, ``counters.cycles`` is synced,
-and a full :meth:`CPU.snapshot` is comparable against a reference run
-that consumed the same number of stream events.
+    n_instr*base_cpi, (l1i_miss, l2_miss) per missed line,
+    itlb_misses*itlb_miss, dtlb_miss, l1d_miss, l2_miss, branch, bubble
+
+A slot without a charge holds 0.0, which changes no sum.  ``branch`` is
+the misprediction or BTB bubble of the row; ``bubble`` is only used by a
+taken conditional branch (its gshare misprediction comes first).  The
+slots are folded with one sequential ``np.add.accumulate`` seeded with
+``cpu.cycles``; row-major order is the reference's order, pairs included
+(the call row, the stub row, then the jump's fetch, GOT load and
+misprediction).  A ``MARK`` reads instructions and cycles at its row from
+the cumulative arrays.  A ``CONTEXT_SWITCH`` splits the window: the rows
+before it retire, ``CPU._context_switch`` runs, then the rest.
+
+**Sync points.** ``sync_hook(position)`` fires after every window.  A
+window normally ends where its batch ends, but if it ends on an open
+pair head — a ``CALL_DIRECT``, or a ``CALL_DIRECT`` plus a ≤12-byte
+``BLOCK`` at its target — it extends into the next batch until it no
+longer does, and the next window starts after the borrowed rows.  That
+covers exactly the rows the reference's lookahead reads, so at every
+sync point a full :meth:`CPU.snapshot` equals a reference run over the
+first ``position`` events.  :mod:`repro.difftest` enforces this.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError, TraceError
+from repro.errors import ConfigError
 from repro.isa.events import event_from_row
-from repro.isa.kinds import MAX_EVENT_KIND, EventKind
+from repro.isa.kinds import BRANCH_KINDS, MAX_EVENT_KIND, EventKind
 from repro.trace.batch import TraceBatch, iter_batches
 from repro.uarch.cpu import Mark
 
@@ -61,122 +75,101 @@ _K_RET = int(EventKind.RET)
 _K_COND_BRANCH = int(EventKind.COND_BRANCH)
 _K_LOAD = int(EventKind.LOAD)
 _K_STORE = int(EventKind.STORE)
+_K_CONTEXT_SWITCH = int(EventKind.CONTEXT_SWITCH)
 _K_MARK = int(EventKind.MARK)
+_K_COHERENCE_INVAL = int(EventKind.COHERENCE_INVAL)
+
+#: ARM-style stubs longer than this are not trampoline prefixes.
+_MAX_STUB_BYTES = 12
 
 
-class _DecodedBatch:
-    """One :class:`TraceBatch` unpacked for the scalar hot loop.
+def _kind_table(kinds) -> np.ndarray:
+    table = np.zeros(MAX_EVENT_KIND + 1, bool)
+    table[[int(k) for k in kinds]] = True
+    return table
 
-    Columns are plain Python lists (indexing numpy scalars in a tight
-    loop is slower than ``tolist()`` once); line/page numbers are
-    precomputed for the whole batch with vectorized shifts.
+
+#: Kinds that are fetched (before skipped stub rows are masked out).
+_FETCHED = ~_kind_table(
+    (EventKind.MARK, EventKind.CONTEXT_SWITCH, EventKind.COHERENCE_INVAL)
+)
+_BRANCH = _kind_table(BRANCH_KINDS)
+
+
+def _open_head(tail: list) -> bool:
+    """Does the reference's pair lookahead read past these last rows?
+
+    ``tail`` holds up to the last two ``(kind, pc, nbytes, target)`` rows
+    of a window.
     """
-
-    __slots__ = (
-        "n",
-        "kind",
-        "pc",
-        "n_instr",
-        "nbytes",
-        "target",
-        "mem_addr",
-        "taken",
-        "tag_idx",
-        "tags",
-        "ifirst",
-        "ilast",
-        "pfirst",
-        "plast",
-        "dvpn",
-        "dline",
-        "dline2",
-    )
-
-    def __init__(
-        self,
-        batch: TraceBatch,
-        i_shift: int,
-        it_shift: int,
-        d1_shift: int,
-        l2_shift: int,
-        dt_shift: int,
-    ) -> None:
-        data = batch.data
-        self.n = len(data)
-        self.kind = data["kind"].tolist()
-        pc = data["pc"]
-        nb = data["nbytes"]
-        ma = data["mem_addr"]
-        self.pc = pc.tolist()
-        self.n_instr = data["n_instr"].tolist()
-        self.nbytes = nb.tolist()
-        self.target = data["target"].tolist()
-        self.mem_addr = ma.tolist()
-        self.taken = data["taken"].tolist()
-        # Most batches carry no tags at all; skip the column then.
-        self.tag_idx = data["tag"].tolist() if batch.tags else None
-        self.tags = batch.tags
-        # Fetch spans: first/last code byte of each event, as the
-        # reference computes them (``pc + max(nbytes, 1) - 1``).
-        last_byte = pc + np.maximum(nb, 1) - 1
-        self.ifirst = (pc >> i_shift).tolist()
-        self.ilast = (last_byte >> i_shift).tolist()
-        self.pfirst = (pc >> it_shift).tolist()
-        self.plast = (last_byte >> it_shift).tolist()
-        # Data side: D-TLB page and L1D line of ``mem_addr``; the L2 is
-        # probed by its own line shift (equal to L1D's under the default
-        # registry, in which case the column is shared).
-        self.dvpn = (ma >> dt_shift).tolist()
-        self.dline = (ma >> d1_shift).tolist()
-        self.dline2 = (
-            self.dline if l2_shift == d1_shift else (ma >> l2_shift).tolist()
-        )
-
-    def event(self, i: int):
-        """Materialise row ``i`` for a reference-handler fallback."""
-        ti = -1 if self.tag_idx is None else self.tag_idx[i]
-        return event_from_row(
-            self.kind[i],
-            self.pc[i],
-            self.n_instr[i],
-            self.nbytes[i],
-            self.target[i],
-            self.mem_addr[i],
-            self.taken[i],
-            None if ti < 0 else self.tags[ti],
-        )
+    if not tail:
+        return False
+    kind, pc, nbytes, _ = tail[-1]
+    if kind == _K_CALL_DIRECT:
+        return True
+    if len(tail) < 2 or kind != _K_BLOCK or nbytes > _MAX_STUB_BYTES:
+        return False
+    head_kind, _, _, head_target = tail[-2]
+    return head_kind == _K_CALL_DIRECT and pc == head_target
 
 
-class _BatchCursor:
-    """The :class:`~repro.uarch.cpu.EventCursor` protocol over batches.
+def _row(data: np.ndarray, i: int) -> tuple:
+    row = data[i]
+    return int(row["kind"]), int(row["pc"]), int(row["nbytes"]), int(row["target"])
 
-    Reference handlers passed a fallback event use this to look ahead
-    (trampoline-pair detection) and push non-matching events back.  It
-    reads straight from the backend's position, so lookahead can cross a
-    batch boundary transparently.
+
+def _lru_pass(structure, keys: np.ndarray) -> np.ndarray:
+    """Probe ``structure`` (a cache or TLB) with ``keys`` in order.
+
+    Consecutive repeats collapse into one probe stamped as the last touch
+    of the run.  Updates the structure's LRU state, stamp and stats, and
+    returns the indices into ``keys`` of the touches that missed.
     """
+    n = len(keys)
+    if not n:
+        return np.empty(0, np.intp)
+    new = np.empty(n, bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    run_keys = keys[starts]
+    stamps = np.empty(len(starts), np.int64)
+    stamps[:-1] = starts[1:]
+    stamps[-1] = n
+    stamps += structure._stamp
+    sets, mask, tag_shift, ways = structure.hot_state()
+    # Each set is a dict in LRU order: re-inserting a tag makes it MRU,
+    # and the first key is the victim.  A miss is recorded by its stamp,
+    # which is unique and increasing, so it finds its probe afterwards.
+    missed = []
+    miss = missed.append
+    for index, tag, stamp in zip(
+        (run_keys & mask).tolist(), (run_keys >> tag_shift).tolist(), stamps.tolist()
+    ):
+        entries = sets[index]
+        if tag in entries:
+            del entries[tag]
+        else:
+            miss(stamp)
+            if len(entries) >= ways:
+                del entries[next(iter(entries))]
+        entries[tag] = stamp
+    structure._stamp += n
+    structure.accesses += n
+    structure.misses += len(missed)
+    return starts[np.searchsorted(stamps, missed)]
 
-    __slots__ = ("_be",)
 
-    def __init__(self, backend: "BatchedBackend") -> None:
-        self._be = backend
-
-    def next(self):
-        be = self._be
-        if be._pending:
-            return be._pending.pop()
-        while True:
-            dec = be._cur
-            if dec is None:
-                return None
-            i = be._i
-            if i < dec.n:
-                be._i = i + 1
-                return dec.event(i)
-            be._advance()
-
-    def push(self, ev) -> None:
-        self._be._pending.append(ev)
+def _spans(first: np.ndarray, last: np.ndarray, rows: np.ndarray):
+    """Expand inclusive ``[first, last]`` ranges into one key per touch,
+    with the row each touch belongs to."""
+    counts = last - first + 1
+    total = int(counts.sum())
+    if total == len(first):
+        return first, rows
+    ends = np.cumsum(counts)
+    offsets = np.repeat(first - (ends - counts), counts)
+    return offsets + np.arange(total), np.repeat(rows, counts)
 
 
 class BatchedBackend:
@@ -184,8 +177,8 @@ class BatchedBackend:
 
     The backend owns no architectural state: everything lives in the CPU
     and its components, exactly as under the reference interpreter, so
-    snapshots, checkpoints and mid-run hook observations are unchanged.
-    A backend instance is reusable but not reentrant.
+    snapshots, checkpoints and hook observations are unchanged.  A
+    backend instance is reusable but not reentrant.
     """
 
     def __init__(self, cpu, batch_events: int = 4096) -> None:
@@ -193,1241 +186,512 @@ class BatchedBackend:
             raise ConfigError(f"batch_events must be positive, got {batch_events}")
         self.cpu = cpu
         self.batch_events = batch_events
-        self._fast: tuple = ()
-        self._shifts: tuple = ()
-        self._batches = iter(())
-        self._cur: _DecodedBatch | None = None
-        self._i = 0
-        self._base = 0
-        self._pending: list = []
-        self._cursor = _BatchCursor(self)
+        self._position = 0
 
     @property
     def position(self) -> int:
-        """Stream events consumed so far (lookahead included)."""
-        return self._base + self._i
+        """Stream events retired so far."""
+        return self._position
 
     # ----------------------------------------------------------------- run
 
     def run(self, events, sync_hook=None):
         """Process an event stream; returns the CPU's (live) counters.
 
-        ``sync_hook(position)`` is called after each batch retires; at
-        that point no lookahead is outstanding and the CPU state
-        (``counters.cycles`` included) equals a reference run over the
-        first ``position`` stream events.
+        ``sync_hook(position)`` is called after each window retires; at
+        that point the CPU state (``counters.cycles`` included) equals a
+        reference run over the first ``position`` stream events.
         """
-        self._batches = iter_batches(events, self.batch_events)
-        return self._drive(sync_hook)
+        return self.run_batches(iter_batches(events, self.batch_events), sync_hook)
 
     def run_batches(self, batches, sync_hook=None):
         """Like :meth:`run`, but consumes :class:`TraceBatch` objects
         directly — the array-native hot path.
 
-        No ``to_events`` / ``from_events`` round trip happens: oversized
-        batches are re-cut into zero-copy views
+        Oversized batches are re-cut into zero-copy views
         (:meth:`TraceBatch.slices`) of at most ``batch_events`` rows, so
         sync-point spacing (and therefore difftest comparability) is
         identical to a :meth:`run` over the same stream.
         """
-
-        def resliced():
-            cap = self.batch_events
-            for batch in batches:
-                m = len(batch)
-                if not m:
-                    continue
-                if m <= cap:
-                    yield batch
-                else:
-                    yield from batch.slices(cap)
-
-        self._batches = resliced()
-        return self._drive(sync_hook)
-
-    def _drive(self, sync_hook):
-        """Retire ``self._batches`` against the CPU (shared by
-        :meth:`run` and :meth:`run_batches`)."""
-        cpu = self.cpu
-        fast = [False] * (MAX_EVENT_KIND + 1)
-        fast[_K_BLOCK] = True
-        fast[_K_LOAD] = True
-        fast[_K_COND_BRANCH] = True
-        fast[_K_RET] = True
-        fast[_K_JMP_DIRECT] = True
-        fast[_K_MARK] = True
-        # Hooks want full event context for stores and trampoline pairs,
-        # so an instrumented CPU retires those on the reference path.
-        # (Store *snooping* goes through the mechanism's own methods —
-        # its state needs no syncing — so a mechanism alone is fine.)
-        fast[_K_STORE] = cpu.hooks is None
-        fast[_K_CALL_DIRECT] = cpu.hooks is None
-        fast[_K_CALL_INDIRECT] = cpu.hooks is None
-        fast[_K_JMP_INDIRECT] = cpu.hooks is None
-        self._fast = tuple(fast)
-        self._shifts = (
-            cpu.l1i.line_shift,
-            cpu.itlb.page_shift,
-            cpu.l1d.line_shift,
-            cpu.l2.line_shift,
-            cpu.dtlb.page_shift,
+        cap = self.batch_events
+        chunks = (
+            piece
+            for batch in batches
+            if len(batch)
+            for piece in (batch.slices(cap) if len(batch) > cap else (batch,))
         )
-        self._cur = None
-        self._i = 0
-        self._base = 0
-        self._pending = []
-        self._advance()
-        while self._cur is not None:
-            dec = self._cur
-            self._run_batch(dec)
-            if self._cur is dec and self._i >= dec.n:
-                self._advance()
+        cpu = self.cpu
+        self._position = 0
+        cur = next(chunks, None)
+        start = 0
+        while cur is not None:
+            pieces = [TraceBatch(cur.data[start:], cur.tags) if start else cur]
+            data = pieces[0].data
+            tail = [_row(data, i) for i in range(max(0, len(data) - 2), len(data))]
+            nxt = next(chunks, None)
+            start = 0
+            # A pair head at the window end borrows the rows its
+            # lookahead reads from the following batches.
+            while nxt is not None and _open_head(tail):
+                if start == len(nxt):
+                    pieces.append(nxt)
+                    nxt = next(chunks, None)
+                    start = 0
+                    continue
+                tail = [tail[-1], _row(nxt.data, start)]
+                start += 1
+            if start:
+                pieces.append(TraceBatch(nxt.data[:start], nxt.tags))
+            window = pieces[0] if len(pieces) == 1 else TraceBatch.concat(pieces)
+            self._retire(window)
+            self._position += len(window)
             if sync_hook is not None:
                 cpu.counters.cycles = cpu.cycles
-                sync_hook(self.position)
+                sync_hook(self._position)
+            cur = nxt
         cpu.counters.cycles = cpu.cycles
         return cpu.counters
 
-    def _advance(self) -> None:
-        """Move to the next batch (decoding it), or to end-of-stream."""
-        if self._cur is not None:
-            self._base += self._cur.n
-        batch = next(self._batches, None)
-        if batch is None:
-            self._cur = None
-            self._i = 0
+    def _retire(self, window: TraceBatch) -> None:
+        """Retire one window, split at its context switches."""
+        data = window.data
+        if not len(data):
             return
-        self._cur = _DecodedBatch(batch, *self._shifts)
-        self._i = 0
+        cols = {
+            name: np.ascontiguousarray(data[name])
+            for name in ("kind", "pc", "n_instr", "nbytes", "target", "mem_addr", "taken", "tag")
+        }
+        lo = 0
+        for cs in np.flatnonzero(cols["kind"] == _K_CONTEXT_SWITCH).tolist():
+            if cs > lo:
+                self._retire_span(cols, window.tags, lo, cs)
+            self.cpu._context_switch()
+            lo = cs + 1
+        if lo < len(data):
+            self._retire_span(cols, window.tags, lo, len(data))
 
-    # ---------------------------------------------------------- state sync
-    #
-    # The hot loop works on local copies of every scalar it mutates: the
-    # cycle clock, counter fields, cache/TLB stamp/stats, and the BTB /
-    # gshare / RAS scalars.  They are written back before any reference
-    # handler runs and reloaded afterwards, so handlers always see (and
-    # update) the truth.  Container state (set dicts, the gshare counter
-    # table, the RAS stack) is mutated in place through shared
-    # references; those references are refetched after every fallback in
-    # case a handler replaced the container.
+    # ------------------------------------------------------------- passes
 
-    def _load_state(self) -> tuple:
+    def _retire_span(self, cols: dict, tags: list, lo: int, hi: int) -> None:
+        """Retire rows ``[lo, hi)``, which contain no context switch."""
         cpu = self.cpu
         c = cpu.counters
-        l1i, l2, l1d, itlb, dtlb = cpu.l1i, cpu.l2, cpu.l1d, cpu.itlb, cpu.dtlb
-        btb, gshare, ras = cpu.btb, cpu.gshare, cpu.ras
-        return (
-            cpu.cycles,
-            c.instructions,
-            c.loads,
-            c.stores,
-            c.branches,
-            c.branch_mispredictions,
-            c.btb_lookups,
-            c.btb_misses,
-            c.trampolines_executed,
-            c.trampolines_skipped,
-            c.trampoline_instructions,
-            c.got_loads,
-            c.abtb_hits,
-            c.abtb_misses,
-            c.abtb_inserts,
-            c.l1i_accesses,
-            c.l1i_misses,
-            c.l1d_accesses,
-            c.l1d_misses,
-            c.l2_accesses,
-            c.l2_misses,
-            c.itlb_accesses,
-            c.itlb_misses,
-            c.dtlb_accesses,
-            c.dtlb_misses,
-            l1i._stamp,
-            l1i.accesses,
-            l1i.misses,
-            l2._stamp,
-            l2.accesses,
-            l2.misses,
-            l1d._stamp,
-            l1d.accesses,
-            l1d.misses,
-            itlb._stamp,
-            itlb.accesses,
-            itlb.misses,
-            dtlb._stamp,
-            dtlb.accesses,
-            dtlb.misses,
-            btb._stamp,
-            btb.lookups,
-            btb.misses,
-            btb.updates,
-            gshare._history,
-            gshare.predictions,
-            gshare.mispredictions,
-            ras.pushes,
-            ras.pops,
-            ras.mispredictions,
-        )
-
-    def _store_state(self, state: tuple) -> None:
-        cpu = self.cpu
-        c = cpu.counters
-        l1i, l2, l1d, itlb, dtlb = cpu.l1i, cpu.l2, cpu.l1d, cpu.itlb, cpu.dtlb
-        btb, gshare, ras = cpu.btb, cpu.gshare, cpu.ras
-        (
-            cpu.cycles,
-            c.instructions,
-            c.loads,
-            c.stores,
-            c.branches,
-            c.branch_mispredictions,
-            c.btb_lookups,
-            c.btb_misses,
-            c.trampolines_executed,
-            c.trampolines_skipped,
-            c.trampoline_instructions,
-            c.got_loads,
-            c.abtb_hits,
-            c.abtb_misses,
-            c.abtb_inserts,
-            c.l1i_accesses,
-            c.l1i_misses,
-            c.l1d_accesses,
-            c.l1d_misses,
-            c.l2_accesses,
-            c.l2_misses,
-            c.itlb_accesses,
-            c.itlb_misses,
-            c.dtlb_accesses,
-            c.dtlb_misses,
-            l1i._stamp,
-            l1i.accesses,
-            l1i.misses,
-            l2._stamp,
-            l2.accesses,
-            l2.misses,
-            l1d._stamp,
-            l1d.accesses,
-            l1d.misses,
-            itlb._stamp,
-            itlb.accesses,
-            itlb.misses,
-            dtlb._stamp,
-            dtlb.accesses,
-            dtlb.misses,
-            btb._stamp,
-            btb.lookups,
-            btb.misses,
-            btb.updates,
-            gshare._history,
-            gshare.predictions,
-            gshare.mispredictions,
-            ras.pushes,
-            ras.pops,
-            ras.mispredictions,
-        ) = state
-
-    # ----------------------------------------------------------- the loop
-
-    def _run_batch(self, dec: _DecodedBatch) -> None:
-        """Retire the current batch (and any lookahead it drags in).
-
-        Returns with ``self._pending`` empty; ``self._cur``/``self._i``
-        may point past ``dec`` when a trampoline pair straddled the
-        batch boundary.
-        """
-        cpu = self.cpu
         t = cpu.config.timing
-        base_cpi = t.base_cpi
-        lat_i1 = t.l1i_miss
-        lat_l2 = t.l2_miss
-        lat_it = t.itlb_miss
-        lat_dt = t.dtlb_miss
-        lat_d1 = t.l1d_miss
-        lat_mp = t.mispredict
+        kind = cols["kind"][lo:hi]
+        pc = cols["pc"][lo:hi]
+        n_instr = cols["n_instr"][lo:hi]
+        nbytes = cols["nbytes"][lo:hi]
+        mem_addr = cols["mem_addr"][lo:hi]
+        m = hi - lo
+
+        # Trampoline pairs, from the trace alone: the jump row of every
+        # pair head (two rows on for an ARM stub).  A pair never spans a
+        # context switch or a window end, so no row past ``hi`` is in one.
+        target = cols["target"][lo:hi]
+        heads = np.flatnonzero(kind == _K_CALL_DIRECT)
+        jump_of = np.full(m, -1, np.int64)
+        if len(heads):
+            h = heads[heads + 1 < m]
+            x86 = h[(kind[h + 1] == _K_JMP_INDIRECT) & (pc[h + 1] == target[h])]
+            jump_of[x86] = x86 + 1
+            h = heads[heads + 2 < m]
+            s = h + 1
+            arm = h[
+                (kind[s] == _K_BLOCK)
+                & (pc[s] == target[h])
+                & (nbytes[s] <= _MAX_STUB_BYTES)
+                & (kind[s + 1] == _K_JMP_INDIRECT)
+                & (pc[s + 1] == pc[s] + nbytes[s])
+            ]
+            jump_of[arm] = arm + 2
+
+        fetched = _FETCHED[kind]
+        is_data = (kind == _K_LOAD) | (kind == _K_STORE) | (
+            ((kind == _K_CALL_INDIRECT) | (kind == _K_JMP_INDIRECT)) & (mem_addr != 0)
+        )
+        skipped, mispredicted, bubbled, cond_bubbled = self._control(
+            cols, tags, lo, kind, jump_of
+        )
+        if len(skipped):
+            jumps = jump_of[skipped]
+            fetched[jumps] = False
+            fetched[jumps[jumps == skipped + 2] - 1] = False
+            is_data[jumps] = False
+
+        # Fetch side: L1I lines and I-TLB pages of every fetched row.
+        rows = np.flatnonzero(fetched)
+        fpc = pc[rows]
+        flast = fpc + np.maximum(nbytes[rows], 1) - 1
+        i_shift = cpu.l1i.line_shift
+        lines, line_rows = _spans(fpc >> i_shift, flast >> i_shift, rows)
+        i_miss = _lru_pass(cpu.l1i, lines)
+        i_miss_rows = line_rows[i_miss]
+        p_shift = cpu.itlb.page_shift
+        pages, page_rows = _spans(fpc >> p_shift, flast >> p_shift, rows)
+        it_miss_rows = page_rows[_lru_pass(cpu.itlb, pages)]
+
+        # Data side: D-TLB then L1D over the data rows.
+        drows = np.flatnonzero(is_data)
+        daddr = mem_addr[drows]
+        dt_miss_rows = drows[_lru_pass(cpu.dtlb, daddr >> cpu.dtlb.page_shift)]
+        d1_miss = _lru_pass(cpu.l1d, daddr >> cpu.l1d.line_shift)
+        d1_miss_rows = drows[d1_miss]
+
+        # L2: both sides' misses in row order, I-side first within a row.
+        n_i = len(i_miss)
+        order = np.argsort(
+            np.concatenate((i_miss_rows * 2, d1_miss_rows * 2 + 1)), kind="stable"
+        )
+        l2_keys = np.concatenate((lines[i_miss], daddr[d1_miss] >> cpu.l2.line_shift))
+        l2_miss = order[_lru_pass(cpu.l2, l2_keys[order])]
+        i_l2_miss = l2_miss[l2_miss < n_i]
+        d2_miss_rows = d1_miss_rows[l2_miss[l2_miss >= n_i] - n_i]
+
+        # Cycles: one slot per charge, in the reference's addition order.
+        i_per_row = np.bincount(i_miss_rows, minlength=m)
+        width = 7 + 2 * i_per_row
+        ends = np.cumsum(width)
+        first = ends - width + 1  # slot 0 holds the running total
+        slots = np.zeros(int(ends[-1]) + 1)
+        slots[0] = cpu.cycles
+        n_fetched = np.where(fetched, n_instr, 0)
+        slots[first] = n_fetched * t.base_cpi
+        if n_i:
+            rank = np.arange(n_i) - (np.cumsum(i_per_row) - i_per_row)[i_miss_rows]
+            at = first[i_miss_rows] + 1 + 2 * rank
+            slots[at] = t.l1i_miss
+            slots[at[i_l2_miss] + 1] = t.l2_miss
+        tail = first + 1 + 2 * i_per_row
+        slots[tail] = np.bincount(it_miss_rows, minlength=m) * t.itlb_miss
+        slots[tail[dt_miss_rows] + 1] = t.dtlb_miss
+        slots[tail[d1_miss_rows] + 2] = t.l1d_miss
+        slots[tail[d2_miss_rows] + 3] = t.l2_miss
         bubble = cpu.config.direct_btb_bubble
-        l1i, l2, l1d, itlb, dtlb = cpu.l1i, cpu.l2, cpu.l1d, cpu.itlb, cpu.dtlb
-        btb = cpu.btb
-        gshare = cpu.gshare
-        ras = cpu.ras
-        b_sets = btb._sets
-        b_mask = btb._set_mask
-        b_ways = btb.ways
-        g_table = gshare._table
-        g_mask = gshare._mask
-        g_hmask = gshare._history_mask
-        r_stack = ras._stack
-        r_depth = ras.depth
-        marks_append = cpu.marks.append
-        mech = cpu.mechanism
-        snoop = mech.snoop_store if mech is not None else None
-        mech_invalidate = mech.invalidate if mech is not None else None
-        use_bloom = mech.config.use_bloom if mech is not None else True
-        mapped_target = mech.mapped_target if mech is not None else None
-        mech_learn = mech.learn if mech is not None else None
-        note_promotion = mech.note_promotion if mech is not None else None
-        note_unsafe_skip = mech.note_unsafe_skip if mech is not None else None
-        i_sets, i_mask, i_tagshift, i_ways = l1i.hot_state()
-        l2_sets, l2_mask, l2_tagshift, l2_ways = l2.hot_state()
-        d1_sets, d1_mask, d1_tagshift, d1_ways = l1d.hot_state()
-        it_sets, it_mask, it_tagshift, it_ways = itlb.hot_state()
-        dt_sets, dt_mask, dt_tagshift, dt_ways = dtlb.hot_state()
+        slots[tail[mispredicted] + 4] = t.mispredict
+        slots[tail[bubbled] + 4] = bubble
+        slots[tail[cond_bubbled] + 5] = bubble
+        total = np.add.accumulate(slots)
 
-        kinds = dec.kind
-        pcs = dec.pc
-        n_instrs = dec.n_instr
-        nbs = dec.nbytes
-        targets = dec.target
-        mem_addrs = dec.mem_addr
-        takens = dec.taken
-        tag_idx = dec.tag_idx
-        tags = dec.tags
-        ifirst, ilast = dec.ifirst, dec.ilast
-        pfirst, plast = dec.pfirst, dec.plast
-        dvpns, dlines, dlines2 = dec.dvpn, dec.dline, dec.dline2
-        n = dec.n
-        fast = self._fast
-        dispatch = cpu._dispatch
-        cursor = self._cursor
-        pending = self._pending
-        # A fast-kind event that cannot be retired inline (a direct call
-        # whose trampoline lookahead crosses the batch end) sets this to
-        # route exactly one dispatch unit through the reference path.
-        force_slow = False
-
-        # MRU shortcut state for the fetch side: the most recently
-        # touched L1I line / I-TLB page is guaranteed resident, so a
-        # repeat touch is a hit whose only effect is accesses+1,
-        # stamp+1, entry=stamp (the entry is already in MRU dict
-        # position).  Sequential fetch makes this hit ~50% of the time;
-        # the data side shows no such locality on the workload profiles
-        # (<1% repeat lines), so D accesses always take the full probe.
-        # A sentinel of -1 (no valid address shifts to it) disables the
-        # shortcut; it is reset whenever a reference handler runs, since
-        # handlers probe the same structures.
-        last_iline = -1
-        last_ie: dict = {}
-        last_itg = 0
-        last_vpn = -1
-        last_pe: dict = {}
-        last_ptg = 0
-
-        (
-            cycles,
-            c_instr,
-            c_loads,
-            c_stores,
-            c_branches,
-            c_mispred,
-            c_btb_lk,
-            c_btb_miss,
-            c_tramp_exec,
-            c_tramp_skip,
-            c_tramp_instr,
-            c_got_loads,
-            c_abtb_hits,
-            c_abtb_misses,
-            c_abtb_inserts,
-            c_l1i_acc,
-            c_l1i_mis,
-            c_l1d_acc,
-            c_l1d_mis,
-            c_l2_acc,
-            c_l2_mis,
-            c_it_acc,
-            c_it_mis,
-            c_dt_acc,
-            c_dt_mis,
-            i_stamp,
-            i_acc,
-            i_mis,
-            l2_stamp,
-            l2_acc,
-            l2_mis,
-            d1_stamp,
-            d1_acc,
-            d1_mis,
-            it_stamp,
-            it_acc,
-            it_mis,
-            dt_stamp,
-            dt_acc,
-            dt_mis,
-            b_stamp,
-            b_lookups,
-            b_misses,
-            b_updates,
-            g_hist,
-            g_preds,
-            g_mis,
-            r_pushes,
-            r_pops,
-            r_mis,
-        ) = self._load_state()
-
-        while True:
-            i = self._i
-            if not pending and (self._cur is not dec or i >= n):
-                break
-            if not pending and not force_slow and fast[kinds[i]]:
-                # ------------------------------------------- fast path
-                while i < n:
-                    k = kinds[i]
-                    if not fast[k]:
-                        break
-                    if k == _K_MARK:
-                        ti = -1 if tag_idx is None else tag_idx[i]
-                        marks_append(
-                            Mark(None if ti < 0 else tags[ti], c_instr, cycles)
-                        )
-                        i += 1
-                        continue
-                    if k == _K_CALL_DIRECT:
-                        # Trampoline-pair lookahead as an index peek
-                        # (CPU._handle_call_direct's cursor protocol).
-                        # pair_s: ARM stub row or -1; pair_j: indirect
-                        # branch row or -1 for a plain direct call.
-                        pair_s = -1
-                        pair_j = -1
-                        nj = i + 1
-                        if nj >= n:
-                            force_slow = True  # lookahead leaves the batch
-                            break
-                        nk = kinds[nj]
-                        if nk == _K_JMP_INDIRECT and pcs[nj] == targets[i]:
-                            pair_j = nj  # x86-64 stub: branch is the body
-                        elif (
-                            nk == _K_BLOCK
-                            and pcs[nj] == targets[i]
-                            and nbs[nj] <= 12
-                        ):
-                            # ARM-style address-computation prefix.
-                            nj2 = i + 2
-                            if nj2 >= n:
-                                force_slow = True
-                                break
-                            if (
-                                kinds[nj2] == _K_JMP_INDIRECT
-                                and pcs[nj2] == pcs[nj] + nbs[nj]
-                            ):
-                                pair_s = nj
-                                pair_j = nj2
-                    # --- CPU._fetch, inlined ---
-                    ni = n_instrs[i]
-                    c_instr += ni
-                    cycles += ni * base_cpi
-                    line = ifirst[i]
-                    lb = ilast[i]
-                    vpn = pfirst[i]
-                    pb = plast[i]
-                    if line == lb == last_iline and vpn == pb == last_vpn:
-                        # Whole fetch inside the MRU line and MRU page:
-                        # two guaranteed hits (and the reference's
-                        # `0 * itlb_miss` charge is a float no-op).
-                        c_l1i_acc += 1
-                        i_acc += 1
-                        i_stamp += 1
-                        last_ie[last_itg] = i_stamp
-                        c_it_acc += 1
-                        it_acc += 1
-                        it_stamp += 1
-                        last_pe[last_ptg] = it_stamp
-                        if k == _K_BLOCK:
-                            i += 1
-                            continue
-                    else:
-                        c_l1i_acc += lb - line + 1
-                        while True:
-                            if line == last_iline:
-                                i_acc += 1
-                                i_stamp += 1
-                                last_ie[last_itg] = i_stamp
-                            else:
-                                i_acc += 1
-                                i_stamp += 1
-                                e = i_sets[line & i_mask]
-                                tg = line >> i_tagshift
-                                if tg in e:
-                                    del e[tg]
-                                    e[tg] = i_stamp
-                                else:
-                                    i_mis += 1
-                                    if len(e) >= i_ways:
-                                        del e[next(iter(e))]
-                                    e[tg] = i_stamp
-                                    c_l1i_mis += 1
-                                    cycles += lat_i1
-                                    c_l2_acc += 1
-                                    l2_acc += 1
-                                    l2_stamp += 1
-                                    e2 = l2_sets[line & l2_mask]
-                                    tg2 = line >> l2_tagshift
-                                    if tg2 in e2:
-                                        del e2[tg2]
-                                        e2[tg2] = l2_stamp
-                                    else:
-                                        l2_mis += 1
-                                        if len(e2) >= l2_ways:
-                                            del e2[next(iter(e2))]
-                                        e2[tg2] = l2_stamp
-                                        c_l2_mis += 1
-                                        cycles += lat_l2
-                                last_iline = line
-                                last_ie = e
-                                last_itg = tg
-                            if line >= lb:
-                                break
-                            line += 1
-                        c_it_acc += pb - vpn + 1
-                        if vpn == pb and vpn == last_vpn:
-                            # Same single page again: guaranteed hit, and
-                            # the reference's `0 * itlb_miss` cycle charge
-                            # is a float no-op, so skipping it is
-                            # bit-exact.
-                            it_acc += 1
-                            it_stamp += 1
-                            last_pe[last_ptg] = it_stamp
-                        else:
-                            tmiss = 0
-                            while True:
-                                it_acc += 1
-                                it_stamp += 1
-                                e = it_sets[vpn & it_mask]
-                                tg = vpn >> it_tagshift
-                                if tg in e:
-                                    del e[tg]
-                                    e[tg] = it_stamp
-                                else:
-                                    it_mis += 1
-                                    tmiss += 1
-                                    if len(e) >= it_ways:
-                                        del e[next(iter(e))]
-                                    e[tg] = it_stamp
-                                if vpn >= pb:
-                                    break
-                                vpn += 1
-                            last_vpn = vpn
-                            last_pe = e
-                            last_ptg = tg
-                            # One fused add, as the reference charges
-                            # I-TLB misses.
-                            c_it_mis += tmiss
-                            cycles += tmiss * lat_it
-                        if k == _K_BLOCK:
-                            i += 1
-                            continue
-                    if k == _K_LOAD or k == _K_STORE:
-                        # --- CPU._data_access, inlined ---
-                        if k == _K_STORE:
-                            c_stores += 1
-                        else:
-                            c_loads += 1
-                        vpn = dvpns[i]
-                        dt_acc += 1
-                        dt_stamp += 1
-                        e = dt_sets[vpn & dt_mask]
-                        tg = vpn >> dt_tagshift
-                        if tg in e:
-                            del e[tg]
-                            e[tg] = dt_stamp
-                        else:
-                            dt_mis += 1
-                            if len(e) >= dt_ways:
-                                del e[next(iter(e))]
-                            e[tg] = dt_stamp
-                            c_dt_mis += 1
-                            cycles += lat_dt
-                        c_dt_acc += 1
-                        line = dlines[i]
-                        d1_acc += 1
-                        d1_stamp += 1
-                        e = d1_sets[line & d1_mask]
-                        tg = line >> d1_tagshift
-                        if tg in e:
-                            del e[tg]
-                            e[tg] = d1_stamp
-                        else:
-                            d1_mis += 1
-                            if len(e) >= d1_ways:
-                                del e[next(iter(e))]
-                            e[tg] = d1_stamp
-                            c_l1d_mis += 1
-                            cycles += lat_d1
-                            c_l2_acc += 1
-                            line2 = dlines2[i]
-                            l2_acc += 1
-                            l2_stamp += 1
-                            e2 = l2_sets[line2 & l2_mask]
-                            tg2 = line2 >> l2_tagshift
-                            if tg2 in e2:
-                                del e2[tg2]
-                                e2[tg2] = l2_stamp
-                            else:
-                                l2_mis += 1
-                                if len(e2) >= l2_ways:
-                                    del e2[next(iter(e2))]
-                                e2[tg2] = l2_stamp
-                                c_l2_mis += 1
-                                cycles += lat_l2
-                        c_l1d_acc += 1
-                        if k == _K_STORE and snoop is not None:
-                            # --- CPU._handle_store's mechanism tail ---
-                            snoop(mem_addrs[i])
-                            if tag_idx is not None and not use_bloom:
-                                ti = tag_idx[i]
-                                if ti >= 0 and tags[ti] == "got-store":
-                                    mech_invalidate()
-                    elif k == _K_COND_BRANCH:
-                        # --- CPU._cond_branch, inlined past the fetch
-                        # (gshare.record and the BTB probe in locals) ---
-                        c_branches += 1
-                        pc_ = pcs[i]
-                        tk = takens[i]
-                        g_preds += 1
-                        gi = ((pc_ >> 2) ^ g_hist) & g_mask
-                        counter = g_table[gi]
-                        if tk:
-                            if counter < 3:
-                                g_table[gi] = counter + 1
-                            g_hist = ((g_hist << 1) | 1) & g_hmask
-                            if counter < 2:  # predicted not-taken
-                                g_mis += 1
-                                c_mispred += 1
-                                cycles += lat_mp
-                            c_btb_lk += 1
-                            b_lookups += 1
-                            bse = b_sets[(pc_ >> 2) & b_mask]
-                            hit = bse.get(pc_)
-                            if hit is None:
-                                b_misses += 1
-                                c_btb_miss += 1
-                                cycles += bubble
-                            else:
-                                b_stamp += 1
-                                del bse[pc_]
-                                bse[pc_] = (hit[0], b_stamp)
-                            # update runs on hit and miss alike
-                            b_updates += 1
-                            b_stamp += 1
-                            if pc_ in bse:
-                                del bse[pc_]
-                            elif len(bse) >= b_ways:
-                                del bse[next(iter(bse))]
-                            bse[pc_] = (targets[i], b_stamp)
-                        else:
-                            if counter > 0:
-                                g_table[gi] = counter - 1
-                            g_hist = (g_hist << 1) & g_hmask
-                            if counter >= 2:  # predicted taken
-                                g_mis += 1
-                                c_mispred += 1
-                                cycles += lat_mp
-                    elif k == _K_RET:
-                        # --- CPU._ret, inlined past the fetch ---
-                        c_branches += 1
-                        r_pops += 1
-                        if r_stack:
-                            predicted = r_stack.pop()
-                        else:
-                            predicted = None
-                        if predicted != targets[i]:
-                            r_mis += 1
-                            c_mispred += 1
-                            cycles += lat_mp
-                    elif k == _K_JMP_DIRECT:
-                        # --- CPU._jmp_direct, inlined past the fetch ---
-                        c_branches += 1
-                        c_btb_lk += 1
-                        b_lookups += 1
-                        pc_ = pcs[i]
-                        bse = b_sets[(pc_ >> 2) & b_mask]
-                        hit = bse.get(pc_)
-                        if hit is None:
-                            b_misses += 1
-                            c_btb_miss += 1
-                            cycles += bubble
-                            b_updates += 1
-                            b_stamp += 1
-                            if len(bse) >= b_ways:
-                                del bse[next(iter(bse))]
-                            bse[pc_] = (targets[i], b_stamp)
-                        else:
-                            b_stamp += 1
-                            del bse[pc_]
-                            bse[pc_] = (hit[0], b_stamp)
-                    elif k == _K_CALL_INDIRECT:
-                        # --- CPU._call_indirect, inlined past the fetch ---
-                        if mem_addrs[i]:
-                            # target load: CPU._data_access, inlined
-                            c_loads += 1
-                            vpn = dvpns[i]
-                            dt_acc += 1
-                            dt_stamp += 1
-                            e = dt_sets[vpn & dt_mask]
-                            tg = vpn >> dt_tagshift
-                            if tg in e:
-                                del e[tg]
-                                e[tg] = dt_stamp
-                            else:
-                                dt_mis += 1
-                                if len(e) >= dt_ways:
-                                    del e[next(iter(e))]
-                                e[tg] = dt_stamp
-                                c_dt_mis += 1
-                                cycles += lat_dt
-                            c_dt_acc += 1
-                            line = dlines[i]
-                            d1_acc += 1
-                            d1_stamp += 1
-                            e = d1_sets[line & d1_mask]
-                            tg = line >> d1_tagshift
-                            if tg in e:
-                                del e[tg]
-                                e[tg] = d1_stamp
-                            else:
-                                d1_mis += 1
-                                if len(e) >= d1_ways:
-                                    del e[next(iter(e))]
-                                e[tg] = d1_stamp
-                                c_l1d_mis += 1
-                                cycles += lat_d1
-                                c_l2_acc += 1
-                                line2 = dlines2[i]
-                                l2_acc += 1
-                                l2_stamp += 1
-                                e2 = l2_sets[line2 & l2_mask]
-                                tg2 = line2 >> l2_tagshift
-                                if tg2 in e2:
-                                    del e2[tg2]
-                                    e2[tg2] = l2_stamp
-                                else:
-                                    l2_mis += 1
-                                    if len(e2) >= l2_ways:
-                                        del e2[next(iter(e2))]
-                                    e2[tg2] = l2_stamp
-                                    c_l2_mis += 1
-                                    cycles += lat_l2
-                            c_l1d_acc += 1
-                        c_branches += 1
-                        pc_ = pcs[i]
-                        r_pushes += 1
-                        if len(r_stack) >= r_depth:
-                            del r_stack[0]  # circular overflow
-                        r_stack.append(pc_ + nbs[i])
-                        c_btb_lk += 1
-                        b_lookups += 1
-                        bse = b_sets[(pc_ >> 2) & b_mask]
-                        hit = bse.get(pc_)
-                        if hit is None:
-                            b_misses += 1
-                            c_btb_miss += 1
-                            pred = None
-                        else:
-                            b_stamp += 1
-                            del bse[pc_]
-                            bse[pc_] = (hit[0], b_stamp)
-                            pred = hit[0]
-                        if pred != targets[i]:
-                            c_mispred += 1
-                            cycles += lat_mp
-                        # update runs unconditionally
-                        b_updates += 1
-                        b_stamp += 1
-                        if pc_ in bse:
-                            del bse[pc_]
-                        elif len(bse) >= b_ways:
-                            del bse[next(iter(bse))]
-                        bse[pc_] = (targets[i], b_stamp)
-                    elif k == _K_JMP_INDIRECT:
-                        # --- CPU._jmp_indirect, inlined past the fetch.
-                        # Only stream-reached stubs land here; pair tails
-                        # are consumed by the CALL_DIRECT path above.
-                        # (The tail-call hooks callback is void: this kind
-                        # is fast only when hooks is None.) ---
-                        if mem_addrs[i]:
-                            # GOT load: CPU._data_access, inlined
-                            c_loads += 1
-                            vpn = dvpns[i]
-                            dt_acc += 1
-                            dt_stamp += 1
-                            e = dt_sets[vpn & dt_mask]
-                            tg = vpn >> dt_tagshift
-                            if tg in e:
-                                del e[tg]
-                                e[tg] = dt_stamp
-                            else:
-                                dt_mis += 1
-                                if len(e) >= dt_ways:
-                                    del e[next(iter(e))]
-                                e[tg] = dt_stamp
-                                c_dt_mis += 1
-                                cycles += lat_dt
-                            c_dt_acc += 1
-                            line = dlines[i]
-                            d1_acc += 1
-                            d1_stamp += 1
-                            e = d1_sets[line & d1_mask]
-                            tg = line >> d1_tagshift
-                            if tg in e:
-                                del e[tg]
-                                e[tg] = d1_stamp
-                            else:
-                                d1_mis += 1
-                                if len(e) >= d1_ways:
-                                    del e[next(iter(e))]
-                                e[tg] = d1_stamp
-                                c_l1d_mis += 1
-                                cycles += lat_d1
-                                c_l2_acc += 1
-                                line2 = dlines2[i]
-                                l2_acc += 1
-                                l2_stamp += 1
-                                e2 = l2_sets[line2 & l2_mask]
-                                tg2 = line2 >> l2_tagshift
-                                if tg2 in e2:
-                                    del e2[tg2]
-                                    e2[tg2] = l2_stamp
-                                else:
-                                    l2_mis += 1
-                                    if len(e2) >= l2_ways:
-                                        del e2[next(iter(e2))]
-                                    e2[tg2] = l2_stamp
-                                    c_l2_mis += 1
-                                    cycles += lat_l2
-                            c_l1d_acc += 1
-                            c_got_loads += 1
-                        c_branches += 1
-                        ti = -1 if tag_idx is None else tag_idx[i]
-                        if ti >= 0 and tags[ti] == "plt":
-                            # Tail-called trampoline: executes, never
-                            # learned by the call+branch pattern.
-                            c_tramp_exec += 1
-                            c_tramp_instr += 1
-                        pc_ = pcs[i]
-                        c_btb_lk += 1
-                        b_lookups += 1
-                        bse = b_sets[(pc_ >> 2) & b_mask]
-                        hit = bse.get(pc_)
-                        if hit is None:
-                            b_misses += 1
-                            c_btb_miss += 1
-                            pred = None
-                        else:
-                            b_stamp += 1
-                            del bse[pc_]
-                            bse[pc_] = (hit[0], b_stamp)
-                            pred = hit[0]
-                        if pred != targets[i]:
-                            c_mispred += 1
-                            cycles += lat_mp
-                        # update runs unconditionally
-                        b_updates += 1
-                        b_stamp += 1
-                        if pc_ in bse:
-                            del bse[pc_]
-                        elif len(bse) >= b_ways:
-                            del bse[next(iter(bse))]
-                        bse[pc_] = (targets[i], b_stamp)
-                    else:
-                        # --- CALL_DIRECT: CPU._call_direct or
-                        # CPU._trampoline_pair, inlined past the fetch ---
-                        c_branches += 1
-                        pc_ = pcs[i]
-                        real = targets[i]
-                        r_pushes += 1
-                        if len(r_stack) >= r_depth:
-                            del r_stack[0]  # circular overflow
-                        r_stack.append(pc_ + nbs[i])
-                        c_btb_lk += 1
-                        b_lookups += 1
-                        bse = b_sets[(pc_ >> 2) & b_mask]
-                        hit = bse.get(pc_)
-                        if hit is None:
-                            b_misses += 1
-                            c_btb_miss += 1
-                            pred = None
-                        else:
-                            b_stamp += 1
-                            del bse[pc_]
-                            bse[pc_] = (hit[0], b_stamp)
-                            pred = hit[0]
-                        if pair_j < 0:
-                            # Plain direct call.
-                            if pred is None:
-                                cycles += bubble
-                                b_updates += 1
-                                b_stamp += 1
-                                if len(bse) >= b_ways:
-                                    del bse[next(iter(bse))]
-                                bse[pc_] = (real, b_stamp)
-                            elif pred != real:
-                                c_mispred += 1
-                                cycles += lat_mp
-                                b_updates += 1
-                                b_stamp += 1
-                                del bse[pc_]
-                                bse[pc_] = (real, b_stamp)
-                            i += 1
-                            continue
-                        jpc = pcs[pair_j]
-                        jt = targets[pair_j]
-                        jma = mem_addrs[pair_j]
-                        if mech is not None:
-                            mapped = mapped_target(real)
-                            if mapped is not None:
-                                c_abtb_hits += 1
-                            else:
-                                c_abtb_misses += 1
-                            if mapped is not None and pred == mapped:
-                                # Promoted prediction validated by the
-                                # ABTB: the stub's rows are consumed
-                                # without charging any structure.
-                                if mapped != jt:
-                                    note_unsafe_skip()
-                                c_tramp_skip += 1
-                                i = pair_j + 1
-                                continue
-                            update_target = mapped if mapped is not None else real
-                            if (
-                                pred is not None
-                                and pred != real
-                                and pred != (mapped or -1)
-                            ):
-                                c_mispred += 1
-                                cycles += lat_mp
-                                b_updates += 1
-                                b_stamp += 1
-                                del bse[pc_]
-                                bse[pc_] = (update_target, b_stamp)
-                            elif pred is None:
-                                cycles += bubble
-                                b_updates += 1
-                                b_stamp += 1
-                                if len(bse) >= b_ways:
-                                    del bse[next(iter(bse))]
-                                bse[pc_] = (update_target, b_stamp)
-                                if mapped is not None:
-                                    note_promotion()
-                            elif mapped is not None and pred == real:
-                                b_updates += 1
-                                b_stamp += 1
-                                del bse[pc_]
-                                bse[pc_] = (mapped, b_stamp)
-                                note_promotion()
-                        else:
-                            if pred is None:
-                                cycles += bubble
-                                b_updates += 1
-                                b_stamp += 1
-                                if len(bse) >= b_ways:
-                                    del bse[next(iter(bse))]
-                                bse[pc_] = (real, b_stamp)
-                            elif pred != real:
-                                c_mispred += 1
-                                cycles += lat_mp
-                                b_updates += 1
-                                b_stamp += 1
-                                del bse[pc_]
-                                bse[pc_] = (real, b_stamp)
-                        # --- the trampoline executes ---
-                        c_tramp_exec += 1
-                        c_tramp_instr += 1 + (n_instrs[pair_s] if pair_s >= 0 else 0)
-                        x = pair_s if pair_s >= 0 else pair_j
-                        while True:
-                            # Fetch the stub prefix (ARM) then the branch
-                            # row — same inline fetch as the loop head.
-                            ni = n_instrs[x]
-                            c_instr += ni
-                            cycles += ni * base_cpi
-                            line = ifirst[x]
-                            lb = ilast[x]
-                            c_l1i_acc += lb - line + 1
-                            while True:
-                                if line == last_iline:
-                                    i_acc += 1
-                                    i_stamp += 1
-                                    last_ie[last_itg] = i_stamp
-                                else:
-                                    i_acc += 1
-                                    i_stamp += 1
-                                    e = i_sets[line & i_mask]
-                                    tg = line >> i_tagshift
-                                    if tg in e:
-                                        del e[tg]
-                                        e[tg] = i_stamp
-                                    else:
-                                        i_mis += 1
-                                        if len(e) >= i_ways:
-                                            del e[next(iter(e))]
-                                        e[tg] = i_stamp
-                                        c_l1i_mis += 1
-                                        cycles += lat_i1
-                                        c_l2_acc += 1
-                                        l2_acc += 1
-                                        l2_stamp += 1
-                                        e2 = l2_sets[line & l2_mask]
-                                        tg2 = line >> l2_tagshift
-                                        if tg2 in e2:
-                                            del e2[tg2]
-                                            e2[tg2] = l2_stamp
-                                        else:
-                                            l2_mis += 1
-                                            if len(e2) >= l2_ways:
-                                                del e2[next(iter(e2))]
-                                            e2[tg2] = l2_stamp
-                                            c_l2_mis += 1
-                                            cycles += lat_l2
-                                    last_iline = line
-                                    last_ie = e
-                                    last_itg = tg
-                                if line >= lb:
-                                    break
-                                line += 1
-                            vpn = pfirst[x]
-                            pb = plast[x]
-                            c_it_acc += pb - vpn + 1
-                            if vpn == pb and vpn == last_vpn:
-                                it_acc += 1
-                                it_stamp += 1
-                                last_pe[last_ptg] = it_stamp
-                            else:
-                                tmiss = 0
-                                while True:
-                                    it_acc += 1
-                                    it_stamp += 1
-                                    e = it_sets[vpn & it_mask]
-                                    tg = vpn >> it_tagshift
-                                    if tg in e:
-                                        del e[tg]
-                                        e[tg] = it_stamp
-                                    else:
-                                        it_mis += 1
-                                        tmiss += 1
-                                        if len(e) >= it_ways:
-                                            del e[next(iter(e))]
-                                        e[tg] = it_stamp
-                                    if vpn >= pb:
-                                        break
-                                    vpn += 1
-                                last_vpn = vpn
-                                last_pe = e
-                                last_ptg = tg
-                                c_it_mis += tmiss
-                                cycles += tmiss * lat_it
-                            if x >= pair_j:
-                                break
-                            x = pair_j
-                        if jma:
-                            # --- GOT load: CPU._data_access, inlined ---
-                            c_loads += 1
-                            vpn = dvpns[pair_j]
-                            dt_acc += 1
-                            dt_stamp += 1
-                            e = dt_sets[vpn & dt_mask]
-                            tg = vpn >> dt_tagshift
-                            if tg in e:
-                                del e[tg]
-                                e[tg] = dt_stamp
-                            else:
-                                dt_mis += 1
-                                if len(e) >= dt_ways:
-                                    del e[next(iter(e))]
-                                e[tg] = dt_stamp
-                                c_dt_mis += 1
-                                cycles += lat_dt
-                            c_dt_acc += 1
-                            line = dlines[pair_j]
-                            d1_acc += 1
-                            d1_stamp += 1
-                            e = d1_sets[line & d1_mask]
-                            tg = line >> d1_tagshift
-                            if tg in e:
-                                del e[tg]
-                                e[tg] = d1_stamp
-                            else:
-                                d1_mis += 1
-                                if len(e) >= d1_ways:
-                                    del e[next(iter(e))]
-                                e[tg] = d1_stamp
-                                c_l1d_mis += 1
-                                cycles += lat_d1
-                                c_l2_acc += 1
-                                line2 = dlines2[pair_j]
-                                l2_acc += 1
-                                l2_stamp += 1
-                                e2 = l2_sets[line2 & l2_mask]
-                                tg2 = line2 >> l2_tagshift
-                                if tg2 in e2:
-                                    del e2[tg2]
-                                    e2[tg2] = l2_stamp
-                                else:
-                                    l2_mis += 1
-                                    if len(e2) >= l2_ways:
-                                        del e2[next(iter(e2))]
-                                    e2[tg2] = l2_stamp
-                                    c_l2_mis += 1
-                                    cycles += lat_l2
-                            c_l1d_acc += 1
-                            c_got_loads += 1
-                        c_branches += 1
-                        c_btb_lk += 1
-                        b_lookups += 1
-                        bsej = b_sets[(jpc >> 2) & b_mask]
-                        hit = bsej.get(jpc)
-                        if hit is None:
-                            b_misses += 1
-                            c_btb_miss += 1
-                            tpred = None
-                        else:
-                            b_stamp += 1
-                            del bsej[jpc]
-                            bsej[jpc] = (hit[0], b_stamp)
-                            tpred = hit[0]
-                        if tpred != jt:
-                            c_mispred += 1
-                            cycles += lat_mp
-                        b_updates += 1
-                        b_stamp += 1
-                        if jpc in bsej:
-                            del bsej[jpc]
-                        elif len(bsej) >= b_ways:
-                            del bsej[next(iter(bsej))]
-                        bsej[jpc] = (jt, b_stamp)
-                        # --- retire-time learning ---
-                        if mech is not None and jma:
-                            mech_learn(pc_, real, jt, jma)
-                            c_abtb_inserts += 1
-                            b_updates += 1
-                            b_stamp += 1
-                            if pc_ in bse:
-                                del bse[pc_]
-                            elif len(bse) >= b_ways:
-                                del bse[next(iter(bse))]
-                            bse[pc_] = (jt, b_stamp)
-                            note_promotion()
-                        i = pair_j
-                    i += 1
-                self._i = i
-                continue
-            # ------------------- slow path: reference dispatch units,
-            # synced once per slow *run* rather than per event.
-            self._store_state(
-                (
-                    cycles, c_instr, c_loads, c_stores,
-                    c_branches, c_mispred, c_btb_lk, c_btb_miss,
-                    c_tramp_exec, c_tramp_skip, c_tramp_instr, c_got_loads,
-                    c_abtb_hits, c_abtb_misses, c_abtb_inserts,
-                    c_l1i_acc, c_l1i_mis, c_l1d_acc, c_l1d_mis,
-                    c_l2_acc, c_l2_mis, c_it_acc, c_it_mis,
-                    c_dt_acc, c_dt_mis,
-                    i_stamp, i_acc, i_mis, l2_stamp, l2_acc, l2_mis,
-                    d1_stamp, d1_acc, d1_mis, it_stamp, it_acc, it_mis,
-                    dt_stamp, dt_acc, dt_mis,
-                    b_stamp, b_lookups, b_misses, b_updates,
-                    g_hist, g_preds, g_mis,
-                    r_pushes, r_pops, r_mis,
+        marks = np.flatnonzero(kind == _K_MARK)
+        if len(marks):
+            instr = np.cumsum(n_fetched)[marks] + c.instructions
+            tag_idx = cols["tag"][lo:hi][marks]
+            cpu.marks.extend(
+                Mark(None if ti < 0 else tags[ti], n, cyc)
+                for ti, n, cyc in zip(
+                    tag_idx.tolist(), instr.tolist(), total[first[marks] - 1].tolist()
                 )
             )
-            first = True
-            while True:
-                if pending:
-                    # A fallback handler's lookahead pushed events back;
-                    # they retire through the reference dispatch before
-                    # any more batch rows are consumed (LIFO, as
-                    # EventCursor pops).
-                    ev = pending.pop()
-                else:
-                    i = self._i
-                    if self._cur is not dec or i >= n:
-                        break
-                    if fast[kinds[i]] and not (force_slow and first):
-                        break
-                    ev = dec.event(i)
-                    self._i = i + 1
-                handler = dispatch.get(ev.kind)
-                if handler is None:
-                    raise TraceError(f"unhandled event kind {ev.kind!r}")
-                handler(ev, cursor)
-                first = False
-            force_slow = False
-            (
-                cycles,
-                c_instr,
-                c_loads,
-                c_stores,
-                c_branches,
-                c_mispred,
-                c_btb_lk,
-                c_btb_miss,
-                c_tramp_exec,
-                c_tramp_skip,
-                c_tramp_instr,
-                c_got_loads,
-                c_abtb_hits,
-                c_abtb_misses,
-                c_abtb_inserts,
-                c_l1i_acc,
-                c_l1i_mis,
-                c_l1d_acc,
-                c_l1d_mis,
-                c_l2_acc,
-                c_l2_mis,
-                c_it_acc,
-                c_it_mis,
-                c_dt_acc,
-                c_dt_mis,
-                i_stamp,
-                i_acc,
-                i_mis,
-                l2_stamp,
-                l2_acc,
-                l2_mis,
-                d1_stamp,
-                d1_acc,
-                d1_mis,
-                it_stamp,
-                it_acc,
-                it_mis,
-                dt_stamp,
-                dt_acc,
-                dt_mis,
-                b_stamp,
-                b_lookups,
-                b_misses,
-                b_updates,
-                g_hist,
-                g_preds,
-                g_mis,
-                r_pushes,
-                r_pops,
-                r_mis,
-            ) = self._load_state()
-            # The handlers probed the same structures: MRU shortcuts are
-            # stale, and a component may even have swapped its tables.
-            last_iline = last_vpn = -1
-            i_sets = l1i.hot_state()[0]
-            l2_sets = l2.hot_state()[0]
-            d1_sets = l1d.hot_state()[0]
-            it_sets = itlb.hot_state()[0]
-            dt_sets = dtlb.hot_state()[0]
-            b_sets = btb._sets
-            g_table = gshare._table
-            r_stack = ras._stack
 
-        self._store_state(
-            (
-                cycles, c_instr, c_loads, c_stores,
-                c_branches, c_mispred, c_btb_lk, c_btb_miss,
-                c_tramp_exec, c_tramp_skip, c_tramp_instr, c_got_loads,
-                c_abtb_hits, c_abtb_misses, c_abtb_inserts,
-                c_l1i_acc, c_l1i_mis, c_l1d_acc, c_l1d_mis,
-                c_l2_acc, c_l2_mis, c_it_acc, c_it_mis,
-                c_dt_acc, c_dt_mis,
-                i_stamp, i_acc, i_mis, l2_stamp, l2_acc, l2_mis,
-                d1_stamp, d1_acc, d1_mis, it_stamp, it_acc, it_mis,
-                dt_stamp, dt_acc, dt_mis,
-                b_stamp, b_lookups, b_misses, b_updates,
-                g_hist, g_preds, g_mis,
-                r_pushes, r_pops, r_mis,
+        cpu.cycles = float(total[-1])
+        n_lines, n_pages, n_data = len(lines), len(pages), len(drows)
+        n_stores = int(np.count_nonzero(kind == _K_STORE))
+        c.instructions += int(n_fetched.sum())
+        c.l1i_accesses += n_lines
+        c.l1i_misses += n_i
+        c.itlb_accesses += n_pages
+        c.itlb_misses += len(it_miss_rows)
+        c.dtlb_accesses += n_data
+        c.dtlb_misses += len(dt_miss_rows)
+        c.l1d_accesses += n_data
+        c.l1d_misses += len(d1_miss)
+        c.l2_accesses += len(l2_keys)
+        c.l2_misses += len(l2_miss)
+        c.loads += n_data - n_stores
+        c.stores += n_stores
+        c.got_loads += int(np.count_nonzero(kind[drows] == _K_JMP_INDIRECT))
+        c.branches += int(np.count_nonzero(_BRANCH[kind[rows]]))
+
+    def _control(self, cols: dict, tags: list, lo: int, kind, jump_of) -> tuple:
+        """The control pass over rows ``lo + [0, len(kind))``.
+
+        Retires every branch, store and coherence row against the BTB,
+        gshare, RAS and mechanism, firing hooks in stream order.  Returns
+        row arrays: the heads of the skipped trampoline pairs, then the
+        rows charged a misprediction, a BTB bubble, and a conditional
+        branch's BTB bubble.
+        """
+        cpu = self.cpu
+        c = cpu.counters
+        mech = cpu.mechanism
+        hooks = cpu.hooks
+        control = (kind != _K_BLOCK) & (kind != _K_LOAD) & (kind != _K_MARK)
+        if hooks is None and mech is None:
+            control &= (kind != _K_STORE) & (kind != _K_COHERENCE_INVAL)
+        control[jump_of[jump_of >= 0]] = False
+        rows = np.flatnonzero(control)
+        at = rows + lo
+        pcs = cols["pc"][at]
+        jumps = jump_of[rows]
+        jat = np.where(jumps >= 0, jumps + lo, at)  # unpaired rows point at themselves
+        arm = jumps == rows + 2
+        stub_instr = np.zeros(len(rows), np.int64)
+        stub_instr[arm] = cols["n_instr"][at[arm] + 1]
+        flags = ()
+        if tags:
+            named = [(t == "plt", t == "got-store") for t in tags] + [(False, False)]
+            flags = np.array(named)[cols["tag"][at]].tolist()
+        taken = cols["taken"][at].tolist()
+        returns = (pcs + cols["nbytes"][at]).tolist()
+        jump_rows = jumps.tolist()
+        jump_pcs = cols["pc"][jat].tolist()
+        jump_targets = cols["target"][jat].tolist()
+        jump_addrs = cols["mem_addr"][jat].tolist()
+        stub_instr = stub_instr.tolist()
+
+        btb, gshare, ras = cpu.btb, cpu.gshare, cpu.ras
+        b_sets, b_mask, b_ways, b_stamp = btb._sets, btb._set_mask, btb.ways, btb._stamp
+        lookups = btb_misses = updates = 0
+        g_table, g_mask, g_hmask = gshare._table, gshare._mask, gshare._history_mask
+        g_hist = gshare._history
+        g_preds = g_mis = 0
+        r_stack, r_depth = ras._stack, ras.depth
+        r_pushes = r_pops = r_mis = 0
+        abtb_hits = abtb_misses = abtb_inserts = 0
+        executed = skips = tramp_instr = 0
+        mispredicted, bubbled, cond_bubbled, skipped = [], [], [], []
+        mapped = None
+
+        for j, (r, k, pc, tgt, ma) in enumerate(
+            zip(
+                rows.tolist(),
+                kind[rows].tolist(),
+                pcs.tolist(),
+                cols["target"][at].tolist(),
+                cols["mem_addr"][at].tolist(),
             )
+        ):
+            if k == _K_STORE:
+                if hooks is not None:
+                    hooks.on_store(ma)
+                if mech is not None:
+                    mech.snoop_store(ma)
+                    if flags and flags[j][1] and not mech.config.use_bloom:
+                        # Section 3.4: without the Bloom filter the dynamic
+                        # linker invalidates the ABTB on every GOT rewrite.
+                        mech.invalidate()
+                continue
+            if k == _K_COND_BRANCH:
+                g_preds += 1
+                gi = ((pc >> 2) ^ g_hist) & g_mask
+                counter = g_table[gi]
+                if not taken[j]:
+                    if counter > 0:
+                        g_table[gi] = counter - 1
+                    g_hist = (g_hist << 1) & g_hmask
+                    if counter >= 2:
+                        g_mis += 1
+                        mispredicted.append(r)
+                    continue
+                if counter < 3:
+                    g_table[gi] = counter + 1
+                g_hist = ((g_hist << 1) | 1) & g_hmask
+                if counter < 2:
+                    g_mis += 1
+                    mispredicted.append(r)
+            elif k == _K_RET:
+                r_pops += 1
+                if (r_stack.pop() if r_stack else None) != tgt:
+                    r_mis += 1
+                    mispredicted.append(r)
+                continue
+            elif k == _K_COHERENCE_INVAL:
+                if mech is not None:
+                    mech.coherence_invalidate(ma)
+                continue
+            elif k == _K_CALL_DIRECT or k == _K_CALL_INDIRECT:
+                r_pushes += 1
+                if len(r_stack) >= r_depth:
+                    del r_stack[0]  # circular overflow
+                r_stack.append(returns[j])
+
+            # The branch's BTB lookup.
+            lookups += 1
+            entries = b_sets[(pc >> 2) & b_mask]
+            hit = entries.get(pc)
+            if hit is None:
+                btb_misses += 1
+                pred = None
+            else:
+                b_stamp += 1
+                del entries[pc]
+                pred = hit[0]
+                entries[pc] = (pred, b_stamp)
+
+            if k == _K_CALL_DIRECT:
+                # A plain call, or the head of a trampoline pair.
+                jr = jump_rows[j]
+                before = len(mispredicted)
+                update = None
+                if mech is not None and jr >= 0:
+                    jt = jump_targets[j]
+                    mapped = mech.mapped_target(tgt)
+                    if mapped is not None:
+                        abtb_hits += 1
+                    else:
+                        abtb_misses += 1
+                    if mapped is not None and pred == mapped:
+                        # Promoted prediction validated by the ABTB: the
+                        # stub is never fetched.
+                        if mapped != jt:
+                            mech.note_unsafe_skip()
+                        skips += 1
+                        skipped.append(r)
+                        if hooks is not None:
+                            hooks.on_skip(
+                                self._event(cols, tags, r + lo),
+                                self._event(cols, tags, jr + lo),
+                                mapped,
+                            )
+                            hooks.on_trampoline(
+                                pc, jump_pcs[j], mapped, True, 0, False, True, False
+                            )
+                        continue
+                    # The modified update logic installs the mapped target.
+                    if pred is not None and pred != tgt and pred != (mapped or -1):
+                        mispredicted.append(r)
+                        update = mapped if mapped is not None else tgt
+                    elif pred is None:
+                        bubbled.append(r)
+                        update = mapped if mapped is not None else tgt
+                        if mapped is not None:
+                            mech.note_promotion()
+                    elif mapped is not None and pred == tgt:
+                        update = mapped
+                        mech.note_promotion()
+                else:
+                    mapped = None
+                    if pred is None:
+                        bubbled.append(r)
+                        update = tgt
+                    elif pred != tgt:
+                        mispredicted.append(r)
+                        update = tgt
+                if update is not None:
+                    updates += 1
+                    b_stamp += 1
+                    if pred is not None:
+                        del entries[pc]
+                    elif len(entries) >= b_ways:
+                        del entries[next(iter(entries))]
+                    entries[pc] = (update, b_stamp)
+                if jr < 0:
+                    continue
+
+                # The trampoline executes: its jump's BTB lookup and update.
+                sni = stub_instr[j]
+                jpc = jump_pcs[j]
+                jt = jump_targets[j]
+                jma = jump_addrs[j]
+                executed += 1
+                tramp_instr += 1 + sni
+                lookups += 1
+                jentries = b_sets[(jpc >> 2) & b_mask]
+                hit = jentries.get(jpc)
+                if hit is None:
+                    btb_misses += 1
+                    tpred = None
+                else:
+                    b_stamp += 1
+                    del jentries[jpc]
+                    tpred = hit[0]
+                    jentries[jpc] = (tpred, b_stamp)
+                if tpred != jt:
+                    mispredicted.append(jr)
+                updates += 1
+                b_stamp += 1
+                if jpc in jentries:
+                    del jentries[jpc]
+                elif len(jentries) >= b_ways:
+                    del jentries[next(iter(jentries))]
+                jentries[jpc] = (jt, b_stamp)
+                if mech is not None and jma:
+                    # Retire-time learning promotes the call's entry.
+                    mech.learn(pc, tgt, jt, jma)
+                    abtb_inserts += 1
+                    updates += 1
+                    b_stamp += 1
+                    if pc in entries:
+                        del entries[pc]
+                    elif len(entries) >= b_ways:
+                        del entries[next(iter(entries))]
+                    entries[pc] = (jt, b_stamp)
+                    mech.note_promotion()
+                if hooks is not None:
+                    hooks.on_trampoline(
+                        pc,
+                        jpc,
+                        jt,
+                        False,
+                        1 + sni,
+                        bool(jma),
+                        mapped is not None,
+                        len(mispredicted) > before,
+                    )
+                continue
+
+            if k == _K_COND_BRANCH:
+                if pred is None:
+                    cond_bubbled.append(r)
+            elif k == _K_JMP_DIRECT:
+                if pred is not None:
+                    continue
+                bubbled.append(r)
+            else:
+                # CALL_INDIRECT, or a JMP_INDIRECT outside a pair.
+                wrong = pred != tgt
+                if wrong:
+                    mispredicted.append(r)
+                if k == _K_JMP_INDIRECT and flags and flags[j][0]:
+                    # A trampoline reached by a tail call: it executes,
+                    # but the call+branch pattern never learns it.
+                    executed += 1
+                    tramp_instr += 1
+                    if hooks is not None:
+                        hooks.on_trampoline(pc, pc, tgt, False, 1, bool(ma), False, wrong)
+            # The BTB update after the lookup.
+            updates += 1
+            b_stamp += 1
+            if pred is not None:
+                del entries[pc]
+            elif len(entries) >= b_ways:
+                del entries[next(iter(entries))]
+            entries[pc] = (tgt, b_stamp)
+
+        btb._stamp = b_stamp
+        btb.lookups += lookups
+        btb.misses += btb_misses
+        btb.updates += updates
+        gshare._history = g_hist
+        gshare.predictions += g_preds
+        gshare.mispredictions += g_mis
+        ras.pushes += r_pushes
+        ras.pops += r_pops
+        ras.mispredictions += r_mis
+        c.branch_mispredictions += len(mispredicted)
+        c.btb_lookups += lookups
+        c.btb_misses += btb_misses
+        c.trampolines_executed += executed
+        c.trampolines_skipped += skips
+        c.trampoline_instructions += tramp_instr
+        c.abtb_hits += abtb_hits
+        c.abtb_misses += abtb_misses
+        c.abtb_inserts += abtb_inserts
+        return tuple(
+            np.array(rows, np.intp) for rows in (skipped, mispredicted, bubbled, cond_bubbled)
+        )
+
+    @staticmethod
+    def _event(cols: dict, tags: list, i: int):
+        """Row ``i`` of a window as a :class:`TraceEvent` (for hooks)."""
+        ti = int(cols["tag"][i])
+        return event_from_row(
+            int(cols["kind"][i]),
+            int(cols["pc"][i]),
+            int(cols["n_instr"][i]),
+            int(cols["nbytes"][i]),
+            int(cols["target"][i]),
+            int(cols["mem_addr"][i]),
+            int(cols["taken"][i]),
+            None if ti < 0 else tags[ti],
         )

@@ -10,6 +10,8 @@ on full :meth:`CPU.snapshot` payloads, not a curated counter subset.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MechanismConfig, TrampolineSkipMechanism
 from repro.errors import ConfigError, TraceError
@@ -17,18 +19,21 @@ from repro.isa.events import (
     block,
     call_direct,
     call_indirect,
+    coherence_inval,
     cond_branch,
     context_switch,
     jmp_direct,
+    jmp_indirect,
     load,
     mark,
     ret,
     store,
 )
 from repro.trace.batch import TraceBatch, iter_batches
-from repro.uarch import CPU
+from repro.uarch import CPU, CPUConfig
 from repro.uarch.backend import BatchedBackend
 from repro.uarch.cpu import CPUHooks
+from repro.uarch.timing import TimingModel
 from repro.workloads import ALL_WORKLOADS
 from repro.workloads.base import Workload
 from tests.test_cpu import GOT, plt_call
@@ -110,8 +115,8 @@ class TestBackendEquivalence:
         assert_equivalent(mixed_trace(), enhanced, batch_events)
 
     def test_pair_straddling_batch_boundary(self):
-        # Pair head as the last event of a batch: the lookahead must cross
-        # into the next batch through the fallback cursor.
+        # Pair head as the last event of a batch: the window must borrow
+        # the pair's tail from the next batch.
         events = [block(0x1000, 1)] * 3 + plt_call() + plt_call()
         for batch_events in (4, 5):  # head at index 3 / tail split
             assert_equivalent(events, enhanced, batch_events)
@@ -137,19 +142,36 @@ class TestBackendEquivalence:
         assert_equivalent(events, enhanced, batch_events=512)
 
 
+class Recorder(CPUHooks):
+    """Records every hook call, interleaved, in the order it fires."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_skip(self, call, jmp, target):
+        self.calls.append(("skip", call, jmp, target))
+
+    def on_store(self, addr):
+        self.calls.append(("store", addr))
+
+    def on_trampoline(self, *args):
+        self.calls.append(("trampoline",) + args)
+
+
+def _refuse_reference_handlers(cpu: CPU) -> CPU:
+    """Make every per-event reference handler of ``cpu`` raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row retired through a reference handler")
+
+    cpu._dispatch = {kind: refuse for kind in cpu._dispatch}
+    for name in ("_fetch", "_data_access", "_trampoline_pair", "_call_direct", "_jmp_indirect"):
+        setattr(cpu, name, refuse)
+    return cpu
+
+
 class TestHooks:
-    def test_hooked_cpu_falls_back_and_matches(self):
-        class Recorder(CPUHooks):
-            def __init__(self):
-                self.trampolines = []
-                self.stores = []
-
-            def on_trampoline(self, site_pc, stub_pc, target, skipped, *a, **k):
-                self.trampolines.append((site_pc, stub_pc, target, skipped))
-
-            def on_store(self, addr):
-                self.stores.append(addr)
-
+    def test_hooked_cpu_matches_without_reference_handlers(self):
         events = mixed_trace()
 
         def make(rec):
@@ -160,11 +182,145 @@ class TestHooks:
 
         ref_rec, fast_rec = Recorder(), Recorder()
         ref = run_reference(events, make(ref_rec))
-        fast = run_batched(events, make(fast_rec))
+        fast = run_batched(events, _refuse_reference_handlers(make(fast_rec)), 5)
         assert ref.snapshot() == fast.snapshot()
-        assert ref_rec.trampolines == fast_rec.trampolines
-        assert ref_rec.stores == fast_rec.stores
-        assert fast_rec.trampolines  # the hook actually observed something
+        assert ref_rec.calls == fast_rec.calls
+        kinds = {call[0] for call in fast_rec.calls}
+        assert kinds == {"skip", "store", "trampoline"}  # every hook observed
+
+
+# ------------------------------------------------ property: equivalence
+
+SITES = [0x400100 + 0x40 * i for i in range(4)]
+STUBS = [0x401020 + 0x10 * i for i in range(4)]
+FUNCS = [0x7F0000_0000 + 0x1000 * i for i in range(6)]
+GOTS = [0x601018 + 8 * i for i in range(4)]
+
+#: Non-integer penalties, so charges round: integer penalties add exactly
+#: and hide the order of a row's charges even at a power-of-two crossing.
+ODD_TIMING = TimingModel(
+    base_cpi=0.37, l1i_miss=12.1, l1d_miss=14.3, l2_miss=120.7,
+    itlb_miss=30.9, dtlb_miss=29.3, mispredict=14.9,
+)
+
+#: Default machine; small structures so the run sees evictions
+#: everywhere; both with the odd timing.
+CONFIGS = [
+    None,
+    CPUConfig(timing=ODD_TIMING, direct_btb_bubble=3.3),
+    CPUConfig(
+        l1i_bytes=1024, l1i_ways=2, l1d_bytes=1024, l1d_ways=2, l2_bytes=4096, l2_ways=4,
+        itlb_entries=4, itlb_ways=2, dtlb_entries=4, dtlb_ways=2, btb_entries=16,
+        btb_ways=2, gshare_entries=64, history_bits=4, ras_depth=4,
+        timing=ODD_TIMING, direct_btb_bubble=3.3,
+    ),
+]
+
+MACHINES = {
+    "base": None,
+    "abtb16": MechanismConfig(abtb_entries=16),
+    "abtb16-4way": MechanismConfig(abtb_entries=16, abtb_ways=4),
+    "no-bloom": MechanismConfig(abtb_entries=16, use_bloom=False),
+    "asid": MechanismConfig(abtb_entries=16, asid_support=True),
+}
+
+
+def _tagged(ev, tag):
+    ev.tag = tag
+    return ev
+
+
+def _fragment(kind: int, i: int, j: int, taken: bool) -> list:
+    """A few events of one shape; ``i``/``j`` pick sites, slots, targets."""
+    site, stub, func, got = SITES[i % 4], STUBS[i % 4], FUNCS[j % 6], GOTS[i % 4]
+    arm = stub + 0x200
+    if kind == 0:  # x86 trampoline pair
+        return [call_direct(site, stub), _tagged(jmp_indirect(stub, func, got), "plt")]
+    if kind == 1:  # ARM pair: address-computation prefix, then the branch
+        return [call_direct(site, arm), block(arm, 2, 8), jmp_indirect(arm + 8, func, got)]
+    if kind == 2:  # a short BLOCK at the call's target but no jump: push-back
+        return [call_direct(site, arm), block(arm, 2, 8)]
+    if kind == 3:  # tail-called trampoline
+        return [_tagged(jmp_indirect(stub, func, got), "plt")]
+    if kind == 4:  # GOT rewrite
+        return [_tagged(store(0x5000 + 4 * j, got), "got-store")]
+    if kind == 5:
+        return [coherence_inval(got if taken else 0x7000_0000 + 64 * j)]
+    if kind == 6:
+        return [context_switch()]
+    if kind == 7:
+        return [mark(("req", i, j))]
+    if kind == 8:
+        return [block(0x5000 + 48 * i * j, 1 + j, 4 + 60 * (j % 3))]
+    if kind == 9:
+        return [load(0x5100 + 4 * i, 0x7000_0000 + 4096 * i + 64 * j)]
+    if kind == 10:
+        return [store(0x5200 + 4 * i, 0x7000_0000 + 4096 * j + 8 * i)]
+    if kind == 11:
+        return [cond_branch(0x5300 + 4 * i, 0x5400 + 16 * j, taken)]
+    if kind == 12:
+        return [ret(func + 0x40, site + 5 if taken else 0x5500)]
+    if kind == 13:
+        return [jmp_direct(0x5600 + 4 * i, 0x5700 + 16 * j)]
+    if kind == 14:
+        return [call_indirect(0x5800 + 4 * i, func, GOTS[j % 4] if taken else 0)]
+    return [call_direct(site, func)]  # a plain direct call
+
+
+fragments = st.lists(
+    st.tuples(
+        st.integers(0, 15), st.integers(0, 7), st.integers(0, 7), st.booleans()
+    ),
+    max_size=60,
+)
+
+
+class TestEquivalenceProperty:
+    """Any stream, any batch size: the passes leave the reference's state."""
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
+    @given(
+        shapes=fragments,
+        batch_events=st.integers(1, 64),
+        config=st.sampled_from(CONFIGS),
+        headroom=st.floats(0.0, 200.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference(self, machine, hooked, shapes, batch_events, config, headroom):
+        events = [ev for shape in shapes for ev in _fragment(*shape)]
+
+        def make(hooks):
+            mech = MACHINES[machine]
+            cpu = CPU(
+                config,
+                TrampolineSkipMechanism(mech) if mech is not None else None,
+                hooks=hooks,
+            )
+            # Two charges of one row add the same in either order unless
+            # the sum crosses a power of two between them: start the clock
+            # just below one.
+            cpu.cycles = 2.0**20 - headroom
+            return cpu
+
+        ref_rec = Recorder() if hooked else None
+        fast_rec = Recorder() if hooked else None
+        ref = make(ref_rec)
+        fast = _refuse_reference_handlers(make(fast_rec))
+        done = 0
+
+        def at_sync(position):
+            nonlocal done
+            ref.run(events[done:position])
+            done = position
+            assert ref.snapshot() == fast.snapshot(), position
+
+        BatchedBackend(fast, batch_events).run(iter(events), sync_hook=at_sync)
+        assert done == len(events)
+        assert ref.snapshot() == fast.snapshot()
+        assert ref.marks == fast.marks
+        if hooked:
+            assert ref_rec.calls == fast_rec.calls
 
 
 class TestRunnerSelection:
@@ -176,8 +332,16 @@ class TestRunnerSelection:
         events = [block(0x1000 + 64 * i, 1) for i in range(10)]
         positions = []
         BatchedBackend(CPU(), 4).run(iter(events), sync_hook=positions.append)
-        assert positions == sorted(positions)
-        assert positions[-1] == len(events)
+        assert positions == [4, 8, 10]
+        # A window ending on a pair head borrows the rows the reference's
+        # lookahead reads; the next window starts after them.
+        events = [block(0x1000, 1)] * 3 + plt_call() + plt_call()
+        for batch_events, expected in ((4, [5, 9, 11]), (5, [5, 10, 11])):
+            positions = []
+            BatchedBackend(enhanced(), batch_events).run(
+                iter(events), sync_hook=positions.append
+            )
+            assert positions == expected, batch_events
 
 
 class TestRunnerIntegration:

@@ -321,3 +321,39 @@ class TestCampaign:
         assert summary["instructions"] > 0
         assert 0.0 <= summary["skip_rate"] <= 1.0
         assert summary["unmatched_marks"] == 0
+
+
+class TestPrefill:
+    def test_prefilled_base_checkpoint_matches_run_workload(self, tmp_path):
+        # Start-up ends in a pair head whose jump opens warm-up: the two
+        # segments are separate streams, so the head must not pair across
+        # the boundary in either checkpoint.
+        from repro.experiments.runner import _prefill_caches, warmup_machine_key
+        from repro.isa.events import call_direct, jmp_indirect, ret
+        from repro.trace.batch import TraceBatch
+        from repro.trace.engine import LinkMode
+        from repro.trace.store import TraceBundle, TraceStore, trace_key
+        from repro.uarch.machine import CheckpointStore
+
+        site, stub, func, got = 0x400100, 0x401020, 0x7F0000_0000, 0x601018
+        startup = [block(0x400000, 8), call_direct(site, stub)]
+        warmup = [jmp_indirect(stub, func, got), block(func, 10), ret(func + 40, site + 5)]
+        measured = [block(0x400000, 8)]
+        config = ALL_WORKLOADS["memcached"].config()
+        traces = TraceStore(tmp_path / "traces")
+        traces.save(
+            trace_key(config, LinkMode.DYNAMIC, 1, 1),
+            TraceBundle(
+                *(TraceBatch.from_events(seg) for seg in (startup, warmup, measured)),
+                stats={},
+            ),
+        )
+        prefilled = CheckpointStore(tmp_path / "prefilled")
+        _prefill_caches(["memcached"], Scale("tiny", {"memcached": (1, 1)}), prefilled, traces)
+        captured = CheckpointStore(tmp_path / "captured")
+        run_workload(
+            config, warmup_requests=1, measured_requests=1,
+            machine_cache=captured, trace_cache=traces,
+        )
+        key = warmup_machine_key(config, LinkMode.DYNAMIC, CPU().config, None, 1)
+        assert prefilled.load(key).to_json() == captured.load(key).to_json()
