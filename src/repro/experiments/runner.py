@@ -36,6 +36,7 @@ from repro.resilience.workers import FaultPlan, LocalWorkers
 from repro.trace.batch import TraceBatch
 from repro.trace.engine import LinkMode
 from repro.trace.store import (
+    SEGMENTS,
     TraceStore,
     collect_stats,
     generate_bundle,
@@ -282,7 +283,8 @@ def run_workload(
     with the identical recipe *loads* them instead of generating, and
     links no program: the result's ``usage`` is the stored sidecar.
     Combined with a ``machine_cache`` hit, the run reduces to restoring
-    the warm machine and retiring the measured batch.
+    the warm machine and retiring the measured batch, and only that
+    segment is read from the store.
 
     ``progress(n)`` is told about retired events at every batch sync
     point.
@@ -322,13 +324,17 @@ def run_workload(
     elif trace_cache is not None:
         # Generation usage statistics travel in the store's sidecar, so a
         # hit never builds the workload or touches its generators at all.
+        # A warm machine retires only the measured window, so only that
+        # segment is read.
         bundle_key = trace_key(config, mode, warmup_requests, measured_requests)
-        bundle = trace_cache.load(bundle_key)
+        bundle = trace_cache.load(
+            bundle_key, ("measured",) if state is not None else SEGMENTS
+        )
         if bundle is None:
             bundle = generate_bundle(Workload(config, mode), warmup_requests, measured_requests)
             trace_cache.save(bundle_key, bundle)
         usage = bundle.stats
-        segments = [(batch,) for batch in bundle.segments()]
+        segments = [() if batch is None else (batch,) for batch in bundle.segments()]
     else:
         segments = stream_segments(workload, warmup_requests, measured_requests)
     startup, warmup, measured = segments

@@ -9,7 +9,7 @@ address, which is what makes the front end skip the trampoline.
 from __future__ import annotations
 
 from repro.errors import ConfigError
-from repro.uarch.component import check_geometry
+from repro.uarch.component import check_geometry, decode_lru_sets
 
 
 class BTB:
@@ -79,8 +79,9 @@ class BTB:
         return {
             "n_sets": self.n_sets,
             "ways": self.ways,
+            # One flat [pc, target, stamp, …] row per set, in LRU order.
             "sets": [
-                [[pc, target, stamp] for pc, (target, stamp) in entries.items()]
+                [x for pc, (target, stamp) in entries.items() for x in (pc, target, stamp)]
                 for entries in self._sets
             ],
             "stamp": self._stamp,
@@ -92,13 +93,7 @@ class BTB:
     def restore(self, state: dict) -> None:
         """Restore a snapshot taken on an identically shaped BTB."""
         check_geometry("BTB", state, n_sets=self.n_sets, ways=self.ways)
-        self._sets = [
-            {
-                int(pc): (int(target), int(stamp))
-                for pc, target, stamp in sorted(rows, key=lambda r: r[2])
-            }
-            for rows in state["sets"]
-        ]
+        self._sets = decode_lru_sets("BTB", state["sets"], self.n_sets, self.ways, width=3)
         self._stamp = int(state["stamp"])
         self.lookups = int(state["lookups"])
         self.misses = int(state["misses"])

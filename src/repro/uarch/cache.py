@@ -7,16 +7,7 @@ counts of misses per kilo-instruction, which depend on tag state alone.
 from __future__ import annotations
 
 from repro.errors import ConfigError
-from repro.uarch.component import check_geometry, decode_table, encode_table
-
-
-def _in_lru_order(table: dict[int, int]) -> dict[int, int]:
-    """Rebuild a tag→stamp table in LRU order (oldest stamp first).
-
-    The live tables rely on dict insertion order for O(1) eviction;
-    snapshots only guarantee the stamps, so restore re-sorts.
-    """
-    return dict(sorted(table.items(), key=lambda kv: kv[1]))
+from repro.uarch.component import check_geometry, decode_lru_sets, encode_lru_sets
 
 
 class SetAssociativeCache:
@@ -44,8 +35,8 @@ class SetAssociativeCache:
         # Per set: dict tag -> last-use stamp, kept in LRU order (least
         # recently used first) so eviction is O(1) instead of a min()
         # scan.  Hits delete and re-insert their key to move it to the
-        # end; the stamp values are what snapshots persist, so restore
-        # rebuilds the ordering by sorting on them.
+        # end, so stamps strictly increase along each set; snapshots
+        # store every set as one flat row in this order.
         self._sets: list[dict[int, int]] = [dict() for _ in range(self.n_sets)]
         self._stamp = 0
         self.accesses = 0
@@ -124,7 +115,7 @@ class SetAssociativeCache:
             "n_sets": self.n_sets,
             "ways": self.ways,
             "line_bytes": self.line_bytes,
-            "sets": [encode_table(entries) for entries in self._sets],
+            "sets": encode_lru_sets(self._sets),
             "stamp": self._stamp,
             "accesses": self.accesses,
             "misses": self.misses,
@@ -139,7 +130,7 @@ class SetAssociativeCache:
             ways=self.ways,
             line_bytes=self.line_bytes,
         )
-        self._sets = [_in_lru_order(decode_table(rows)) for rows in state["sets"]]
+        self._sets = decode_lru_sets(self.name, state["sets"], self.n_sets, self.ways)
         self._stamp = int(state["stamp"])
         self.accesses = int(state["accesses"])
         self.misses = int(state["misses"])

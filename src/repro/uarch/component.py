@@ -18,8 +18,8 @@ Snapshot contract
   large ints are allowed — Python's ``json`` round-trips them exactly.
 * ``restore(state)`` accepts either a dict produced by ``snapshot()`` on
   a *compatible* instance (same geometry) or the result of JSON
-  round-tripping one; incompatible geometry raises
-  :class:`~repro.errors.ConfigError`.
+  round-tripping one; incompatible geometry, or a malformed LRU set row
+  (see :func:`decode_lru_sets`), raises :class:`~repro.errors.ConfigError`.
 * ``reset()`` returns the component to its just-constructed state.
 * ``describe()`` returns a JSON-safe dict of static configuration —
   geometry, policies, sizes — never dynamic state.
@@ -41,6 +41,8 @@ registering a factory under the same name.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import lt
 from typing import Callable, Dict, Protocol, runtime_checkable
 
 from repro.errors import ConfigError
@@ -145,19 +147,50 @@ def default_registry() -> "ComponentRegistry":
 
 # ------------------------------------------------------------ state codecs
 #
-# Shared helpers for components whose state is a dict keyed by integers
-# (cache sets, BTB sets).  JSON objects force string keys, so tables are
-# encoded as lists of [key, value...] rows instead.
+# The LRU structures (caches, TLBs, the BTB) keep each set as a dict in
+# LRU order, oldest first, mapping a key to its last-use stamp (the BTB
+# maps a PC to ``(target, stamp)``).  A snapshot stores each set as one
+# flat row in that order, ``[key, stamp, key, stamp, …]`` or ``[pc,
+# target, stamp, …]``, so a checkpoint parses as one list of ints per set
+# and restore builds each dict straight from its row.  Rows are checked,
+# never repaired: a row out of stamp order is an error.
 
 
-def encode_table(table: dict) -> list:
-    """``{int: scalar}`` → ``[[key, value], ...]`` (JSON-safe, ordered)."""
-    return [[int(k), v] for k, v in table.items()]
+def encode_lru_sets(sets: list[dict]) -> list[list[int]]:
+    """Per set, ``{key: stamp}`` in LRU order → ``[key, stamp, …]``."""
+    return [list(chain.from_iterable(entries.items())) for entries in sets]
 
 
-def decode_table(rows: list) -> dict:
-    """Inverse of :func:`encode_table`."""
-    return {int(k): v for k, v in rows}
+def decode_lru_sets(
+    name: str, rows: list, n_sets: int, ways: int, width: int = 2
+) -> list[dict]:
+    """Rebuild LRU-ordered set dicts from flat rows, rejecting bad rows.
+
+    ``width`` is the number of ints per entry: 2 (``key, stamp``) gives
+    ``{key: stamp}``, 3 (``key, value, stamp``) gives ``{key: (value,
+    stamp)}``.  Raises :class:`ConfigError` naming ``name`` when there
+    are not ``n_sets`` rows, or a row is not whole entries, holds more
+    than ``ways`` of them, repeats a key or has stamps that do not
+    strictly increase.
+    """
+    if len(rows) != n_sets:
+        raise ConfigError(f"{name}: snapshot has {len(rows)} sets, expected {n_sets}")
+    sets = []
+    for index, row in enumerate(rows):
+        stamps = row[width - 1 :: width]
+        if len(row) != width * len(stamps) or len(stamps) > ways:
+            raise ConfigError(
+                f"{name}: set {index} has {len(row)} values, "
+                f"not at most {ways} entries of {width}"
+            )
+        if not all(map(lt, stamps, stamps[1:])):
+            raise ConfigError(f"{name}: set {index} stamps do not strictly increase")
+        values = stamps if width == 2 else zip(row[1::width], stamps)
+        entries = dict(zip(row[::width], values))
+        if len(entries) != len(stamps):
+            raise ConfigError(f"{name}: set {index} repeats a key")
+        sets.append(entries)
+    return sets
 
 
 def check_geometry(name: str, state: dict, **expected) -> None:

@@ -287,8 +287,10 @@ class EventCursor:
 
 
 #: Schema version of :meth:`CPU.snapshot` payloads.  Version 2: the
-#: Bloom filter snapshot carries its distinct-key set.
-CPU_SNAPSHOT_VERSION = 2
+#: Bloom filter snapshot carries its distinct-key set.  Version 3: cache,
+#: TLB and BTB sets are flat rows in LRU order (see
+#: :func:`~repro.uarch.component.decode_lru_sets`).
+CPU_SNAPSHOT_VERSION = 3
 
 
 class CPU:

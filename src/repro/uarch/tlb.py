@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from repro.errors import ConfigError
 from repro.memory.pages import PAGE_SHIFT
-from repro.uarch.cache import _in_lru_order
-from repro.uarch.component import check_geometry, decode_table, encode_table
+from repro.uarch.component import check_geometry, decode_lru_sets, encode_lru_sets
 
 
 class TLB:
@@ -90,7 +89,7 @@ class TLB:
             "n_sets": self.n_sets,
             "ways": self.ways,
             "page_shift": self._page_shift,
-            "sets": [encode_table(entries) for entries in self._sets],
+            "sets": encode_lru_sets(self._sets),
             "stamp": self._stamp,
             "accesses": self.accesses,
             "misses": self.misses,
@@ -105,7 +104,7 @@ class TLB:
             ways=self.ways,
             page_shift=self._page_shift,
         )
-        self._sets = [_in_lru_order(decode_table(rows)) for rows in state["sets"]]
+        self._sets = decode_lru_sets(self.name, state["sets"], self.n_sets, self.ways)
         self._stamp = int(state["stamp"])
         self.accesses = int(state["accesses"])
         self.misses = int(state["misses"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,10 @@ from repro.core import ABTB, BloomFilter
 from repro.memory.pages import PAGE_SIZE, pages_spanned
 from repro.uarch.btb import BTB
 from repro.uarch.cache import SetAssociativeCache
+from repro.uarch.component import default_registry
+from repro.uarch.cpu import CPUConfig
 from repro.uarch.predictor import ReturnAddressStack
+from repro.uarch.tlb import TLB
 from repro.workloads.profiles import PopularityProfile, WeightedSampler
 
 addresses = st.integers(min_value=0, max_value=(1 << 48) - 1)
@@ -105,6 +110,58 @@ class TestBTBProperties:
         for pc, target in pairs:
             btb.update(pc, target)
             assert btb.peek(pc) == target
+
+
+#: Small geometry, so that short streams fill and evict every set.
+SMALL_CPU = CPUConfig(
+    l1i_bytes=1024, l1i_ways=2, l1d_bytes=2048, l1d_ways=4, l2_bytes=4096, l2_ways=4,
+    itlb_entries=8, itlb_ways=2, dtlb_entries=16, dtlb_ways=4, btb_entries=32, btb_ways=4,
+)
+LRU_STRUCTURES = ("l1i", "l1d", "l2", "itlb", "dtlb", "btb")
+
+
+def _lru_step(structure, op: int, key: int, target: int):
+    """One access of a random stream; returns what the structure reports."""
+    if op == 0:
+        structure.flush()
+        return None
+    if isinstance(structure, BTB):
+        pc = key << 2
+        if op == 1:
+            structure.invalidate(pc)
+            return None
+        if op < 12:
+            structure.update(pc, target)
+            return None
+        return structure.lookup(pc)
+    if isinstance(structure, TLB):
+        return structure.access_page(key)
+    return structure.access_line(key)
+
+
+class TestLRUSnapshotProperties:
+    @given(
+        st.sampled_from(LRU_STRUCTURES),
+        st.lists(
+            st.tuples(
+                st.integers(0, 31), st.integers(0, 127), st.integers(0, 1 << 20)
+            ),
+            max_size=300,
+        ),
+        st.integers(0, 300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_restored_structure_continues_the_stream(self, name, stream, split):
+        build = default_registry().factory(name)
+        whole = build(SMALL_CPU)
+        expected = [_lru_step(whole, *step) for step in stream]
+        first = build(SMALL_CPU)
+        got = [_lru_step(first, *step) for step in stream[:split]]
+        restored = build(SMALL_CPU)
+        restored.restore(json.loads(json.dumps(first.snapshot())))
+        got += [_lru_step(restored, *step) for step in stream[split:]]
+        assert got == expected
+        assert restored.snapshot() == whole.snapshot()
 
 
 class TestRASProperties:

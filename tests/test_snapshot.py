@@ -156,6 +156,53 @@ def test_cpu_restore_rejects_mismatches() -> None:
         CPU().restore(bad_version)
 
 
+def _damage_row(state: dict, width: int, damage: str) -> None:
+    row = state["sets"][0]
+    if damage == "not whole entries":
+        del row[-1]
+    elif damage == "over-full":
+        row += [1 << 40] * (width - 1) + [row[-1] + 1]
+    elif damage == "set count":
+        state["sets"].pop()
+    elif damage == "repeated key":
+        row[width] = row[0]
+    elif damage == "repeated stamp":
+        row[2 * width - 1] = row[width - 1]
+    else:  # two entries swapped: stamps out of order
+        row[: 2 * width] = row[width : 2 * width] + row[:width]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["not whole entries", "over-full", "set count", "repeated key", "repeated stamp", "swapped"],
+)
+@pytest.mark.parametrize(
+    "name, label",
+    [
+        ("l1i", "L1I"), ("l1d", "L1D"), ("l2", "L2"),
+        ("itlb", "ITLB"), ("dtlb", "DTLB"), ("btb", "BTB"),
+    ],
+)
+def test_lru_restore_rejects_malformed_rows(name: str, label: str, damage: str) -> None:
+    config = CPUConfig()
+    build = default_registry().factory(name)
+    structure = build(config)
+    # Fill set 0 to capacity: keys n_sets apart share a set.
+    for k in range(structure.ways):
+        key = k * structure.n_sets
+        if name == "btb":
+            structure.update(key << 2, 0x1000 + k)
+        elif name in ("itlb", "dtlb"):
+            structure.access_page(key)
+        else:
+            structure.access_line(key)
+    state = json.loads(json.dumps(structure.snapshot()))
+    build(config).restore(state)  # the undamaged snapshot restores
+    _damage_row(state, 3 if name == "btb" else 2, damage)
+    with pytest.raises(ConfigError, match=label):
+        build(config).restore(state)
+
+
 def test_cpu_reset_matches_fresh_machine() -> None:
     cpu = CPU(mechanism=TrampolineSkipMechanism())
     cpu.run(Workload(ALL_WORKLOADS["firefox"].config()).trace(2))
