@@ -632,7 +632,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
           f"{'none' if state.mechanism_config is None else state.mechanism_config}")
     print(f"components     : {', '.join(sorted(state.cpu['components']))}")
     print(f"instructions   : {counters.get('instructions', '?')}")
-    print(f"cycles         : {state.cpu.get('cycles', '?')}")
+    print(f"cycles         : {counters.get('cycles', '?')}")
     for key, value in sorted(state.meta.items()):
         print(f"meta.{key:<10}: {value}")
     return 0

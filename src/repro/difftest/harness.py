@@ -9,8 +9,9 @@ claim mechanically rather than trusting it:
   CPU built from the same factory.  At every backend sync point (window
   end, no lookahead outstanding) the reference machine is advanced to
   the identical stream position and the two full :meth:`CPU.snapshot`
-  payloads — every counter, every cache/TLB/BTB entry and LRU order, the
-  float cycle clock, mechanism state, marks — are compared field by field.
+  payloads — every counter (priced ``cycles`` included), every
+  cache/TLB/BTB entry and LRU order, mechanism state, marks — are
+  compared field by field.
 * On divergence, the harness *shrinks*: it re-runs both machines from a
   cold start with ``batch_events=1`` so sync points land after (almost)
   every event, and reports the minimal event window ``[last-good,
@@ -49,9 +50,10 @@ def snapshot_diff(reference: object, fast: object, path: str = "") -> list[tuple
     """Recursively compare two snapshot payloads.
 
     Returns ``(path, reference_value, fast_value)`` triples for every leaf
-    that differs.  Floats are compared exactly — the backends promise
-    bit-identical cycle arithmetic, so approximate equality would mask
-    exactly the drift this harness exists to catch.
+    that differs.  Floats are compared exactly — both backends price
+    cycles from their counts with one formula
+    (:func:`~repro.uarch.counters.cycles_of`), so any float difference
+    is a counting divergence that approximate equality would mask.
     """
     if isinstance(reference, dict) and isinstance(fast, dict):
         diffs = []

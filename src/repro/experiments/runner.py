@@ -44,7 +44,7 @@ from repro.trace.store import (
     trace_key,
 )
 from repro.uarch.backend import BatchedBackend
-from repro.uarch.counters import PerfCounters
+from repro.uarch.counters import PerfCounters, cycles_of
 from repro.uarch.cpu import CPU, CPUConfig
 from repro.uarch.machine import (
     MACHINE_STATE_VERSION,
@@ -379,6 +379,7 @@ def run_workload(
     if obs is not None:
         obs.finish_run(cpu, obs_label, marks_from=marks_before)
     window = cpu.counters.delta(snapshot)
+    window.cycles = cycles_of(cpu.config, window)
     requests, unmatched, dropped = _pair_marks(cpu, marks_before, strict=strict_marks)
     return RunResult(
         label,

@@ -7,7 +7,7 @@ form is an *envelope*, one line of compact JSON with sorted keys::
 
     {"payload": { ... },                   # the actual content
      "schema": "repro.machine-state",      # artifact family
-     "schema_version": 3,                  # family's schema version
+     "schema_version": 4,                  # family's schema version
      "sha256": "<hex digest>"}             # over the canonical payload
 
 The checksum is computed over the canonical payload serialisation

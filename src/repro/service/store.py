@@ -1,9 +1,9 @@
 """Durable, content-addressed shard result store.
 
 Shard execution is deterministic: the summary of one (workload × ABTB ×
-scale × seed) pair is a pure function of its recipe.  The store
-exploits that by keying every result on the *config hash* of the recipe
-(:func:`shard_result_key`), with three consequences:
+scale × seed) pair is a pure function of its recipe and of the counter
+model.  The store exploits that by keying every result on the *config
+hash* of both (:func:`shard_result_key`), with three consequences:
 
 * **idempotence** — re-running an already-completed shard (at-least-once
   delivery after a lease expiry, a worker retry after a manager restart,
@@ -29,7 +29,7 @@ from pathlib import Path
 from repro.errors import CheckpointCorruptionError
 from repro.resilience.incidents import IncidentKind
 from repro.resilience.integrity import read_artifact, write_artifact
-from repro.uarch.machine import machine_key
+from repro.uarch.machine import MACHINE_STATE_VERSION, machine_key
 
 #: Integrity-envelope schema for stored shard results.
 RESULT_SCHEMA = "repro.shard-result"
@@ -46,11 +46,16 @@ def shard_result_key(
 
     Covers everything that determines the summary — any difference yields
     a different key, so results can never be shared across recipes that
-    could diverge.  Campaign identity is deliberately *excluded*: two
-    campaigns sweeping the same point share one result.
+    could diverge.  That includes the counter model: a change to what the
+    counters count or how cycles are priced bumps
+    :data:`~repro.uarch.machine.MACHINE_STATE_VERSION`, which is hashed
+    in, so a result stored before the change misses and is recomputed.
+    Campaign identity is deliberately *excluded*: two campaigns sweeping
+    the same point share one result.
     """
     return machine_key(
         kind="shard-result",
+        version=MACHINE_STATE_VERSION,
         workload=workload,
         abtb_entries=abtb_entries,
         scale=scale,

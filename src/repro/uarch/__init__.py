@@ -4,7 +4,7 @@ from repro.uarch.backend import BatchedBackend
 from repro.uarch.btb import BTB
 from repro.uarch.cache import SetAssociativeCache
 from repro.uarch.component import ComponentRegistry, SimComponent, default_registry
-from repro.uarch.counters import PerfCounters
+from repro.uarch.counters import PerfCounters, cycles_of
 from repro.uarch.cpu import CPU, CPUConfig, CPUHooks, Mark
 from repro.uarch.machine import CheckpointStore, MachineState, machine_key
 from repro.uarch.multicore import DualCoreSystem
@@ -30,6 +30,7 @@ __all__ = [
     "SimComponent",
     "TLB",
     "TimingModel",
+    "cycles_of",
     "default_registry",
     "machine_key",
 ]

@@ -22,7 +22,7 @@ in passes:
 4. **L2** over both sides' L1 misses in row order, I-side before D-side
    within a row (I-side probes use the L1I line number, as ``CPU._fetch``
    passes it to ``l2.access_line``);
-5. **cycles and marks** from cumulative sums.
+5. **marks**, priced from the counts before their rows.
 
 Nothing on the control side reads cache or TLB state and every cache and
 TLB keeps its own LRU stamp, so the passes are exact.  Within a cache or
@@ -30,21 +30,15 @@ TLB pass a run of ``r`` consecutive touches of one line or page is one
 probe whose entry takes the stamp after the run: the most recently used
 entry cannot have been evicted, so the remaining touches are hits.
 
-**Cycles** stay bit-identical to the reference's float sum.  Every row
-gets slots in the order the reference adds its charges::
-
-    n_instr*base_cpi, (l1i_miss, l2_miss) per missed line,
-    itlb_misses*itlb_miss, dtlb_miss, l1d_miss, l2_miss, branch, bubble
-
-A slot without a charge holds 0.0, which changes no sum.  ``branch`` is
-the misprediction or BTB bubble of the row; ``bubble`` is only used by a
-taken conditional branch (its gshare misprediction comes first).  The
-slots are folded with one sequential ``np.add.accumulate`` seeded with
-``cpu.cycles``; row-major order is the reference's order, pairs included
-(the call row, the stub row, then the jump's fetch, GOT load and
-misprediction).  A ``MARK`` reads instructions and cycles at its row from
-the cumulative arrays.  A ``CONTEXT_SWITCH`` splits the window: the rows
-before it retire, ``CPU._context_switch`` runs, then the rest.
+**Cycles** are priced, never summed: both engines apply
+:func:`~repro.uarch.counters.cycles_of` to counts, so equal counts give
+bit-identical cycles.  Each pass yields the sorted rows that charged a
+priced count (L1I, L2, I-TLB, D-TLB and L1D misses, mispredictions and
+BTB bubbles).  A ``MARK`` prices the counts before its row: the running
+totals plus ``np.searchsorted`` of its row in each of those arrays, and
+the fetched instructions' cumulative sum.  A ``CONTEXT_SWITCH`` splits
+the window: the rows before it retire, ``CPU._context_switch`` runs,
+then the rest.
 
 **Sync points.** ``sync_hook(position)`` fires after every window.  A
 window normally ends where its batch ends, but if it ends on an open
@@ -64,6 +58,7 @@ from repro.errors import ConfigError
 from repro.isa.events import event_from_row
 from repro.isa.kinds import BRANCH_KINDS, MAX_EVENT_KIND, EventKind
 from repro.trace.batch import TraceBatch, iter_batches
+from repro.uarch.counters import PerfCounters, cycles_of
 from repro.uarch.cpu import Mark
 
 _K_BLOCK = int(EventKind.BLOCK)
@@ -199,8 +194,9 @@ class BatchedBackend:
         """Process an event stream; returns the CPU's (live) counters.
 
         ``sync_hook(position)`` is called after each window retires; at
-        that point the CPU state (``counters.cycles`` included) equals a
-        reference run over the first ``position`` stream events.
+        that point the CPU state equals a reference run over the first
+        ``position`` stream events, and ``counters.cycles`` holds the
+        cycles those counts price to.
         """
         return self.run_batches(iter_batches(events, self.batch_events), sync_hook)
 
@@ -276,7 +272,6 @@ class BatchedBackend:
         """Retire rows ``[lo, hi)``, which contain no context switch."""
         cpu = self.cpu
         c = cpu.counters
-        t = cpu.config.timing
         kind = cols["kind"][lo:hi]
         pc = cols["pc"][lo:hi]
         n_instr = cols["n_instr"][lo:hi]
@@ -309,9 +304,7 @@ class BatchedBackend:
         is_data = (kind == _K_LOAD) | (kind == _K_STORE) | (
             ((kind == _K_CALL_INDIRECT) | (kind == _K_JMP_INDIRECT)) & (mem_addr != 0)
         )
-        skipped, mispredicted, bubbled, cond_bubbled = self._control(
-            cols, tags, lo, kind, jump_of
-        )
+        skipped, mispredicted, bubbled = self._control(cols, tags, lo, kind, jump_of)
         if len(skipped):
             jumps = jump_of[skipped]
             fetched[jumps] = False
@@ -338,65 +331,50 @@ class BatchedBackend:
         d1_miss_rows = drows[d1_miss]
 
         # L2: both sides' misses in row order, I-side first within a row.
-        n_i = len(i_miss)
         order = np.argsort(
             np.concatenate((i_miss_rows * 2, d1_miss_rows * 2 + 1)), kind="stable"
         )
         l2_keys = np.concatenate((lines[i_miss], daddr[d1_miss] >> cpu.l2.line_shift))
-        l2_miss = order[_lru_pass(cpu.l2, l2_keys[order])]
-        i_l2_miss = l2_miss[l2_miss < n_i]
-        d2_miss_rows = d1_miss_rows[l2_miss[l2_miss >= n_i] - n_i]
+        l2_rows = np.concatenate((i_miss_rows, d1_miss_rows))[order]
+        l2_miss_rows = l2_rows[_lru_pass(cpu.l2, l2_keys[order])]
 
-        # Cycles: one slot per charge, in the reference's addition order.
-        i_per_row = np.bincount(i_miss_rows, minlength=m)
-        width = 7 + 2 * i_per_row
-        ends = np.cumsum(width)
-        first = ends - width + 1  # slot 0 holds the running total
-        slots = np.zeros(int(ends[-1]) + 1)
-        slots[0] = cpu.cycles
+        # The priced counts, as the sorted rows that charged them.
+        charged = {
+            "l1i_misses": i_miss_rows,
+            "l2_misses": l2_miss_rows,
+            "itlb_misses": it_miss_rows,
+            "dtlb_misses": dt_miss_rows,
+            "l1d_misses": d1_miss_rows,
+            "branch_mispredictions": mispredicted,
+            "btb_bubbles": bubbled,
+        }
         n_fetched = np.where(fetched, n_instr, 0)
-        slots[first] = n_fetched * t.base_cpi
-        if n_i:
-            rank = np.arange(n_i) - (np.cumsum(i_per_row) - i_per_row)[i_miss_rows]
-            at = first[i_miss_rows] + 1 + 2 * rank
-            slots[at] = t.l1i_miss
-            slots[at[i_l2_miss] + 1] = t.l2_miss
-        tail = first + 1 + 2 * i_per_row
-        slots[tail] = np.bincount(it_miss_rows, minlength=m) * t.itlb_miss
-        slots[tail[dt_miss_rows] + 1] = t.dtlb_miss
-        slots[tail[d1_miss_rows] + 2] = t.l1d_miss
-        slots[tail[d2_miss_rows] + 3] = t.l2_miss
-        bubble = cpu.config.direct_btb_bubble
-        slots[tail[mispredicted] + 4] = t.mispredict
-        slots[tail[bubbled] + 4] = bubble
-        slots[tail[cond_bubbled] + 5] = bubble
-        total = np.add.accumulate(slots)
-
         marks = np.flatnonzero(kind == _K_MARK)
         if len(marks):
-            instr = np.cumsum(n_fetched)[marks] + c.instructions
+            # A mark's cycles price the counts before its row.
+            at = PerfCounters(instructions=np.cumsum(n_fetched)[marks] + c.instructions)
+            for name, where in charged.items():
+                setattr(at, name, getattr(c, name) + np.searchsorted(where, marks))
             tag_idx = cols["tag"][lo:hi][marks]
             cpu.marks.extend(
                 Mark(None if ti < 0 else tags[ti], n, cyc)
                 for ti, n, cyc in zip(
-                    tag_idx.tolist(), instr.tolist(), total[first[marks] - 1].tolist()
+                    tag_idx.tolist(),
+                    at.instructions.tolist(),
+                    cycles_of(cpu.config, at).tolist(),
                 )
             )
 
-        cpu.cycles = float(total[-1])
+        for name, where in charged.items():
+            setattr(c, name, getattr(c, name) + len(where))
         n_lines, n_pages, n_data = len(lines), len(pages), len(drows)
         n_stores = int(np.count_nonzero(kind == _K_STORE))
         c.instructions += int(n_fetched.sum())
         c.l1i_accesses += n_lines
-        c.l1i_misses += n_i
         c.itlb_accesses += n_pages
-        c.itlb_misses += len(it_miss_rows)
         c.dtlb_accesses += n_data
-        c.dtlb_misses += len(dt_miss_rows)
         c.l1d_accesses += n_data
-        c.l1d_misses += len(d1_miss)
         c.l2_accesses += len(l2_keys)
-        c.l2_misses += len(l2_miss)
         c.loads += n_data - n_stores
         c.stores += n_stores
         c.got_loads += int(np.count_nonzero(kind[drows] == _K_JMP_INDIRECT))
@@ -407,9 +385,8 @@ class BatchedBackend:
 
         Retires every branch, store and coherence row against the BTB,
         gshare, RAS and mechanism, firing hooks in stream order.  Returns
-        row arrays: the heads of the skipped trampoline pairs, then the
-        rows charged a misprediction, a BTB bubble, and a conditional
-        branch's BTB bubble.
+        sorted row arrays: the heads of the skipped trampoline pairs, then
+        the rows charged a misprediction and the rows charged a BTB bubble.
         """
         cpu = self.cpu
         c = cpu.counters
@@ -449,7 +426,7 @@ class BatchedBackend:
         r_pushes = r_pops = r_mis = 0
         abtb_hits = abtb_misses = abtb_inserts = 0
         executed = skips = tramp_instr = 0
-        mispredicted, bubbled, cond_bubbled, skipped = [], [], [], []
+        mispredicted, bubbled, skipped = [], [], []
         mapped = None
 
         for j, (r, k, pc, tgt, ma) in enumerate(
@@ -632,7 +609,7 @@ class BatchedBackend:
 
             if k == _K_COND_BRANCH:
                 if pred is None:
-                    cond_bubbled.append(r)
+                    bubbled.append(r)
             elif k == _K_JMP_DIRECT:
                 if pred is not None:
                     continue
@@ -668,7 +645,6 @@ class BatchedBackend:
         ras.pushes += r_pushes
         ras.pops += r_pops
         ras.mispredictions += r_mis
-        c.branch_mispredictions += len(mispredicted)
         c.btb_lookups += lookups
         c.btb_misses += btb_misses
         c.trampolines_executed += executed
@@ -677,9 +653,7 @@ class BatchedBackend:
         c.abtb_hits += abtb_hits
         c.abtb_misses += abtb_misses
         c.abtb_inserts += abtb_inserts
-        return tuple(
-            np.array(rows, np.intp) for rows in (skipped, mispredicted, bubbled, cond_bubbled)
-        )
+        return tuple(np.array(rows, np.intp) for rows in (skipped, mispredicted, bubbled))
 
     @staticmethod
     def _event(cols: dict, tags: list, i: int):

@@ -2,7 +2,12 @@
 
 Counter names mirror Table 4 of the paper (misses and mispredictions per
 kilo-instruction) plus mechanism-specific counters used by Figure 5 and
-the ablation experiments.
+the ablation experiments.  ``btb_bubbles`` counts the taken direct
+branches that miss the BTB: each costs a front-end redirect at decode,
+not a misprediction (``btb_misses`` also counts indirect-branch misses).
+
+``cycles`` is not counted but priced: :func:`cycles_of` is the one
+definition of a cycle, a fixed-order sum of penalty × counter.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ _FIELDS = (
     "branch_mispredictions",
     "btb_lookups",
     "btb_misses",
+    "btb_bubbles",
     "loads",
     "stores",
     "trampolines_executed",
@@ -38,6 +44,28 @@ _FIELDS = (
     "bloom_store_hits",
     "context_switches",
 )
+
+
+def cycles_of(config, counts):
+    """The cycles ``counts`` cost on a machine configured by ``config``.
+
+    ``config`` is a :class:`~repro.uarch.cpu.CPUConfig` (its ``timing``
+    penalties and its ``direct_btb_bubble``).  ``counts`` is a
+    :class:`PerfCounters`, or one whose priced fields hold numpy arrays
+    to price many points at once.  The terms are added in this one fixed
+    order, so the same counts always price to the same float.
+    """
+    t = config.timing
+    return (
+        t.base_cpi * counts.instructions
+        + t.l1i_miss * counts.l1i_misses
+        + t.l2_miss * counts.l2_misses
+        + t.itlb_miss * counts.itlb_misses
+        + t.dtlb_miss * counts.dtlb_misses
+        + t.l1d_miss * counts.l1d_misses
+        + t.mispredict * counts.branch_mispredictions
+        + config.direct_btb_bubble * counts.btb_bubbles
+    )
 
 
 class PerfCounters:

@@ -1,9 +1,11 @@
 """Trace-driven CPU front-end model.
 
 The CPU consumes a stream of :class:`~repro.isa.events.TraceEvent` and
-charges every structural effect the paper measures: L1I/L1D line touches,
-I-TLB/D-TLB page touches, BTB lookups, direction predictions, RAS
-operations and the resulting cycle costs.
+counts every structural effect the paper measures: L1I/L1D line touches,
+I-TLB/D-TLB page touches, BTB lookups, direction predictions and RAS
+operations.  Cycles are priced from those counts, never accumulated:
+:attr:`CPU.cycles` applies :func:`~repro.uarch.counters.cycles_of` to the
+live counters, the same formula the batched backend prices its marks with.
 
 Architecturally the CPU is a *composition of components*: every hardware
 structure it contains (caches, TLBs, BTB, direction predictor, RAS,
@@ -15,7 +17,7 @@ constructed with.  That buys two things:
 * **swappability** — alternative structures drop in by overriding a
   registry entry, without touching the CPU;
 * **snapshot/restore** — :meth:`CPU.snapshot` serialises the complete
-  machine state (components, mechanism, cycle clock, marks) to a
+  machine state (components, mechanism, marks) to a
   JSON-safe dict and :meth:`CPU.restore` reproduces it exactly, which is
   what :mod:`repro.uarch.machine` checkpoints are built on.
 
@@ -53,7 +55,7 @@ from repro.errors import ConfigError, TraceError
 from repro.isa.events import TraceEvent
 from repro.isa.kinds import EventKind
 from repro.uarch.component import ComponentRegistry, default_registry
-from repro.uarch.counters import PerfCounters
+from repro.uarch.counters import PerfCounters, cycles_of
 from repro.uarch.timing import TimingModel
 
 #: Component names the CPU's datapath requires from any registry.
@@ -289,8 +291,10 @@ class EventCursor:
 #: Schema version of :meth:`CPU.snapshot` payloads.  Version 2: the
 #: Bloom filter snapshot carries its distinct-key set.  Version 3: cache,
 #: TLB and BTB sets are flat rows in LRU order (see
-#: :func:`~repro.uarch.component.decode_lru_sets`).
-CPU_SNAPSHOT_VERSION = 3
+#: :func:`~repro.uarch.component.decode_lru_sets`).  Version 4: no cycle
+#: clock; the counters carry ``btb_bubbles`` and ``cycles`` is priced
+#: from them.
+CPU_SNAPSHOT_VERSION = 4
 
 
 class CPU:
@@ -325,7 +329,6 @@ class CPU:
         for name, component in self.components.items():
             setattr(self, name, component)
         self.counters: PerfCounters  # for type checkers; set via components
-        self.cycles = 0.0
         self.marks: list[Mark] = []
         self._dispatch = self._build_dispatch()
 
@@ -347,14 +350,17 @@ class CPU:
             K.MARK: self._handle_mark,
         }
 
+    @property
+    def cycles(self) -> float:
+        """Cycles so far: the live counters priced by :func:`cycles_of`."""
+        return cycles_of(self.config, self.counters)
+
     # ------------------------------------------------------------ plumbing
 
     def _fetch(self, ev: TraceEvent) -> None:
-        """Charge instruction fetch for an event's code bytes."""
+        """Count instruction fetch for an event's code bytes."""
         c = self.counters
-        t = self.config.timing
         c.instructions += ev.n_instr
-        self.cycles += ev.n_instr * t.base_cpi
 
         shift = self.l1i._line_shift
         first = ev.pc >> shift
@@ -363,11 +369,9 @@ class CPU:
         for line in range(first, last + 1):
             if not self.l1i.access_line(line):
                 c.l1i_misses += 1
-                self.cycles += t.l1i_miss
                 c.l2_accesses += 1
                 if not self.l2.access_line(line):
                     c.l2_misses += 1
-                    self.cycles += t.l2_miss
 
         pshift = self.itlb._page_shift
         pfirst = ev.pc >> pshift
@@ -376,34 +380,27 @@ class CPU:
         before = self.itlb.misses
         for vpn in range(pfirst, plast + 1):
             self.itlb.access_page(vpn)
-        t_misses = self.itlb.misses - before
-        c.itlb_misses += t_misses
-        self.cycles += t_misses * t.itlb_miss
+        c.itlb_misses += self.itlb.misses - before
 
     def _data_access(self, addr: int, is_store: bool) -> None:
-        """Charge a data-side access (D-TLB walk + L1D line)."""
+        """Count a data-side access (D-TLB walk + L1D line)."""
         c = self.counters
-        t = self.config.timing
         if is_store:
             c.stores += 1
         else:
             c.loads += 1
         if not self.dtlb.access(addr):
             c.dtlb_misses += 1
-            self.cycles += t.dtlb_miss
         c.dtlb_accesses += 1
         if not self.l1d.access(addr):
             c.l1d_misses += 1
-            self.cycles += t.l1d_miss
             c.l2_accesses += 1
             if not self.l2.access(addr):
                 c.l2_misses += 1
-                self.cycles += t.l2_miss
         c.l1d_accesses += 1
 
     def _mispredict(self) -> None:
         self.counters.branch_mispredictions += 1
-        self.cycles += self.config.timing.mispredict
 
     def _btb_lookup(self, pc: int) -> int | None:
         self.counters.btb_lookups += 1
@@ -524,7 +521,7 @@ class CPU:
         if pred is None:
             # Direct target: decode redirects the front end — a bubble,
             # not an architectural misprediction.
-            self.cycles += self.config.direct_btb_bubble
+            self.counters.btb_bubbles += 1
             self.btb.update(ev.pc, ev.target)
         elif pred != ev.target:
             # Only possible if the entry was promoted and then the pair
@@ -537,7 +534,7 @@ class CPU:
         self.counters.branches += 1
         pred = self._btb_lookup(ev.pc)
         if pred is None:
-            self.cycles += self.config.direct_btb_bubble
+            self.counters.btb_bubbles += 1
             self.btb.update(ev.pc, ev.target)
 
     def _call_indirect(self, ev: TraceEvent) -> None:
@@ -584,7 +581,7 @@ class CPU:
         if ev.taken:
             pred = self._btb_lookup(ev.pc)
             if pred is None:
-                self.cycles += self.config.direct_btb_bubble
+                self.counters.btb_bubbles += 1
             self.btb.update(ev.pc, ev.target)
 
     def _ret(self, ev: TraceEvent) -> None:
@@ -650,7 +647,7 @@ class CPU:
                 self._mispredict()
                 self.btb.update(call.pc, update_target)
             elif pred is None:
-                self.cycles += self.config.direct_btb_bubble
+                c.btb_bubbles += 1
                 self.btb.update(call.pc, update_target)
                 if mapped is not None:
                     mech.note_promotion()
@@ -661,7 +658,7 @@ class CPU:
                 mech.note_promotion()
         else:
             if pred is None:
-                self.cycles += self.config.direct_btb_bubble
+                c.btb_bubbles += 1
                 self.btb.update(call.pc, real)
             elif pred != real:
                 self._mispredict()
@@ -725,7 +722,8 @@ class CPU:
     # --------------------------------------------------------- SimComponent
     #
     # The CPU is itself a component: its snapshot is the composition of
-    # its parts plus the cycle clock and the mark stream.
+    # its parts plus the mark stream.  Cycles are priced from the
+    # counters, so there is no clock to save.
 
     def snapshot(self) -> dict:
         """Complete machine state as a JSON-safe dict.
@@ -741,7 +739,6 @@ class CPU:
                 name: component.snapshot()
                 for name, component in self.components.items()
             },
-            "cycles": self.cycles,
             "marks": [
                 [_encode_tag(m.tag), m.instructions, m.cycles] for m in self.marks
             ],
@@ -776,19 +773,17 @@ class CPU:
             component.restore(comps[name])
         if self.mechanism is not None:
             self.mechanism.restore(mech_state)
-        self.cycles = float(state["cycles"])
         self.marks = [
             Mark(_decode_tag(tag), int(instructions), float(cycles))
             for tag, instructions, cycles in state["marks"]
         ]
 
     def reset(self) -> None:
-        """Cold machine: every component reset, clock zeroed, marks gone."""
+        """Cold machine: every component reset, marks gone."""
         for component in self.components.values():
             component.reset()
         if self.mechanism is not None:
             self.mechanism.reset()
-        self.cycles = 0.0
         self.marks = []
 
     def describe(self) -> dict:
@@ -806,7 +801,7 @@ class CPU:
     # ----------------------------------------------------------- reporting
 
     def finalize(self) -> PerfCounters:
-        """Sync the cycle accumulator into the counters and return them."""
+        """Write the priced cycles into the counters and return them."""
         self.counters.cycles = self.cycles
         if self.mechanism is not None:
             self.counters.abtb_flushes = self.mechanism.abtb.flushes

@@ -32,11 +32,14 @@ from repro.uarch.cpu import CPU, CPUConfig
 
 #: Schema version of serialised machine states; it follows the embedded
 #: CPU snapshot's.  Version 2: Bloom filter key set.  Version 3: cache,
-#: TLB and BTB sets are flat rows in LRU order.  The version is part of
-#: every warm-up checkpoint key, so a bump makes old checkpoints miss
-#: without opening them; an envelope that still reads another version
-#: under a current key is damaged and is logged as corruption.
-MACHINE_STATE_VERSION = 3
+#: TLB and BTB sets are flat rows in LRU order.  Version 4: no cycle
+#: clock, and counters carry ``btb_bubbles``; a version 3 machine's
+#: counters come from the old cycle model.  The version is part of every
+#: warm-up checkpoint key (and of every stored shard result's key), so a
+#: bump makes old checkpoints miss without opening them; an envelope
+#: that still reads another version under a current key is damaged and
+#: is logged as corruption.
+MACHINE_STATE_VERSION = 4
 
 #: Integrity-envelope schema name for on-disk machine states.
 MACHINE_STATE_SCHEMA = "repro.machine-state"

@@ -1,9 +1,12 @@
 """Cycle cost model.
 
 A simple additive timing model over the structural events the simulator
-observes: base pipeline throughput plus fixed penalties for cache misses,
-TLB walks and branch mispredictions.  Penalties default to values
-representative of the paper's Xeon E5450 (Core-microarchitecture) testbed.
+counts: base pipeline throughput plus fixed penalties for cache misses,
+TLB walks and branch mispredictions.  Cycles are never accumulated event
+by event; :func:`~repro.uarch.counters.cycles_of` prices a bundle of
+counts with these penalties (and ``CPUConfig.direct_btb_bubble`` for BTB
+bubbles) in one fixed order.  Penalties default to values representative
+of the paper's Xeon E5450 (Core-microarchitecture) testbed.
 """
 
 from __future__ import annotations

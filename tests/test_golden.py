@@ -11,6 +11,18 @@ must observe without perturbing.
 Regenerate (only when a counter change is intended and explained)::
 
     PYTHONPATH=src python tests/test_golden.py
+
+``smoke-renders.txt`` beside the fixtures pins what every experiment
+renders at SMOKE scale; CI's ``smoke-renders`` job re-renders and fails
+on any difference.  Regenerate it in the same commit as a change that
+moves a rendered value (about a minute)::
+
+    PYTHONPATH=src python -m repro run all --scale smoke > tests/golden/smoke-renders.txt
+
+The pricing tests check the one definition of a cycle: every measured
+window's ``cycles`` is exactly its counts priced by
+:func:`~repro.uarch.counters.cycles_of`, and both engines store and mark
+the same priced cycles.
 """
 
 from __future__ import annotations
@@ -25,7 +37,8 @@ import pytest
 from repro.core import MechanismConfig, TrampolineSkipMechanism
 from repro.experiments.runner import run_workload
 from repro.obs import Observability
-from repro.workloads import ALL_WORKLOADS
+from repro.uarch import CPU, BatchedBackend, cycles_of
+from repro.workloads import ALL_WORKLOADS, Workload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WARMUP = 1
@@ -34,7 +47,7 @@ CONFIGS = {"base": None, "abtb16": 16, "abtb256": 256}
 OBS_SAMPLE_EVERY = 5000
 
 
-def _capture(workload: str, abtb: int | None, obs=None) -> dict:
+def _run(workload: str, abtb: int | None, obs=None):
     mech = (
         TrampolineSkipMechanism(MechanismConfig(abtb_entries=abtb))
         if abtb is not None
@@ -43,6 +56,11 @@ def _capture(workload: str, abtb: int | None, obs=None) -> dict:
     result = run_workload(
         ALL_WORKLOADS[workload].config(), mech, WARMUP, MEASURED, obs=obs
     )
+    return result, mech
+
+
+def _capture(workload: str, abtb: int | None, obs=None) -> dict:
+    result, mech = _run(workload, abtb, obs)
     requests = [
         [r.class_name, r.request_id, r.instructions, r.cycles]
         for r in result.requests
@@ -99,6 +117,26 @@ def test_golden_under_obs(workload, config):
     assert got == _fixture(workload)[config]
     # The session observed the run it did not perturb.
     assert obs.samplers and all(s.samples_taken for s in obs.samplers)
+
+
+@pytest.mark.parametrize("workload,config", CASES)
+def test_window_cycles_are_priced_counts(workload, config):
+    result, _ = _run(workload, CONFIGS[config])
+    counters = result.counters
+    assert counters.cycles == cycles_of(result.cpu.config, counters)
+    assert 0 < counters.btb_bubbles <= counters.btb_misses
+
+
+def test_both_engines_store_and_mark_priced_cycles():
+    events = list(Workload(ALL_WORKLOADS["memcached"].config()).trace(3))
+    ref = CPU()
+    ref.run(events)
+    fast = CPU()
+    BatchedBackend(fast, 509).run(iter(events))
+    for cpu in (ref, fast):
+        assert cpu.counters.cycles == cpu.cycles > 0
+    assert len(ref.marks) > 2
+    assert ref.marks == fast.marks
 
 
 def write_fixtures() -> None:

@@ -49,10 +49,12 @@ from repro.service import (
     referenced_result_keys,
     shard_result_key,
 )
+from repro.service import store as service_store
 from repro.service.api import ManagerServer
 from repro.service.schemas import FailRequest, LeaseRequest
 from repro.service.store import RESULT_SCHEMA, RESULT_SCHEMA_VERSION
 from repro.service.worker import ManagerClient, WorkerAgent, http_exchange
+from repro.uarch.machine import MACHINE_STATE_VERSION
 
 
 class Clock:
@@ -426,6 +428,23 @@ class TestManager:
         # Exactly one stored result file for the config hash.
         assert len(manager.store.keys()) == 1
         assert manager.result(cid).ok
+
+    def test_result_from_an_older_counter_model_is_recomputed(self, tmp_path, monkeypatch):
+        # A counter change bumps the machine-state version; a result
+        # stored under the old version must not complete a resubmission.
+        manager, _ = self._manager(tmp_path)
+        spec = CampaignSpec(workloads=("apache",), abtb_sizes=(16,))
+        with monkeypatch.context() as patch:
+            patch.setattr(service_store, "MACHINE_STATE_VERSION", MACHINE_STATE_VERSION - 1)
+            stale = manager.submit(spec)
+            _drain(manager)
+        assert manager.status(stale)["state"] == "complete"
+        cid = manager.submit(spec)
+        assert manager.status(cid)["shards"]["pending"] == 1
+        _drain(manager)
+        assert manager.status(cid)["state"] == "complete"
+        assert len(manager.store.keys()) == 2
+        assert "result_conflict" not in manager.recorder.counts()
 
     def test_expiry_requeues_then_quarantines_degraded(self, tmp_path):
         manager, clock = self._manager(tmp_path)

@@ -442,6 +442,11 @@ def test_cli_checkpoint_roundtrip(tmp_path, capsys) -> None:
     assert main(["checkpoint", "info", str(out)]) == 0
     info = capsys.readouterr().out
     assert "trace position" in info and "abtb_entries" in info
+    shown = [line.split(":", 1)[1].strip() for line in info.splitlines()
+             if line.startswith("cycles ")]
+    captured = MachineState.load(out).cpu["components"]["counters"]["cycles"]
+    assert captured > 0
+    assert [float(value) for value in shown] == [captured]
     assert main(["checkpoint", "verify", str(out)]) == 0
 
 
