@@ -13,7 +13,7 @@ The package models the full stack the paper touches:
 * :mod:`repro.workloads` — synthetic Apache, Memcached, MySQL and Firefox
   models calibrated to the paper's opportunity study;
 * :mod:`repro.experiments` — one runnable experiment per paper table and
-  figure, plus a hardened campaign runner (timeout, retry, checkpoint);
+  figure, plus a hardened campaign runner (leases, quarantine, checkpoint);
 * :mod:`repro.chaos` — fault injection (GOT rewrites, ifunc re-selection,
   coherence loss, Bloom/ABTB thrash, trace corruption) audited by a
   stale-target correctness oracle.

@@ -11,12 +11,13 @@ Subcommands:
   profiler: top-N call-site table plus a Chrome/Perfetto trace;
 * ``chaos`` — seeded fault-injection campaign audited by the stale-target
   correctness oracle (exit 0 iff the campaign verdict is OK);
-* ``campaign`` — hardened (workload × ABTB) sweep with per-run timeout,
-  retry with backoff, and integrity-checked checkpoint/resume; with
-  ``--jobs N`` the shards run on N worker processes leasing from one
-  queue (heartbeats, hang detection, requeue, quarantine) and the
+* ``campaign`` — hardened (workload × ABTB) sweep: every pair is a
+  lease from one queue, and a failed attempt is requeued with backoff
+  until its failure budget is spent, then quarantined; integrity-checked
+  checkpoint/resume; with ``--jobs N`` the leases run on N worker
+  processes (heartbeats, hang detection, dead workers replaced).  The
   command exits 0 when complete, 3 when complete-but-degraded
-  (quarantined shards, partial manifest), 1 on failure;
+  (quarantined pairs, partial manifest), 1 on an error;
 * ``sweep run|resume|report`` — declarative design-space exploration
   (see ``docs/EXPERIMENTS.md``): expand a JSON axis matrix over
   workloads × ABTB geometry × Bloom × front-end predictors, execute it
@@ -64,7 +65,7 @@ import time
 
 from repro import __version__, quick_comparison
 from repro.errors import ReproError
-from repro.experiments import PAPER, SMOKE, RetryPolicy, all_experiments, get, run_campaign
+from repro.experiments import PAPER, SMOKE, all_experiments, get, run_campaign
 from repro.obs import Observability
 from repro.workloads import ALL_WORKLOADS
 
@@ -246,7 +247,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             scale,
             abtb_sizes=tuple(args.abtb),
             checkpoint_path=args.checkpoint,
-            policy=RetryPolicy(timeout_s=args.timeout, max_retries=args.retries),
             obs=obs,
             jobs=args.jobs,
             machine_cache_dir=args.machine_cache,
@@ -277,11 +277,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.manifest:
         print(f"manifest: wrote {args.manifest}", file=sys.stderr)
     _report_exports(obs)
-    if result.failed:
-        return 1
-    if result.degraded:
-        return 3  # completed, but quarantined shards are missing
-    return 0
+    return 3 if result.degraded else 0  # 3: completed, quarantined pairs missing
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -416,8 +412,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         "abtb_sizes": args.abtb,
         "scale": args.scale,
         "seed": args.seed,
-        "timeout_s": args.timeout,
-        "max_retries": args.retries,
     }
     status, response = client.post("/campaigns", spec)
     if status != 201:
@@ -462,17 +456,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 1
     result = CampaignResult(
         completed=body["completed"],
-        failed=body["failed"],
         attempts=body["attempts"],
         resumed=body["resumed"],
         quarantined=body["quarantined"],
     )
     print(result.render())
-    if result.failed:
-        return 1
-    if result.degraded:
-        return 3
-    return 0
+    return 3 if result.degraded else 0
 
 
 def _cmd_incidents(args: argparse.Namespace) -> int:
@@ -546,8 +535,7 @@ def _cmd_difftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import RetryPolicy as _RetryPolicy
-    from repro.sweep import DEFAULT_POLICY, SweepSpec, report_sweep, run_sweep
+    from repro.sweep import SweepSpec, report_sweep, run_sweep
 
     if args.action == "report":
         result = report_sweep(args.out)
@@ -557,17 +545,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = None
     if args.action == "run":
         spec = SweepSpec.load(args.spec)
-    policy = DEFAULT_POLICY
-    if args.timeout is not None or args.retries is not None:
-        policy = _RetryPolicy(
-            timeout_s=args.timeout,
-            max_retries=args.retries if args.retries is not None else 2,
-            backoff_max_s=DEFAULT_POLICY.backoff_max_s,
-            jitter=DEFAULT_POLICY.jitter,
-        )
     _install_sigterm_handler()
     try:
-        result = run_sweep(spec, args.out, jobs=args.jobs, policy=policy)
+        result = run_sweep(spec, args.out, jobs=args.jobs)
     except KeyboardInterrupt:
         print(
             "sweep: interrupted — checkpoint flushed, "
@@ -576,11 +556,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         return 130
     print(result.render())
-    if result.campaign.failed:
-        return 1
-    if result.campaign.degraded:
-        return 3
-    return 0
+    return 3 if result.campaign.degraded else 0
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
@@ -738,8 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--scale", choices=("smoke", "paper"), default="smoke")
     campaign.add_argument("--abtb", type=int, nargs="+", default=[256])
     campaign.add_argument("--checkpoint", default=None, help="JSON checkpoint path (resume skips completed pairs)")
-    campaign.add_argument("--timeout", type=float, default=None, help="per-run timeout in seconds")
-    campaign.add_argument("--retries", type=int, default=2, help="retries per pair for transient failures")
     campaign.add_argument(
         "--jobs",
         type=int,
@@ -771,8 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--max-shard-failures", type=int, default=3, metavar="N",
-        help="process-level failures before a shard is quarantined "
-        "(exit 3 = completed degraded) [default: 3]",
+        help="failed attempts (a raise, a dead or hung worker) before a pair "
+        "is quarantined (exit 3 = completed degraded) [default: 3]",
     )
     resilience.add_argument(
         "--incidents-out", default=None, metavar="PATH",
@@ -836,13 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep output directory (spec, checkpoint, caches, analysis/)",
     )
     sweep_run.add_argument("--jobs", type=int, default=1, help="worker processes")
-    sweep_run.add_argument(
-        "--timeout", type=float, default=None, help="per-point timeout in seconds"
-    )
-    sweep_run.add_argument(
-        "--retries", type=int, default=None,
-        help="retries per point for transient failures [default: 2]",
-    )
     sweep_run.set_defaults(func=_cmd_sweep)
     sweep_resume = sweep_sub.add_parser(
         "resume",
@@ -850,8 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_resume.add_argument("--out", required=True, metavar="DIR")
     sweep_resume.add_argument("--jobs", type=int, default=1)
-    sweep_resume.add_argument("--timeout", type=float, default=None)
-    sweep_resume.add_argument("--retries", type=int, default=None)
     sweep_resume.set_defaults(func=_cmd_sweep)
     sweep_report = sweep_sub.add_parser(
         "report",
@@ -878,7 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-shard-failures", type=int, default=3, metavar="N",
-        help="lease-level failures before a shard is quarantined [default: 3]",
+        help="failed attempts (a reported raise, an expired lease) before a "
+        "shard is quarantined [default: 3]",
     )
     serve.add_argument(
         "--snapshot-every", type=int, default=50, metavar="N",
@@ -933,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit",
         help="submit a campaign to a running manager and (by default) wait; "
-        "exit 0 complete / 3 degraded / 1 failed",
+        "exit 0 complete / 3 degraded / 1 error",
     )
     submit.add_argument(
         "--manager", default="http://127.0.0.1:8023", metavar="URL",
@@ -946,8 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--scale", choices=("smoke", "paper"), default="smoke")
     submit.add_argument("--abtb", type=int, nargs="+", default=[256])
     submit.add_argument("--seed", type=int, default=None)
-    submit.add_argument("--timeout", type=float, default=None, help="per-run timeout in seconds")
-    submit.add_argument("--retries", type=int, default=2, help="worker-side retries per pair")
     submit.add_argument(
         "--no-wait", dest="wait", action="store_false",
         help="return immediately after the campaign is accepted",

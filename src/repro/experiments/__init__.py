@@ -11,7 +11,6 @@ from repro.experiments.registry import Experiment, all_experiments, get, registe
 from repro.experiments.runner import (
     CampaignResult,
     RequestSample,
-    RetryPolicy,
     RunResult,
     pair_key,
     run_campaign,
@@ -26,7 +25,6 @@ __all__ = [
     "Experiment",
     "PAPER",
     "RequestSample",
-    "RetryPolicy",
     "RunResult",
     "SMOKE",
     "Scale",

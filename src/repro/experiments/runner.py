@@ -11,15 +11,11 @@ comparison.
 
 from __future__ import annotations
 
-import hashlib
-import inspect
 import json
 import math
-import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
@@ -518,66 +514,21 @@ def _pair_marks(
 # --------------------------------------------------------------- campaigns
 #
 # A campaign sweeps (workload × ABTB size) pairs.  Long sweeps die in
-# practice for boring reasons — one hung run, one transient failure — so
-# the campaign runner adds a per-run timeout, bounded retry with
-# exponential backoff for transient ``ExperimentError``s, a JSON
-# checkpoint (written atomically after every completed pair; resume skips
-# completed work), and graceful degradation: a pair that keeps failing is
-# recorded and the sweep moves on.
+# practice for boring reasons — a killed worker, a hung one, a pair that
+# raises — so every pair runs as a lease from one
+# :class:`~repro.resilience.leases.LeaseQueue`: an attempt runs once, a
+# failed attempt goes back in line with backoff, and a pair that spends
+# its failure budget is quarantined while the sweep moves on.  A JSON
+# checkpoint (written atomically after every completed pair) lets a
+# resume skip completed work.
 
 #: Version 2: campaign checkpoints moved inside the integrity envelope
 #: (schema header + content checksum; see repro.resilience.integrity).
 CHECKPOINT_VERSION = 2
 CHECKPOINT_SCHEMA = "repro.campaign-checkpoint"
 MANIFEST_SCHEMA = "repro.campaign-manifest"
-MANIFEST_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Timeout/retry knobs for one campaign run.
-
-    ``backoff_max_s`` caps the exponential curve: without it a handful of
-    retries of a long ``backoff_base_s`` produces multi-minute sleeps that
-    dwarf the runs they guard.  ``jitter`` (a fraction in [0, 1]) spreads
-    concurrent shards apart: when N shards fail together — a shared cache
-    directory briefly unwritable, a machine-wide stall — an unjittered
-    policy has all N retry in lockstep and collide again.  The jitter is
-    *deterministic*, seeded from the pair key, so a given shard always
-    sleeps the same amount (reruns stay reproducible) while different
-    shards desynchronise.  Defaults keep the historical schedule exactly:
-    zero jitter, and a cap no smoke-scale sequence ever reaches.
-    """
-
-    timeout_s: float | None = None  # None → no per-run timeout
-    max_retries: int = 2  # retries after the first attempt
-    backoff_base_s: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 60.0
-    jitter: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.backoff_max_s < 0:
-            raise ConfigError(f"backoff_max_s must be >= 0, got {self.backoff_max_s}")
-
-    def backoff(self, attempt: int, key: str = "") -> float:
-        """Sleep before retry ``attempt`` (1-based), jittered by ``key``.
-
-        The jitter scales the capped delay by a factor in
-        ``[1 - jitter, 1]`` drawn from a hash of ``(key, attempt)`` —
-        pure subtraction, so the cap stays a hard upper bound.
-        """
-        delay = min(
-            self.backoff_base_s * (self.backoff_factor ** (attempt - 1)),
-            self.backoff_max_s,
-        )
-        if self.jitter > 0.0:
-            digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
-            frac = int.from_bytes(digest[:8], "big") / float(1 << 64)
-            delay *= 1.0 - self.jitter * frac
-        return delay
+#: Version 2: no ``failed`` map; a pair that gave up is ``quarantined``.
+MANIFEST_VERSION = 2
 
 
 @dataclass
@@ -585,7 +536,8 @@ class CampaignResult:
     """Outcome of a (possibly resumed, possibly degraded) campaign."""
 
     completed: dict[str, dict] = field(default_factory=dict)
-    failed: dict[str, str] = field(default_factory=dict)
+    #: Per executed pair: the lease attempt that completed it, or the
+    #: failure count that quarantined it.
     attempts: dict[str, int] = field(default_factory=dict)
     resumed: int = 0  # pairs skipped because the checkpoint had them
     #: Shards the lease queue gave up on (key → failure details); the
@@ -597,7 +549,7 @@ class CampaignResult:
 
     @property
     def ok(self) -> bool:
-        return not self.failed and not self.quarantined
+        return not self.quarantined
 
     @property
     def trace_hit_rate(self) -> float:
@@ -609,20 +561,17 @@ class CampaignResult:
     @property
     def degraded(self) -> bool:
         """Completed, but missing quarantined shards."""
-        return bool(self.quarantined) and not self.failed
+        return bool(self.quarantined)
 
     def render(self) -> str:
         lines = [
             f"campaign: {len(self.completed)} pair(s) done "
-            f"({self.resumed} from checkpoint), {len(self.failed)} failed"
-            + (f", {len(self.quarantined)} quarantined" if self.quarantined else "")
+            f"({self.resumed} from checkpoint), {len(self.quarantined)} quarantined"
         ]
         for key, summary in sorted(self.completed.items()):
             speedup = summary.get("speedup")
             text = f"{speedup:.4f}x" if isinstance(speedup, float) else "?"
             lines.append(f"  {key:<42} speedup {text}")
-        for key, reason in sorted(self.failed.items()):
-            lines.append(f"  {key:<42} FAILED: {reason}")
         for key, info in sorted(self.quarantined.items()):
             lines.append(
                 f"  {key:<42} QUARANTINED after {info.get('failures', '?')} "
@@ -723,174 +672,25 @@ def _save_checkpoint(path: Path, completed: dict[str, dict]) -> None:
     write_artifact(path, {"completed": completed}, CHECKPOINT_SCHEMA, CHECKPOINT_VERSION)
 
 
-def _attempt_with_timeout(fn: Callable[[], object], timeout_s: float | None):
-    """Run ``fn``, raising ExperimentError on timeout.
+def _run_point(task: dict, run_fn, obs=None) -> dict:
+    """Run one campaign point's pair once; returns ``{"summary": ...}``.
 
-    Python cannot kill a running thread, so a timed-out attempt's thread
-    is abandoned (daemonised via ``shutdown(wait=False)``) — acceptable
-    for a simulator run, and the reason timeouts should be generous.
-    The abandoned thread keeps executing; callers that feed it callbacks
-    (progress reports, for one) must wrap them in an :class:`AttemptGate`
-    so a zombie attempt cannot write into the retry attempt's results.
+    ``mechanism``/``cpu`` reach ``run_fn`` only when the point sets them
+    (see :class:`CampaignPoint`), so a ``run_fn`` taking just
+    ``(workload, scale, abtb)`` serves a plain grid.  An exception from
+    the pair propagates: the lease loop fails the attempt, and the queue
+    requeues or quarantines it.  Both local engines run pairs through
+    here, and the service worker makes the same two calls, so every
+    engine's summaries come from identical code.
     """
-    if timeout_s is None:
-        return fn()
-    executor = ThreadPoolExecutor(max_workers=1)
-    try:
-        future = executor.submit(fn)
-        try:
-            return future.result(timeout=timeout_s)
-        except FutureTimeoutError:
-            future.cancel()
-            raise ExperimentError(f"run exceeded timeout of {timeout_s:.1f}s") from None
-    finally:
-        executor.shutdown(wait=False)
-
-
-class AttemptGate:
-    """Liveness flag for one run attempt's side-effect callbacks.
-
-    A timed-out attempt's worker thread cannot be killed (see
-    :func:`_attempt_with_timeout`), so it survives into the retry and
-    keeps calling whatever callbacks it was given — double-counting
-    ``progress`` into the *new* attempt's results.  Each attempt
-    therefore gets a fresh gate; the retry loop flips it with
-    :meth:`expire` before retrying, turning the zombie's callbacks into
-    no-ops.
-    """
-
-    __slots__ = ("_live",)
-
-    def __init__(self) -> None:
-        self._live = True
-
-    @property
-    def live(self) -> bool:
-        return self._live
-
-    def expire(self) -> None:
-        """Silence every callback wrapped by this gate, permanently."""
-        self._live = False
-
-    def wrap(self, callback):
-        """``callback`` guarded by this gate (None passes through)."""
-        if callback is None:
-            return None
-
-        def gated(*args, **kwargs):
-            if self._live:
-                return callback(*args, **kwargs)
-
-        return gated
-
-
-def _accepted_kwargs(fn) -> frozenset:
-    """Keyword names ``fn`` accepts (everything, for ``**kwargs``).
-
-    Campaign ``run_fn`` callables historically took exactly
-    ``(workload, scale, abtb)``; newer capabilities — per-point
-    mechanism/CPU configs, the attempt gate — are passed only when the
-    callable declares them, so existing custom callables keep working.
-    """
-    try:
-        sig = inspect.signature(fn)
-    except (TypeError, ValueError):
-        return frozenset()
-    names = set()
-    for param in sig.parameters.values():
-        if param.kind == inspect.Parameter.VAR_KEYWORD:
-            return frozenset({"gate", "mechanism", "cpu"})
-        if param.kind in (
-            inspect.Parameter.KEYWORD_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            names.add(param.name)
-    return frozenset(names)
-
-
-def _run_one_pair(
-    key: str,
-    workload: str,
-    scale,
-    abtb: int,
-    policy: RetryPolicy,
-    run_fn: Callable[[str, object, int], tuple[RunResult, RunResult]],
-    sleep_fn: Callable[[float], None],
-    obs=None,
-    mechanism: dict | None = None,
-    cpu: dict | None = None,
-) -> dict:
-    """One pair with the full retry/timeout discipline; never raises.
-
-    Returns an outcome record: ``{"key", "attempts", "retries", "failed",
-    "summary"}`` where exactly one of ``failed`` (an error string) and
-    ``summary`` (a :func:`summarize_pair` dict) is set.  Both the serial
-    loop and the sharded worker run pairs through this, so their
-    summaries are produced by identical code.
-
-    ``mechanism``/``cpu`` are optional per-point config dicts (see
-    :class:`CampaignPoint`), forwarded to ``run_fn`` when it accepts the
-    matching keywords.  Every attempt runs under a fresh
-    :class:`AttemptGate` (passed as ``gate=`` to gate-aware ``run_fn``
-    callables) that is expired before any retry, so a timed-out
-    attempt's abandoned thread cannot leak callbacks into its successor.
-    Backoff sleeps are keyed by the pair key for deterministic jitter.
-    """
-    accepted = _accepted_kwargs(run_fn)
-    extra: dict = {}
-    if mechanism is not None:
-        if "mechanism" not in accepted:
-            raise ConfigError(
-                "per-point mechanism configs require a run_fn accepting "
-                "a 'mechanism' keyword (the default run_fn does)"
-            )
-        extra["mechanism"] = mechanism
-    if cpu is not None:
-        if "cpu" not in accepted:
-            raise ConfigError(
-                "per-point CPU configs require a run_fn accepting a "
-                "'cpu' keyword (the default run_fn does)"
-            )
-        extra["cpu"] = cpu
-    gate_aware = "gate" in accepted
-    attempt = 0
-    retries = 0
-    while True:
-        attempt += 1
-        gate = AttemptGate()
-        kwargs = dict(extra)
-        if gate_aware:
-            kwargs["gate"] = gate
-        call = lambda: run_fn(workload, scale, abtb, **kwargs)  # noqa: E731
-        try:
-            if obs is not None and obs.tracer is not None:
-                with obs.tracer.span(
-                    f"pair {key}", category="campaign", attempt=attempt
-                ):
-                    pair = _attempt_with_timeout(call, policy.timeout_s)
-            else:
-                pair = _attempt_with_timeout(call, policy.timeout_s)
-        except ExperimentError as exc:
-            gate.expire()  # the abandoned thread must stop reporting
-            if attempt > policy.max_retries:
-                return {
-                    "key": key, "attempts": attempt, "retries": retries,
-                    "failed": str(exc), "summary": None,
-                }
-            retries += 1
-            sleep_fn(policy.backoff(attempt, key=key))
-            continue
-        except Exception as exc:  # non-transient: fail fast, move on
-            gate.expire()
-            return {
-                "key": key, "attempts": attempt, "retries": retries,
-                "failed": f"{type(exc).__name__}: {exc}", "summary": None,
-            }
-        base, enhanced = pair
-        return {
-            "key": key, "attempts": attempt, "retries": retries,
-            "failed": None, "summary": summarize_pair(base, enhanced),
-        }
+    kwargs = {name: task[name] for name in ("mechanism", "cpu") if task[name] is not None}
+    args = (task["workload"], task["scale"], task["abtb"])
+    if obs is not None and obs.tracer is not None:
+        with obs.tracer.span(f"pair {task['key']}", category="campaign"):
+            base, enhanced = run_fn(*args, **kwargs)
+    else:
+        base, enhanced = run_fn(*args, **kwargs)
+    return {"summary": summarize_pair(base, enhanced)}
 
 
 def _obs_spec(obs) -> dict | None:
@@ -931,9 +731,10 @@ def _campaign_worker(task: dict) -> dict:
     """Worker-process entry point: run one pair outside the parent.
 
     Rebuilds the per-worker obs session and machine cache from picklable
-    specs, runs the pair through :func:`_run_one_pair`, and ships the
+    specs, runs the pair through :func:`_run_point`, and ships the
     outcome back together with the worker's metric state, trace events
-    and incident records for the parent to merge.
+    and incident records for the parent to merge.  A pair that raises
+    raises here too, and the worker loop fails its lease.
     """
     obs = _obs_from_spec(task["obs_spec"])
     recorder = IncidentRecorder(
@@ -959,11 +760,7 @@ def _campaign_worker(task: dict) -> dict:
             obs=obs, machine_cache=cache, trace_cache=traces,
         )
 
-    outcome = _run_one_pair(
-        task["key"], task["workload"], task["scale"], task["abtb"],
-        task["policy"], run_fn, time.sleep, obs=obs,
-        mechanism=task.get("mechanism"), cpu=task.get("cpu"),
-    )
+    outcome = _run_point(task, run_fn, obs)
     if traces is not None:
         # Per-task store instance, so these counters sum cleanly in the
         # parent's CampaignResult.cache_stats aggregation.
@@ -983,9 +780,7 @@ def run_campaign(
     scale,
     abtb_sizes: Sequence[int] = (256,),
     checkpoint_path: str | Path | None = None,
-    policy: RetryPolicy = RetryPolicy(),
-    run_fn: Callable[[str, object, int], tuple[RunResult, RunResult]] | None = None,
-    sleep_fn: Callable[[float], None] = time.sleep,
+    run_fn: Callable[..., tuple[RunResult, RunResult]] | None = None,
     obs=None,
     jobs: int = 1,
     machine_cache_dir: str | Path | None = None,
@@ -998,42 +793,41 @@ def run_campaign(
     campaign_id: str = "",
     points: Sequence[CampaignPoint] | None = None,
 ) -> CampaignResult:
-    """Sweep (workload × ABTB size) with timeout, retry and checkpointing.
+    """Sweep (workload × ABTB size) as leases from one queue, with checkpointing.
 
     ``points`` replaces the (workload × ABTB size) grid with an explicit
     list of :class:`CampaignPoint` tasks, each carrying its own
     checkpoint key and optional mechanism/CPU config dicts — the
     substrate the sweep engine (:mod:`repro.sweep`) builds on.  All the
-    machinery below (retry, checkpointing, sharding, cache prefill)
+    machinery below (leases, checkpointing, sharding, cache prefill)
     applies to points exactly as it does to grid pairs;
     ``workloads``/``abtb_sizes`` must be empty when points are given.
 
-    Transient failures (:class:`ExperimentError`, including timeouts) are
-    retried up to ``policy.max_retries`` times with exponential backoff;
-    anything else — a :class:`ConfigError`, a crash in the model — fails
-    the pair immediately.  Either way the campaign continues and reports
-    a partial result.  ``run_fn`` and ``sleep_fn`` exist for tests: the
-    default ``run_fn`` is :func:`run_pair`.
+    Every pair is a shard of one
+    :class:`~repro.resilience.leases.LeaseQueue`, and each attempt runs
+    once.  An exception from the pair fails its lease exactly as a dead
+    or hung worker does: the queue requeues it with ``lease_policy``
+    backoff and quarantines it after ``lease_policy.max_shard_failures``
+    failures.  The campaign then completes *degraded* (see
+    :attr:`CampaignResult.degraded`) with a partial report.  ``run_fn``
+    exists for tests: the default is :func:`run_pair`.
 
+    ``jobs == 1`` takes every lease in this process (see
+    :meth:`~repro.resilience.workers.LocalWorkers.run_in_process`).
     ``jobs > 1`` shards the remaining pairs over ``jobs`` long-lived
-    worker processes that take leases from a
-    :class:`~repro.resilience.leases.LeaseQueue` in this process (see
-    :mod:`repro.resilience.workers`).  Every pair runs through
-    :func:`_campaign_worker` with the same retry/timeout discipline as
-    the serial path, outcomes are merged in the serial loop's
-    deterministic order, and the campaign checkpoint is still written
-    as pairs land — so a sharded campaign produces byte-identical
-    summaries and checkpoints to a serial one.  Crash tolerance comes
-    with it: a worker that dies fails its lease, a worker whose lease
-    expires (``lease_policy.shard_deadline_s`` without a heartbeat) is
-    killed, the shard is requeued with backoff, and a shard failing
-    ``lease_policy.max_shard_failures`` times is quarantined — the
-    campaign then completes *degraded* (see
-    :attr:`CampaignResult.degraded`).  ``fault_plan`` injects
-    deterministic worker kills/hangs for tests and the chaos CI job.
-    Sharding requires the default ``run_fn``/``sleep_fn`` (custom
-    callables don't cross process boundaries); otherwise the campaign
-    silently runs serially.
+    worker processes that take leases from the queue in this process
+    (see :mod:`repro.resilience.workers`).  Every sharded pair runs
+    through :func:`_campaign_worker`, outcomes are merged in task
+    order in either mode, and the campaign checkpoint is written as
+    pairs land — so a sharded campaign produces byte-identical summaries
+    and checkpoints to a serial one.  Worker processes add crash
+    tolerance: a worker that dies fails its lease, and a worker whose
+    lease expires (``lease_policy.shard_deadline_s`` without a
+    heartbeat) is killed; nothing bounds a pair that hangs in this
+    process.  ``fault_plan`` injects deterministic worker kills/hangs
+    for tests and the chaos CI job.  A custom ``run_fn`` runs in this
+    process whatever ``jobs`` says: a test's ``run_fn`` records its
+    calls here, where a forked worker's records would be lost.
 
     ``machine_cache_dir`` holds warm-machine checkpoints shared by all
     workers (see :func:`run_workload`); atomic writes make the racy
@@ -1044,22 +838,24 @@ def run_campaign(
 
     With an ``obs`` session, each pair attempt runs under a host-clock
     trace span and the sweep's progress lands in counters
-    (``campaign.pairs_completed`` / ``campaign.pairs_failed``) plus a
-    per-pair speedup series — deep CPU-level sampling is wired through
-    :func:`run_pair` when ``run_fn`` is the default.  Sharded workers
-    sample into their own registries/tracers, which are merged into the
-    parent session in deterministic pair order.
+    (``campaign.pairs_completed``, ``campaign.pairs_failed`` for
+    quarantined pairs, ``campaign.retries`` for failed attempts before
+    the last) plus a per-pair speedup series — deep CPU-level sampling
+    is wired through :func:`run_pair` when ``run_fn`` is the default.
+    Sharded workers sample into their own registries/tracers, which are
+    merged into the parent session in deterministic pair order.
 
     ``recorder`` collects every incident — corrupted campaign
     checkpoints are then healed (entries requeued) instead of raising.
     ``manifest_path`` writes an integrity-checked end-of-campaign
-    manifest including quarantined shards and incident counts.
+    manifest including quarantined pairs and incident counts.
 
     ``bus`` (a :class:`repro.obs.events.EventBus`) narrates the sweep:
     one ``campaign_started`` event up front, one ``pair_completed`` /
-    ``pair_failed`` per pair (correlated by ``campaign_id`` and the pair
-    key), and a final ``campaign_complete``.  Default None — the
-    disabled path emits nothing and pays nothing.
+    ``pair_failed`` (quarantined) per pair (correlated by
+    ``campaign_id`` and the pair key), and a final
+    ``campaign_complete``.  Default None — the disabled path emits
+    nothing and pays nothing.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -1073,11 +869,11 @@ def run_campaign(
         if trace_cache_dir is not None
         else None
     )
-    parallel = jobs > 1 and run_fn is None and sleep_fn is time.sleep
+    parallel = jobs > 1 and run_fn is None
     if fault_plan is not None and not parallel:
         raise ConfigError(
             "fault injection needs worker processes: jobs > 1 and the "
-            "default run_fn/sleep_fn"
+            "default run_fn"
         )
     if run_fn is None:
         def run_fn(w, s, n, mechanism=None, cpu=None):
@@ -1152,10 +948,9 @@ def run_campaign(
             cpu_dicts=distinct_cpus,
         )
 
-    def absorb(outcome: dict) -> None:
-        """Fold one pair outcome into the result + obs, serially."""
-        key = outcome["key"]
-        result.attempts[key] = outcome["attempts"]
+    def absorb(key: str, outcome: dict, attempts: int) -> None:
+        """Fold one completed pair into the result + obs, in task order."""
+        result.attempts[key] = attempts
         worker_cache = outcome.get("trace_cache")
         if worker_cache:
             for field_name in ("hits", "misses"):
@@ -1163,25 +958,17 @@ def run_campaign(
                     result.cache_stats.get(field_name, 0)
                     + int(worker_cache.get(field_name, 0))
                 )
-        if obs is not None and obs.metrics is not None and outcome["retries"]:
-            obs.metrics.counter("campaign.retries").inc(outcome["retries"])
-        if outcome["failed"] is not None:
-            result.failed[key] = outcome["failed"]
-            if obs is not None and obs.metrics is not None:
-                obs.metrics.counter("campaign.pairs_failed").inc()
-            if bus is not None:
-                bus.emit(
-                    "pair_failed",
-                    f"pair {key} failed after {outcome['attempts']} "
-                    f"attempt(s): {outcome['failed']}",
-                    severity="warning",
-                    campaign_id=campaign_id,
-                    shard_key=key,
-                    attempts=outcome["attempts"],
-                )
-            return
+        if obs is not None:
+            if obs.metrics is not None and outcome.get("metrics_state"):
+                obs.metrics.merge_state(outcome["metrics_state"])
+            if obs.tracer is not None and outcome.get("tracer_events"):
+                obs.tracer.events.extend(outcome["tracer_events"])
+        if recorder is not None and outcome.get("incidents"):
+            recorder.extend_dicts(outcome["incidents"])
         result.completed[key] = outcome["summary"]
         if obs is not None and obs.metrics is not None:
+            if attempts > 1:
+                obs.metrics.counter("campaign.retries").inc(attempts - 1)
             obs.metrics.counter("campaign.pairs_completed").inc()
             obs.metrics.series("campaign.speedup").append(
                 float(len(result.completed)), outcome["summary"]["speedup"]
@@ -1193,8 +980,28 @@ def run_campaign(
                 f"(speedup {outcome['summary']['speedup']:.3f})",
                 campaign_id=campaign_id,
                 shard_key=key,
-                attempts=outcome["attempts"],
+                attempts=attempts,
                 speedup=outcome["summary"]["speedup"],
+            )
+
+    def give_up(key: str, info: dict) -> None:
+        """Record one quarantined pair, in task order."""
+        failures = info["failures"]
+        result.quarantined[key] = dict(info)
+        result.attempts[key] = failures
+        if obs is not None and obs.metrics is not None:
+            if failures > 1:
+                obs.metrics.counter("campaign.retries").inc(failures - 1)
+            obs.metrics.counter("campaign.pairs_failed").inc()
+        if bus is not None:
+            bus.emit(
+                "pair_failed",
+                f"pair {key} quarantined after {failures} "
+                f"attempt(s): {info['last_error']}",
+                severity="warning",
+                campaign_id=campaign_id,
+                shard_key=key,
+                attempts=failures,
             )
 
     #: Summaries of every pair that has landed, in arrival order — ahead
@@ -1204,24 +1011,13 @@ def run_campaign(
     def land(key: str, outcome: dict) -> None:
         """Checkpoint a finished pair the moment it lands (the file's
         sorted keys make the bytes independent of arrival order)."""
-        if outcome["failed"] is None:
-            landed[key] = outcome["summary"]
-            if path is not None:
-                _save_checkpoint(path, {**result.completed, **landed})
-
-    def merge_worker_state(outcome: dict) -> None:
-        """Fold a worker's obs/incident state into the parent session."""
-        if obs is not None:
-            if obs.metrics is not None and outcome.get("metrics_state"):
-                obs.metrics.merge_state(outcome["metrics_state"])
-            if obs.tracer is not None and outcome.get("tracer_events"):
-                obs.tracer.events.extend(outcome["tracer_events"])
-        if recorder is not None and outcome.get("incidents"):
-            recorder.extend_dicts(outcome["incidents"])
+        landed[key] = outcome["summary"]
+        if path is not None:
+            _save_checkpoint(path, {**result.completed, **landed})
 
     def finish() -> CampaignResult:
         if trace_cache is not None and (trace_cache.hits or trace_cache.misses):
-            # Loads done in this process: the serial loop and the prefill.
+            # Loads done in this process: the serial leases and the prefill.
             for field_name, count in (
                 ("hits", trace_cache.hits), ("misses", trace_cache.misses),
             ):
@@ -1234,12 +1030,10 @@ def run_campaign(
             bus.emit(
                 "campaign_complete",
                 f"campaign finished: {len(result.completed)} completed, "
-                f"{len(result.failed)} failed, "
                 f"{len(result.quarantined)} quarantined",
-                severity="warning" if result.failed or result.quarantined else "info",
+                severity="warning" if result.quarantined else "info",
                 campaign_id=campaign_id,
                 completed=len(result.completed),
-                failed=len(result.failed),
                 quarantined=len(result.quarantined),
             )
         return result
@@ -1251,7 +1045,7 @@ def run_campaign(
         return {
             "key": key, "workload": workload, "abtb": abtb,
             "mechanism": mechanism, "cpu": cpu,
-            "scale": scale, "policy": policy,
+            "scale": scale,
             "obs_spec": _obs_spec(obs),
             "machine_cache_dir": (
                 str(machine_cache_dir) if machine_cache_dir is not None else None
@@ -1262,18 +1056,8 @@ def run_campaign(
         }
 
     def execute() -> CampaignResult:
-        if not parallel:
-            for key, workload, abtb, mech_cfg, cpu_cfg in tasks:
-                outcome = _run_one_pair(
-                    key, workload, scale, abtb, policy, run_fn, sleep_fn,
-                    obs=obs, mechanism=mech_cfg, cpu=cpu_cfg,
-                )
-                land(key, outcome)
-                absorb(outcome)
-            return finish()
-
-        report = LocalWorkers(
-            _campaign_worker,
+        workers = LocalWorkers(
+            _campaign_worker if parallel else partial(_run_point, run_fn=run_fn, obs=obs),
             [
                 (key, make_task(key, workload, abtb, mech_cfg, cpu_cfg))
                 for key, workload, abtb, mech_cfg, cpu_cfg in tasks
@@ -1283,23 +1067,22 @@ def run_campaign(
             recorder=recorder,
             fault_plan=fault_plan,
             on_outcome=land,
-        ).run()
-        # Merge in the serial loop's order so attempts/completed/failed and
-        # the obs streams are deterministic regardless of arrival order.
+        )
+        report = workers.run() if parallel else workers.run_in_process()
+        # Merge in task order so attempts/completed/quarantined and the
+        # obs streams are deterministic regardless of arrival order.
         for key, *_rest in tasks:
             if key in report.outcomes:
-                outcome = report.outcomes[key]
-                absorb(outcome)
-                merge_worker_state(outcome)
+                absorb(key, report.outcomes[key], report.attempts[key])
             elif key in report.quarantined:
-                result.quarantined[key] = dict(report.quarantined[key])
+                give_up(key, report.quarantined[key])
         return finish()
 
     try:
         return execute()
     except KeyboardInterrupt:
         # SIGINT/SIGTERM (the CLI converts the latter) mid-campaign:
-        # flush every pair that has landed — sharded outcomes are not in
+        # flush every pair that has landed — outcomes are not in
         # result.completed until the merge — through the atomic
         # checkpoint path and say so in the incident log, instead of
         # dying mid-write and leaving the next resume to guess.
@@ -1342,7 +1125,7 @@ def _prefill_caches(
     Anything that cannot be prefilled — an unknown workload, a
     degenerate scale, an invalid CPU dict — is skipped: the
     corresponding pair surfaces the real error (or fills the caches
-    itself) through the normal retry machinery.
+    itself) through its own lease.
     """
     for name in workload_names:
         module = ALL_WORKLOADS.get(name)
@@ -1400,7 +1183,6 @@ def _write_manifest(
     """Integrity-checked end-of-campaign manifest (partial results included)."""
     payload = {
         "completed": result.completed,
-        "failed": result.failed,
         "quarantined": result.quarantined,
         "attempts": result.attempts,
         "resumed": result.resumed,

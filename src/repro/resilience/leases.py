@@ -9,18 +9,18 @@ Workers never own shards — they hold *leases* with deadlines:
 * a lease that expires — worker crash, hang, network partition, the
   queue can't tell and doesn't need to — is swept by
   :meth:`LeaseQueue.expire`: the shard goes back to pending with
-  exponential backoff, and after ``max_shard_failures`` process-level
-  failures it is **quarantined** (the campaign then completes *degraded*
+  exponential backoff, and after ``max_shard_failures`` failed attempts
+  it is **quarantined** (the campaign then completes *degraded*
   rather than never);
 * :meth:`LeaseQueue.complete` is key-addressed and idempotent: late
   completions (after expiry, after requeue, even after quarantine) are
   banked — duplicate deliveries are harmless because shard execution is
   deterministic, so the queue never discards finished work.
 
-Two engines drive the same queue: the local worker loop behind
-``run_campaign(jobs > 1)`` (:mod:`repro.resilience.workers`) and the HTTP
-campaign service (:mod:`repro.service.manager`).  The knobs live in
-:class:`LeasePolicy`.
+Two engines drive the same queue: the local lease loop behind
+``run_campaign`` (:mod:`repro.resilience.workers`), serial or sharded,
+and the HTTP campaign service (:mod:`repro.service.manager`).  The knobs
+live in :class:`LeasePolicy`.
 
 The queue is in-memory soft state by design: leases are *not* journaled.
 After a manager restart every non-terminal shard is simply pending again;
@@ -46,9 +46,9 @@ class LeasePolicy:
     #: A lease not renewed for this long expires; the local loop then
     #: SIGKILLs the silent worker.
     shard_deadline_s: float = 120.0
-    #: Process-level failures (death, hang, a raising worker) before a
-    #: shard is quarantined.  Worker-internal retries are separate
-    #: (:class:`~repro.experiments.runner.RetryPolicy`).
+    #: Failed attempts (a raise, a dead worker, an expired lease) before
+    #: a shard is quarantined.  Each attempt runs once: this budget is
+    #: the only retry in every campaign engine.
     max_shard_failures: int = 3
     #: Exponential requeue backoff: base * factor ** (failures - 1).
     backoff_base_s: float = 0.25

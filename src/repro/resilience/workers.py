@@ -1,10 +1,12 @@
-"""Local lease workers: the engine behind ``run_campaign(jobs > 1)``.
+"""Local lease workers: the engine behind ``run_campaign``.
 
-``jobs`` long-lived worker processes are forked once and take shards from
-a :class:`~repro.resilience.leases.LeaseQueue` held by the parent — the
-same queue, with the same deadline, backoff and quarantine policy, that
-the HTTP campaign service schedules with.  Each worker owns one pipe to
-the parent:
+A local campaign takes its shards as leases from a
+:class:`~repro.resilience.leases.LeaseQueue` — the same queue, with the
+same deadline, backoff and quarantine policy, that the HTTP campaign
+service schedules with.  :meth:`LocalWorkers.run_in_process` takes the
+leases one at a time in this process.  :meth:`LocalWorkers.run` forks
+``jobs`` long-lived worker processes once; each owns one pipe to the
+parent:
 
 * the parent sends ``(key, payload, attempt)`` for each lease it grants,
   and ``None`` when the campaign is over;
@@ -13,14 +15,17 @@ the parent:
 * the worker sends the outcome (or the error a raising ``worker_fn``
   escaped with) and waits for its next lease.
 
-Failures are the queue's business.  A worker that **dies** (killed, OOM,
-segfault) closes its pipe: its lease fails, the shard is requeued with
-backoff — or quarantined once its failure budget is spent — and a fresh
-worker takes the dead one's place.  A worker whose lease **expires** is
-hung: it is killed with SIGKILL and replaced the same way.  A shard that
-finished in a worker that then died simply runs again; shards are
-deterministic, so the counters are the same.  Every transition is
-recorded on the optional
+Failures are the queue's business, and one rule covers every failed
+attempt in both modes: the shard goes back in line with backoff
+(``shard_requeued``) or, once its failure budget is spent, into
+quarantine (``shard_quarantined``).  A ``worker_fn`` that **raises**
+fails its lease.  A worker that **dies** (killed, OOM, segfault) closes
+its pipe: its lease fails (``worker_death``) and a fresh worker takes
+the dead one's place.  A worker whose lease **expires** is hung: it is
+killed with SIGKILL (``worker_hang``) and replaced the same way.  A
+shard that finished in a worker that then died simply runs again;
+shards are deterministic, so the counters are the same.  Every
+transition is recorded on the optional
 :class:`~repro.resilience.incidents.IncidentRecorder`.
 
 A :class:`FaultPlan` injects worker kills and hangs deterministically
@@ -68,10 +73,12 @@ class FaultPlan:
 
 @dataclass
 class LeaseReport:
-    """What the local workers produced: one outcome per completed shard
-    and, per quarantined shard, its failure count and last error."""
+    """What the local workers produced: per completed shard, its outcome
+    and the lease attempt that completed it; per quarantined shard, its
+    failure count and last error."""
 
     outcomes: dict = field(default_factory=dict)
+    attempts: dict = field(default_factory=dict)
     quarantined: dict = field(default_factory=dict)
 
     @property
@@ -149,11 +156,12 @@ class _Worker:
 
 
 class LocalWorkers:
-    """Runs ``(key, payload)`` shards on ``jobs`` local worker processes
-    (see module doc).
+    """Runs ``(key, payload)`` shards as leases, in this process or on
+    ``jobs`` local worker processes (see module doc).
 
     Args:
-        worker_fn: ``payload -> outcome dict``, called in the worker.
+        worker_fn: ``payload -> outcome dict``, called in the worker (or
+            here, by :meth:`run_in_process`).
         shards: ordered ``(key, payload)`` pairs; keys must be unique.
         jobs: worker processes kept alive while shards remain.
         policy: lease deadline / failure budget / backoff.
@@ -186,6 +194,8 @@ class LocalWorkers:
         self.recorder = recorder
         self.fault_plan = fault_plan or FaultPlan()
         self.on_outcome = on_outcome
+        for key, payload in self.shards:
+            self.queue.add(key, payload)
         self.report = LeaseReport()
         self._workers: list[_Worker] = []
         self._spawned = 0
@@ -197,8 +207,7 @@ class LocalWorkers:
         self._ctx = multiprocessing.get_context("fork")
 
     def run(self) -> LeaseReport:
-        for key, payload in self.shards:
-            self.queue.add(key, payload)
+        """Take every shard's leases on forked worker processes."""
         try:
             for _ in range(min(self.jobs, len(self.shards))):
                 self._spawn()
@@ -210,6 +219,28 @@ class LocalWorkers:
                 self._sweep()
         finally:
             self._stop_all()
+        return self.report
+
+    def run_in_process(self) -> LeaseReport:
+        """Take every shard's leases one at a time in this process.
+
+        Each attempt calls ``worker_fn`` once and completes or fails its
+        lease; while every pending shard backs off, sleep until the first
+        is ready.  No lease expires here: nothing bounds a ``worker_fn``
+        that hangs, and no fault plan applies.
+        """
+        while self.queue.has_work():
+            acquired = self.queue.acquire("local")
+            if acquired is None:
+                time.sleep(max(0.0, self.queue.next_ready_at() - self.queue.clock()))
+                continue
+            lease, payload = acquired
+            try:
+                outcome = self.worker_fn(payload)
+            except Exception as exc:
+                self._fail(lease.key, f"{type(exc).__name__}: {exc}")
+            else:
+                self._complete(lease, outcome)
         return self.report
 
     # ------------------------------------------------------------ workers
@@ -304,31 +335,29 @@ class LocalWorkers:
             return
         worker.lease = None
         if tag == "done":
-            self.queue.complete(key)
-            self.report.outcomes[key] = message[2]
-            if self.on_outcome is not None:
-                self.on_outcome(key, message[2])
+            self._complete(lease, message[2])
         else:
-            self._fail(
-                key,
-                IncidentKind.WORKER_DEATH,
-                f"worker for shard {key} raised: {message[2]}",
-            )
+            self._fail(key, message[2])
 
     def _lost(self, worker: _Worker) -> None:
         """The worker's pipe closed: it died, holding its lease or not."""
         worker.process.join(timeout=5.0)
         if worker.lease is not None:
-            key = worker.lease.key
+            lease = worker.lease
             worker.lease = None
-            self._fail(
-                key,
+            message = (
+                f"worker for shard {lease.key} died with exit code "
+                f"{worker.process.exitcode} before delivering its outcome"
+            )
+            self._record(
                 IncidentKind.WORKER_DEATH,
-                f"worker for shard {key} died with exit code "
-                f"{worker.process.exitcode} before delivering its outcome",
+                message,
+                key=lease.key,
+                attempt=lease.attempt,
                 pid=worker.process.pid,
                 exitcode=worker.process.exitcode,
             )
+            self._fail(lease.key, message)
         self._retire(worker, kill=False)
 
     def _sweep(self) -> None:
@@ -348,23 +377,26 @@ class LocalWorkers:
             )
             self._settle(event.key, event.failures, event.quarantined, event.backoff_s)
 
-    def _fail(self, key: str, kind: IncidentKind, message: str, **context) -> None:
-        quarantined, backoff = self.queue.fail(key, message)
-        failures = self.queue.failures(key)
-        self._record(kind, message, key=key, attempt=failures, **context)
-        self._settle(key, failures, quarantined, backoff)
+    def _complete(self, lease: Lease, outcome) -> None:
+        self.queue.complete(lease.key)
+        self.report.outcomes[lease.key] = outcome
+        self.report.attempts[lease.key] = lease.attempt
+        if self.on_outcome is not None:
+            self.on_outcome(lease.key, outcome)
+
+    def _fail(self, key: str, error: str) -> None:
+        quarantined, backoff = self.queue.fail(key, error)
+        self._settle(key, self.queue.failures(key), quarantined, backoff)
 
     def _settle(self, key: str, failures: int, quarantined: bool, backoff: float) -> None:
         """Record where a failed shard went: back in line, or quarantine."""
+        error = self.queue.last_error(key)
         if quarantined:
-            self.report.quarantined[key] = {
-                "failures": failures,
-                "last_error": self.queue.last_error(key),
-            }
+            self.report.quarantined[key] = {"failures": failures, "last_error": error}
             self._record(
                 IncidentKind.SHARD_QUARANTINED,
-                f"shard {key} quarantined after {failures} process-level "
-                f"failures; campaign will complete degraded",
+                f"shard {key} quarantined after {failures} failed attempt(s), "
+                f"the last: {error}; campaign will complete degraded",
                 key=key,
                 failures=failures,
             )
@@ -372,7 +404,7 @@ class LocalWorkers:
         self._record(
             IncidentKind.SHARD_REQUEUED,
             f"shard {key} requeued (failure {failures}/"
-            f"{self.policy.max_shard_failures}, backoff {backoff:.2f}s)",
+            f"{self.policy.max_shard_failures}, backoff {backoff:.2f}s): {error}",
             severity="warning",
             key=key,
             failures=failures,

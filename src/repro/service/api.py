@@ -24,7 +24,7 @@ state behind its own lock).  Routes::
     POST /leases/<id>/renew          heartbeat (body: RenewRequest,
                                      optionally carrying ShardProgress)
     POST /shards/complete            deliver an outcome (body: CompleteRequest)
-    POST /shards/fail                report a failure (body: FailRequest)
+    POST /shards/fail                report a failed attempt (body: FailRequest)
 
 Error mapping: :class:`~repro.errors.SchemaError` → 400, unknown
 resources → 404, a known resource hit with the wrong method → 405,
@@ -70,7 +70,6 @@ from repro.service.schemas import (
 def _result_as_dict(result) -> dict:
     return {
         "completed": result.completed,
-        "failed": result.failed,
         "attempts": result.attempts,
         "resumed": result.resumed,
         "quarantined": result.quarantined,

@@ -82,14 +82,21 @@ class _Campaign:
 
 def _shard_payload(spec: CampaignSpec, workload: str, abtb: int) -> dict:
     """The recipe a worker needs to execute one shard."""
-    return {
-        "workload": workload,
-        "abtb": abtb,
-        "scale": spec.scale,
-        "seed": spec.seed,
-        "timeout_s": spec.timeout_s,
-        "max_retries": spec.max_retries,
-    }
+    return {"workload": workload, "abtb": abtb, "scale": spec.scale, "seed": spec.seed}
+
+
+#: Spec fields an older manager journaled for its in-worker retry; the
+#: lease queue is the only retry now, so recovery drops them.
+_RETIRED_SPEC_FIELDS = ("timeout_s", "max_retries")
+
+
+def _journaled_spec(data: dict) -> CampaignSpec:
+    """A spec read back from the journal or a snapshot, written by this
+    manager or an older one (``POST /campaigns`` still rejects the
+    retired fields)."""
+    return CampaignSpec.from_dict(
+        {k: v for k, v in data.items() if k not in _RETIRED_SPEC_FIELDS}
+    )
 
 
 class CampaignManager:
@@ -214,7 +221,7 @@ class CampaignManager:
         self._next_campaign = int(state.get("next_campaign", 1))
         self._next_worker = int(state.get("next_worker", 1))
         for cid, cdata in state.get("campaigns", {}).items():
-            spec = CampaignSpec.from_dict(cdata["spec"])
+            spec = _journaled_spec(cdata["spec"])
             campaign = self._build_campaign(cid, spec)
             campaign.cancelled = bool(cdata.get("cancelled", False))
             for key, sdata in cdata.get("shards", {}).items():
@@ -230,7 +237,7 @@ class CampaignManager:
     def _replay(self, record_type: str, data: dict) -> None:
         """Apply one journal record to in-memory state (no re-journaling)."""
         if record_type == "submit":
-            spec = CampaignSpec.from_dict(data["spec"])
+            spec = _journaled_spec(data["spec"])
             cid = data["campaign_id"]
             self.campaigns[cid] = self._build_campaign(cid, spec)
             n = int(cid[1:]) if cid[1:].isdigit() else 0
@@ -499,18 +506,9 @@ class CampaignManager:
             self.recorder.extend_dicts(outcome.get("incidents"))
             if campaign.cancelled:
                 return {"status": "ignored-cancelled"}
-            if outcome.get("failed"):
-                return self._record_failure(
-                    campaign, meta, str(outcome["failed"]), request.worker_id
-                )
-            summary = outcome.get("summary")
-            if not isinstance(summary, dict):
-                return self._record_failure(
-                    campaign, meta, "outcome carried no summary", request.worker_id
-                )
             _, deduped = self.store.put(
                 meta.result_key,
-                summary,
+                outcome["summary"],
                 recipe=meta.payload,
             )
             if meta.state == "completed":
@@ -534,6 +532,8 @@ class CampaignManager:
         worker_id: str,
         attempt: int = 0,
     ) -> dict:
+        """Bank one failed attempt: requeue with backoff, or quarantine
+        once the failure budget is spent (deduped per attempt)."""
         with self._lock:
             self._check_open()
             campaign = self.campaigns.get(campaign_id)
@@ -586,17 +586,7 @@ class CampaignManager:
                 if event.quarantined:
                     self._quarantine(campaign, meta)
                 else:
-                    self.recorder.record(
-                        IncidentKind.SHARD_REQUEUED,
-                        f"shard {key} requeued (failure {event.failures}/"
-                        f"{self.policy.max_shard_failures}, backoff "
-                        f"{event.backoff_s:.2f}s)",
-                        severity="warning",
-                        key=key,
-                        campaign_id=cid,
-                        failures=event.failures,
-                        backoff_s=event.backoff_s,
-                    )
+                    self._requeued(campaign, meta, event.backoff_s, event.worker_id)
             if events:
                 self._refresh_gauges()
             return len(events)
@@ -734,19 +724,28 @@ class CampaignManager:
         meta.failures += 1
         meta.last_error = error
         self.metrics.counter("service.shards_failed").inc()
+        if quarantined:
+            self._quarantine(campaign, meta)
+            return {"status": "quarantined"}
+        self._requeued(campaign, meta, backoff, worker_id)
+        self._refresh_gauges()
+        return {"status": "requeued", "backoff_s": backoff}
+
+    def _requeued(
+        self, campaign: _Campaign, meta: _ShardMeta, backoff: float, worker_id: str
+    ) -> None:
         self.recorder.record(
-            IncidentKind.WORKER_DEATH if "crash" in error else IncidentKind.SHARD_REQUEUED,
-            f"shard {meta.key} failed on {worker_id}: {error}",
+            IncidentKind.SHARD_REQUEUED,
+            f"shard {meta.key} requeued (failure {meta.failures}/"
+            f"{self.policy.max_shard_failures}, backoff {backoff:.2f}s): "
+            f"{meta.last_error}",
             severity="warning",
             key=meta.key,
             campaign_id=campaign.campaign_id,
             failures=meta.failures,
+            backoff_s=backoff,
+            worker_id=worker_id,
         )
-        if quarantined:
-            self._quarantine(campaign, meta)
-            return {"status": "quarantined"}
-        self._refresh_gauges()
-        return {"status": "requeued", "backoff_s": backoff}
 
     def _quarantine(self, campaign: _Campaign, meta: _ShardMeta) -> None:
         self.journal.append(
@@ -767,8 +766,9 @@ class CampaignManager:
         self.metrics.counter("service.shards_quarantined").inc()
         self.recorder.record(
             IncidentKind.SHARD_QUARANTINED,
-            f"shard {meta.key} quarantined after {meta.failures} lease-level "
-            f"failure(s); campaign {campaign.campaign_id} will complete degraded",
+            f"shard {meta.key} quarantined after {meta.failures} failed "
+            f"attempt(s), the last: {meta.last_error}; campaign "
+            f"{campaign.campaign_id} will complete degraded",
             key=meta.key,
             campaign_id=campaign.campaign_id,
             failures=meta.failures,

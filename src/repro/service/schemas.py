@@ -43,15 +43,6 @@ def _str_field(data: dict, name: str, what: str, default: str | None = None) -> 
     return value
 
 
-def _opt_number(data: dict, name: str, what: str) -> float | None:
-    value = data.get(name)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{what}: {name!r} must be a number or null, got {value!r}")
-    return float(value)
-
-
 def _opt_int(data: dict, name: str, what: str) -> int | None:
     value = data.get(name)
     if value is None:
@@ -75,8 +66,6 @@ class CampaignSpec:
     abtb_sizes: tuple[int, ...] = (256,)
     scale: str = "smoke"
     seed: int | None = None
-    timeout_s: float | None = None
-    max_retries: int = 2
 
     def __post_init__(self) -> None:
         what = "campaign spec"
@@ -105,20 +94,12 @@ class CampaignSpec:
             raise SchemaError(
                 f"{what}: scale {self.scale!r} not in {SCALE_NAMES}"
             )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise SchemaError(f"{what}: timeout_s must be positive, got {self.timeout_s}")
-        if self.max_retries < 0:
-            raise SchemaError(f"{what}: max_retries must be >= 0, got {self.max_retries}")
 
     @classmethod
     def from_dict(cls, data: object) -> "CampaignSpec":
         what = "campaign spec"
         data = _require_dict(data, what)
-        _reject_unknown(
-            data,
-            {"workloads", "abtb_sizes", "scale", "seed", "timeout_s", "max_retries"},
-            what,
-        )
+        _reject_unknown(data, {"workloads", "abtb_sizes", "scale", "seed"}, what)
         workloads = data.get("workloads")
         if not isinstance(workloads, (list, tuple)) or not all(
             isinstance(w, str) for w in workloads or ()
@@ -127,16 +108,11 @@ class CampaignSpec:
         abtb_sizes = data.get("abtb_sizes", [256])
         if not isinstance(abtb_sizes, (list, tuple)):
             raise SchemaError(f"{what}: 'abtb_sizes' must be a list of integers")
-        max_retries = data.get("max_retries", 2)
-        if isinstance(max_retries, bool) or not isinstance(max_retries, int):
-            raise SchemaError(f"{what}: 'max_retries' must be an integer")
         return cls(
             workloads=tuple(workloads),
             abtb_sizes=tuple(abtb_sizes),
             scale=_str_field(data, "scale", what, "smoke"),
             seed=_opt_int(data, "seed", what),
-            timeout_s=_opt_number(data, "timeout_s", what),
-            max_retries=max_retries,
         )
 
     def as_dict(self) -> dict:
@@ -146,8 +122,6 @@ class CampaignSpec:
             "abtb_sizes": list(self.abtb_sizes),
             "scale": self.scale,
             "seed": self.seed,
-            "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries,
         }
 
 
@@ -252,6 +226,8 @@ class CompleteRequest:
     lease so that work finished after a lease expired — or across a
     manager restart that forgot all leases — is still bankable; the
     content-addressed result store makes the double-delivery harmless.
+    The outcome must carry a ``summary`` object: a failed attempt is
+    reported on ``/shards/fail``, the one failure path.
     """
 
     campaign_id: str
@@ -264,15 +240,12 @@ class CompleteRequest:
         what = "complete request"
         data = _require_dict(data, what)
         _reject_unknown(data, {"campaign_id", "key", "worker_id", "outcome"}, what)
-        outcome = data.get("outcome")
-        outcome = _require_dict(outcome, f"{what}: 'outcome'")
-        if "summary" not in outcome and not outcome.get("failed"):
+        outcome = _require_dict(data.get("outcome"), f"{what}: 'outcome'")
+        if not isinstance(outcome.get("summary"), dict):
             raise SchemaError(
-                f"{what}: outcome must carry either a 'summary' or a 'failed' reason"
+                f"{what}: outcome must carry a 'summary' object "
+                f"(report a failed attempt on /shards/fail)"
             )
-        summary = outcome.get("summary")
-        if summary is not None and not isinstance(summary, dict):
-            raise SchemaError(f"{what}: outcome 'summary' must be an object or null")
         return cls(
             campaign_id=_str_field(data, "campaign_id", what),
             key=_str_field(data, "key", what),
@@ -283,7 +256,7 @@ class CompleteRequest:
 
 @dataclass(frozen=True)
 class FailRequest:
-    """``POST /shards/fail`` body (worker-reported permanent failure).
+    """``POST /shards/fail`` body (a worker-reported failed attempt).
 
     ``attempt`` (the lease's attempt number, 0 = unstamped) lets the
     manager dedupe a duplicated fail delivery: the same worker reporting

@@ -1,11 +1,12 @@
 """Worker agent: pulls shard leases over HTTP and executes them.
 
-The execution path is deliberately the *same code* the serial campaign
-runner uses — :func:`repro.experiments.runner._run_one_pair` over
-:func:`repro.experiments.runner.run_pair` with the same retry/timeout
-policy and incident recorder — which is what makes a service
-campaign's :class:`~repro.experiments.runner.CampaignResult`
-counter-for-counter identical to a serial one.
+The execution path is deliberately the *same code* every local campaign
+engine uses — :func:`repro.experiments.runner.run_pair` summarised by
+:func:`repro.experiments.runner.summarize_pair` — which is what makes a
+service campaign's :class:`~repro.experiments.runner.CampaignResult`
+counter-for-counter identical to a serial one.  Each lease runs the pair
+once: a pair that raises is reported on ``/shards/fail``, and the
+manager's lease queue requeues or quarantines it.
 
 Lease discipline:
 
@@ -25,6 +26,7 @@ lease grant, exercising the expiry → requeue → reassign path end to end.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -36,7 +38,7 @@ import uuid
 from dataclasses import dataclass
 
 from repro.errors import ServiceError
-from repro.experiments.runner import RetryPolicy, _run_one_pair, run_pair
+from repro.experiments.runner import run_pair, summarize_pair
 from repro.experiments.scale import PAPER, SMOKE
 from repro.resilience.incidents import IncidentRecorder
 from repro.trace.store import TraceStore
@@ -81,11 +83,10 @@ class ManagerClient:
       re-sent (every service endpoint is idempotent, so a duplicate
       delivery is harmless and better than acting on half an answer).
 
-    Connection-level failures (a manager restarting) are retried too.
-    Retry sleeps use :class:`~repro.experiments.runner.RetryPolicy` —
-    capped exponential backoff with sha256-keyed jitter (keyed by the
-    request URL, so a fleet of workers does not hammer a recovering
-    manager in lockstep).  ``retry_delay_s`` is the backoff base.
+    Connection-level failures (a manager restarting) are retried too,
+    after :meth:`backoff_s`.  This is network error handling, not shard
+    retry: a shard's failed attempts are the manager's lease queue's
+    business.
     """
 
     def __init__(
@@ -96,7 +97,6 @@ class ManagerClient:
         timeout_s: float = 10.0,
         sleep_fn=time.sleep,
         transport=None,
-        backoff: RetryPolicy | None = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.retries = retries
@@ -104,14 +104,21 @@ class ManagerClient:
         self.timeout_s = timeout_s
         self.sleep_fn = sleep_fn
         self.transport = transport if transport is not None else http_exchange
-        self.backoff = backoff or RetryPolicy(
-            timeout_s=None,
-            max_retries=retries,
-            backoff_base_s=retry_delay_s,
-            backoff_factor=1.5,
-            backoff_max_s=max(4.0 * retry_delay_s, 1.0),
-            jitter=0.5,
+
+    def backoff_s(self, attempt: int, url: str) -> float:
+        """Sleep before re-sending to ``url`` after failed ``attempt``
+        (1-based): ``retry_delay_s * 1.5 ** (attempt - 1)``, capped at
+        ``max(4 * retry_delay_s, 1 s)``, then scaled by a factor in
+        [0.5, 1] drawn from a hash of ``(url, attempt)``.  One URL always
+        waits the same, while a fleet of workers does not hammer a
+        recovering manager in lockstep; the scaling only shrinks, so the
+        cap stays a hard upper bound.
+        """
+        delay = min(
+            self.retry_delay_s * 1.5 ** (attempt - 1), max(4.0 * self.retry_delay_s, 1.0)
         )
+        digest = hashlib.sha256(f"{url}:{attempt}".encode("utf-8")).digest()
+        return delay * (1.0 - 0.5 * int.from_bytes(digest[:8], "big") / float(1 << 64))
 
     def get(self, path: str) -> tuple[int, dict]:
         status, raw = self._request("GET", path, None, json_body=True)
@@ -145,7 +152,7 @@ class ManagerClient:
                 else:
                     return status, raw
             if attempt < self.retries:
-                self.sleep_fn(self.backoff.backoff(attempt + 1, key=url))
+                self.sleep_fn(self.backoff_s(attempt + 1, url))
         raise ServiceError(
             f"manager at {self.base_url} unreachable after "
             f"{self.retries + 1} attempt(s): {last_error}"
@@ -169,8 +176,8 @@ def _decode(raw: bytes) -> tuple[dict, bool]:
 class _ProgressTracker:
     """Thread-safe shard progress shared between the execute path (which
     adds retired-event counts via :func:`repro.experiments.runner.
-    run_workload`'s gated ``progress`` hook) and the heartbeat thread
-    (which snapshots it into each renew body)."""
+    run_workload`'s ``progress`` hook) and the heartbeat thread (which
+    snapshots it into each renew body)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -349,11 +356,15 @@ class WorkerAgent:
             daemon=True,
         )
         beat.start()
+        error = None
         try:
             outcome = self._execute(grant)
-        except Exception as exc:  # defensive: _run_one_pair should not raise
+        except Exception as exc:  # the pair raised: this attempt failed
+            error = f"{type(exc).__name__}: {exc}"
+        finally:
             heartbeat_done.set()
             beat.join(timeout=2.0)
+        if error is not None:
             self.shards_failed += 1
             self.client.post(
                 "/shards/fail",
@@ -361,13 +372,11 @@ class WorkerAgent:
                     "campaign_id": grant["campaign_id"],
                     "key": grant["key"],
                     "worker_id": self.worker_id,
-                    "error": f"worker-side crash: {exc}",
+                    "error": error,
                     "attempt": int(grant.get("attempt", 0)),
                 },
             )
             return
-        heartbeat_done.set()
-        beat.join(timeout=2.0)
         if lease_lost.is_set():
             self.leases_lost += 1
         status, response = self.client.post(
@@ -379,20 +388,15 @@ class WorkerAgent:
                 "outcome": outcome,
             },
         )
-        if status == 200 and not outcome.get("failed"):
+        if status == 200:
             self.shards_done += 1
         else:
             self.shards_failed += 1
 
     def _execute(self, grant: dict) -> dict:
-        """Run one shard exactly the way the serial campaign loop would."""
+        """Run one shard's pair once, as every campaign engine does."""
         payload = grant["payload"]
         self.progress.begin(payload.get("workload", ""))
-        scale = _SCALES[payload["scale"]]
-        policy = RetryPolicy(
-            timeout_s=payload.get("timeout_s"),
-            max_retries=int(payload.get("max_retries", 2)),
-        )
         recorder = IncidentRecorder()
         machine_cache = (
             CheckpointStore(self.machine_cache_dir, recorder=recorder)
@@ -405,35 +409,20 @@ class WorkerAgent:
             else None
         )
 
-        def run_fn(workload: str, scale_obj, abtb: int, gate=None):
-            # Gate the progress callback per attempt: a timed-out
-            # attempt's abandoned thread keeps simulating, and without the
-            # gate it would keep banking progress into the retry
-            # attempt's heartbeats.
-            progress = self.progress.add
-            if gate is not None:
-                progress = gate.wrap(progress)
-            return run_pair(
-                workload,
-                scale_obj,
-                abtb,
-                seed=payload.get("seed"),
-                machine_cache=machine_cache,
-                trace_cache=trace_cache,
-                progress=progress,
-            )
-
-        outcome = _run_one_pair(
-            grant["key"],
+        base, enhanced = run_pair(
             payload["workload"],
-            scale,
+            _SCALES[payload["scale"]],
             int(payload["abtb"]),
-            policy,
-            run_fn,
-            time.sleep,
+            seed=payload.get("seed"),
+            machine_cache=machine_cache,
+            trace_cache=trace_cache,
+            progress=self.progress.add,
         )
-        outcome["incidents"] = recorder.as_dicts()
-        return outcome
+        return {
+            "summary": summarize_pair(base, enhanced),
+            "attempts": int(grant.get("attempt", 1)),
+            "incidents": recorder.as_dicts(),
+        }
 
     def _heartbeat(
         self, grant: dict, done: threading.Event, lost: threading.Event

@@ -13,19 +13,12 @@ from repro.sweep.analysis import (
     pareto_frontier,
     sensitivity,
 )
-from repro.sweep.engine import (
-    DEFAULT_POLICY,
-    SweepResult,
-    load_spec,
-    report_sweep,
-    run_sweep,
-)
+from repro.sweep.engine import SweepResult, load_spec, report_sweep, run_sweep
 from repro.sweep.report import render_sweep_report, write_sweep_report
 from repro.sweep.spec import AXES, SweepPoint, SweepSpec, point_key
 
 __all__ = [
     "AXES",
-    "DEFAULT_POLICY",
     "SweepPoint",
     "SweepResult",
     "SweepSpec",

@@ -30,21 +30,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.experiments.runner import (
-    CampaignResult,
-    RetryPolicy,
-    _load_checkpoint,
-    run_campaign,
-)
+from repro.experiments.runner import CampaignResult, _load_checkpoint, run_campaign
 from repro.sweep.analysis import analyze_sweep
 from repro.sweep.report import write_sweep_report
 from repro.sweep.spec import SweepSpec
-
-#: Sweeps want jitter by default: shards share cache directories, so
-#: correlated transient failures retrying in lockstep would collide
-#: again.  Deterministic per-key jitter desynchronises them while
-#: keeping reruns reproducible.
-DEFAULT_POLICY = RetryPolicy(max_retries=2, backoff_max_s=30.0, jitter=0.25)
 
 
 @dataclass
@@ -68,7 +57,7 @@ class SweepResult:
         lines = [
             f"sweep {self.spec.name}: {s['completed']}/{s['points']} point(s) "
             f"completed ({s['resumed']} resumed, {s['executed']} executed, "
-            f"{s['failed']} failed)"
+            f"{s['quarantined']} quarantined)"
         ]
         cache = s.get("trace_cache") or {}
         lines.append(
@@ -148,7 +137,6 @@ def run_sweep(
     spec: SweepSpec | None,
     out_dir: str | Path,
     jobs: int = 1,
-    policy: RetryPolicy | None = None,
     recorder=None,
     bus=None,
 ) -> SweepResult:
@@ -156,7 +144,8 @@ def run_sweep(
 
     ``spec=None`` resumes whatever spec ``out_dir`` was created with.
     Completed points are skipped via the campaign checkpoint; everything
-    else runs, sharded when ``jobs > 1``.
+    else runs as leases, sharded when ``jobs > 1``, and a point whose
+    failure budget is spent is quarantined.
     Analysis artifacts are (re)written on every invocation, so a resumed
     or even fully-cached run still refreshes ``analysis/``.
     """
@@ -174,7 +163,6 @@ def run_sweep(
         spec.scale(),
         points=[p.to_campaign_point() for p in points],
         checkpoint_path=out / "checkpoint.json",
-        policy=policy if policy is not None else DEFAULT_POLICY,
         jobs=jobs,
         machine_cache_dir=out / "machine-cache",
         trace_cache_dir=out / "trace-cache",
@@ -215,7 +203,6 @@ def _finish(
         "points": len(points),
         "dropped_invalid": dropped,
         "completed": len(campaign.completed),
-        "failed": len(campaign.failed),
         "quarantined": len(campaign.quarantined),
         "resumed": campaign.resumed,
         "executed": len(points) - campaign.resumed,

@@ -197,7 +197,7 @@ def render_sweep_report(analysis: dict, summary: dict) -> str:
     tiles = [
         _tile("points", str(summary.get("points", 0))),
         _tile("completed", str(summary.get("completed", 0))),
-        _tile("failed", str(summary.get("failed", 0))),
+        _tile("quarantined", str(summary.get("quarantined", 0))),
         _tile("pareto size", str(summary.get("pareto_size", 0))),
         _tile("best speedup", f"{best['speedup']:.4f}" if best else "—"),
         _tile("trace-cache hit rate", f"{cache.get('hit_rate', 0.0):.1%}"),

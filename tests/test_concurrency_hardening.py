@@ -1,15 +1,14 @@
-"""Concurrency hardening: trace-store commit discipline, capped/jittered
-backoff, and attempt-gated callbacks.
+"""Concurrency hardening: trace-store commit discipline and the manager
+client's capped, jittered backoff.
 
-Three failure modes this file pins down:
+Two failure modes this file pins down:
 
 * ``TraceStore.save`` rewriting a committed entry under a concurrent
   reader (the reader passed ``has()``, then loaded a half-swapped mix of
   old and new segment files);
-* uncapped, jitterless exponential backoff (multi-minute sleeps, and N
-  shards failing together retrying in lockstep);
-* a timed-out attempt's abandoned thread still invoking progress and
-  incident-recorder callbacks, double-counting into the retry's results.
+* uncapped, jitterless exponential backoff in ``ManagerClient``'s
+  retries of a manager it cannot reach (multi-minute sleeps, and a
+  fleet of workers retrying in lockstep).
 """
 
 from __future__ import annotations
@@ -19,13 +18,8 @@ import os
 
 import pytest
 
-from repro.errors import ConfigError, ExperimentError
-from repro.experiments.runner import (
-    AttemptGate,
-    RetryPolicy,
-    _run_one_pair,
-)
-from repro.experiments.scale import SMOKE
+from repro.errors import ServiceError
+from repro.service.worker import ManagerClient
 from repro.trace.engine import LinkMode
 from repro.trace.store import TraceStore, generate_bundle, trace_key
 from repro.workloads import ALL_WORKLOADS, Workload
@@ -121,130 +115,51 @@ class TestTraceStoreConcurrency:
 
 
 # --------------------------------------------------------------------------
-# RetryPolicy: capped exponential backoff with deterministic jitter.
+# ManagerClient: capped exponential backoff with deterministic jitter.
 # --------------------------------------------------------------------------
+
+URL = "http://127.0.0.1:9/leases"
 
 
 class TestBackoff:
     def test_cap_bounds_the_exponential_curve(self):
-        policy = RetryPolicy(backoff_base_s=1.0, backoff_factor=10.0, backoff_max_s=5.0)
-        assert policy.backoff(1) == 1.0
-        assert policy.backoff(2) == 5.0  # 10s uncapped
-        assert policy.backoff(8) == 5.0  # would be 10**7 s uncapped
+        client = ManagerClient(URL, retry_delay_s=1.0)
+        # 1.5 ** 7 ≈ 17 s uncapped; the cap is max(4 * 1 s, 1 s).
+        delays = [client.backoff_s(n, URL) for n in range(1, 9)]
+        assert all(0.0 < d <= 4.0 for d in delays)
+        assert delays[-1] >= 2.0  # capped, then jittered by at most half
 
     def test_defaults_keep_historical_schedule(self):
-        policy = RetryPolicy()
-        assert [policy.backoff(n) for n in (1, 2, 3)] == [0.25, 0.5, 1.0]
+        # The schedule the client slept before its backoff became its own
+        # method: 0.25 s * 1.5 ** (n - 1), capped at 1 s, keyed jitter 0.5.
+        client = ManagerClient(URL)
+        assert [client.backoff_s(n, "http://127.0.0.1:9/x") for n in (1, 2, 3, 4, 5)] == [
+            0.23697233080431987,
+            0.2590178719053046,
+            0.4427280575347335,
+            0.8122543006856426,
+            0.60066114073329,
+        ]
 
     def test_jitter_is_deterministic_per_key(self):
-        policy = RetryPolicy(backoff_base_s=1.0, backoff_max_s=1.0, jitter=0.5)
-        first = policy.backoff(1, key="memcached::abtb=256")
-        assert first == policy.backoff(1, key="memcached::abtb=256")
+        client = ManagerClient(URL, retry_delay_s=1.0)
+        first = client.backoff_s(1, URL)
+        assert first == client.backoff_s(1, URL)
         assert 0.5 <= first <= 1.0  # cap stays a hard upper bound
 
     def test_jitter_desynchronises_distinct_keys(self):
-        policy = RetryPolicy(backoff_base_s=1.0, backoff_max_s=1.0, jitter=0.5)
-        delays = {policy.backoff(1, key=f"shard-{i}") for i in range(8)}
+        client = ManagerClient(URL, retry_delay_s=1.0)
+        delays = {client.backoff_s(1, f"http://127.0.0.1:9/shard-{i}") for i in range(8)}
         assert len(delays) > 1
-
-    def test_zero_jitter_ignores_key(self):
-        policy = RetryPolicy()
-        assert policy.backoff(2, key="a") == policy.backoff(2, key="b") == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter=-0.1)
-        with pytest.raises(ConfigError):
-            RetryPolicy(backoff_max_s=-1.0)
 
     def test_retry_sleeps_are_jittered_and_keyed(self):
         sleeps = []
-        calls = {"n": 0}
-
-        def run_fn(workload, scale, abtb):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise ExperimentError("transient")
-            return None, None
-
-        policy = RetryPolicy(max_retries=3, backoff_base_s=1.0,
-                             backoff_max_s=1.0, jitter=0.5)
-        # Bypassing summarize by failing is simpler: make the final
-        # attempt fail too and check the recorded sleeps alone.
-        calls["n"] = -10**9  # never succeeds
-        outcome = _run_one_pair(
-            "k1", "memcached", SMOKE, 16, policy, run_fn, sleeps.append
+        client = ManagerClient(
+            URL, retries=3, retry_delay_s=1.0, sleep_fn=sleeps.append,
+            transport=lambda url, method, data, timeout_s: (502, b""),
         )
-        assert outcome["failed"]
-        assert sleeps == [policy.backoff(n, key="k1") for n in (1, 2, 3)]
-        assert all(0.5 <= s <= 1.0 for s in sleeps)
-
-
-# --------------------------------------------------------------------------
-# AttemptGate: abandoned attempts stop reporting.
-# --------------------------------------------------------------------------
-
-
-class TestAttemptGate:
-    def test_wrap_gates_callback(self):
-        gate = AttemptGate()
-        hits = []
-        gated = gate.wrap(hits.append)
-        gated(1)
-        gate.expire()
-        gated(2)
-        assert hits == [1]
-        assert gate.wrap(None) is None
-
-    def test_abandoned_attempt_callbacks_are_dropped(self):
-        """The exact double-count scenario: attempt 1 times out, its thread
-        keeps calling progress after the retry started — silently."""
-        progress = []
-        gates = []
-
-        def run_fn(workload, scale, abtb, gate=None):
-            gates.append(gate)
-            report = gate.wrap(progress.append)
-            report(f"attempt-{len(gates)}")
-            if len(gates) == 1:
-                raise ExperimentError("timed out")
-            return report  # hand the live callback back for inspection
-
-        policy = RetryPolicy(max_retries=1)
-        # _run_one_pair unpacks the return as (base, enhanced): make the
-        # second attempt return a 2-tuple carrying the callback.
-        def run_fn2(workload, scale, abtb, gate=None):
-            result = run_fn(workload, scale, abtb, gate=gate)
-            return (result, result) if result is not None else None
-
-        with pytest.raises(Exception):
-            # summarize_pair will choke on our fake pair; that's fine —
-            # the gate bookkeeping we assert on happened before it.
-            _run_one_pair(
-                "k", "memcached", SMOKE, 16, policy, run_fn2, lambda _s: None
-            )
-        assert len(gates) == 2
-        first, second = gates
-        assert not first.live and second.live
-        # The zombie thread from attempt 1 fires its stale callback now:
-        stale = first.wrap(progress.append)
-        stale("zombie")
-        assert progress == ["attempt-1", "attempt-2"]  # zombie dropped
-
-    def test_each_attempt_gets_a_fresh_gate(self):
-        gates = []
-
-        def run_fn(workload, scale, abtb, gate=None):
-            gates.append(gate)
-            raise ExperimentError("always")
-
-        outcome = _run_one_pair(
-            "k", "memcached", SMOKE, 16,
-            RetryPolicy(max_retries=2), run_fn, lambda _s: None,
-        )
-        assert outcome["failed"]
-        assert len(gates) == 3
-        assert len(set(map(id, gates))) == 3
-        assert all(not g.live for g in gates)  # all expired on failure
+        with pytest.raises(ServiceError):
+            client.get("/x")
+        url = URL + "/x"
+        assert sleeps == [client.backoff_s(n, url) for n in (1, 2, 3)]
+        assert all(0.5 <= s <= 4.0 for s in sleeps)

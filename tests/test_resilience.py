@@ -3,8 +3,9 @@
 Covers the integrity envelope (checksummed, schema-versioned artifacts),
 checkpoint-corruption handling in both the machine cache and the campaign
 checkpoint, the binary trace codec's corruption taxonomy, the local lease
-workers behind ``run_campaign(jobs > 1)`` (kill/requeue, hang/quarantine),
-the incident recorder, and the ``incidents`` CLI.
+workers behind ``run_campaign`` (kill/requeue, hang/quarantine), one
+failure policy across the serial, sharded and service engines, the
+incident recorder, and the ``incidents`` CLI.
 
 The acceptance property threaded through the campaign tests: a campaign
 that survives a SIGKILLed worker and a corrupted machine checkpoint must
@@ -19,6 +20,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from repro.errors import (
     TraceCorruptionError,
     TraceError,
 )
+from repro.experiments import runner
 from repro.experiments.runner import _load_checkpoint, _save_checkpoint, run_campaign
 from repro.experiments.scale import SMOKE
 from repro.isa import events as ev
@@ -50,6 +53,9 @@ from repro.resilience import (
 )
 from repro.resilience.incidents import load_incident_log
 from repro.resilience.integrity import write_canonical
+from repro.service import CampaignManager, CampaignSpec
+from repro.service import worker as service_worker
+from repro.service.api import ManagerServer
 from repro.trace.batch import TRACE_HEADER_SIZE, TraceBatch
 from repro.uarch import CPU
 from repro.uarch.machine import (
@@ -75,14 +81,7 @@ FAST = LeasePolicy(
 
 def _echo_worker(payload):
     """Deterministic shard worker: doubles the payload's value."""
-    return {
-        "key": payload["key"],
-        "failed": False,
-        "attempts": 1,
-        "retries": 0,
-        "summary": {"value": payload["value"] * 2},
-        "incidents": [],
-    }
+    return {"summary": {"value": payload["value"] * 2}, "incidents": []}
 
 
 def _raising_worker(payload):
@@ -605,7 +604,7 @@ class TestSupervisedCampaign:
         assert counts["shard_requeued"] >= 1
         assert counts["checkpoint_corrupt"] >= 1
         # Manifest is a valid integrity artifact recording the whole story.
-        payload = read_artifact(manifest, "repro.campaign-manifest", 1)
+        payload = read_artifact(manifest, "repro.campaign-manifest", 2)
         assert sorted(payload["completed"]) == sorted(result.completed)
         assert payload["degraded"] is False
         assert payload["incident_counts"] == counts
@@ -626,11 +625,11 @@ class TestSupervisedCampaign:
             fault_plan=FaultPlan(hang_match="memcached", hang_attempts=99),
             manifest_path=manifest,
         )
-        assert result.degraded and not result.ok and not result.failed
+        assert result.degraded and not result.ok
         assert any("memcached" in key for key in result.quarantined)
         assert all("apache" in key for key in result.completed)
         assert recorder.counts()["shard_quarantined"] == 1
-        payload = read_artifact(manifest, "repro.campaign-manifest", 1)
+        payload = read_artifact(manifest, "repro.campaign-manifest", 2)
         assert payload["degraded"] is True
         assert sorted(payload["quarantined"]) == sorted(result.quarantined)
         assert "quarantined" in result.render()
@@ -663,6 +662,105 @@ class TestSupervisedCampaign:
         assert resumed.resumed == len(resumed.completed)
         assert resumed.completed == serial_reference.completed
         assert first.completed == serial_reference.completed
+
+
+# ------------------------------------------------- one failure policy
+
+
+def _raising_pair(*args, **kwargs):
+    raise ExperimentError("injected pair failure")
+
+
+def _quarantine_via_service(tmp_path, policy: LeasePolicy, monkeypatch):
+    """One campaign through a real manager and worker agent, with the
+    agent's pair raising; returns (result, manager recorder)."""
+    monkeypatch.setattr(service_worker, "run_pair", _raising_pair)
+    manager = CampaignManager(tmp_path / "svc", policy=policy)
+    server = ManagerServer(manager, port=0)
+    server.start()
+    try:
+        cid = manager.submit(CampaignSpec(workloads=("memcached",), abtb_sizes=(64,)))
+        service_worker.WorkerAgent(
+            service_worker.ManagerClient(server.url, retries=3),
+            poll_interval_s=0.02, max_idle_s=0.2,
+        ).run()
+        return manager.result(cid), manager.recorder
+    finally:
+        server.stop(graceful=True)
+
+
+class TestOneFailurePolicy:
+    """A pair that always raises ends the same way in every campaign
+    engine: each attempt runs once, the lease queue requeues it once and
+    then quarantines it, and no worker is reported dead."""
+
+    POLICY = LeasePolicy(max_shard_failures=2, backoff_base_s=0.0)
+
+    @pytest.mark.parametrize("engine", ["serial", "jobs2", "service"])
+    def test_raising_pair_is_quarantined_after_its_budget(
+        self, engine, tmp_path, monkeypatch
+    ):
+        recorder = IncidentRecorder()
+        if engine == "serial":
+            result = run_campaign(
+                ["memcached"], SMOKE, abtb_sizes=(64,), run_fn=_raising_pair,
+                recorder=recorder, lease_policy=self.POLICY,
+            )
+        elif engine == "jobs2":
+            # Forked workers inherit the patched module global.
+            monkeypatch.setattr(runner, "run_pair", _raising_pair)
+            result = run_campaign(
+                ["memcached"], SMOKE, abtb_sizes=(64,), jobs=2,
+                recorder=recorder, lease_policy=self.POLICY,
+            )
+        else:
+            result, recorder = _quarantine_via_service(tmp_path, self.POLICY, monkeypatch)
+        key = "memcached::abtb=64::scale=smoke"
+        assert result.completed == {} and list(result.quarantined) == [key]
+        assert result.quarantined[key]["failures"] == 2
+        assert "injected pair failure" in result.quarantined[key]["last_error"]
+        assert result.attempts == {key: 2}
+        counts = recorder.counts()
+        assert counts.get("shard_requeued") == 1
+        assert counts.get("shard_quarantined") == 1
+        assert "worker_death" not in counts
+
+    @pytest.mark.parametrize("command", ["campaign", "sweep", "submit"])
+    def test_quarantined_pair_exits_3(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(runner, "run_pair", _raising_pair)
+        if command == "campaign":
+            code = cli_main(
+                ["campaign", "--workloads", "memcached", "--abtb", "64",
+                 "--max-shard-failures", "1"]
+            )
+        elif command == "sweep":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(
+                {"name": "q", "workloads": ["memcached"], "warmup": 1,
+                 "measured": 2, "abtb_entries": [64]}
+            ))
+            code = cli_main(["sweep", "run", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        else:
+            monkeypatch.setattr(service_worker, "run_pair", _raising_pair)
+            server = ManagerServer(CampaignManager(tmp_path / "svc", policy=self.POLICY), port=0)
+            server.start()
+            agent = service_worker.WorkerAgent(
+                service_worker.ManagerClient(server.url, retries=3), poll_interval_s=0.02
+            )
+            thread = threading.Thread(target=agent.run, daemon=True)
+            thread.start()
+            try:
+                code = cli_main(
+                    ["submit", "--manager", server.url, "--workloads", "memcached",
+                     "--abtb", "64", "--poll-interval", "0.05"]
+                )
+            finally:
+                agent.stop()
+                thread.join(timeout=10.0)
+                server.stop(graceful=True)
+            assert not thread.is_alive()
+        assert code == 3
+        assert "1 quarantined" in capsys.readouterr().out
 
 
 # ------------------------------------------------------- incident recorder

@@ -2,15 +2,15 @@
 
 Mark pairing that surfaces unmatched begin/end marks, latency guards
 against corrupt samples, config validation, and the campaign machinery:
-per-run timeout, bounded retry with exponential backoff, JSON
-checkpoint/resume and graceful degradation.
+each attempt runs once as a lease, a raising attempt is requeued with
+backoff and quarantined once its failure budget is spent, JSON
+checkpoint/resume, and graceful degradation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +18,6 @@ import pytest
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.runner import (
     RequestSample,
-    RetryPolicy,
     RunResult,
     _pair_marks,
     pair_key,
@@ -29,6 +28,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scale import SMOKE, Scale
 from repro.isa.events import block, mark
+from repro.resilience import IncidentRecorder, LeasePolicy
 from repro.uarch import CPU
 from repro.workloads import ALL_WORKLOADS
 
@@ -125,6 +125,10 @@ class TestRunPairValidation:
             run_pair("memcached", bad)
 
 
+#: A two-attempt failure budget with no backoff wait.
+FAST_QUARANTINE = LeasePolicy(max_shard_failures=2, backoff_base_s=0.0)
+
+
 def _fake_pair(cycles_base=200.0, cycles_enh=100.0):
     mk = lambda cyc: SimpleNamespace(  # noqa: E731
         counters=SimpleNamespace(instructions=1000, cycles=cyc),
@@ -136,8 +140,9 @@ def _fake_pair(cycles_base=200.0, cycles_enh=100.0):
 
 class TestCampaign:
     def test_retry_with_backoff_then_success(self):
+        # A raising attempt fails its lease; the queue requeues it with
+        # exponential backoff and the third attempt completes the pair.
         calls = {"n": 0}
-        sleeps = []
 
         def flaky(workload, scale, abtb):
             calls["n"] += 1
@@ -145,70 +150,41 @@ class TestCampaign:
                 raise ExperimentError("transient")
             return _fake_pair()
 
+        recorder = IncidentRecorder()
         result = run_campaign(
             ["memcached"],
             SMOKE,
             abtb_sizes=(64,),
-            policy=RetryPolicy(max_retries=2, backoff_base_s=0.25),
             run_fn=flaky,
-            sleep_fn=sleeps.append,
+            recorder=recorder,
+            lease_policy=LeasePolicy(backoff_base_s=0.01),
         )
         key = pair_key("memcached", 64, "smoke")
         assert result.ok
         assert result.attempts[key] == 3
-        assert sleeps == [0.25, 0.5]  # exponential backoff
+        requeued = [i for i in recorder.incidents if i.kind == "shard_requeued"]
+        assert [i.context["backoff_s"] for i in requeued] == [0.01, 0.02]
         assert result.completed[key]["speedup"] == pytest.approx(2.0)
 
     def test_retries_exhausted_records_failure(self):
-        sleeps = []
+        calls = []
 
         def always_fails(workload, scale, abtb):
+            calls.append(abtb)
             raise ExperimentError("still broken")
 
         result = run_campaign(
             ["memcached"],
             SMOKE,
             abtb_sizes=(64,),
-            policy=RetryPolicy(max_retries=1),
             run_fn=always_fails,
-            sleep_fn=sleeps.append,
-        )
-        assert not result.ok
-        assert "still broken" in result.failed[pair_key("memcached", 64, "smoke")]
-        assert len(sleeps) == 1
-
-    def test_non_transient_error_fails_fast(self):
-        sleeps = []
-
-        def crashes(workload, scale, abtb):
-            raise ValueError("config is nonsense")
-
-        result = run_campaign(
-            ["memcached"],
-            SMOKE,
-            abtb_sizes=(64,),
-            policy=RetryPolicy(max_retries=5),
-            run_fn=crashes,
-            sleep_fn=sleeps.append,
+            lease_policy=FAST_QUARANTINE,
         )
         key = pair_key("memcached", 64, "smoke")
-        assert result.attempts[key] == 1  # no retry for non-transient errors
-        assert sleeps == []
-        assert "ValueError" in result.failed[key]
-
-    def test_timeout_is_transient(self):
-        def hangs(workload, scale, abtb):
-            time.sleep(5.0)
-
-        result = run_campaign(
-            ["memcached"],
-            SMOKE,
-            abtb_sizes=(64,),
-            policy=RetryPolicy(timeout_s=0.05, max_retries=0),
-            run_fn=hangs,
-            sleep_fn=lambda s: None,
-        )
-        assert "timeout" in result.failed[pair_key("memcached", 64, "smoke")]
+        assert not result.ok and result.degraded
+        assert result.quarantined[key]["failures"] == 2
+        assert "still broken" in result.quarantined[key]["last_error"]
+        assert result.attempts[key] == 2 and len(calls) == 2
 
     def test_graceful_degradation_partial_report(self):
         def picky(workload, scale, abtb):
@@ -220,15 +196,15 @@ class TestCampaign:
             ["memcached", "apache"],
             SMOKE,
             abtb_sizes=(64,),
-            policy=RetryPolicy(max_retries=0),
             run_fn=picky,
-            sleep_fn=lambda s: None,
+            lease_policy=FAST_QUARANTINE,
         )
         assert not result.ok
         assert pair_key("memcached", 64, "smoke") in result.completed
-        assert pair_key("apache", 64, "smoke") in result.failed
+        assert pair_key("apache", 64, "smoke") in result.quarantined
         rendered = result.render()
-        assert "1 failed" in rendered and "FAILED: bad day" in rendered
+        assert "1 quarantined" in rendered
+        assert "QUARANTINED after 2 failure(s): ExperimentError: bad day" in rendered
 
     def test_checkpoint_resume_skips_completed(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -244,7 +220,6 @@ class TestCampaign:
             abtb_sizes=(32, 64),
             checkpoint_path=path,
             run_fn=counting,
-            sleep_fn=lambda s: None,
         )
         assert first.ok and len(calls) == 2
         envelope = json.loads(path.read_text())
@@ -261,7 +236,6 @@ class TestCampaign:
             abtb_sizes=(32, 64),
             checkpoint_path=path,
             run_fn=counting,
-            sleep_fn=lambda s: None,
         )
         assert second.resumed == 2
         assert len(calls) == 2  # nothing re-ran
@@ -281,9 +255,8 @@ class TestCampaign:
             SMOKE,
             abtb_sizes=(32, 64),
             checkpoint_path=path,
-            policy=RetryPolicy(max_retries=0),
             run_fn=second_fails,
-            sleep_fn=lambda s: None,
+            lease_policy=FAST_QUARANTINE,
         )
         assert not result.ok
         saved = json.loads(path.read_text())["payload"]["completed"]

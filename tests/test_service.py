@@ -79,15 +79,10 @@ FAST = LeasePolicy(
 )
 
 
-def _outcome(key: str, failed: str | None = None) -> dict:
+def _outcome(key: str) -> dict:
     """Synthetic worker outcome, deterministic per key."""
-    if failed is not None:
-        return {"key": key, "attempts": 1, "retries": 0, "failed": failed, "summary": None}
     return {
-        "key": key,
         "attempts": 1,
-        "retries": 0,
-        "failed": None,
         "summary": {"speedup": 1.0 + len(key) / 100.0, "instructions": 1000},
     }
 
@@ -244,10 +239,17 @@ class TestSchemas:
             CampaignSpec.from_dict(body)
 
     def test_complete_request_needs_summary_or_failure(self):
-        with pytest.raises(SchemaError):
-            CompleteRequest.from_dict(
-                {"campaign_id": "c", "key": "k", "worker_id": "w", "outcome": {}}
-            )
+        # A completion carries a summary; a failed attempt is a
+        # FailRequest, the one failure path.
+        for outcome in ({}, {"failed": "model exploded", "summary": None}):
+            with pytest.raises(SchemaError):
+                CompleteRequest.from_dict(
+                    {"campaign_id": "c", "key": "k", "worker_id": "w", "outcome": outcome}
+                )
+        failed = FailRequest.from_dict(
+            {"campaign_id": "c", "key": "k", "worker_id": "w", "error": "model exploded"}
+        )
+        assert failed.error == "model exploded"
         ok = CompleteRequest.from_dict(
             {
                 "campaign_id": "c", "key": "k", "worker_id": "w",
@@ -491,14 +493,14 @@ class TestManager:
         for i in range(FAST.max_shard_failures):
             clock.advance(FAST.backoff(i) + 0.01)
             grant = manager.lease("w1")
-            response = manager.complete(
-                CompleteRequest(
-                    campaign_id=cid, key=grant["key"], worker_id="w1",
-                    outcome=_outcome(grant["key"], failed="model exploded"),
-                )
+            response = manager.fail(
+                cid, grant["key"], "model exploded", "w1", attempt=grant["attempt"]
             )
         assert response["status"] == "quarantined"
         assert manager.result(cid).quarantined
+        counts = manager.recorder.counts()
+        assert counts["shard_requeued"] == FAST.max_shard_failures - 1
+        assert counts["shard_quarantined"] == 1
 
     def test_cross_campaign_dedupe(self, tmp_path):
         manager, _ = self._manager(tmp_path)
@@ -555,7 +557,6 @@ class TestManager:
         result = recovered.result(cid)
         assert result.completed == expected.completed
         assert result.attempts == expected.attempts
-        assert result.failed == expected.failed == {}
         assert result.quarantined == expected.quarantined == {}
 
     def test_restart_heals_bitflipped_wal_from_store(self, tmp_path):
@@ -600,6 +601,44 @@ class TestManager:
         )
         assert manager.status(cid)["state"] == "complete"
         assert manager.result(cid).completed == expected.completed
+
+    def test_data_dir_journaled_with_retry_fields_recovers(self, tmp_path):
+        # Managers that retried inside the worker journaled every spec
+        # with timeout_s and max_retries.  Recovery drops the two fields,
+        # from a snapshot and from a WAL record alike, and both campaigns
+        # then run to completion.
+        old_spec = {
+            "workloads": ["apache"], "abtb_sizes": [16], "scale": "smoke",
+            "seed": None, "timeout_s": None, "max_retries": 2,
+        }
+        journal = Journal(tmp_path / "svc" / "journal")
+        journal.open_for_append(0)
+        journal.append("submit", {"campaign_id": "c0001", "spec": old_spec})
+        journal.write_snapshot(
+            {
+                "next_campaign": 2,
+                "next_worker": 1,
+                "campaigns": {
+                    "c0001": {"spec": old_spec, "cancelled": False, "shards": {}},
+                },
+            }
+        )
+        journal.append(
+            "submit", {"campaign_id": "c0002", "spec": {**old_spec, "abtb_sizes": [64]}}
+        )
+        journal.close()
+        manager, _ = self._manager(tmp_path)
+        assert manager.recorder.counts().get("manager_recovered") == 1
+        assert manager.status("c0002")["spec"] == {
+            "workloads": ["apache"], "abtb_sizes": [64], "scale": "smoke", "seed": None,
+        }
+        _drain(manager)
+        for cid in ("c0001", "c0002"):
+            assert manager.status(cid)["state"] == "complete"
+            assert manager.result(cid).ok
+        manager.shutdown()
+        with pytest.raises(SchemaError):
+            CampaignSpec.from_dict(old_spec)  # submit still rejects them
 
     def test_graceful_shutdown_snapshots_and_refuses_further_work(self, tmp_path):
         manager, _ = self._manager(tmp_path)
@@ -1262,9 +1301,21 @@ class TestWorkerAndRecoveryE2E:
                 assert manager2.status(cid)["state"] == "complete"
                 result = manager2.result(cid)
                 assert result.completed == serial.completed
-                assert result.failed == serial.failed == {}
                 assert result.quarantined == serial.quarantined == {}
-                assert result.attempts == serial.attempts
+                # attempts is the lease attempt that completed each pair:
+                # one more than its expired leases, across both managers
+                # (the journal carries failure counts over the restart).
+                # The killed worker's pair completed on its second lease.
+                expired = [
+                    i.context["key"]
+                    for m in (manager1, manager2)
+                    for i in m.recorder.incidents
+                    if i.kind == "lease_expired"
+                ]
+                assert result.attempts == {
+                    key: 1 + expired.count(key) for key in serial.attempts
+                }
+                assert result.attempts[expired[0]] == 2
             finally:
                 server2.stop(graceful=True)
         finally:

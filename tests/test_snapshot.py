@@ -389,7 +389,8 @@ def test_sharded_campaign_resumes_from_checkpoint(tmp_path) -> None:
 
 
 def test_campaign_custom_run_fn_stays_serial(tmp_path) -> None:
-    """Unpicklable run_fn/sleep_fn must keep working with jobs > 1."""
+    """A custom run_fn runs in this process with jobs > 1, so the calls
+    it records are the parent's to read."""
     calls = []
 
     def fake_run(workload, scale, abtb):
@@ -403,8 +404,7 @@ def test_campaign_custom_run_fn_stays_serial(tmp_path) -> None:
         return run, run
 
     result = run_campaign(
-        ["firefox"], TINY, abtb_sizes=(16, 64), jobs=4,
-        run_fn=fake_run, sleep_fn=lambda s: None,
+        ["firefox"], TINY, abtb_sizes=(16, 64), jobs=4, run_fn=fake_run,
     )
     assert result.ok
     assert calls == [("firefox", 16), ("firefox", 64)]

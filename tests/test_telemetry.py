@@ -690,7 +690,7 @@ class TestRunCampaignEvents:
         result = run_campaign(
             ["apache"], SMOKE, abtb_sizes=(16,), bus=bus, campaign_id="c0001",
         )
-        assert result.completed and not result.failed
+        assert result.completed and result.ok
         kinds = [e.kind for e in bus.snapshot()]
         assert kinds[0] == "campaign_started"
         assert "pair_completed" in kinds
