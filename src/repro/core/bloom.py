@@ -9,6 +9,8 @@ by conservative flush (paper Section 3.2).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
@@ -20,6 +22,23 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` over a ``uint64`` array (wrapping arithmetic)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def positions_array(keys: np.ndarray, bits: int, hashes: int) -> np.ndarray:
+    """Bit positions of many keys at once: row ``i`` holds what
+    :meth:`BloomFilter._positions` returns for ``keys[i]``."""
+    h1 = _splitmix64_array(np.asarray(keys).astype(np.uint64))
+    h2 = _splitmix64_array(h1) | np.uint64(1)
+    steps = np.arange(hashes, dtype=np.uint64)
+    return ((h1[:, None] + steps * h2[:, None]) & np.uint64(bits - 1)).astype(np.intp)
 
 
 class BloomFilter:
@@ -47,8 +66,10 @@ class BloomFilter:
         # analytic false-positive estimate drifts from reality).
         self._keys: set[int] = set()
         # key -> bit positions; pure function of (key, geometry), so the
-        # cache survives clears.  Bounded defensively: hashing is cheap
-        # enough that a rare full drop is invisible.
+        # cache survives clears.  The batched backend probes only the
+        # stores :meth:`could_hit` keeps, so it fills the cache with
+        # learned keys and those candidates alone.  Bounded defensively:
+        # hashing is cheap enough that a rare full drop is invisible.
         self._pos_cache: dict[int, list[int]] = {}
         self.adds = 0
         self.queries = 0
@@ -90,6 +111,19 @@ class BloomFilter:
                 return False
         self.hits += 1
         return True
+
+    def could_hit(self, keys: np.ndarray, learned: np.ndarray) -> np.ndarray:
+        """Mask of the ``keys`` a probe could hit while only ``learned``
+        keys are added.
+
+        A key is kept when every one of its bit positions is set now or
+        by one of ``learned``.  :meth:`add` is the only thing that sets
+        bits, so a key this rejects misses every probe, however those
+        adds, probes and clears interleave.
+        """
+        union = np.unpackbits(np.frombuffer(self._bytes, np.uint8), bitorder="little")
+        union[positions_array(learned, self.bits, self.hashes)] = 1
+        return union[positions_array(keys, self.bits, self.hashes)].all(axis=1)
 
     def clear(self) -> None:
         """Reset all bits (performed together with an ABTB flush)."""

@@ -503,7 +503,6 @@ class CampaignManager:
             if meta is None:
                 return {"status": "unknown-shard"}
             outcome = request.outcome
-            self.recorder.extend_dicts(outcome.get("incidents"))
             if campaign.cancelled:
                 return {"status": "ignored-cancelled"}
             _, deduped = self.store.put(
@@ -514,6 +513,9 @@ class CampaignManager:
             if meta.state == "completed":
                 self.metrics.counter("service.shards_deduped").inc()
                 return {"status": "deduped"}
+            # Only the delivery that banks the shard logs its worker-side
+            # incidents, so a duplicated delivery logs them once.
+            self.recorder.extend_dicts(outcome.get("incidents"))
             status = self._mark_completed(
                 campaign, meta,
                 attempts=int(outcome.get("attempts", 1)),

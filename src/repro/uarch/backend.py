@@ -11,6 +11,8 @@ in passes:
    coherence rows only.  It owns the BTB, gshare, RAS, ABTB and Bloom
    filter and fires every :class:`~repro.uarch.cpu.CPUHooks` callback,
    following ``CPU._trampoline_pair`` and the branch handlers row by row.
+   Without hooks, a store or coherence row that cannot hit the Bloom
+   filter only counts its query (:meth:`BatchedBackend._idle_snoops`).
    Trampoline pairs are found from the trace alone (a ``CALL_DIRECT``
    followed by the ``JMP_INDIRECT`` at its target, optionally through a
    ≤12-byte ``BLOCK`` stub), so the pass yields a *fetch mask* without
@@ -393,8 +395,10 @@ class BatchedBackend:
         mech = cpu.mechanism
         hooks = cpu.hooks
         control = (kind != _K_BLOCK) & (kind != _K_LOAD) & (kind != _K_MARK)
-        if hooks is None and mech is None:
-            control &= (kind != _K_STORE) & (kind != _K_COHERENCE_INVAL)
+        if hooks is None:
+            # A hooked CPU sees every store; otherwise a snoop only
+            # enters the loop if it can change the mechanism's state.
+            control &= ~self._idle_snoops(cols, tags, lo, kind, jump_of)
         control[jump_of[jump_of >= 0]] = False
         rows = np.flatnonzero(control)
         at = rows + lo
@@ -654,6 +658,31 @@ class BatchedBackend:
         c.abtb_misses += abtb_misses
         c.abtb_inserts += abtb_inserts
         return tuple(np.array(rows, np.intp) for rows in (skipped, mispredicted, bubbled))
+
+    def _idle_snoops(self, cols: dict, tags: list, lo: int, kind, jump_of) -> np.ndarray:
+        """Mask of the store and coherence rows of rows ``lo + [0,
+        len(kind))`` that cannot change the mechanism's state (every one
+        without a mechanism), with their Bloom queries counted.
+
+        Filter bits are set only by learning a pair jump's ``mem_addr``,
+        so a snoop that :meth:`BloomFilter.could_hit` rejects against
+        the span's pair jumps misses whatever the loop does before it.
+        Without the filter (Section 3.4) only a ``got-store`` acts.
+        """
+        snoops = (kind == _K_STORE) | (kind == _K_COHERENCE_INVAL)
+        mech = self.cpu.mechanism
+        if mech is None:
+            return snoops
+        rows = np.flatnonzero(snoops)
+        if mech.config.use_bloom:
+            addrs = cols["mem_addr"][lo:lo + len(kind)]
+            live = mech.bloom.could_hit(addrs[rows], addrs[jump_of[jump_of >= 0]])
+            mech.bloom.queries += len(rows) - int(np.count_nonzero(live))
+        else:
+            got = [i for i, tag in enumerate(tags) if tag == "got-store"]
+            live = (kind[rows] == _K_STORE) & np.isin(cols["tag"][rows + lo], got)
+        snoops[rows[live]] = False
+        return snoops
 
     @staticmethod
     def _event(cols: dict, tags: list, i: int):

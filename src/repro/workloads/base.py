@@ -51,7 +51,7 @@ from repro.trace.builder import (
     K_STORE,
 )
 from repro.trace.engine import CALL_SITE_LEN, ExecutionEngine, LinkMode
-from repro.workloads.profiles import PopularityProfile, WeightedSampler
+from repro.workloads.profiles import Draws, PopularityProfile, WeightedSampler
 
 
 #: Generated rows per chunk before a stream cuts at the next request or
@@ -603,14 +603,16 @@ class Workload:
     # streams: a chunk is cut at the first import-pair (startup) or
     # request (trace) boundary at or past ``CHUNK_ROWS`` rows, so a run
     # never holds more than about one backend batch of generated rows.
-    # The legacy iterators stay as the reference oracle:
+    # Each generator is wrapped in :class:`Draws`, whose scalar draws equal
+    # numpy's without its per-call overhead.  The legacy iterators stay
+    # as the reference oracle, drawing through numpy itself:
     # ``difftest.run_matrix`` proves full-CPU-snapshot equality between
     # the two paths.
 
     def startup_chunks(self) -> Iterator[TraceBatch]:
         """Batch twin of :meth:`startup_trace`, as a chunk stream."""
         builder = BatchBuilder()
-        rng = np.random.default_rng(np.random.SeedSequence([self.config.seed, 55]))
+        rng = Draws(np.random.default_rng(np.random.SeedSequence([self.config.seed, 55])))
         rc = self.config.request_classes[0]
         depth = self.config.max_call_depth
         for pairs in self._pairs_by_module.values():
@@ -631,12 +633,12 @@ class Workload:
         """Batch twin of :meth:`trace`, as a chunk stream."""
         builder = BatchBuilder()
         rows = builder.rows
-        rng = np.random.default_rng(np.random.SeedSequence([self.config.seed, 77, start_id]))
+        rng = Draws(np.random.default_rng(np.random.SeedSequence([self.config.seed, 77, start_id])))
         mix = classes if classes is not None else self.request_mix(n_requests, rng)
         for offset, rc in enumerate(mix):
             request_id = start_id + offset
-            req_rng = np.random.default_rng(
-                np.random.SeedSequence([self.config.seed, 101, request_id])
+            req_rng = Draws(
+                np.random.default_rng(np.random.SeedSequence([self.config.seed, 101, request_id]))
             )
             if include_marks:
                 rows += (K_MARK, 0, 0, 0, 0, 0, 1, builder.tag_id(("begin", rc.name, request_id)))
@@ -665,7 +667,7 @@ class Workload:
         )
 
     def _request_rows(
-        self, rc: RequestClass, request_id: int, rng: np.random.Generator, builder: BatchBuilder
+        self, rc: RequestClass, request_id: int, rng: Draws, builder: BatchBuilder
     ) -> None:
         cfg = self.config
         rows = builder.rows
@@ -693,7 +695,7 @@ class Workload:
                 ]
             pair: CallPair | None = None
             if phase_pairs and u_call[seg] < rc.call_prob:
-                pair = phase_pairs[int(rng.integers(0, len(phase_pairs)))]
+                pair = phase_pairs[rng.below(len(phase_pairs))]
             self._app_segment_rows(rc, pair, local_base, rng, phase_fns, builder)
             if pair is not None:
                 site = pair.sites[seg % len(pair.sites)]
@@ -709,14 +711,14 @@ class Workload:
         rc: RequestClass,
         pair: CallPair | None,
         local_base: int,
-        rng: np.random.Generator,
+        rng: Draws,
         phase_fns: list[int],
         builder: BatchBuilder,
     ) -> None:
         cfg = self.config
         rows = builder.rows
         if phase_fns:
-            idx = phase_fns[int(rng.integers(0, len(phase_fns)))]
+            idx = phase_fns[rng.below(len(phase_fns))]
         else:
             idx = self._app_fn_sampler.sample(rng)
         fn_entry = self._app_fn_entries[idx]
@@ -728,11 +730,11 @@ class Workload:
         for _ in range(rc.loads_per_segment):
             u = rng.random()
             if u < 0.45:
-                addr = self._heap + int(rng.integers(0, hot_bytes))
+                addr = self._heap + rng.below(hot_bytes)
             elif u < 0.85:
-                addr = local_base + int(rng.integers(0, cfg.request_local_bytes))
+                addr = local_base + rng.below(cfg.request_local_bytes)
             else:
-                addr = self._heap + int(rng.integers(0, cfg.data_working_set))
+                addr = self._heap + rng.below(cfg.data_working_set)
             rows += (K_LOAD, load_pc, 1, 4, 0, addr & ~0x7, 1, -1)
         rows += (
             K_COND_BRANCH, load_pc + 4, 1, 6, fn_entry + 8, 0,
@@ -741,7 +743,7 @@ class Workload:
         rest = max(2, n - first)
         rows += (K_BLOCK, load_pc + 10, rest, rest * 4, 0, 0, 1, -1)
         for _ in range(rc.stores_per_segment):
-            addr = local_base + int(rng.integers(0, cfg.request_local_bytes))
+            addr = local_base + rng.below(cfg.request_local_bytes)
             rows += (K_STORE, load_pc + 14, 1, 4, 0, addr & ~0x7, 1, -1)
         if rc.virtual_call_prob and rng.random() < rc.virtual_call_prob:
             vidx = self._app_fn_sampler.sample(rng)
@@ -767,7 +769,7 @@ class Workload:
         rc: RequestClass,
         pair: CallPair,
         site_pc: int,
-        rng: np.random.Generator,
+        rng: Draws,
         depth: int,
         last_nested: dict[str, CallPair] | None,
         builder: BatchBuilder,

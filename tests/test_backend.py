@@ -10,11 +10,13 @@ a curated counter subset.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MechanismConfig, TrampolineSkipMechanism
+from repro.core.bloom import BloomFilter, positions_array
 from repro.errors import ConfigError, TraceError
 from repro.isa.events import (
     block,
@@ -188,6 +190,82 @@ class TestHooks:
         assert ref_rec.calls == fast_rec.calls
         kinds = {call[0] for call in fast_rec.calls}
         assert kinds == {"skip", "store", "trampoline"}  # every hook observed
+
+
+# ------------------------------------------------ snoop pre-filter
+
+
+def _store_at(addr):
+    return store(0x5200, addr)
+
+
+class TestSnoopPrefilter:
+    """Only snoops that can hit the Bloom filter enter the control loop;
+    the rest count a query.  Every case is one span: no context switch,
+    one window."""
+
+    #: Not GOT: cannot hit a filter that holds only GOT.
+    ELSEWHERE = 0x7100_0040
+
+    def _span(self, snoop) -> list:
+        # The filter starts empty, the first pair learns GOT in this span,
+        # and a later snoop of GOT must flush the ABTB and the filter.
+        return (
+            [store(0x5108, GOT)]  # before the learn: an empty filter misses
+            + plt_call()
+            + [store(0x5110, self.ELSEWHERE), snoop(GOT)]
+            + plt_call()
+            + plt_call()
+        )
+
+    @pytest.mark.parametrize(
+        "snoop, flushes",
+        [(_store_at, "store_flushes"), (coherence_inval, "coherence_flushes")],
+        ids=["store", "coherence"],
+    )
+    def test_slot_learned_in_the_span_still_flushes(self, snoop, flushes):
+        events = self._span(snoop)
+        ref = run_reference(events, enhanced())
+        fast = run_batched(events, enhanced())
+        assert ref.snapshot() == fast.snapshot()
+        ref_bloom, bloom = ref.mechanism.bloom, fast.mechanism.bloom
+        assert (bloom.queries, bloom.hits) == (ref_bloom.queries, ref_bloom.hits) == (3, 1)
+        assert getattr(fast.mechanism.stats, flushes) == 1
+        # The misses never reached the loop: only the learned slot was hashed.
+        assert set(bloom._pos_cache) == {GOT}
+
+    def test_hooked_cpu_sees_every_store(self):
+        events = self._span(_store_at)
+
+        def make(rec):
+            return CPU(
+                mechanism=TrampolineSkipMechanism(MechanismConfig(abtb_entries=64)),
+                hooks=rec,
+            )
+
+        ref_rec, fast_rec = Recorder(), Recorder()
+        ref = run_reference(events, make(ref_rec))
+        fast = run_batched(events, make(fast_rec))
+        assert ref.snapshot() == fast.snapshot()
+        assert ref_rec.calls == fast_rec.calls
+        stores = [call for call in fast_rec.calls if call[0] == "store"]
+        assert stores == [("store", GOT), ("store", self.ELSEWHERE), ("store", GOT)]
+
+    @pytest.mark.parametrize("bits, hashes", [(8, 1), (64, 3), (1024, 2), (4096, 8), (1 << 16, 4)])
+    @given(keys=st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_vectorised_positions_match(self, bits, hashes, keys):
+        bloom = BloomFilter(bits, hashes)
+        rows = positions_array(np.array(keys, np.uint64), bits, hashes).tolist()
+        assert rows == [bloom._positions(key) for key in keys]
+
+    def test_could_hit_keeps_current_and_learned_keys(self):
+        bloom = BloomFilter(1024, 2)
+        bloom.add(GOT)
+        keys = np.array([GOT, GOT + 8, self.ELSEWHERE], np.int64)
+        assert bloom.could_hit(keys, np.array([GOT + 8])).tolist() == [True, True, False]
+        bloom.clear()
+        assert bloom.could_hit(keys, np.zeros(0, np.int64)).tolist() == [False] * 3
 
 
 # ------------------------------------------------ property: equivalence

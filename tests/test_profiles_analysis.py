@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import CDF, Histogram, Report, Series, Summary, Table, dominates
 from repro.analysis.stats import geomean, improvement_percent, mean, percentile, speedup
 from repro.errors import ConfigError, ExperimentError
-from repro.workloads.profiles import PopularityProfile, WeightedSampler
+from repro.workloads import ALL_WORKLOADS
+from repro.workloads.profiles import Draws, PopularityProfile, WeightedSampler
 
 
 class TestPopularityProfile:
@@ -67,6 +70,84 @@ class TestWeightedSampler:
             WeightedSampler(np.array([]))
         with pytest.raises(ConfigError):
             WeightedSampler(np.array([0.0, 0.0]))
+
+    def test_sample_is_searchsorted_right(self):
+        sampler = WeightedSampler(PopularityProfile(core_size=3, core_mass=0.6).weights(40))
+        cdf = sampler._cdf
+        # Every table value (ties go right) and points between them.
+        probes = [0.0, *cdf.tolist(), *np.random.default_rng(3).random(500).tolist()]
+
+        class Fixed:
+            def random(self):
+                return u
+
+        for u in probes:
+            assert sampler.sample(Fixed()) == np.searchsorted(cdf, u, side="right")
+
+
+def _config_sizes() -> list[int]:
+    """The byte ranges the workloads draw addresses from."""
+    sizes = set()
+    for module in ALL_WORKLOADS.values():
+        cfg = module.config()
+        hot = max(cfg.data_working_set // 32, 4096)
+        sizes |= {cfg.request_local_bytes, cfg.data_working_set, hot}
+    return sorted(sizes)
+
+
+#: Bounds for ``below``: the degenerate 1, small odd ranges, every power
+#: of two, the 32-bit edges, 64-bit ranges, the workloads' byte ranges,
+#: and ranges whose rejection threshold is a large share of 2**32 (so a
+#: wrong threshold changes draws often).
+BOUNDS = sorted(
+    {1, 2, 3, 7, *(1 << k for k in range(33)), 2**32 - 1, 2**32 + 1, 2**40 + 3,
+     2**31 + 1, 3 * 2**30 + 1, *_config_sizes()}
+)
+
+draw_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("below"), st.sampled_from(BOUNDS)),
+        st.tuples(st.just("below"), st.integers(2, 2**32)),
+        st.tuples(st.just("random"), st.none()),
+        st.tuples(st.just("random"), st.integers(0, 4)),
+        st.tuples(st.just("normal"), st.floats(-1e3, 1e3), st.floats(0.0, 50.0)),
+    ),
+    max_size=120,
+)
+
+
+class TestDraws:
+    """``Draws`` equals the numpy generator it wraps, draw for draw."""
+
+    @given(seed=st.integers(0, 2**64 - 1), ops=draw_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_draw_for_draw(self, seed, ops):
+        native = np.random.default_rng(seed)
+        draws = Draws(np.random.default_rng(seed))
+        for op, *args in ops:
+            if op == "below":
+                got = draws.below(args[0])
+                assert type(got) is int
+                assert got == int(native.integers(0, args[0])), (op, args)
+            elif op == "normal":
+                assert draws.normal(*args) == native.normal(*args)
+            elif args[0] is None:
+                got = draws.random()
+                assert type(got) is float
+                assert got == native.random()
+            else:
+                assert draws.random(args[0]).tolist() == native.random(args[0]).tolist()
+        # Both streams end in the same place, kept half included.
+        assert draws.below(3) == int(native.integers(0, 3))
+        assert draws.random() == native.random()
+
+    def test_rejects_a_non_pcg64_generator(self):
+        with pytest.raises(ConfigError):
+            Draws(np.random.Generator(np.random.Philox(1)))
+
+    def test_bad_bound_raises_like_numpy(self):
+        with pytest.raises(ValueError):
+            Draws(np.random.default_rng(1)).below(0)
 
 
 class TestStats:

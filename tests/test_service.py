@@ -36,7 +36,7 @@ from repro.experiments.runner import (
     run_campaign,
 )
 from repro.experiments.scale import SMOKE
-from repro.resilience import IncidentRecorder, LeasePolicy, LeaseQueue, ShardPhase
+from repro.resilience import Incident, IncidentRecorder, LeasePolicy, LeaseQueue, ShardPhase
 from repro.resilience.integrity import read_artifact
 from repro.service import (
     CampaignManager,
@@ -683,6 +683,21 @@ class TestIdempotentDelivery:
         assert first["status"] != "deduped"
         assert second["status"] == "deduped"
         assert manager.campaigns[cid].shards[key].failures == 1
+
+    def test_duplicate_complete_logs_worker_incidents_once(self, tmp_path):
+        manager = CampaignManager(tmp_path / "svc", policy=FAST)
+        cid = manager.submit(SPEC)
+        key = next(iter(manager.campaigns[cid].shards))
+        incident = Incident("checkpoint_corrupt", "bad digest", "warning").as_dict()
+        request = CompleteRequest(
+            campaign_id=cid,
+            key=key,
+            worker_id="w001",
+            outcome={**_outcome(key), "incidents": [incident]},
+        )
+        assert manager.complete(request)["status"] == "completed"
+        assert manager.complete(request)["status"] == "deduped"
+        assert manager.recorder.counts() == {"checkpoint_corrupt": 1}
 
 
 # ------------------------------------------------------------ client
