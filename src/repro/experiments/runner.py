@@ -28,12 +28,13 @@ from repro.errors import CheckpointCorruptionError, ConfigError, ExperimentError
 from repro.resilience.incidents import IncidentKind, IncidentRecorder
 from repro.resilience.integrity import read_artifact, write_artifact
 from repro.resilience.leases import LeasePolicy
-from repro.resilience.workers import FaultPlan, LocalWorkers
+from repro.resilience.workers import AttemptFailed, FaultPlan, LocalWorkers
 from repro.trace.batch import TraceBatch
 from repro.trace.engine import LinkMode
 from repro.trace.store import (
     SEGMENTS,
     TraceStore,
+    TraceTape,
     collect_stats,
     generate_bundle,
     stream_segments,
@@ -249,13 +250,14 @@ def run_workload(
     trace_cache: TraceStore | None = None,
     backend: str = "batched",
     progress=None,
+    tape: TraceTape | None = None,
 ) -> RunResult:
     """Run startup + warmup, then measure a steady-state window.
 
     Generation is array-native and retirement batched (:func:`retire`):
     with no ``trace_cache`` the workload's startup, warm-up and measured
-    windows stream straight into the backend chunk by chunk, so memory
-    stays bounded by about one batch.
+    windows stream straight into the backend chunk by chunk, so the
+    generated rows held at once stay bounded by about one batch.
 
     ``strict_marks=True`` turns unmatched begin/end marks in the window
     into an :class:`ExperimentError`; otherwise they are counted on the
@@ -285,6 +287,17 @@ def run_workload(
     ``progress(n)`` is told about retired events at every batch sync
     point.
 
+    ``tape`` (a :class:`~repro.trace.store.TraceTape`) is how
+    :func:`run_pair` generates an uncached pair's trace once.  A fresh
+    tape records the chunks this run generates, start-up and warm-up
+    included even when a ``machine_cache`` hit drains them unretired.  A
+    tape whose recording run used up its measured stream is replayed
+    instead: this run links no program, generates nothing, and reports
+    the recorded ``usage``; replay checks that the tape was recorded
+    under this run's trace key.  A tape replaces generation on the
+    batched path only, so it is refused together with ``trace_cache``,
+    ``obs`` or ``backend="reference"``.
+
     ``backend="reference"`` is the test oracle, not a production path:
     the legacy event iterators retire on the reference interpreter
     (:meth:`CPU.run`).  It honours ``machine_cache`` and the profiler,
@@ -294,12 +307,23 @@ def run_workload(
     """
     if backend not in ("batched", "reference"):
         raise ConfigError(f"unknown backend {backend!r}; expected 'batched' or 'reference'")
+    if tape is not None and (trace_cache is not None or obs is not None or backend != "batched"):
+        raise ConfigError(
+            "a trace tape replaces generation on the batched path only: "
+            "not with trace_cache, obs or backend='reference'"
+        )
     label = label or ("enhanced" if mechanism else "base")
     obs_label = obs_label or label
     if obs is not None:
         machine_cache = trace_cache = None
-    # A run with a trace cache links the program only on a miss (below).
-    workload = Workload(config, mode) if backend == "reference" or trace_cache is None else None
+    replay = tape is not None and tape.key is not None
+    # A run with a trace cache links the program only on a miss (below),
+    # and a replayed tape links none.
+    workload = (
+        Workload(config, mode)
+        if backend == "reference" or (trace_cache is None and not replay)
+        else None
+    )
     cpu = CPU(cpu_config, mechanism, hooks=obs.hooks() if obs is not None else None)
     if obs is not None:
         obs.attach_workload(workload)
@@ -331,8 +355,20 @@ def run_workload(
             trace_cache.save(bundle_key, bundle)
         usage = bundle.stats
         segments = [() if batch is None else (batch,) for batch in bundle.segments()]
+    elif replay:
+        # A warm machine retires only the measured window, and replayed
+        # segments are independent, so the others need no draining.
+        segments = tape.replay(
+            trace_key(config, mode, warmup_requests, measured_requests),
+            ("measured",) if state is not None else SEGMENTS,
+        )
+        usage = tape.stats
     else:
         segments = stream_segments(workload, warmup_requests, measured_requests)
+        if tape is not None:
+            segments = tape.record(
+                trace_key(config, mode, warmup_requests, measured_requests), segments
+            )
     startup, warmup, measured = segments
 
     def run(stream) -> None:
@@ -372,6 +408,8 @@ def run_workload(
     cpu.finalize()
     if usage is None:
         usage = collect_stats(workload)
+        if tape is not None:
+            tape.stats = usage
     if obs is not None:
         obs.finish_run(cpu, obs_label, marks_from=marks_before)
     window = cpu.counters.delta(snapshot)
@@ -417,6 +455,14 @@ def run_pair(
     mechanism or ABTB size — so base and enhanced (and every ABTB sweep
     point) consume one stored byte-identical bundle.  Even a cold
     campaign generates each workload's trace exactly once.
+
+    Without a ``trace_cache``, a batched pair still links its program
+    and generates its trace once: the base run records its chunks on a
+    :class:`~repro.trace.store.TraceTape`, compressed, and the enhanced
+    run replays them (see :func:`run_workload`).  Each side is still one
+    :func:`run_workload` call.  An ``obs`` session and
+    ``backend="reference"`` take no tape; each of their sides generates
+    its own trace.
     """
     try:
         module = ALL_WORKLOADS[workload_name]
@@ -430,6 +476,11 @@ def run_pair(
         raise ConfigError(
             f"scale yields an empty measurement window ({measured}) for {workload_name}"
         )
+    tape = (
+        TraceTape()
+        if backend == "batched" and obs is None and trace_cache is None
+        else None
+    )
     results = []
     for label in ("base", "enhanced"):
         cfg = module.config() if seed is None else module.config(seed=seed)
@@ -443,7 +494,7 @@ def run_pair(
                 cfg, mech, warmup, measured, cpu_config,
                 label=label, obs=obs, obs_label=obs_label,
                 machine_cache=machine_cache, trace_cache=trace_cache,
-                backend=backend, progress=progress,
+                backend=backend, progress=progress, tape=tape,
             )
         )
     base, enhanced = results
@@ -734,7 +785,9 @@ def _campaign_worker(task: dict) -> dict:
     specs, runs the pair through :func:`_run_point`, and ships the
     outcome back together with the worker's metric state, trace events
     and incident records for the parent to merge.  A pair that raises
-    raises here too, and the worker loop fails its lease.
+    raises here too, as an
+    :class:`~repro.resilience.workers.AttemptFailed` carrying the
+    attempt's incident records, and the worker loop fails its lease.
     """
     obs = _obs_from_spec(task["obs_spec"])
     recorder = IncidentRecorder(
@@ -760,7 +813,10 @@ def _campaign_worker(task: dict) -> dict:
             obs=obs, machine_cache=cache, trace_cache=traces,
         )
 
-    outcome = _run_point(task, run_fn, obs)
+    try:
+        outcome = _run_point(task, run_fn, obs)
+    except Exception as exc:
+        raise AttemptFailed(exc, recorder.as_dicts()) from exc
     if traces is not None:
         # Per-task store instance, so these counters sum cleanly in the
         # parent's CampaignResult.cache_stats aggregation.

@@ -13,7 +13,8 @@ parent:
 * while a shard runs, a worker thread sends a heartbeat every
   ``shard_deadline_s / 3`` and the parent renews the lease;
 * the worker sends the outcome (or the error a raising ``worker_fn``
-  escaped with) and waits for its next lease.
+  escaped with, and the incidents an :class:`AttemptFailed` carries) and
+  waits for its next lease.
 
 Failures are the queue's business, and one rule covers every failed
 attempt in both modes: the shard goes back in line with backoff
@@ -69,6 +70,26 @@ class FaultPlan:
 
     def should_hang(self, key: str, attempt: int) -> bool:
         return bool(self.hang_match) and self.hang_match in key and attempt <= self.hang_attempts
+
+
+class AttemptFailed(Exception):
+    """A failed attempt that recorded incidents in the worker process.
+
+    A ``worker_fn`` raises it in place of ``cause`` so that the parent
+    logs ``incidents`` (serialised
+    :class:`~repro.resilience.incidents.Incident` records, such as a
+    ``checkpoint_corrupt`` the attempt met) before the lease fails with
+    ``cause``'s error text.
+    """
+
+    def __init__(self, cause: Exception, incidents: list[dict]) -> None:
+        super().__init__(_error_text(cause))
+        self.incidents = incidents
+
+
+def _error_text(exc: Exception) -> str:
+    """A failed attempt's error as leases record it: ``Type: message``."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -133,8 +154,10 @@ def _worker_main(conn, worker_fn, interval: float, fault_plan, inherited) -> Non
         beat.start()
         try:
             message = ("done", key, worker_fn(payload))
+        except AttemptFailed as exc:
+            message = ("error", key, str(exc), exc.incidents)
         except Exception as exc:
-            message = ("error", key, f"{type(exc).__name__}: {exc}")
+            message = ("error", key, _error_text(exc), [])
         finally:
             stop.set()
             beat.join()
@@ -238,7 +261,7 @@ class LocalWorkers:
             try:
                 outcome = self.worker_fn(payload)
             except Exception as exc:
-                self._fail(lease.key, f"{type(exc).__name__}: {exc}")
+                self._fail(lease.key, _error_text(exc))
             else:
                 self._complete(lease, outcome)
         return self.report
@@ -336,8 +359,10 @@ class LocalWorkers:
         worker.lease = None
         if tag == "done":
             self._complete(lease, message[2])
-        else:
-            self._fail(key, message[2])
+            return
+        if self.recorder is not None:
+            self.recorder.extend_dicts(message[3])
+        self._fail(key, message[2])
 
     def _lost(self, worker: _Worker) -> None:
         """The worker's pipe closed: it died, holding its lease or not."""

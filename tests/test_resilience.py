@@ -37,7 +37,7 @@ from repro.errors import (
 )
 from repro.experiments import runner
 from repro.experiments.runner import _load_checkpoint, _save_checkpoint, run_campaign
-from repro.experiments.scale import SMOKE
+from repro.experiments.scale import SMOKE, Scale
 from repro.isa import events as ev
 from repro.resilience import (
     FaultPlan,
@@ -57,6 +57,7 @@ from repro.service import CampaignManager, CampaignSpec
 from repro.service import worker as service_worker
 from repro.service.api import ManagerServer
 from repro.trace.batch import TRACE_HEADER_SIZE, TraceBatch
+from repro.trace.store import TraceStore
 from repro.uarch import CPU
 from repro.uarch.machine import (
     MACHINE_STATE_SCHEMA,
@@ -724,6 +725,32 @@ class TestOneFailurePolicy:
         assert counts.get("shard_requeued") == 1
         assert counts.get("shard_quarantined") == 1
         assert "worker_death" not in counts
+
+    def test_failed_worker_attempt_ships_its_incidents(self, tmp_path, monkeypatch):
+        """A forked attempt that logs an incident and then raises hands
+        the incident to the parent, logged before its lease fails."""
+
+        def damaged_then_raise(self, key, segments=None):
+            self.recorder.record(
+                IncidentKind.TRACE_CORRUPT, f"entry {key[:12]} is damaged", path=str(self.root)
+            )
+            raise RuntimeError("trace store gave up")
+
+        # Patched before the fork, so both workers inherit it; the
+        # parent's prefill finds an empty store and never loads.
+        monkeypatch.setattr(TraceStore, "load", damaged_then_raise)
+        recorder = IncidentRecorder()
+        result = run_campaign(
+            ["memcached"], Scale("tiny", {"memcached": (1, 2)}), abtb_sizes=(64,),
+            jobs=2, trace_cache_dir=tmp_path / "traces",
+            recorder=recorder, lease_policy=self.POLICY,
+        )
+        key = "memcached::abtb=64::scale=tiny"
+        assert list(result.quarantined) == [key]
+        assert "trace store gave up" in result.quarantined[key]["last_error"]
+        assert [i.kind for i in recorder.incidents] == [
+            "trace_corrupt", "shard_requeued", "trace_corrupt", "shard_quarantined",
+        ]
 
     @pytest.mark.parametrize("command", ["campaign", "sweep", "submit"])
     def test_quarantined_pair_exits_3(self, command, tmp_path, monkeypatch, capsys):

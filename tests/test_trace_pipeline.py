@@ -18,17 +18,21 @@ import pytest
 
 from repro.core import MechanismConfig, TrampolineSkipMechanism
 from repro.difftest.harness import diff_backends, workload_batches, workload_events
-from repro.errors import TraceCorruptionError, TraceError
-from repro.experiments.runner import run_campaign, run_pair, summarize_pair
+from repro.errors import ConfigError, TraceCorruptionError, TraceError
+from repro.experiments import runner
+from repro.experiments.runner import run_campaign, run_pair, run_workload, summarize_pair
 from repro.experiments.scale import Scale
 from repro.isa.kinds import EventKind
+from repro.obs import Observability
 from repro.resilience.incidents import IncidentRecorder
 from repro.trace.batch import TraceBatch
 from repro.trace.engine import LinkMode
 from repro.trace.store import (
     TraceStore,
+    TraceTape,
     collect_stats,
     generate_bundle,
+    stream_segments,
     trace_key,
 )
 from repro.uarch import CPU
@@ -384,6 +388,164 @@ class TestRunnerTraceCache:
         result = self._pair(backend="reference", trace_cache=store)
         assert result == self._pair(backend="reference")
         assert not list(tmp_path.rglob("meta.json"))  # never engaged
+
+    def test_uncached_pair_links_and_generates_once(self, monkeypatch):
+        calls = {"link": 0, "generate": 0}
+        real_init, real_stream = Workload.__init__, stream_segments
+
+        def counting_init(self, *args, **kwargs):
+            calls["link"] += 1
+            real_init(self, *args, **kwargs)
+
+        def counting_stream(*args, **kwargs):
+            calls["generate"] += 1
+            return real_stream(*args, **kwargs)
+
+        monkeypatch.setattr(Workload, "__init__", counting_init)
+        monkeypatch.setattr(runner, "stream_segments", counting_stream)
+        run_pair("memcached", self.SCALE, abtb_entries=16)
+        assert calls == {"link": 1, "generate": 1}
+
+
+# ------------------------------------------------------------ pair tape
+
+
+def _fingerprint(result) -> tuple:
+    """Everything a run reports, the whole final machine included."""
+    return (
+        result.counters.as_dict(),
+        result.requests,
+        result.usage,
+        result.unmatched_marks,
+        result.cpu.snapshot(),
+    )
+
+
+class TestPairTape:
+    """An uncached batched pair generates once: the enhanced run replays
+    the base run's tape, and must report exactly what generating would."""
+
+    SCALE = Scale("t", {"apache": (2, 3), "memcached": (3, 4), "mysql": (1, 2), "firefox": (1, 2)})
+    ABTB = 16
+
+    def _generated(self, name, **kwargs):
+        """Base and enhanced as two independent run_workload calls."""
+        config = ALL_WORKLOADS[name].config()
+        windows = (self.SCALE.warmup(name), self.SCALE.measured(name))
+        mechanism = TrampolineSkipMechanism(MechanismConfig(abtb_entries=self.ABTB))
+        return [
+            runner.run_workload(config, mech, *windows, label=label, **kwargs)
+            for label, mech in (("base", None), ("enhanced", mechanism))
+        ]
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_replayed_side_equals_generated(self, name):
+        taped = run_pair(name, self.SCALE, abtb_entries=self.ABTB)
+        generated = self._generated(name)
+        assert [_fingerprint(r) for r in taped] == [_fingerprint(r) for r in generated]
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_replay_after_a_warm_base_machine(self, name, tmp_path):
+        # Only the base machine is cached: the base run restores it and
+        # drains start-up and warm-up through the recorder, and the
+        # enhanced run, whose machine misses, replays all three segments.
+        machines = CheckpointStore(tmp_path)
+        config = ALL_WORKLOADS[name].config()
+        windows = (self.SCALE.warmup(name), self.SCALE.measured(name))
+        run_workload(config, None, *windows, machine_cache=machines)
+        assert len(list(tmp_path.iterdir())) == 1
+        taped = run_pair(name, self.SCALE, abtb_entries=self.ABTB, machine_cache=machines)
+        assert len(list(tmp_path.iterdir())) == 2
+        generated = self._generated(name)
+        assert [_fingerprint(r) for r in taped] == [_fingerprint(r) for r in generated]
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_replayed_side_reports_the_same_progress(self, name, monkeypatch):
+        totals: list[int] = []
+
+        def progress(n: int) -> None:
+            totals[-1] += n
+
+        real = runner.run_workload
+
+        def one_total_per_side(*args, **kwargs):
+            totals.append(0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_workload", one_total_per_side)
+        taped = run_pair(name, self.SCALE, abtb_entries=self.ABTB, progress=progress)
+        generated = self._generated(name, progress=progress)
+        assert len(totals) == 4 and totals[0] > 0
+        assert totals[:2] == totals[2:]
+        assert [_fingerprint(r) for r in taped] == [_fingerprint(r) for r in generated]
+
+    @staticmethod
+    def _recording(warmup=3, measured=4):
+        workload = _workload("memcached")
+        key = trace_key(workload.config, LinkMode.DYNAMIC, warmup, measured)
+        tape = TraceTape()
+        streams = tape.record(key, stream_segments(workload, warmup, measured))
+        return tape, key, streams, workload
+
+    def _recorded(self):
+        """A finished recording, as a recording run leaves it: every
+        stream used up, then the usage statistics set."""
+        tape, key, streams, workload = self._recording()
+        recorded = [[chunk.to_bytes() for chunk in stream] for stream in streams]
+        tape.stats = collect_stats(workload)
+        return tape, key, recorded, workload
+
+    def test_replay_is_byte_identical_to_the_recording(self):
+        tape, key, recorded, _ = self._recorded()
+        assert all(recorded)
+        replayed = [[chunk.to_bytes() for chunk in stream] for stream in tape.replay(key)]
+        assert replayed == recorded
+        # The measured window's request marks ride in the tag tables.
+        assert all(TraceBatch.from_bytes(raw).tags for raw in recorded[2])
+        with pytest.raises(ConfigError, match="replays once"):
+            tape.replay(key)
+
+    def test_warm_replay_decodes_only_the_measured_frames(self):
+        tape, key, recorded, _ = self._recorded()
+        startup, warmup, measured = tape.replay(key, ("measured",))
+        assert (list(startup), list(warmup)) == ([], [])
+        assert [chunk.to_bytes() for chunk in measured] == recorded[2]
+
+    def test_replay_under_another_trace_key_raises(self):
+        tape, _, _, workload = self._recorded()
+        with pytest.raises(ConfigError, match="cannot replay under"):
+            tape.replay(trace_key(workload.config, LinkMode.DYNAMIC, 3, 5))
+
+    def test_tape_not_used_up_cannot_replay(self):
+        tape, key, (startup, warmup, measured), _ = self._recording()
+        list(startup)
+        list(warmup)
+        next(measured)
+        with pytest.raises(ConfigError, match="not used up"):
+            tape.replay(key)
+
+    def test_flipped_byte_in_a_frame_raises(self):
+        tape, key, _, _ = self._recorded()
+        frame = bytearray(tape.frames["measured"][0])
+        frame[len(frame) // 2] ^= 0x01
+        tape.frames["measured"][0] = bytes(frame)
+        startup, warmup, measured = tape.replay(key)
+        list(startup)
+        list(warmup)
+        with pytest.raises(TraceCorruptionError, match="tape frame 0"):
+            next(measured)
+
+    @pytest.mark.parametrize("conflict", ["trace_cache", "obs", "reference"])
+    def test_run_workload_refuses_a_tape_with(self, conflict, tmp_path):
+        kwargs = {
+            "trace_cache": {"trace_cache": TraceStore(tmp_path)},
+            "obs": {"obs": Observability()},
+            "reference": {"backend": "reference"},
+        }[conflict]
+        with pytest.raises(ConfigError, match="trace tape"):
+            run_workload(
+                ALL_WORKLOADS["memcached"].config(), None, 1, 1, tape=TraceTape(), **kwargs
+            )
 
 
 # ------------------------------------------------------------ determinism
