@@ -116,9 +116,9 @@ def test_disabled_observability_overhead_under_5_percent():
 
 
 def _run_workload_path(progress=None) -> None:
-    """One pair-shaped run through ``run_workload`` — the code path the
-    campaign service and ``run_campaign`` drive, where the event bus and
-    the progress callback are threaded (or, here, not)."""
+    """One pair-shaped run through ``run_workload`` — the code path
+    ``run_campaign`` drives, where the event bus and the progress
+    callback are threaded (or, here, not)."""
     run_workload(
         ALL_WORKLOADS["memcached"].config(),
         mechanism=TrampolineSkipMechanism(MechanismConfig(abtb_entries=256)),

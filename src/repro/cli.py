@@ -31,20 +31,11 @@ Subcommands:
   by ``campaign --incidents-out`` (exit 0 iff schema-valid and every
   ``--require`` kind is present);
 * ``dash --from DIR`` — render the zero-dependency campaign dashboard
-  offline from exported artifacts (``metrics.jsonl``, ``incidents.jsonl``,
-  ``events.jsonl``, ``profile.json``, ``trace.json``) — the same page a
-  running manager serves live at ``GET /dash``;
-* ``serve`` / ``worker`` / ``submit`` — the fault-tolerant campaign
-  *service* (see ``docs/SERVICE.md``): ``serve`` runs the manager (REST
-  API, lease-based shard queue, write-ahead journal, content-addressed
-  result store), ``worker`` pulls and executes shard leases against a
-  manager, and ``submit`` submits a campaign and waits, with the same
-  0/3/1 exit-code convention as ``campaign``.  SIGTERM is graceful
-  everywhere: the manager snapshots its journal, workers drain the shard
-  in hand, ``campaign`` flushes its checkpoint and exits 130;
-* ``service gc`` — campaign-aware result-store retention: evict stored
-  shard results by age/count, never touching one referenced by a live
-  campaign.
+  from exported artifacts (``metrics.jsonl``, ``incidents.jsonl``,
+  ``events.jsonl``, ``profile.json``, ``trace.json``).
+
+SIGTERM is graceful: ``campaign`` and ``sweep`` flush their checkpoint
+and exit 130.
 
 ``run``, ``compare``, ``profile``, ``chaos`` and ``campaign`` all accept
 the observability flags ``--trace-out``, ``--metrics-out`` and
@@ -60,8 +51,6 @@ import argparse
 import json
 import signal
 import sys
-import threading
-import time
 
 from repro import __version__, quick_comparison
 from repro.errors import ReproError
@@ -278,190 +267,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"manifest: wrote {args.manifest}", file=sys.stderr)
     _report_exports(obs)
     return 3 if result.degraded else 0  # 3: completed, quarantined pairs missing
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.resilience import IncidentRecorder, LeasePolicy
-    from repro.service.api import ManagerServer
-    from repro.service.manager import CampaignManager
-
-    _install_sigterm_handler()
-    recorder = IncidentRecorder()
-    policy = LeasePolicy(
-        shard_deadline_s=args.lease_ttl,
-        max_shard_failures=args.max_shard_failures,
-    )
-    try:
-        manager = CampaignManager(
-            args.data_dir,
-            policy=policy,
-            recorder=recorder,
-            snapshot_every=args.snapshot_every,
-        )
-        server = ManagerServer(
-            manager, host=args.host, port=args.port, verbose=args.verbose
-        )
-    except KeyboardInterrupt:
-        print("serve: shutting down gracefully", file=sys.stderr)
-        return 0
-    try:
-        server.start()
-        print(
-            f"serve: manager listening on {server.url} "
-            f"(data: {args.data_dir}, lease TTL {args.lease_ttl:.1f}s)",
-            flush=True,
-        )
-        server.serve_wait()
-        return 0
-    except KeyboardInterrupt:
-        print("serve: shutting down gracefully", file=sys.stderr)
-        return 0
-    finally:
-        server.stop(graceful=True)
-        if args.incidents_out:
-            recorder.write_jsonl(args.incidents_out)
-            print(
-                f"incidents: wrote {args.incidents_out} ({len(recorder)} record(s))",
-                file=sys.stderr,
-            )
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.service.worker import ManagerClient, WorkerAgent, WorkerChaos
-
-    stop = threading.Event()
-
-    def drain(signum, frame):  # noqa: ARG001
-        # Graceful drain: finish + deliver the shard in hand, then exit.
-        stop.set()
-
-    try:
-        signal.signal(signal.SIGTERM, drain)
-    except ValueError:
-        pass
-    chaos = None
-    if args.chaos_kill_after or args.chaos_hang_after:
-        chaos = WorkerChaos(
-            kill_after_leases=args.chaos_kill_after,
-            hang_after_leases=args.chaos_hang_after,
-        )
-    agent = WorkerAgent(
-        ManagerClient(args.manager),
-        name=args.name,
-        poll_interval_s=args.poll_interval,
-        max_idle_s=args.max_idle,
-        machine_cache_dir=args.machine_cache,
-        trace_cache_dir=args.trace_cache,
-        chaos=chaos,
-        stop_event=stop,
-    )
-    stats = agent.run()
-    print(
-        f"worker {stats['worker_id']}: {stats['shards_done']} shard(s) done, "
-        f"{stats['shards_failed']} failed, {stats['leases_lost']} lease(s) lost"
-        + (" (manager went away; drained)" if stats.get("manager_lost") else "")
-    )
-    return 0
-
-
-def _cmd_service_gc(args: argparse.Namespace) -> int:
-    from repro.errors import ServiceError
-    from repro.resilience import IncidentRecorder
-    from repro.service.gc import ResultGcPolicy, collect_garbage
-
-    try:
-        policy = ResultGcPolicy(
-            max_age_s=args.max_age_s,
-            max_count=args.max_count,
-            dry_run=args.dry_run,
-        )
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    recorder = IncidentRecorder()
-    report = collect_garbage(args.data_dir, policy, recorder=recorder)
-    verb = "would evict" if report.dry_run else "evicted"
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(
-            f"gc: {report.examined} result(s) examined, "
-            f"{report.protected} protected by live campaigns, "
-            f"{verb} {len(report.evicted)} "
-            f"({report.reclaimed_bytes} byte(s))"
-        )
-        for key in report.evicted:
-            print(f"  {verb} {key}")
-    if args.incidents_out:
-        recorder.write_jsonl(args.incidents_out)
-        print(
-            f"incidents: wrote {args.incidents_out} ({len(recorder)} record(s))",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import CampaignResult
-    from repro.service.worker import ManagerClient
-
-    _install_sigterm_handler()
-    client = ManagerClient(args.manager)
-    spec = {
-        "workloads": args.workloads,
-        "abtb_sizes": args.abtb,
-        "scale": args.scale,
-        "seed": args.seed,
-    }
-    status, response = client.post("/campaigns", spec)
-    if status != 201:
-        print(f"error: submit rejected ({status}): {response.get('error')}", file=sys.stderr)
-        return 1
-    campaign_id = response["campaign_id"]
-    print(f"submit: campaign {campaign_id} accepted", flush=True)
-    if not args.wait:
-        return 0
-
-    last_counts = None
-    state = "running"
-    while True:
-        status, body = client.get(f"/campaigns/{campaign_id}")
-        if status == 200:
-            state = body.get("state", "running")
-            counts = body.get("shards", {})
-            if counts != last_counts:
-                last_counts = counts
-                print(
-                    f"submit: {campaign_id} {state} — "
-                    f"{counts.get('completed', 0)}/{counts.get('total', 0)} done, "
-                    f"{counts.get('leased', 0)} leased, "
-                    f"{counts.get('quarantined', 0)} quarantined",
-                    flush=True,
-                )
-            if state in ("complete", "degraded", "cancelled"):
-                break
-        time.sleep(args.poll_interval)
-
-    if args.incidents_out:
-        _, text = client.get_text("/incidents")
-        with open(args.incidents_out, "w") as fh:
-            fh.write(text)
-        print(f"incidents: wrote {args.incidents_out}", file=sys.stderr)
-    if state == "cancelled":
-        print(f"submit: campaign {campaign_id} was cancelled", file=sys.stderr)
-        return 1
-    status, body = client.get(f"/campaigns/{campaign_id}/result")
-    if status != 200:
-        print(f"error: result unavailable ({status}): {body.get('error')}", file=sys.stderr)
-        return 1
-    result = CampaignResult(
-        completed=body["completed"],
-        attempts=body["attempts"],
-        resumed=body["resumed"],
-        quarantined=body["quarantined"],
-    )
-    print(result.render())
-    return 3 if result.degraded else 0
 
 
 def _cmd_incidents(args: argparse.Namespace) -> int:
@@ -825,107 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_report.add_argument("--out", required=True, metavar="DIR")
     sweep_report.set_defaults(func=_cmd_sweep)
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the campaign-service manager (REST API + lease queue + "
-        "durable result store; crash-recoverable via its write-ahead journal)",
-    )
-    serve.add_argument(
-        "--data-dir", required=True, metavar="DIR",
-        help="service state root: journal, snapshot and result store",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8023)
-    serve.add_argument(
-        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
-        help="shard lease deadline; a worker silent this long forfeits the "
-        "shard (requeued with backoff) [default: 30]",
-    )
-    serve.add_argument(
-        "--max-shard-failures", type=int, default=3, metavar="N",
-        help="failed attempts (a reported raise, an expired lease) before a "
-        "shard is quarantined [default: 3]",
-    )
-    serve.add_argument(
-        "--snapshot-every", type=int, default=50, metavar="N",
-        help="journal appends between automatic snapshots [default: 50]",
-    )
-    serve.add_argument(
-        "--incidents-out", default=None, metavar="PATH",
-        help="write the manager's incident log as JSON lines on shutdown",
-    )
-    serve.add_argument(
-        "--verbose", action="store_true", help="log every HTTP request"
-    )
-    serve.set_defaults(func=_cmd_serve)
-
-    worker = sub.add_parser(
-        "worker",
-        help="run a campaign-service worker: pull shard leases from a "
-        "manager, execute, heartbeat, report (SIGTERM drains gracefully)",
-    )
-    worker.add_argument(
-        "--manager", default="http://127.0.0.1:8023", metavar="URL",
-        help="manager base URL [default: http://127.0.0.1:8023]",
-    )
-    worker.add_argument("--name", default="", help="worker name (diagnostics)")
-    worker.add_argument(
-        "--poll-interval", type=float, default=0.25, metavar="SECONDS",
-        help="idle sleep between lease attempts [default: 0.25]",
-    )
-    worker.add_argument(
-        "--max-idle", type=float, default=None, metavar="SECONDS",
-        help="exit after this long with no work anywhere (default: run until stopped)",
-    )
-    worker.add_argument(
-        "--machine-cache", default=None, metavar="DIR",
-        help="warm-machine checkpoint cache (shared with serial campaigns)",
-    )
-    worker.add_argument(
-        "--trace-cache", default=None, metavar="DIR",
-        help="content-addressed trace store (shared with serial campaigns)",
-    )
-    worker.add_argument(
-        "--chaos-kill-after", type=int, default=0, metavar="N",
-        help="fault injection (CI): SIGKILL self on the Nth lease grant",
-    )
-    worker.add_argument(
-        "--chaos-hang-after", type=int, default=0, metavar="N",
-        help="fault injection: wedge (hold the lease, stop renewing) on the "
-        "Nth lease grant",
-    )
-    worker.set_defaults(func=_cmd_worker)
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit a campaign to a running manager and (by default) wait; "
-        "exit 0 complete / 3 degraded / 1 error",
-    )
-    submit.add_argument(
-        "--manager", default="http://127.0.0.1:8023", metavar="URL",
-        help="manager base URL [default: http://127.0.0.1:8023]",
-    )
-    submit.add_argument(
-        "--workloads", nargs="+", choices=sorted(ALL_WORKLOADS),
-        default=sorted(ALL_WORKLOADS),
-    )
-    submit.add_argument("--scale", choices=("smoke", "paper"), default="smoke")
-    submit.add_argument("--abtb", type=int, nargs="+", default=[256])
-    submit.add_argument("--seed", type=int, default=None)
-    submit.add_argument(
-        "--no-wait", dest="wait", action="store_false",
-        help="return immediately after the campaign is accepted",
-    )
-    submit.add_argument(
-        "--poll-interval", type=float, default=0.5, metavar="SECONDS",
-        help="status poll interval while waiting [default: 0.5]",
-    )
-    submit.add_argument(
-        "--incidents-out", default=None, metavar="PATH",
-        help="fetch the manager's incident log after completion (see 'incidents')",
-    )
-    submit.set_defaults(func=_cmd_submit)
-
     incidents = sub.add_parser(
         "incidents", help="validate and summarise a JSONL incident log"
     )
@@ -939,39 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless at least one incident of KIND is present (repeatable)",
     )
     incidents.set_defaults(func=_cmd_incidents)
-
-    service = sub.add_parser(
-        "service", help="campaign-service maintenance (result-store gc)"
-    )
-    service_sub = service.add_subparsers(dest="action", required=True)
-    service_gc = service_sub.add_parser(
-        "gc",
-        help="evict stored shard results by age/count; results referenced "
-        "by live campaigns are never touched",
-    )
-    service_gc.add_argument(
-        "--data-dir", required=True, metavar="DIR",
-        help="service state root (journal + results), as given to 'serve'",
-    )
-    service_gc.add_argument(
-        "--max-age-s", type=float, default=None, metavar="SECONDS",
-        help="evict unprotected results older than this",
-    )
-    service_gc.add_argument(
-        "--max-count", type=int, default=None, metavar="N",
-        help="keep at most N unprotected results (oldest evicted first)",
-    )
-    service_gc.add_argument(
-        "--dry-run", action="store_true", help="report only; delete nothing"
-    )
-    service_gc.add_argument(
-        "--incidents-out", default=None, metavar="PATH",
-        help="write result_evicted incidents as JSON lines",
-    )
-    service_gc.add_argument(
-        "--json", action="store_true", help="machine-readable report"
-    )
-    service_gc.set_defaults(func=_cmd_service_gc)
 
     dash = sub.add_parser(
         "dash",

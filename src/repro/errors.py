@@ -104,22 +104,3 @@ class SupervisorError(ResilienceError):
     """The lease queue or the local worker loop was misused (bad policy,
     duplicate shard keys)."""
 
-
-# -------------------------------------------------------------- service
-#
-# The campaign service (src/repro/service/) — lease-based manager/worker
-# runtime — classifies its failures below.
-
-
-class ServiceError(ReproError):
-    """Base class for failures in the campaign service layer."""
-
-
-class SchemaError(ServiceError):
-    """A JSON request/response body failed dataclass-schema validation.
-
-    The API layer maps this onto HTTP 400; the message names the field
-    and the violated constraint.
-    """
-
-

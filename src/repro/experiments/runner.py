@@ -730,9 +730,8 @@ def _run_point(task: dict, run_fn, obs=None) -> dict:
     (see :class:`CampaignPoint`), so a ``run_fn`` taking just
     ``(workload, scale, abtb)`` serves a plain grid.  An exception from
     the pair propagates: the lease loop fails the attempt, and the queue
-    requeues or quarantines it.  Both local engines run pairs through
-    here, and the service worker makes the same two calls, so every
-    engine's summaries come from identical code.
+    requeues or quarantines it.  Serial and sharded campaigns both run
+    pairs through here, so their summaries come from identical code.
     """
     kwargs = {name: task[name] for name in ("mechanism", "cpu") if task[name] is not None}
     args = (task["workload"], task["scale"], task["abtb"])

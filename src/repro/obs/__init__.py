@@ -27,7 +27,6 @@ from repro.isa.events import TraceEvent
 from repro.obs.dashboard import (
     load_snapshot_from_dir,
     render_dashboard,
-    snapshot_from_manager,
     write_dashboard,
 )
 from repro.obs.events import Event, EventBus, downsample, load_event_log
@@ -251,7 +250,6 @@ __all__ = [
     "load_snapshot_from_dir",
     "render_dashboard",
     "sampled",
-    "snapshot_from_manager",
     "validate_chrome_trace",
     "warmup_shape",
     "write_dashboard",

@@ -1,21 +1,14 @@
 """The zero-dependency campaign dashboard.
 
 One self-contained HTML page — inline CSS, inline JS, inline SVG charts,
-no npm, no CDN — rendered from a JSON *snapshot* whose shape is shared
-by both serving modes:
+no npm, no CDN — rendered from a JSON *snapshot*.
+``python -m repro dash --from <dir>`` builds the snapshot from a run's
+exported artifacts (metrics, incidents, events, optional profile/trace)
+via :func:`load_snapshot_from_dir`.
 
-* **live** — ``GET /dash`` on the manager embeds a snapshot built by
-  :func:`snapshot_from_manager` and the page then keeps itself fresh by
-  listening to ``GET /events`` (SSE) and re-polling ``GET /dash/data``;
-* **offline** — ``python -m repro dash --from <dir>`` builds the same
-  snapshot from exported JSONL artifacts (metrics, incidents, events,
-  optional profile/trace) via :func:`load_snapshot_from_dir`, so a
-  post-mortem needs no running manager.
-
-The page shows campaign progress bars, per-shard/per-worker lease health
-(with live heartbeat progress), queue-depth and warm-up curves, the
-hot-trampoline table from :class:`~repro.obs.profiler.TrampolineProfiler`
-exports, and a correlated incident/event feed.
+The page shows summary tiles, warm-up curves, the hot-trampoline table
+from :class:`~repro.obs.profiler.TrampolineProfiler` exports, and a
+correlated incident/event feed.
 """
 
 from __future__ import annotations
@@ -25,7 +18,6 @@ import time
 from pathlib import Path
 
 from repro.obs.events import downsample
-from repro.obs.metrics import Counter, Gauge, TimeSeries
 
 #: Schema version stamped on every snapshot.
 SNAPSHOT_SCHEMA_VERSION = 1
@@ -40,37 +32,8 @@ SNAPSHOT_MAX_POINTS = 150
 SNAPSHOT_MAX_EVENTS = 100
 
 
-def snapshot_from_manager(manager) -> dict:
-    """The live snapshot: manager telemetry + downsampled series."""
-    telemetry = manager.telemetry()
-    series: dict[str, dict] = {}
-    counters: dict[str, float] = {}
-    for name in manager.metrics.names():
-        metric = manager.metrics.get(name)
-        if isinstance(metric, TimeSeries):
-            points = downsample(metric.points(), SNAPSHOT_MAX_POINTS)
-            series[name] = {
-                "points": [[t, v] for t, v in points],
-                "appended": metric.appended,
-            }
-        elif isinstance(metric, (Counter, Gauge)):
-            counters[name] = metric.value
-    events = [e.as_dict() for e in manager.bus.snapshot()[-SNAPSHOT_MAX_EVENTS:]]
-    return {
-        "schema_version": SNAPSHOT_SCHEMA_VERSION,
-        "mode": "live",
-        "generated_at": time.time(),
-        "source": str(manager.data_dir),
-        **telemetry,
-        "series": series,
-        "counters": counters,
-        "events": events,
-        "profile": None,
-    }
-
-
 def load_snapshot_from_dir(directory: str | Path) -> dict:
-    """The offline snapshot, from exported artifacts in ``directory``.
+    """The dashboard snapshot, from exported artifacts in ``directory``.
 
     Recognised files (all optional — the dashboard renders empty states
     for whatever is missing): ``metrics.jsonl`` (the registry's JSONL
@@ -145,12 +108,8 @@ def load_snapshot_from_dir(directory: str | Path) -> dict:
         "mode": "offline",
         "generated_at": time.time(),
         "source": str(d),
-        "campaigns": [],
-        "leases": [],
-        "workers": [],
         "incident_counts": dict(sorted(incident_counts.items())),
         "incidents": incidents[-50:],
-        "last_seq": max((int(e.get("seq", 0)) for e in events), default=0),
         "series": series,
         "counters": counters,
         "events": events,
@@ -214,10 +173,7 @@ DASHBOARD_CSS = """.viz-root {
   --series-1:      #2a78d6;
   --series-2:      #eb6834;
   --series-3:      #1baf7a;
-  --track:         #b7d3f6;
-  --status-good:     #0ca30c;
   --status-warning:  #fab219;
-  --status-serious:  #ec835a;
   --status-critical: #d03b3b;
 }
 @media (prefers-color-scheme: dark) {
@@ -234,8 +190,7 @@ DASHBOARD_CSS = """.viz-root {
     --series-1:      #3987e5;
     --series-2:      #d95926;
     --series-3:      #199e70;
-    --track:         #184f95;
-  }
+    }
 }
 :root[data-theme="dark"] .viz-root {
   color-scheme: dark;
@@ -250,7 +205,6 @@ DASHBOARD_CSS = """.viz-root {
   --series-1:      #3987e5;
   --series-2:      #d95926;
   --series-3:      #199e70;
-  --track:         #184f95;
 }
 * { box-sizing: border-box; }
 body.viz-root {
@@ -269,10 +223,6 @@ header.top h1 { font-size: 20px; font-weight: 600; margin: 0; }
   font-size: 11px; font-weight: 600; letter-spacing: 0.04em;
   padding: 2px 8px; border-radius: 999px; border: 1px solid var(--border);
   color: var(--text-secondary); text-transform: uppercase;
-}
-.badge.live::before {
-  content: ""; display: inline-block; width: 7px; height: 7px;
-  border-radius: 50%; background: var(--status-good); margin-right: 5px;
 }
 .meta { color: var(--text-muted); font-size: 12px; }
 .tiles {
@@ -307,30 +257,11 @@ td {
 }
 tr:last-child td { border-bottom: none; }
 td.num, th.num { text-align: right; }
-.campaign-row { margin-bottom: 12px; }
-.campaign-row .line1 {
-  display: flex; justify-content: space-between; gap: 8px;
-  align-items: baseline; margin-bottom: 4px; font-size: 13px;
-}
-.campaign-row .cname { font-weight: 600; }
-.campaign-row .counts {
-  color: var(--text-secondary); font-variant-numeric: tabular-nums;
-}
-.meter {
-  height: 10px; border-radius: 5px; background: var(--track);
-  overflow: hidden; position: relative;
-}
-.meter .fill {
-  position: absolute; inset: 0 auto 0 0; border-radius: 5px;
-  background: var(--series-1); min-width: 0;
-}
-.meter .fill.degraded { background: var(--status-serious); }
 .chip {
   font-size: 11px; padding: 1px 7px; border-radius: 999px;
   border: 1px solid var(--border); color: var(--text-secondary);
   white-space: nowrap;
 }
-.chip .ico { margin-right: 3px; }
 .legend {
   display: flex; gap: 14px; flex-wrap: wrap; font-size: 12px;
   color: var(--text-secondary); margin-bottom: 6px;
@@ -382,28 +313,10 @@ _TEMPLATE = """<!DOCTYPE html>
     <span id="meta" class="meta"></span>
   </header>
   <div id="tiles" class="tiles"></div>
-  <section class="card">
-    <h2>Campaigns</h2>
-    <div id="campaigns"></div>
-  </section>
   <div class="grid2">
     <section class="card">
-      <h2>Queue depth</h2>
-      <div id="queue-chart"></div>
-    </section>
-    <section class="card">
-      <h2 id="curves-title">Progress curves</h2>
+      <h2>Warm-up curves</h2>
       <div id="curves-chart"></div>
-    </section>
-  </div>
-  <section class="card">
-    <h2>Lease health</h2>
-    <div id="leases"></div>
-  </section>
-  <div class="grid2">
-    <section class="card">
-      <h2>Workers</h2>
-      <div id="workers"></div>
     </section>
     <section class="card">
       <h2>Hot trampolines</h2>
@@ -439,17 +352,11 @@ function fmt(n) {
 
 function renderTiles(snap) {
   var counters = snap.counters || {};
-  var campaigns = snap.campaigns || [];
-  var active = campaigns.filter(function (c) { return c.state === "running"; }).length;
   var incidents = 0;
   var counts = snap.incident_counts || {};
   Object.keys(counts).forEach(function (k) { incidents += counts[k]; });
   var tiles = [
-    ["Campaigns", campaigns.length || fmt(counters["service.campaigns_submitted"] || 0)],
-    ["Active", snap.mode === "live" ? active : "–"],
-    ["Shards completed", fmt(counters["service.shards_completed"] ||
-                             counters["campaign.pairs_completed"] || 0)],
-    ["Leases live", snap.mode === "live" ? (snap.leases || []).length : "–"],
+    ["Shards completed", fmt(counters["campaign.pairs_completed"] || 0)],
     ["Incidents", fmt(incidents)],
     ["Events seen", fmt(counters["events.total"] || (snap.events || []).length)]
   ];
@@ -460,55 +367,6 @@ function renderTiles(snap) {
     tile.appendChild(el("div", "label", t[0]));
     tile.appendChild(el("div", "value", String(t[1])));
     root.appendChild(tile);
-  });
-}
-
-function stateChip(state) {
-  var icons = { running: "\\u25B6", complete: "\\u2713", degraded: "\\u26A0",
-                cancelled: "\\u2298" };
-  var chip = el("span", "chip");
-  var ico = el("span", "ico", icons[state] || "\\u2022");
-  if (state === "complete") ico.style.color = "var(--status-good)";
-  if (state === "degraded") ico.style.color = "var(--status-serious)";
-  if (state === "cancelled") ico.style.color = "var(--text-muted)";
-  chip.appendChild(ico);
-  chip.appendChild(document.createTextNode(state));
-  return chip;
-}
-
-function renderCampaigns(snap) {
-  var root = document.getElementById("campaigns");
-  root.textContent = "";
-  var campaigns = snap.campaigns || [];
-  if (!campaigns.length) {
-    root.appendChild(el("div", "empty", snap.mode === "live"
-      ? "No campaigns submitted yet."
-      : "Campaign state is not part of this export (series and incidents below are)."));
-    return;
-  }
-  campaigns.forEach(function (c) {
-    var s = c.shards || {};
-    var total = s.total || 0;
-    var done = (s.completed || 0) + (s.quarantined || 0);
-    var row = el("div", "campaign-row");
-    var line1 = el("div", "line1");
-    var left = el("div");
-    left.appendChild(el("span", "cname", c.campaign_id + "  "));
-    left.appendChild(stateChip(c.state));
-    var counts = el("div", "counts",
-      (s.completed || 0) + " done · " + (s.leased || 0) + " leased · " +
-      (s.pending || 0) + " pending" +
-      ((s.quarantined || 0) ? " · " + s.quarantined + " quarantined" : "") +
-      "  (" + done + "/" + total + ")");
-    line1.appendChild(left);
-    line1.appendChild(counts);
-    row.appendChild(line1);
-    var meter = el("div", "meter");
-    var fill = el("div", "fill" + (c.state === "degraded" ? " degraded" : ""));
-    fill.style.width = (total ? (100 * done / total) : 0) + "%";
-    meter.appendChild(fill);
-    row.appendChild(meter);
-    root.appendChild(row);
   });
 }
 
@@ -615,34 +473,16 @@ function pickSeries(snap, name) {
 }
 
 function renderCharts(snap) {
-  lineChart("queue-chart", [
-    { label: "pending", points: pickSeries(snap, "service.queue.pending") },
-    { label: "leased", points: pickSeries(snap, "service.queue.leased") }
-  ]);
   var names = Object.keys(snap.series || {});
-  var progress = names.filter(function (n) {
-    return n.indexOf("service.campaign.") === 0;
+  var curves = names.filter(function (n) {
+    return /abtb_hits_pki$/.test(n);
   }).sort();
-  var defs, title;
-  if (progress.length) {
-    title = "Campaign progress (shards completed)";
-    defs = progress.slice(0, 3).map(function (n) {
-      return { label: n.split(".")[2], points: pickSeries(snap, n) };
-    });
-  } else {
-    title = "Warm-up curves";
-    var curves = names.filter(function (n) {
-      return /abtb_hits_pki$/.test(n);
-    }).sort();
-    if (!curves.length) {
-      curves = names.filter(function (n) { return /_pki$/.test(n); }).sort();
-    }
-    defs = curves.slice(0, 3).map(function (n) {
-      return { label: n.replace(/\\.abtb_hits_pki$/, ""), points: pickSeries(snap, n) };
-    });
+  if (!curves.length) {
+    curves = names.filter(function (n) { return /_pki$/.test(n); }).sort();
   }
-  document.getElementById("curves-title").textContent = title;
-  lineChart("curves-chart", defs);
+  lineChart("curves-chart", curves.slice(0, 3).map(function (n) {
+    return { label: n.replace(/\\.abtb_hits_pki$/, ""), points: pickSeries(snap, n) };
+  }));
 }
 
 function renderTable(rootId, headers, rows, emptyText) {
@@ -670,39 +510,6 @@ function renderTable(rootId, headers, rows, emptyText) {
   });
   table.appendChild(tbody);
   root.appendChild(table);
-}
-
-function renderLeases(snap) {
-  var rows = (snap.leases || []).map(function (l) {
-    var p = l.progress || {};
-    return [
-      l.lease_id, l.key, l.worker_id, l.attempt,
-      (l.expires_in_s === undefined ? "–" : l.expires_in_s.toFixed(1) + "s"),
-      p.events_done === undefined ? "–" : fmt(p.events_done),
-      p.workload || "–"
-    ];
-  });
-  renderTable("leases",
-    [{label: "lease"}, {label: "shard"}, {label: "worker"},
-     {label: "attempt", num: true}, {label: "expires in", num: true},
-     {label: "events retired", num: true}, {label: "workload"}],
-    rows,
-    snap.mode === "live" ? "No live leases." : "Lease state is live-only.");
-}
-
-function renderWorkers(snap) {
-  var rows = (snap.workers || []).map(function (w) {
-    var p = w.last_progress || {};
-    return [
-      w.worker_id, w.name || "–", fmt(w.shards_completed),
-      p.key ? p.key + " (" + fmt(p.events_done) + " ev)" : "–"
-    ];
-  });
-  renderTable("workers",
-    [{label: "worker"}, {label: "name"}, {label: "shards done", num: true},
-     {label: "last progress"}],
-    rows,
-    snap.mode === "live" ? "No workers registered." : "Worker state is live-only.");
 }
 
 function renderProfile(snap) {
@@ -752,51 +559,19 @@ function renderFeed(snap) {
   });
 }
 
-function appendFeed(entry) {
-  var root = document.getElementById("feed");
-  var empty = root.querySelector(".empty");
-  if (empty) empty.remove();
-  root.insertBefore(feedLine(entry), root.firstChild);
-  while (root.children.length > 150) root.removeChild(root.lastChild);
-}
-
 function renderAll(snap) {
-  var badge = document.getElementById("mode-badge");
-  badge.textContent = snap.mode === "live" ? "live" : "offline";
-  badge.className = "badge" + (snap.mode === "live" ? " live" : "");
+  document.getElementById("mode-badge").textContent = snap.mode;
   document.getElementById("meta").textContent =
-    (snap.mode === "live" ? "manager data dir: " : "artifacts: ") +
-    (snap.source || "?") +
+    "artifacts: " + (snap.source || "?") +
     " · generated " + new Date(snap.generated_at * 1000).toLocaleTimeString();
   renderTiles(snap);
-  renderCampaigns(snap);
   renderCharts(snap);
-  renderLeases(snap);
-  renderWorkers(snap);
   renderProfile(snap);
   renderFeed(snap);
 }
 
 renderAll(SNAPSHOT);
 
-if (SNAPSHOT.mode === "live" && typeof EventSource !== "undefined") {
-  var source = new EventSource("/events?since=" + (SNAPSHOT.last_seq || 0));
-  source.onmessage = function (evt) {
-    try { appendFeed(JSON.parse(evt.data)); } catch (err) { /* skip */ }
-  };
-  setInterval(function () {
-    fetch("/dash/data").then(function (resp) { return resp.json(); })
-      .then(function (snap) {
-        SNAPSHOT = snap;
-        renderTiles(snap);
-        renderCampaigns(snap);
-        renderCharts(snap);
-        renderLeases(snap);
-        renderWorkers(snap);
-        renderProfile(snap);
-      }).catch(function () { /* manager briefly away; keep the last view */ });
-  }, 4000);
-}
 </script>
 </body>
 </html>

@@ -1,17 +1,16 @@
 """Correlated structured event bus: the campaign's live narration.
 
 An :class:`Event` is one timestamped, correlated fact about a running
-campaign — a shard leased, a worker registered, an incident struck, a
-pair of simulations finished.  Every event carries the correlation
-triple ``(campaign_id, shard_key, worker_id)`` (any subset may be empty)
-so a dashboard or an operator tailing ``/events`` can slice the firehose
-by campaign, by shard, or by worker without parsing free-text messages.
+campaign — a campaign started, an incident struck, a pair of
+simulations finished.  Every event carries the correlation triple
+``(campaign_id, shard_key, worker_id)`` (any subset may be empty) so a
+dashboard or a reader of the exported log can slice it by campaign, by
+shard, or by worker without parsing free-text messages.
 
 The :class:`EventBus` is a bounded ring buffer (old events fall off the
 front, like :class:`~repro.obs.metrics.TimeSeries`) with a monotonically
 increasing sequence number.  The sequence number is the resume cursor:
-``GET /events`` emits it as the SSE ``id:`` field, and a reconnecting
-client replays from ``Last-Event-ID`` via :meth:`EventBus.since`.
+a consumer replays what it missed via :meth:`EventBus.since`.
 Consumers that want to block until news arrives use
 :meth:`EventBus.wait_for` (condition-variable backed, no polling).
 
@@ -124,7 +123,7 @@ class EventBus:
     Args:
         capacity: ring size; the oldest events fall off when exceeded.
             ``dropped`` counts them, and :meth:`since` reports the gap so
-            a resuming SSE client knows its cursor aged out.
+            a resuming consumer knows its cursor aged out.
         metrics: a :class:`~repro.obs.metrics.MetricsRegistry` to mirror
             emit counts into (or None).
         tracer: a :class:`~repro.obs.tracer.Tracer` for instant events
@@ -223,8 +222,7 @@ class EventBus:
     def wait_for(self, seq: int, timeout: float | None = None) -> bool:
         """Block until an event newer than ``seq`` exists (or timeout).
 
-        Returns True when news arrived, False on timeout — the SSE
-        streamer uses the False branch to send keep-alive comments.
+        Returns True when news arrived, False on timeout.
         """
         with self._cond:
             return self._cond.wait_for(lambda: self._seq > seq, timeout=timeout)

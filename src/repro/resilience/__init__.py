@@ -5,7 +5,7 @@ back to correct baseline behaviour; this package gives the *campaign
 infrastructure* the same property.  Four pillars:
 
 * :mod:`repro.resilience.incidents` — a unified incident log: every
-  anomaly (corrupt artifact, dead worker, lost lease) becomes a
+  anomaly (corrupt artifact, dead or hung worker) becomes a
   structured :class:`~repro.resilience.incidents.Incident` recorded by an
   :class:`~repro.resilience.incidents.IncidentRecorder` that also feeds
   obs metrics counters and tracer instants;
@@ -13,10 +13,10 @@ infrastructure* the same property.  Four pillars:
   JSON artifacts written atomically; corrupted or truncated files are
   *detected* (and rebuilt by their owners) instead of trusted;
 * :mod:`repro.resilience.leases` — the :class:`LeaseQueue` every campaign
-  engine schedules with: deadline leases renewed by heartbeat, expiry,
+  schedules with: deadline leases renewed by heartbeat, expiry,
   requeue with exponential backoff, quarantine after repeated failures;
-* :mod:`repro.resilience.workers` — the local engine behind
-  ``run_campaign(jobs > 1)``: long-lived worker processes taking leases
+* :mod:`repro.resilience.workers` — the engine behind ``run_campaign``:
+  serial in-process leases, or long-lived worker processes taking leases
   from a queue in the parent, with dead and hung workers replaced.
 
 See ``docs/RESILIENCE.md`` for the state machines and policies.

@@ -59,32 +59,23 @@ class IncidentKind(enum.Enum):
     SHARD_QUARANTINED = "shard_quarantined"
     #: The chaos oracle observed a stale-target violation.
     ORACLE_VIOLATION = "oracle_violation"
-    #: A shard lease expired (worker crash, hang or partition); the shard
-    #: was requeued with backoff.
-    LEASE_EXPIRED = "lease_expired"
-    #: A manager journal record (or the snapshot) failed validation on
-    #: recovery; the affected state is rebuilt from the result store or
-    #: requeued, never trusted.
-    JOURNAL_CORRUPT = "journal_corrupt"
-    #: A stored shard result failed integrity validation; treated as a
-    #: miss and recomputed.
-    RESULT_CORRUPT = "result_corrupt"
-    #: Two completions of the same config hash disagreed; the first
-    #: stored result wins (determinism means this indicates a bug, never
-    #: silent corruption of aggregates).
-    RESULT_CONFLICT = "result_conflict"
-    #: The campaign manager rebuilt in-flight campaigns from its journal
-    #: after a restart.
-    MANAGER_RECOVERED = "manager_recovered"
     #: A graceful shutdown (SIGTERM/SIGINT) flushed state mid-campaign
     #: instead of dying mid-write.
     SHUTDOWN = "shutdown"
-    #: The result-store garbage collector evicted a stored shard result
-    #: under the retention policy.
-    RESULT_EVICTED = "result_evicted"
 
 
-_KINDS_BY_VALUE = {k.value: k for k in IncidentKind}
+#: Kinds only the deleted HTTP campaign service emitted.  Nothing records
+#: them any more, but logs written before still validate.
+_RETIRED_KINDS = frozenset({
+    "lease_expired",
+    "journal_corrupt",
+    "result_corrupt",
+    "result_conflict",
+    "manager_recovered",
+    "result_evicted",
+})
+
+_KNOWN_KINDS = {k.value for k in IncidentKind} | _RETIRED_KINDS
 
 
 @dataclass(frozen=True)
@@ -137,7 +128,7 @@ def _incident_problems(data: object) -> list[str]:
             f"(expected {INCIDENT_SCHEMA_VERSION})"
         )
     kind = data.get("kind")
-    if kind not in _KINDS_BY_VALUE:
+    if kind not in _KNOWN_KINDS:
         problems.append(f"unknown kind {kind!r}")
     if data.get("severity") not in SEVERITIES:
         problems.append(f"severity {data.get('severity')!r} not in {SEVERITIES}")
@@ -156,9 +147,9 @@ class IncidentRecorder:
         tracer: a :class:`repro.obs.tracer.Tracer` (or None).
         bus: a :class:`repro.obs.events.EventBus` (or None) — every
             incident also lands on the bus as an ``incident`` event, so
-            anything that records through this recorder (the local workers,
-            the stores, the campaign manager) shows up in
-            the live ``/events`` stream without knowing the bus exists.
+            anything that records through this recorder (the local
+            workers, the stores) shows up in the bus's event log without
+            knowing the bus exists.
         clock: timestamp source (overridable for deterministic tests).
     """
 

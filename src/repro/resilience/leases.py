@@ -6,26 +6,18 @@ Workers never own shards — they hold *leases* with deadlines:
   worker as a :class:`Lease` expiring ``shard_deadline_s`` from now;
 * the worker renews via heartbeat (:meth:`LeaseQueue.renew`) every
   ``shard_deadline_s / 3`` while it simulates;
-* a lease that expires — worker crash, hang, network partition, the
-  queue can't tell and doesn't need to — is swept by
-  :meth:`LeaseQueue.expire`: the shard goes back to pending with
-  exponential backoff, and after ``max_shard_failures`` failed attempts
-  it is **quarantined** (the campaign then completes *degraded*
-  rather than never);
-* :meth:`LeaseQueue.complete` is key-addressed and idempotent: late
-  completions (after expiry, after requeue, even after quarantine) are
-  banked — duplicate deliveries are harmless because shard execution is
-  deterministic, so the queue never discards finished work.
+* a lease that expires — the worker crashed or hung, the queue can't
+  tell and doesn't need to — is swept by :meth:`LeaseQueue.expire`: the
+  shard goes back to pending with exponential backoff, and after
+  ``max_shard_failures`` failed attempts it is **quarantined** (the
+  campaign then completes *degraded* rather than never);
+* :meth:`LeaseQueue.complete` and :meth:`LeaseQueue.fail` settle a
+  shard's lease with the worker's outcome.
 
-Two engines drive the same queue: the local lease loop behind
-``run_campaign`` (:mod:`repro.resilience.workers`), serial or sharded,
-and the HTTP campaign service (:mod:`repro.service.manager`).  The knobs
-live in :class:`LeasePolicy`.
-
-The queue is in-memory soft state by design: leases are *not* journaled.
-After a manager restart every non-terminal shard is simply pending again;
-the worst case is a duplicate execution, which dedupes.  Failure counts
-and terminal states are journaled by the service manager, not here.
+The local lease loop behind ``run_campaign`` and ``run_sweep``
+(:mod:`repro.resilience.workers`), serial or sharded, drives the queue.
+The knobs live in :class:`LeasePolicy`.  The queue is in-memory state
+that lives as long as one campaign run.
 """
 
 from __future__ import annotations
@@ -105,15 +97,13 @@ class _Shard:
 
 @dataclass
 class ExpiredLease:
-    """One sweep event from :meth:`LeaseQueue.expire` (for incidents/journal)."""
+    """One sweep event from :meth:`LeaseQueue.expire` (for incidents)."""
 
     key: str
-    worker_id: str
     lease_id: str
     failures: int
     quarantined: bool
     backoff_s: float = 0.0
-    last_error: str = ""
 
 
 class LeaseQueue:
@@ -135,19 +125,11 @@ class LeaseQueue:
 
     # ------------------------------------------------------------- shards
 
-    def add(self, key: str, payload: dict, failures: int = 0) -> None:
-        """Enqueue one pending shard (``failures`` seeds the quarantine
-        budget when re-adding after recovery)."""
+    def add(self, key: str, payload: dict) -> None:
+        """Enqueue one pending shard."""
         if key in self._shards:
             raise SupervisorError(f"shard {key!r} is already queued")
-        self._shards[key] = _Shard(key=key, payload=payload, failures=failures)
-
-    def discard(self, key: str) -> None:
-        """Drop a shard (campaign cancelled); leased work is left to
-        finish and its completion will be ignored upstream."""
-        shard = self._shards.pop(key, None)
-        if shard is not None and shard.lease is not None:
-            self._leases.pop(shard.lease.lease_id, None)
+        self._shards[key] = _Shard(key=key, payload=payload)
 
     def phase(self, key: str) -> ShardPhase | None:
         shard = self._shards.get(key)
@@ -157,32 +139,16 @@ class LeaseQueue:
         shard = self._shards.get(key)
         return shard.failures if shard is not None else 0
 
-    def counts(self) -> dict[str, int]:
-        out = {phase.value: 0 for phase in ShardPhase}
-        for shard in self._shards.values():
-            out[shard.phase.value] += 1
-        return out
-
     # ------------------------------------------------------------- leases
 
     def acquire(self, worker_id: str) -> tuple[Lease, dict] | None:
         """Lease the oldest ready pending shard to ``worker_id``.
 
         Returns ``(lease, payload)`` or None when nothing is ready (all
-        shards terminal, leased, or still backing off).
-
-        Acquire is **idempotent per worker**: a worker already holding a
-        live lease gets that same lease back instead of a second shard.
-        A duplicated acquire request (at-least-once delivery) therefore
-        cannot strand an orphan lease that would later expire as a
-        phantom failure.
+        shards terminal, leased, or still backing off).  The caller
+        acquires only for a worker that holds no lease.
         """
         now = self.clock()
-        for lease in self._leases.values():
-            if lease.worker_id == worker_id and lease.expires_at > now:
-                held = self._shards.get(lease.key)
-                if held is not None and held.phase is ShardPhase.LEASED:
-                    return lease, held.payload
         for shard in self._shards.values():
             if shard.phase is not ShardPhase.PENDING or shard.ready_at > now:
                 continue
@@ -202,8 +168,7 @@ class LeaseQueue:
 
     def renew(self, lease_id: str, worker_id: str) -> Lease | None:
         """Extend a live lease's deadline; None when the lease is gone
-        (expired and swept, completed, or from before a manager restart)
-        or owned by another worker."""
+        (expired and swept, or settled) or owned by another worker."""
         lease = self._leases.get(lease_id)
         if lease is None or lease.worker_id != worker_id:
             return None
@@ -217,16 +182,14 @@ class LeaseQueue:
             expires_at=self.clock() + self.policy.shard_deadline_s,
         )
         self._leases[lease_id] = renewed
-        shard = self._shards.get(lease.key)
-        if shard is not None and shard.lease is not None and shard.lease.lease_id == lease_id:
-            shard.lease = renewed
+        self._shards[lease.key].lease = renewed
         return renewed
 
     def expire(self) -> list[ExpiredLease]:
         """Sweep expired leases: requeue with backoff or quarantine.
 
-        Returns one event per expired lease so the caller can journal
-        the failure, record an incident and (locally) kill the worker.
+        Returns one event per expired lease so the caller can record an
+        incident and kill the worker.
         """
         now = self.clock()
         events: list[ExpiredLease] = []
@@ -234,9 +197,7 @@ class LeaseQueue:
             lid for lid, lease in self._leases.items() if lease.expires_at <= now
         ]:
             lease = self._leases.pop(lease_id)
-            shard = self._shards.get(lease.key)
-            if shard is None or shard.phase is not ShardPhase.LEASED:
-                continue
+            shard = self._shards[lease.key]
             error = (
                 f"lease {lease_id} for shard {lease.key} held by "
                 f"{lease.worker_id} expired after "
@@ -246,12 +207,10 @@ class LeaseQueue:
             events.append(
                 ExpiredLease(
                     key=shard.key,
-                    worker_id=lease.worker_id,
                     lease_id=lease_id,
                     failures=shard.failures,
                     quarantined=quarantined,
                     backoff_s=backoff,
-                    last_error=error,
                 )
             )
         return events
@@ -263,59 +222,27 @@ class LeaseQueue:
 
     # ---------------------------------------------------------- outcomes
 
-    def complete(self, key: str) -> str:
-        """Mark a shard completed; returns what actually happened.
-
-        ``"completed"`` — normal first completion; ``"deduped"`` — the
-        shard was already completed (late duplicate delivery);
-        ``"healed"`` — a quarantined shard's result arrived late and
-        un-quarantined it; ``"unknown"`` — no such shard (cancelled
-        campaign or stale key).  Completion is accepted from *any*
-        non-terminal state: pending (manager restarted, lease forgotten),
-        leased (the normal path), even another worker's lease (the first
-        holder crashed, both finished) — finished work is never dropped.
-        """
-        shard = self._shards.get(key)
-        if shard is None:
-            return "unknown"
-        if shard.phase is ShardPhase.COMPLETED:
-            return "deduped"
-        healed = shard.phase is ShardPhase.QUARANTINED
+    def complete(self, key: str) -> None:
+        """Mark a shard completed from any phase: a second completion
+        changes nothing, and a quarantined shard heals."""
+        shard = self._shards[key]
         if shard.lease is not None:
             self._leases.pop(shard.lease.lease_id, None)
             shard.lease = None
         shard.phase = ShardPhase.COMPLETED
         shard.last_error = ""
-        return "healed" if healed else "completed"
 
     def fail(self, key: str, error: str) -> tuple[bool, float]:
-        """Worker-reported failure of a leased or pending shard; returns
+        """Worker-reported failure of a pending or leased shard; returns
         ``(quarantined, backoff_s)``."""
-        shard = self._shards.get(key)
-        if shard is None or shard.phase in (ShardPhase.COMPLETED, ShardPhase.QUARANTINED):
-            return False, 0.0
+        shard = self._shards[key]
         if shard.lease is not None:
             self._leases.pop(shard.lease.lease_id, None)
         return self._fail(shard, error)
 
-    def quarantine(self, key: str, error: str) -> None:
-        """Force a shard into quarantine (journal replay path)."""
-        shard = self._shards.get(key)
-        if shard is None:
-            return
-        if shard.lease is not None:
-            self._leases.pop(shard.lease.lease_id, None)
-            shard.lease = None
-        shard.phase = ShardPhase.QUARANTINED
-        shard.last_error = error
-
     def last_error(self, key: str) -> str:
         shard = self._shards.get(key)
         return shard.last_error if shard is not None else ""
-
-    def live_leases(self) -> list[Lease]:
-        """Snapshot of currently-held leases (soft state, for telemetry)."""
-        return list(self._leases.values())
 
     def has_work(self) -> bool:
         """True while any shard is pending or leased."""

@@ -1,10 +1,10 @@
 """Local lease workers: the engine behind ``run_campaign``.
 
-A local campaign takes its shards as leases from a
-:class:`~repro.resilience.leases.LeaseQueue` — the same queue, with the
-same deadline, backoff and quarantine policy, that the HTTP campaign
-service schedules with.  :meth:`LocalWorkers.run_in_process` takes the
-leases one at a time in this process.  :meth:`LocalWorkers.run` forks
+A campaign takes its shards as leases from a
+:class:`~repro.resilience.leases.LeaseQueue`, with one deadline, backoff
+and quarantine policy for its serial and sharded runs.
+:meth:`LocalWorkers.run_in_process` takes the leases one at a time in
+this process.  :meth:`LocalWorkers.run` forks
 ``jobs`` long-lived worker processes once; each owns one pipe to the
 parent:
 

@@ -1,14 +1,13 @@
-"""Concurrency hardening: trace-store commit discipline and the manager
-client's capped, jittered backoff.
+"""Concurrency hardening: trace-store commit discipline and the lease
+queue's requeue backoff.
 
 Two failure modes this file pins down:
 
 * ``TraceStore.save`` rewriting a committed entry under a concurrent
   reader (the reader passed ``has()``, then loaded a half-swapped mix of
   old and new segment files);
-* uncapped, jitterless exponential backoff in ``ManagerClient``'s
-  retries of a manager it cannot reach (multi-minute sleeps, and a
-  fleet of workers retrying in lockstep).
+* a failing shard handed straight back to an idle worker after every
+  failed attempt, or left waiting longer with each one without end.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 
-import pytest
-
-from repro.errors import ServiceError
-from repro.service.worker import ManagerClient
+from repro.resilience import LeasePolicy, LeaseQueue
 from repro.trace.engine import LinkMode
 from repro.trace.store import TraceStore, generate_bundle, trace_key
 from repro.workloads import ALL_WORKLOADS, Workload
@@ -115,51 +111,29 @@ class TestTraceStoreConcurrency:
 
 
 # --------------------------------------------------------------------------
-# ManagerClient: capped exponential backoff with deterministic jitter.
+# LeaseQueue: exponential requeue backoff, bounded by the failure budget.
 # --------------------------------------------------------------------------
-
-URL = "http://127.0.0.1:9/leases"
 
 
 class TestBackoff:
-    def test_cap_bounds_the_exponential_curve(self):
-        client = ManagerClient(URL, retry_delay_s=1.0)
-        # 1.5 ** 7 ≈ 17 s uncapped; the cap is max(4 * 1 s, 1 s).
-        delays = [client.backoff_s(n, URL) for n in range(1, 9)]
-        assert all(0.0 < d <= 4.0 for d in delays)
-        assert delays[-1] >= 2.0  # capped, then jittered by at most half
-
     def test_defaults_keep_historical_schedule(self):
-        # The schedule the client slept before its backoff became its own
-        # method: 0.25 s * 1.5 ** (n - 1), capped at 1 s, keyed jitter 0.5.
-        client = ManagerClient(URL)
-        assert [client.backoff_s(n, "http://127.0.0.1:9/x") for n in (1, 2, 3, 4, 5)] == [
-            0.23697233080431987,
-            0.2590178719053046,
-            0.4427280575347335,
-            0.8122543006856426,
-            0.60066114073329,
-        ]
+        # The default requeue wait: 0.25 s * 2 ** (failures - 1).
+        policy = LeasePolicy()
+        assert [policy.backoff(n) for n in (1, 2, 3, 4)] == [0.25, 0.5, 1.0, 2.0]
 
-    def test_jitter_is_deterministic_per_key(self):
-        client = ManagerClient(URL, retry_delay_s=1.0)
-        first = client.backoff_s(1, URL)
-        assert first == client.backoff_s(1, URL)
-        assert 0.5 <= first <= 1.0  # cap stays a hard upper bound
-
-    def test_jitter_desynchronises_distinct_keys(self):
-        client = ManagerClient(URL, retry_delay_s=1.0)
-        delays = {client.backoff_s(1, f"http://127.0.0.1:9/shard-{i}") for i in range(8)}
-        assert len(delays) > 1
-
-    def test_retry_sleeps_are_jittered_and_keyed(self):
-        sleeps = []
-        client = ManagerClient(
-            URL, retries=3, retry_delay_s=1.0, sleep_fn=sleeps.append,
-            transport=lambda url, method, data, timeout_s: (502, b""),
-        )
-        with pytest.raises(ServiceError):
-            client.get("/x")
-        url = URL + "/x"
-        assert sleeps == [client.backoff_s(n, url) for n in (1, 2, 3)]
-        assert all(0.5 <= s <= 4.0 for s in sleeps)
+    def test_cap_bounds_the_exponential_curve(self):
+        # The failure budget caps the curve: the failure that spends it
+        # quarantines the shard instead of making it wait again.
+        policy = LeasePolicy(max_shard_failures=4)
+        now = [0.0]
+        queue = LeaseQueue(policy, clock=lambda: now[0])
+        queue.add("a", {})
+        waits = []
+        for _ in range(policy.max_shard_failures):
+            assert queue.acquire("w1") is not None
+            quarantined, backoff = queue.fail("a", "boom")
+            waits.append(backoff)
+            now[0] += backoff
+        assert quarantined and queue.acquire("w1") is None
+        assert waits == [0.25, 0.5, 1.0, 0.0]
+        assert max(waits) == policy.backoff(policy.max_shard_failures - 1)

@@ -2,10 +2,11 @@
 
 Covers the integrity envelope (checksummed, schema-versioned artifacts),
 checkpoint-corruption handling in both the machine cache and the campaign
-checkpoint, the binary trace codec's corruption taxonomy, the local lease
-workers behind ``run_campaign`` (kill/requeue, hang/quarantine), one
-failure policy across the serial, sharded and service engines, the
-incident recorder, and the ``incidents`` CLI.
+checkpoint, the binary trace codec's corruption taxonomy, the local
+lease workers behind ``run_campaign`` (kill/requeue, hang/quarantine),
+one failure policy across the serial and sharded engines, the incident
+recorder, and the ``incidents`` CLI.  The lease queue's own unit tests
+and the shutdown path live in ``tests/test_service.py``.
 
 The acceptance property threaded through the campaign tests: a campaign
 that survives a SIGKILLed worker and a corrupted machine checkpoint must
@@ -20,7 +21,6 @@ import signal
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from repro.errors import (
     CheckpointCorruptionError,
     ConfigError,
     ExperimentError,
+    SupervisorError,
     TraceCorruptionError,
     TraceError,
 )
@@ -53,9 +54,6 @@ from repro.resilience import (
 )
 from repro.resilience.incidents import load_incident_log
 from repro.resilience.integrity import write_canonical
-from repro.service import CampaignManager, CampaignSpec
-from repro.service import worker as service_worker
-from repro.service.api import ManagerServer
 from repro.trace.batch import TRACE_HEADER_SIZE, TraceBatch
 from repro.trace.store import TraceStore
 from repro.uarch import CPU
@@ -672,24 +670,6 @@ def _raising_pair(*args, **kwargs):
     raise ExperimentError("injected pair failure")
 
 
-def _quarantine_via_service(tmp_path, policy: LeasePolicy, monkeypatch):
-    """One campaign through a real manager and worker agent, with the
-    agent's pair raising; returns (result, manager recorder)."""
-    monkeypatch.setattr(service_worker, "run_pair", _raising_pair)
-    manager = CampaignManager(tmp_path / "svc", policy=policy)
-    server = ManagerServer(manager, port=0)
-    server.start()
-    try:
-        cid = manager.submit(CampaignSpec(workloads=("memcached",), abtb_sizes=(64,)))
-        service_worker.WorkerAgent(
-            service_worker.ManagerClient(server.url, retries=3),
-            poll_interval_s=0.02, max_idle_s=0.2,
-        ).run()
-        return manager.result(cid), manager.recorder
-    finally:
-        server.stop(graceful=True)
-
-
 class TestOneFailurePolicy:
     """A pair that always raises ends the same way in every campaign
     engine: each attempt runs once, the lease queue requeues it once and
@@ -697,25 +677,21 @@ class TestOneFailurePolicy:
 
     POLICY = LeasePolicy(max_shard_failures=2, backoff_base_s=0.0)
 
-    @pytest.mark.parametrize("engine", ["serial", "jobs2", "service"])
-    def test_raising_pair_is_quarantined_after_its_budget(
-        self, engine, tmp_path, monkeypatch
-    ):
+    @pytest.mark.parametrize("engine", ["serial", "jobs2"])
+    def test_raising_pair_is_quarantined_after_its_budget(self, engine, monkeypatch):
         recorder = IncidentRecorder()
         if engine == "serial":
             result = run_campaign(
                 ["memcached"], SMOKE, abtb_sizes=(64,), run_fn=_raising_pair,
                 recorder=recorder, lease_policy=self.POLICY,
             )
-        elif engine == "jobs2":
+        else:
             # Forked workers inherit the patched module global.
             monkeypatch.setattr(runner, "run_pair", _raising_pair)
             result = run_campaign(
                 ["memcached"], SMOKE, abtb_sizes=(64,), jobs=2,
                 recorder=recorder, lease_policy=self.POLICY,
             )
-        else:
-            result, recorder = _quarantine_via_service(tmp_path, self.POLICY, monkeypatch)
         key = "memcached::abtb=64::scale=smoke"
         assert result.completed == {} and list(result.quarantined) == [key]
         assert result.quarantined[key]["failures"] == 2
@@ -752,7 +728,7 @@ class TestOneFailurePolicy:
             "trace_corrupt", "shard_requeued", "trace_corrupt", "shard_quarantined",
         ]
 
-    @pytest.mark.parametrize("command", ["campaign", "sweep", "submit"])
+    @pytest.mark.parametrize("command", ["campaign", "sweep"])
     def test_quarantined_pair_exits_3(self, command, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(runner, "run_pair", _raising_pair)
         if command == "campaign":
@@ -760,32 +736,13 @@ class TestOneFailurePolicy:
                 ["campaign", "--workloads", "memcached", "--abtb", "64",
                  "--max-shard-failures", "1"]
             )
-        elif command == "sweep":
+        else:
             spec = tmp_path / "spec.json"
             spec.write_text(json.dumps(
                 {"name": "q", "workloads": ["memcached"], "warmup": 1,
                  "measured": 2, "abtb_entries": [64]}
             ))
             code = cli_main(["sweep", "run", "--spec", str(spec), "--out", str(tmp_path / "o")])
-        else:
-            monkeypatch.setattr(service_worker, "run_pair", _raising_pair)
-            server = ManagerServer(CampaignManager(tmp_path / "svc", policy=self.POLICY), port=0)
-            server.start()
-            agent = service_worker.WorkerAgent(
-                service_worker.ManagerClient(server.url, retries=3), poll_interval_s=0.02
-            )
-            thread = threading.Thread(target=agent.run, daemon=True)
-            thread.start()
-            try:
-                code = cli_main(
-                    ["submit", "--manager", server.url, "--workloads", "memcached",
-                     "--abtb", "64", "--poll-interval", "0.05"]
-                )
-            finally:
-                agent.stop()
-                thread.join(timeout=10.0)
-                server.stop(graceful=True)
-            assert not thread.is_alive()
         assert code == 3
         assert "1 quarantined" in capsys.readouterr().out
 
@@ -801,8 +758,8 @@ class TestIncidentRecorder:
         recorder = obs.incident_recorder()
         recorder.record(IncidentKind.WORKER_DEATH, "shard died", key="s1")
         recorder.record(IncidentKind.WORKER_DEATH, "again", key="s1")
-        recorder.record(IncidentKind.RESULT_CONFLICT, "summary mismatch", severity="fatal")
-        assert recorder.counts() == {"result_conflict": 1, "worker_death": 2}
+        recorder.record(IncidentKind.ORACLE_VIOLATION, "stale target", severity="fatal")
+        assert recorder.counts() == {"oracle_violation": 1, "worker_death": 2}
         assert obs.metrics.counter("incidents.total").value == 3
         assert obs.metrics.counter("incidents.worker_death").value == 2
 
@@ -868,3 +825,25 @@ class TestIncidentsCli:
         path = tmp_path / "incidents.jsonl"
         path.write_text("{broken\n")
         assert cli_main(["incidents", str(path)]) == 1
+
+    def test_retired_kinds_still_validate(self, tmp_path, capsys):
+        """Logs written while the HTTP campaign service existed still read:
+        its six kinds validate, though nothing can record them now."""
+        retired = [
+            "lease_expired", "journal_corrupt", "result_corrupt",
+            "result_conflict", "manager_recovered", "result_evicted",
+        ]
+        path = tmp_path / "incidents.jsonl"
+        path.write_text("".join(
+            json.dumps({"schema_version": 1, "kind": kind, "severity": "warning",
+                        "message": f"old {kind}", "timestamp": 1.0, "context": {}}) + "\n"
+            for kind in retired
+        ))
+        assert validate_incident_log(path) == []
+        assert [i.kind for i in load_incident_log(path)] == retired
+        assert cli_main(["incidents", str(path), "--require", "lease_expired"]) == 0
+        out = capsys.readouterr().out
+        assert all(kind in out for kind in retired)
+        for kind in retired:
+            with pytest.raises(ValueError):
+                IncidentKind(kind)

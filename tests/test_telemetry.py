@@ -1,14 +1,11 @@
-"""Tests for the live telemetry plane (PR 7).
+"""Tests for the telemetry plane.
 
 Covers the correlated event bus (sequence numbers, ring drops, blocking
 waits, metrics mirroring, JSONL round-trip), the bucket-mean
-downsampler, incident→bus mirroring, the heartbeat progress schema and
-its end-to-end path (worker tracker → renew body → manager banking →
-lease rows), the Prometheus exposition format via a small parser (every
-family announced with # HELP/# TYPE, histograms with le buckets, +Inf,
-_sum/_count), the new HTTP surface (content types, payload shapes,
-404/405), SSE framing and Last-Event-ID resume on ``/events``, the
-``/timeseries`` window endpoint, the live and offline dashboards, and
+downsampler, incident→bus mirroring, the progress callback of ``retire``
+and ``run_pair``, the Prometheus exposition format via a small parser
+(every family announced with # HELP/# TYPE, histograms with le buckets,
++Inf, _sum/_count), the dashboard rendered from exported artifacts, and
 the campaign-level events emitted by ``run_campaign``.
 """
 
@@ -20,24 +17,19 @@ import threading
 import pytest
 
 from repro.cli import main as cli_main
-from repro.errors import SchemaError
-from repro.experiments.runner import retire, run_campaign
+from repro.experiments.runner import retire, run_campaign, run_pair, run_workload
 from repro.experiments.scale import SMOKE
 from repro.obs.dashboard import (
     load_snapshot_from_dir,
     render_dashboard,
-    snapshot_from_manager,
     write_dashboard,
 )
 from repro.obs.events import Event, EventBus, downsample, load_event_log
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import TrampolineProfiler
-from repro.resilience import IncidentRecorder, LeasePolicy
-from repro.service import CampaignManager, CampaignSpec
-from repro.service.api import ManagerServer
-from repro.service.schemas import RenewRequest, ShardProgress
-from repro.service.worker import ManagerClient, WorkerAgent, _ProgressTracker
+from repro.resilience import IncidentRecorder
 from repro.uarch import CPU
+from repro.uarch.machine import CheckpointStore
 from repro.workloads import Workload, memcached
 
 
@@ -49,17 +41,6 @@ class Clock:
 
     def __call__(self) -> float:
         return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
-
-
-FAST = LeasePolicy(
-    shard_deadline_s=10.0,
-    max_shard_failures=3,
-    backoff_base_s=1.0,
-    backoff_factor=2.0,
-)
 
 
 # ---------------------------------------------------------------- event bus
@@ -196,53 +177,32 @@ class TestIncidentBusMirroring:
         assert len(recorder) == 1
 
 
-# ------------------------------------------------------- progress schemas
-
-
-class TestShardProgress:
-    def test_round_trip(self):
-        progress = ShardProgress.from_dict({"events_done": 4096, "workload": "apache"})
-        assert progress.events_done == 4096
-        assert progress.as_dict() == {"events_done": 4096, "workload": "apache"}
-
-    def test_defaults(self):
-        assert ShardProgress.from_dict({}).events_done == 0
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {"events_done": -1},
-            {"events_done": True},
-            {"events_done": "12"},
-            {"workload": 3},
-            {"unknown_field": 1},
-            "not a dict",
-        ],
-    )
-    def test_rejects(self, bad):
-        with pytest.raises(SchemaError):
-            ShardProgress.from_dict(bad)
-
-    def test_renew_request_carries_optional_progress(self):
-        bare = RenewRequest.from_dict({"worker_id": "w1"})
-        assert bare.progress is None
-        rich = RenewRequest.from_dict(
-            {"worker_id": "w1", "progress": {"events_done": 7}}
-        )
-        assert rich.progress.events_done == 7
-        with pytest.raises(SchemaError):
-            RenewRequest.from_dict({"worker_id": "w1", "progress": {"seq": 1}})
+# ------------------------------------------------------- progress callback
 
 
 class TestProgressTracker:
-    def test_tracker_accumulates_per_shard(self):
-        tracker = _ProgressTracker()
-        tracker.begin("apache")
-        tracker.add(100)
-        tracker.add(28)
-        assert tracker.snapshot() == {"events_done": 128, "workload": "apache"}
-        tracker.begin("memcached")
-        assert tracker.snapshot()["events_done"] == 0
+    def test_tracker_accumulates_per_shard(self, tmp_path):
+        # Progress counts retired events, per shard: both sides of a pair
+        # report, and a side whose warm machine is restored from the
+        # machine cache reports only the measured window it retires.
+        windows = (SMOKE.warmup("memcached"), SMOKE.measured("memcached"))
+        cold = []
+        run_workload(memcached.config(), None, *windows, progress=cold.append)
+        machines = CheckpointStore(tmp_path)
+        tracker = {}
+        for abtb in (16, 64):  # the base machine is shared, not the enhanced
+            tracker[abtb] = []
+            run_pair(
+                "memcached", SMOKE, abtb_entries=abtb,
+                machine_cache=machines, progress=tracker[abtb].append,
+            )
+        warm = []
+        run_workload(
+            memcached.config(), None, *windows, machine_cache=machines, progress=warm.append
+        )
+        assert 0 < sum(warm) < sum(cold)
+        assert sum(tracker[16]) == 2 * sum(cold)
+        assert sum(tracker[64]) == sum(warm) + sum(cold)
 
     def test_retire_reports_progress_at_sync_points(self):
         chunks = list(Workload(memcached.config()).trace_chunks(40))
@@ -251,75 +211,6 @@ class TestProgressTracker:
         assert retired == sum(len(c) for c in chunks) == sum(seen)
         assert len(seen) > 1
         assert all(0 < n <= 4096 + 1 for n in seen)
-
-
-# -------------------------------------------------- manager progress bank
-
-
-class TestManagerTelemetry:
-    def _manager(self, tmp_path):
-        clock = Clock()
-        manager = CampaignManager(tmp_path / "svc", policy=FAST, clock=clock)
-        return manager, clock
-
-    def test_lifecycle_events_emitted(self, tmp_path):
-        manager, _ = self._manager(tmp_path)
-        spec = CampaignSpec.from_dict({"workloads": ["apache"], "abtb_sizes": [16]})
-        cid = manager.submit(spec)
-        worker_id = manager.register_worker("t")["worker_id"]
-        manager.lease(worker_id)
-        kinds = [e.kind for e in manager.bus.snapshot()]
-        assert kinds == ["campaign_submitted", "worker_registered", "shard_leased"]
-        leased = manager.bus.snapshot()[-1]
-        assert leased.campaign_id == cid and leased.worker_id == worker_id
-
-    def test_renew_banks_progress_into_lease_rows(self, tmp_path):
-        manager, clock = self._manager(tmp_path)
-        spec = CampaignSpec.from_dict({"workloads": ["apache"], "abtb_sizes": [16]})
-        manager.submit(spec)
-        worker_id = manager.register_worker("t")["worker_id"]
-        grant = manager.lease(worker_id)
-        clock.advance(2.0)
-        renewed = manager.renew(
-            grant["lease_id"], worker_id,
-            progress={"events_done": 512, "workload": "apache"},
-        )
-        assert renewed is not None
-        clock.advance(1.0)
-        rows = manager.leases()
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["worker_id"] == worker_id
-        assert row["progress"]["events_done"] == 512
-        assert row["progress"]["age_s"] == pytest.approx(1.0)
-        # ...and into the worker roster for the dashboard.
-        workers = manager.telemetry()["workers"]
-        assert workers[0]["last_progress"]["events_done"] == 512
-        assert workers[0]["last_progress"]["key"] == row["key"]
-        # ...and onto the bus.
-        assert manager.bus.snapshot()[-1].kind == "shard_progress"
-
-    def test_telemetry_shape(self, tmp_path):
-        manager, _ = self._manager(tmp_path)
-        spec = CampaignSpec.from_dict({"workloads": ["apache"], "abtb_sizes": [16]})
-        manager.submit(spec)
-        snap = manager.telemetry()
-        assert set(snap) == {
-            "campaigns", "leases", "workers", "incident_counts",
-            "incidents", "last_seq",
-        }
-        assert snap["last_seq"] == manager.bus.last_seq
-        assert snap["campaigns"][0]["state"] == "running"
-
-    def test_queue_series_mirrored(self, tmp_path):
-        manager, _ = self._manager(tmp_path)
-        spec = CampaignSpec.from_dict({"workloads": ["apache"], "abtb_sizes": [16]})
-        manager.submit(spec)
-        names = manager.metrics.names()
-        assert "service.queue.pending" in names
-        assert "service.queue.leased" in names
-        series = manager.metrics.series("service.queue.pending")
-        assert series.points()[-1][1] == 1.0
 
 
 # ------------------------------------------------- prometheus exposition
@@ -390,226 +281,17 @@ class TestPrometheusExposition:
         text = registry.to_prometheus()
         assert "# HELP c line one\\nback\\\\slash" in text
 
-    def test_live_metrics_endpoint_parses(self, server):
-        client = ManagerClient(server.url)
-        client.post("/campaigns", {"workloads": ["apache"], "abtb_sizes": [16]})
-        status, text = client.get_text("/metrics")
-        assert status == 200
-        families = _parse_prometheus(text)
-        assert any(name.startswith("service_") for name in families)
-        assert "events_total" in families
-
-
-# ----------------------------------------------------------- http surface
-
-
-@pytest.fixture()
-def server(tmp_path):
-    manager = CampaignManager(tmp_path / "svc", policy=FAST, clock=Clock())
-    srv = ManagerServer(manager, port=0, sse_keepalive_s=0.1)
-    srv.start()
-    yield srv
-    srv.stop(graceful=True)
-
-
-def _raw_get(server, path, headers=None):
-    """GET returning (status, headers, body-bytes) without json parsing."""
-    import urllib.request
-
-    req = urllib.request.Request(server.url + path, headers=headers or {})
-    with urllib.request.urlopen(req, timeout=30) as resp:
-        return resp.status, dict(resp.headers), resp.read()
-
-
-class TestEndpoints:
-    def test_content_types(self, server):
-        client = ManagerClient(server.url)
-        client.post("/campaigns", {"workloads": ["apache"], "abtb_sizes": [16]})
-        for path, expected in [
-            ("/metrics", "text/plain; version=0.0.4"),
-            ("/metrics?format=jsonl", "application/x-ndjson"),
-            ("/incidents", "application/x-ndjson"),
-            ("/events/log", "application/x-ndjson"),
-            ("/timeseries", "application/json"),
-            ("/dash", "text/html; charset=utf-8"),
-            ("/dash/data", "application/json"),
-        ]:
-            _, headers, _ = _raw_get(server, path)
-            assert headers["Content-Type"] == expected, path
-
-    def test_unknown_resources_404(self, server):
-        client = ManagerClient(server.url)
-        assert client.get("/nonsense")[0] == 404
-        assert client.get("/campaigns/c9999")[0] == 404
-        assert client.get("/timeseries?name=no.such.series")[0] == 404
-
-    def test_wrong_method_405(self, server):
-        client = ManagerClient(server.url)
-        status, body = client.get("/leases")  # POST-only resource
-        assert status == 405 and body["allow"] == "POST"
-        status, body = client.post("/metrics", {})  # GET-only resource
-        assert status == 405 and body["allow"] == "GET"
-
-    def test_metrics_jsonl_lines_parse(self, server):
-        client = ManagerClient(server.url)
-        client.post("/campaigns", {"workloads": ["apache"], "abtb_sizes": [16]})
-        _, _, body = _raw_get(server, "/metrics?format=jsonl")
-        lines = body.decode().strip().splitlines()
-        assert lines
-        for line in lines:
-            record = json.loads(line)
-            assert "name" in record and "kind" in record
-
-    def test_events_log_and_since(self, server):
-        client = ManagerClient(server.url)
-        client.post("/campaigns", {"workloads": ["apache"], "abtb_sizes": [16]})
-        _, _, body = _raw_get(server, "/events/log")
-        records = [json.loads(line) for line in body.decode().strip().splitlines()]
-        assert records and records[0]["kind"] == "campaign_submitted"
-        first_seq = records[0]["seq"]
-        _, _, body = _raw_get(server, f"/events/log?since={first_seq}")
-        rest = [json.loads(line) for line in body.decode().strip().splitlines()]
-        assert all(r["seq"] > first_seq for r in rest)
-
-    def test_timeseries_window(self, server):
-        manager = server.manager
-        series = manager.metrics.series("test.curve")
-        for i in range(500):
-            series.append(float(i), float(i % 7))
-        status, body = ManagerClient(server.url).get("/timeseries")
-        assert status == 200 and "test.curve" in body["series"]
-        status, body = ManagerClient(server.url).get(
-            "/timeseries?name=test.curve&max_points=20"
-        )
-        assert status == 200
-        assert body["downsampled"] is True
-        assert len(body["points"]) <= 20
-        assert body["total_points"] == 500
-        status, body = ManagerClient(server.url).get(
-            "/timeseries?name=test.curve&since=400"
-        )
-        assert body["total_points"] == 100
-        assert all(p[0] >= 400 for p in body["points"])
-        status, _ = ManagerClient(server.url).get(
-            "/timeseries?name=test.curve&max_points=1"
-        )
-        assert status == 400
-
-    def test_timeseries_rejects_non_series_metric(self, server):
-        server.manager.metrics.counter("just.a.counter").inc()
-        status, body = ManagerClient(server.url).get(
-            "/timeseries?name=just.a.counter"
-        )
-        assert status == 404 and "not a series" in body["error"]
-
-
-class TestSSE:
-    def _frames(self, raw: str) -> list[dict]:
-        frames = []
-        for block in raw.split("\n\n"):
-            if not block.startswith("id: "):
-                continue
-            id_line, data_line = block.split("\n", 1)
-            assert data_line.startswith("data: ")
-            payload = json.loads(data_line[len("data: "):])
-            assert payload["seq"] == int(id_line[len("id: "):])
-            frames.append(payload)
-        return frames
-
-    def test_framing_and_limit(self, server):
-        client = ManagerClient(server.url)
-        client.post("/campaigns", {"workloads": ["apache"], "abtb_sizes": [16]})
-        for i in range(4):
-            server.manager.bus.emit("test", f"event {i}")
-        status, headers, body = _raw_get(server, "/events?limit=3")
-        assert status == 200
-        assert headers["Content-Type"] == "text/event-stream"
-        assert headers["Cache-Control"] == "no-cache"
-        frames = self._frames(body.decode())
-        assert len(frames) == 3
-        assert [f["seq"] for f in frames] == [1, 2, 3]
-
-    def test_last_event_id_resume(self, server):
-        for i in range(5):
-            server.manager.bus.emit("test", f"event {i}")
-        _, _, body = _raw_get(server, "/events?limit=2")
-        first = self._frames(body.decode())
-        cursor = first[-1]["seq"]
-        _, _, body = _raw_get(
-            server, "/events?limit=2", headers={"Last-Event-ID": str(cursor)}
-        )
-        resumed = self._frames(body.decode())
-        assert [f["seq"] for f in resumed] == [cursor + 1, cursor + 2]
-
-    def test_since_param_overrides_header(self, server):
-        for i in range(5):
-            server.manager.bus.emit("test", f"event {i}")
-        _, _, body = _raw_get(
-            server, "/events?limit=1&since=4", headers={"Last-Event-ID": "1"}
-        )
-        assert [f["seq"] for f in self._frames(body.decode())] == [5]
-
-    def test_keepalive_comment_then_data(self, server):
-        # Nothing on the bus: the stream must emit a keep-alive comment
-        # (keepalive is 0.1s on this fixture), then the frame once news
-        # arrives.
-        def emit_later():
-            import time as _time
-
-            _time.sleep(0.35)
-            server.manager.bus.emit("late", "breaking news")
-
-        t = threading.Thread(target=emit_later)
-        t.start()
-        _, _, body = _raw_get(server, "/events?limit=1")
-        t.join()
-        raw = body.decode()
-        assert ": keep-alive\n\n" in raw
-        frames = self._frames(raw)
-        assert len(frames) == 1 and frames[0]["kind"] == "late"
-
-
 # -------------------------------------------------------------- dashboards
 
 
 class TestDashboard:
-    def test_live_page_embeds_snapshot(self, server):
-        client = ManagerClient(server.url)
-        _, body = client.post(
-            "/campaigns", {"workloads": ["apache"], "abtb_sizes": [16]}
-        )
-        cid = body["campaign_id"]
-        _, _, page = _raw_get(server, "/dash")
-        html = page.decode()
-        assert "__SNAPSHOT__" not in html
-        assert cid in html
-        assert '"mode": "live"' in html
-        assert "<script>" in html and "EventSource" in html
-
-    def test_dash_data_is_the_snapshot(self, server):
-        client = ManagerClient(server.url)
-        client.post("/campaigns", {"workloads": ["apache"], "abtb_sizes": [16]})
-        status, snap = client.get("/dash/data")
-        assert status == 200
-        assert snap["mode"] == "live"
-        assert snap["schema_version"] == 1
-        assert snap["campaigns"][0]["state"] == "running"
-        assert "service.queue.pending" in snap["series"]
-        assert snap["events"][0]["kind"] == "campaign_submitted"
-
-    def test_snapshot_from_manager_downsamples(self, tmp_path):
-        manager = CampaignManager(tmp_path / "svc", policy=FAST, clock=Clock())
-        series = manager.metrics.series("big.curve")
-        for i in range(2000):
-            series.append(float(i), 1.0)
-        snap = snapshot_from_manager(manager)
-        assert len(snap["series"]["big.curve"]["points"]) <= 150
-        assert snap["series"]["big.curve"]["appended"] == 2000
-
     def test_script_close_tag_escaped(self, tmp_path):
-        manager = CampaignManager(tmp_path / "svc", policy=FAST, clock=Clock())
-        manager.bus.emit("k", "sneaky </script><script>alert(1)</script>")
-        html = render_dashboard(snapshot_from_manager(manager))
+        bus = EventBus(clock=Clock())
+        bus.emit("k", "sneaky </script><script>alert(1)</script>")
+        bus.write_jsonl(tmp_path / "events.jsonl")
+        snap = load_snapshot_from_dir(tmp_path)
+        assert "</script>" in snap["events"][0]["message"]
+        html = render_dashboard(snap)
         assert "</script><script>alert(1)" not in html
 
     def _write_artifacts(self, tmp_path):
@@ -703,38 +385,3 @@ class TestRunCampaignEvents:
     def test_no_bus_no_events_no_error(self, tmp_path):
         result = run_campaign(["apache"], SMOKE, abtb_sizes=(16,))
         assert result.completed
-
-
-# --------------------------------------------- worker heartbeat progress
-
-
-class TestWorkerProgressEndToEnd:
-    def test_worker_reports_progress_through_renew(self, tmp_path):
-        """A real worker run banks progress on the manager before the
-        shard completes, and the roster remembers it after the lease is
-        gone."""
-        # A short lease TTL makes the heartbeat renew every TTL/3 —
-        # several renews land while even a smoke shard is running.
-        policy = LeasePolicy(
-            shard_deadline_s=1.0, max_shard_failures=3,
-            backoff_base_s=0.1, backoff_factor=2.0,
-        )
-        manager = CampaignManager(tmp_path / "svc", policy=policy)
-        server = ManagerServer(manager, port=0)
-        server.start()
-        try:
-            client = ManagerClient(server.url)
-            client.post("/campaigns", {"workloads": ["apache"], "abtb_sizes": [16]})
-            agent = WorkerAgent(
-                ManagerClient(server.url), name="t",
-                poll_interval_s=0.02, max_idle_s=0.5,
-            )
-            stats = agent.run()
-            assert stats["shards_done"] == 1
-            workers = manager.telemetry()["workers"]
-            progress = workers[0]["last_progress"]
-            assert progress is not None
-            assert progress["events_done"] > 0
-            assert progress["workload"] == "apache"
-        finally:
-            server.stop(graceful=True)
