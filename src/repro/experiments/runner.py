@@ -47,6 +47,7 @@ from repro.uarch.machine import (
     MACHINE_STATE_VERSION,
     CheckpointStore,
     MachineState,
+    SharedPrefix,
     machine_key,
 )
 from repro.uarch.timing import TimingModel
@@ -180,7 +181,7 @@ def _cut_at_intervals(chunks, every: int, cuts: deque):
         position += len(data)
 
 
-def retire(cpu: CPU, chunks, sampler=None, progress=None) -> int:
+def retire(cpu: CPU, chunks, sampler=None, progress=None, prefix=None) -> int:
     """Retire a stream of :class:`~repro.trace.batch.TraceBatch` chunks
     on ``cpu`` through :meth:`BatchedBackend.run_batches`; returns the
     number of events retired.
@@ -192,10 +193,16 @@ def retire(cpu: CPU, chunks, sampler=None, progress=None) -> int:
     boundary — and once more at the end of the stream.  ``progress(n)``
     receives the events retired since its previous call at every sync
     point.
+
+    ``prefix`` (a :class:`~repro.uarch.machine.SharedPrefix`) is passed
+    to ``run_batches``.  An adopting one leaves the memory side stale at
+    the sync points before its recorded row, so only ``progress``
+    positions are reported there; a ``sampler``, which reads counts at
+    sync points, never runs with one (obs sessions take no tape).
     """
     backend = BatchedBackend(cpu)
     if sampler is None and progress is None:
-        backend.run_batches(chunks)
+        backend.run_batches(chunks, prefix=prefix)
         return backend.position
     cuts: deque = deque()
     if sampler is not None:
@@ -214,7 +221,7 @@ def retire(cpu: CPU, chunks, sampler=None, progress=None) -> int:
             sampler.sample()
             sampled_at = position
 
-    backend.run_batches(chunks, sync_hook=on_sync)
+    backend.run_batches(chunks, sync_hook=on_sync, prefix=prefix)
     if sampler is not None and sampled_at != backend.position:
         sampler.sample()
     return backend.position
@@ -288,15 +295,25 @@ def run_workload(
     point.
 
     ``tape`` (a :class:`~repro.trace.store.TraceTape`) is how
-    :func:`run_pair` generates an uncached pair's trace once.  A fresh
-    tape records the chunks this run generates, start-up and warm-up
-    included even when a ``machine_cache`` hit drains them unretired.  A
-    tape whose recording run used up its measured stream is replayed
-    instead: this run links no program, generates nothing, and reports
-    the recorded ``usage``; replay checks that the tape was recorded
-    under this run's trace key.  A tape replaces generation on the
-    batched path only, so it is refused together with ``trace_cache``,
-    ``obs`` or ``backend="reference"``.
+    :func:`run_pair` links and generates an uncached pair's trace once.
+    With a fresh tape this run builds no :class:`Workload`: a forked
+    producer links the program and generates the trace, and this run
+    retires each chunk as it arrives while the tape keeps every frame,
+    start-up and warm-up included even when a ``machine_cache`` hit
+    leaves them unretired.  A tape whose first run used up its measured
+    stream is replayed instead: this run links no program, generates
+    nothing, and reports the producer's ``usage``; replay checks that the
+    tape was filled under this run's trace key.  A tape replaces
+    generation on the batched path only, so it is refused together with
+    ``trace_cache``, ``obs`` or ``backend="reference"``.
+
+    A taped run that simulates start-up and warm-up also shares them:
+    the first run records its memory side on the tape as a
+    :class:`~repro.uarch.machine.SharedPrefix` (before its first span
+    that skips a trampoline or holds a ``MARK``, and at the end of
+    warm-up at the latest), and a replaying run on a base machine runs
+    only the control pass up to that row and adopts the record there.
+    A run that restores a warm machine neither records nor adopts.
 
     ``backend="reference"`` is the test oracle, not a production path:
     the legacy event iterators retire on the reference interpreter
@@ -316,12 +333,11 @@ def run_workload(
     obs_label = obs_label or label
     if obs is not None:
         machine_cache = trace_cache = None
-    replay = tape is not None and tape.key is not None
     # A run with a trace cache links the program only on a miss (below),
-    # and a replayed tape links none.
+    # and a taped run links none here.
     workload = (
         Workload(config, mode)
-        if backend == "reference" or (trace_cache is None and not replay)
+        if backend == "reference" or (trace_cache is None and tape is None)
         else None
     )
     cpu = CPU(cpu_config, mechanism, hooks=obs.hooks() if obs is not None else None)
@@ -339,6 +355,7 @@ def run_workload(
         state = machine_cache.load(cache_key)
 
     usage = None
+    prefix = None
     if backend == "reference":
         segments = _legacy_segments(workload, warmup_requests, measured_requests)
     elif trace_cache is not None:
@@ -355,20 +372,25 @@ def run_workload(
             trace_cache.save(bundle_key, bundle)
         usage = bundle.stats
         segments = [() if batch is None else (batch,) for batch in bundle.segments()]
-    elif replay:
-        # A warm machine retires only the measured window, and replayed
-        # segments are independent, so the others need no draining.
-        segments = tape.replay(
-            trace_key(config, mode, warmup_requests, measured_requests),
-            ("measured",) if state is not None else SEGMENTS,
-        )
-        usage = tape.stats
+    elif tape is not None:
+        # A warm machine retires only the measured window; the other
+        # segments are not decoded.
+        key = trace_key(config, mode, warmup_requests, measured_requests)
+        wanted = ("measured",) if state is not None else SEGMENTS
+        if tape.key is None:
+            segments = tape.produce(
+                key, partial(Workload, config, mode), warmup_requests, measured_requests, wanted
+            )
+            if state is None:
+                prefix = tape.shared = SharedPrefix()
+        else:
+            segments = tape.replay(key, wanted)
+            # A base machine never skips, so it probes what the recording
+            # machine probed up to the recorded row.
+            if state is None and tape.shared is not None and mechanism is None:
+                prefix = tape.shared.handed_over()
     else:
         segments = stream_segments(workload, warmup_requests, measured_requests)
-        if tape is not None:
-            segments = tape.record(
-                trace_key(config, mode, warmup_requests, measured_requests), segments
-            )
     startup, warmup, measured = segments
 
     def run(stream) -> None:
@@ -376,40 +398,50 @@ def run_workload(
             cpu.run(stream)
             return
         sampler = obs.sampler(cpu, obs_label) if obs is not None else None
-        retire(cpu, stream, sampler=sampler, progress=progress)
+        retire(cpu, stream, sampler=sampler, progress=progress, prefix=prefix)
 
-    if state is not None:
-        # Warm machine found: advance the generator past startup and
-        # warm-up without simulating, and restore the simulated state.
-        for _ in chain(startup, warmup):
-            pass
-        state.restore_into(cpu)
-    else:
-        run(startup)
-        if warmup_requests:
-            run(warmup)
-    cpu.finalize()
-    if state is None and machine_cache is not None:
-        machine_cache.save(
-            cache_key,
-            MachineState.capture(
-                cpu,
-                meta={
-                    "workload": config.name,
-                    "mode": mode.value,
-                    "label": label,
-                    "warmup_requests": warmup_requests,
-                },
-            ),
-        )
-    snapshot = cpu.counters.copy()
-    marks_before = len(cpu.marks)
-    run(measured)
-    cpu.finalize()
-    if usage is None:
-        usage = collect_stats(workload)
+    try:
+        if state is not None:
+            # Warm machine found: advance the generator past startup and
+            # warm-up without simulating, and restore the simulated state.
+            for _ in chain(startup, warmup):
+                pass
+            state.restore_into(cpu)
+        else:
+            run(startup)
+            if warmup_requests:
+                run(warmup)
+            if prefix is not None and not prefix.done:
+                # The end of warm-up ends the shared prefix at the latest.
+                if prefix.adopting:
+                    prefix.adopt(cpu, prefix.offset)
+                else:
+                    prefix.record(cpu, prefix.offset)
+        cpu.finalize()
+        if state is None and machine_cache is not None:
+            machine_cache.save(
+                cache_key,
+                MachineState.capture(
+                    cpu,
+                    meta={
+                        "workload": config.name,
+                        "mode": mode.value,
+                        "label": label,
+                        "warmup_requests": warmup_requests,
+                    },
+                ),
+            )
+        snapshot = cpu.counters.copy()
+        marks_before = len(cpu.marks)
+        run(measured)
+    finally:
         if tape is not None:
-            tape.stats = usage
+            tape.close()
+    cpu.finalize()
+    if tape is not None:
+        usage = tape.stats
+    elif usage is None:
+        usage = collect_stats(workload)
     if obs is not None:
         obs.finish_run(cpu, obs_label, marks_from=marks_before)
     window = cpu.counters.delta(snapshot)
@@ -457,12 +489,18 @@ def run_pair(
     campaign generates each workload's trace exactly once.
 
     Without a ``trace_cache``, a batched pair still links its program
-    and generates its trace once: the base run records its chunks on a
-    :class:`~repro.trace.store.TraceTape`, compressed, and the enhanced
-    run replays them (see :func:`run_workload`).  Each side is still one
-    :func:`run_workload` call.  An ``obs`` session and
-    ``backend="reference"`` take no tape; each of their sides generates
-    its own trace.
+    and generates its trace once, on a
+    :class:`~repro.trace.store.TraceTape` (see :func:`run_workload`).
+    The enhanced side runs first: a forked producer generates the trace
+    while it retires the chunks, and the base side replays the kept
+    frames.  The base side also retires the shared start once: before
+    the row where the enhanced run first skips a trampoline or meets a
+    ``MARK`` (the end of warm-up at the latest), both machines fetch and
+    load the same rows, so the base run runs only its control pass there
+    and then adopts the enhanced machine's recorded caches, TLBs and
+    memory counters.  Each side is still one :func:`run_workload` call.
+    An ``obs`` session and ``backend="reference"`` take no tape; their
+    sides run base first and each generates its own trace.
     """
     try:
         module = ALL_WORKLOADS[workload_name]
@@ -481,23 +519,21 @@ def run_pair(
         if backend == "batched" and obs is None and trace_cache is None
         else None
     )
-    results = []
-    for label in ("base", "enhanced"):
+    results = {}
+    for label in ("enhanced", "base") if tape is not None else ("base", "enhanced"):
         cfg = module.config() if seed is None else module.config(seed=seed)
         mech = None
         if label == "enhanced":
             mcfg = mechanism_config or MechanismConfig(abtb_entries=abtb_entries)
             mech = TrampolineSkipMechanism(mcfg)
         obs_label = f"{workload_name}/abtb={abtb_entries}/{label}" if obs is not None else None
-        results.append(
-            run_workload(
-                cfg, mech, warmup, measured, cpu_config,
-                label=label, obs=obs, obs_label=obs_label,
-                machine_cache=machine_cache, trace_cache=trace_cache,
-                backend=backend, progress=progress, tape=tape,
-            )
+        results[label] = run_workload(
+            cfg, mech, warmup, measured, cpu_config,
+            label=label, obs=obs, obs_label=obs_label,
+            machine_cache=machine_cache, trace_cache=trace_cache,
+            backend=backend, progress=progress, tape=tape,
         )
-    base, enhanced = results
+    base, enhanced = results["base"], results["enhanced"]
     if base.counters.instructions == 0:
         raise ExperimentError("empty measurement window")
     return base, enhanced

@@ -50,6 +50,16 @@ longer does, and the next window starts after the borrowed rows.  That
 covers exactly the rows the reference's lookahead reads, so at every
 sync point a full :meth:`CPU.snapshot` equals a reference run over the
 first ``position`` events.  :mod:`repro.difftest` enforces this.
+
+**Shared prefix.**  Only a skipped trampoline makes an enhanced machine
+fetch or load other rows than a base machine, so the memory passes
+(2–4) of a pair's two runs are identical until the first span that
+skips.  With a :class:`~repro.uarch.machine.SharedPrefix`, the run that
+retires first records its caches, TLBs and memory counters before that
+span (or before a span holding a ``MARK``, since marks are priced from
+memory counts); the other run runs only the control pass until the
+recorded row and adopts the record there.  Its sync points before that
+row hold a stale memory side.
 """
 
 from __future__ import annotations
@@ -184,6 +194,7 @@ class BatchedBackend:
         self.cpu = cpu
         self.batch_events = batch_events
         self._position = 0
+        self._prefix = None
 
     @property
     def position(self) -> int:
@@ -202,7 +213,7 @@ class BatchedBackend:
         """
         return self.run_batches(iter_batches(events, self.batch_events), sync_hook)
 
-    def run_batches(self, batches, sync_hook=None):
+    def run_batches(self, batches, sync_hook=None, prefix=None):
         """Like :meth:`run`, but consumes :class:`TraceBatch` objects
         directly — the array-native hot path.
 
@@ -210,6 +221,17 @@ class BatchedBackend:
         (:meth:`TraceBatch.slices`) of at most ``batch_events`` rows, so
         sync-point spacing (and therefore difftest comparability) is
         identical to a :meth:`run` over the same stream.
+
+        ``prefix`` (a :class:`~repro.uarch.machine.SharedPrefix`) lets
+        the two runs of an uncached pair retire their shared start once.
+        A recording prefix is recorded before the first span whose
+        control pass skips a trampoline or that holds a ``MARK`` (marks
+        are priced from the memory counts).  An adopting prefix makes
+        every span before the recorded row run the control pass only;
+        the span that starts at that row adopts the record first and
+        then retires whole.  So at the sync points before that row the
+        memory side and ``counters.cycles`` are stale: only the
+        positions mean anything there.
         """
         cap = self.batch_events
         chunks = (
@@ -220,6 +242,7 @@ class BatchedBackend:
         )
         cpu = self.cpu
         self._position = 0
+        self._prefix = prefix if prefix is not None and not prefix.done else None
         cur = next(chunks, None)
         start = 0
         while cur is not None:
@@ -247,6 +270,8 @@ class BatchedBackend:
                 cpu.counters.cycles = cpu.cycles
                 sync_hook(self._position)
             cur = nxt
+        if prefix is not None:
+            prefix.offset += self._position
         cpu.counters.cycles = cpu.cycles
         return cpu.counters
 
@@ -302,11 +327,28 @@ class BatchedBackend:
             ]
             jump_of[arm] = arm + 2
 
+        skipped, mispredicted, bubbled = self._control(cols, tags, lo, kind, jump_of)
+        marks = np.flatnonzero(kind == _K_MARK)
+        prefix = self._prefix
+        if prefix is not None:
+            start = prefix.offset + self._position + lo
+            if not prefix.adopting:
+                if len(skipped) or len(marks):
+                    prefix.record(cpu, start)
+                    self._prefix = None
+            elif start < prefix.at:
+                # Shared with the recorded run: only the control side.
+                c.branch_mispredictions += len(mispredicted)
+                c.btb_bubbles += len(bubbled)
+                return
+            else:
+                prefix.adopt(cpu, start)
+                self._prefix = None
+
         fetched = _FETCHED[kind]
         is_data = (kind == _K_LOAD) | (kind == _K_STORE) | (
             ((kind == _K_CALL_INDIRECT) | (kind == _K_JMP_INDIRECT)) & (mem_addr != 0)
         )
-        skipped, mispredicted, bubbled = self._control(cols, tags, lo, kind, jump_of)
         if len(skipped):
             jumps = jump_of[skipped]
             fetched[jumps] = False
@@ -351,7 +393,6 @@ class BatchedBackend:
             "btb_bubbles": bubbled,
         }
         n_fetched = np.where(fetched, n_instr, 0)
-        marks = np.flatnonzero(kind == _K_MARK)
         if len(marks):
             # A mark's cycles price the counts before its row.
             at = PerfCounters(instructions=np.cumsum(n_fetched)[marks] + c.instructions)

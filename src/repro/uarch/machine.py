@@ -14,6 +14,11 @@ simulating, and the measurement window then produces counter-for-counter
 identical results.  :class:`CheckpointStore` keys checkpoints by a hash of
 everything that determines warm-up state, so mismatched configurations can
 never share state.
+
+A :class:`SharedPrefix` is the in-memory, single-use counterpart for one
+uncached pair: the memory side (caches, TLBs and the counters they feed)
+that its base and enhanced machines share until the enhanced one first
+skips a trampoline, recorded by one run and adopted by the other.
 """
 
 from __future__ import annotations
@@ -187,6 +192,103 @@ class MachineState:
         fails this must never be written to disk.
         """
         _validate_text(self.to_json())
+
+
+#: The structures a base and an enhanced machine probe with the same keys
+#: until the enhanced one first skips a trampoline: what they fetch and load.
+MEMORY_STRUCTURES = ("l1i", "itlb", "dtlb", "l1d", "l2")
+
+#: The counters the batched backend adds outside its control pass.
+MEMORY_COUNTERS = (
+    "instructions",
+    "l1i_accesses",
+    "l1i_misses",
+    "itlb_accesses",
+    "itlb_misses",
+    "dtlb_accesses",
+    "dtlb_misses",
+    "l1d_accesses",
+    "l1d_misses",
+    "l2_accesses",
+    "l2_misses",
+    "branches",
+    "loads",
+    "stores",
+    "got_loads",
+)
+
+
+class SharedPrefix:
+    """The start of a trace that both machines of a pair retire alike.
+
+    A skipped trampoline is the only thing that makes an enhanced machine
+    fetch or load other rows than a base machine.  Until its first skip,
+    both machines' *memory side* — the :data:`MEMORY_STRUCTURES` and the
+    :data:`MEMORY_COUNTERS` — stay equal.  The run that retires first
+    :meth:`record`\\ s its memory side at row :attr:`at`.  The other run
+    retires only the control pass before that row and :meth:`adopt`\\ s
+    the record there (see
+    :meth:`~repro.uarch.backend.BatchedBackend.run_batches`).  Rows are
+    counted over every ``run_batches`` call of one run: :attr:`offset`
+    holds the rows of the earlier calls.
+
+    The record is held in memory, never serialised, and is adopted once:
+    the adopting machine takes the recorded sets over without copying.
+    """
+
+    def __init__(self) -> None:
+        #: The row at which the two memory sides part, once recorded.
+        self.at: int | None = None
+        #: Rows retired by earlier ``run_batches`` calls of the run.
+        self.offset = 0
+        #: Whether this run adopts the record (else it records one).
+        self.adopting = False
+        #: Whether this run has recorded or adopted.
+        self.done = False
+        self._side: tuple | None = None
+
+    def record(self, cpu: CPU, at: int) -> None:
+        """Keep a copy of ``cpu``'s memory side as it stands before row ``at``."""
+        self.at = at
+        self._side = (
+            cpu.config.as_dict(),
+            [
+                ([dict(entries) for entries in s._sets], s._stamp, s.accesses, s.misses)
+                for s in (getattr(cpu, name) for name in MEMORY_STRUCTURES)
+            ],
+            [getattr(cpu.counters, name) for name in MEMORY_COUNTERS],
+        )
+        self.done = True
+
+    def handed_over(self) -> "SharedPrefix":
+        """This record, for the pair's other run to adopt."""
+        if self._side is None:
+            raise ConfigError("a shared prefix is handed over once, after it is recorded")
+        other = SharedPrefix()
+        other.at, other._side, other.adopting = self.at, self._side, True
+        self._side = None
+        return other
+
+    def adopt(self, cpu: CPU, at: int) -> None:
+        """Give ``cpu`` the recorded memory side; ``at`` must be the row
+        it was recorded before."""
+        if not self.adopting or self._side is None:
+            raise ConfigError("only a handed-over shared prefix is adopted, once")
+        if at != self.at:
+            raise ConfigError(
+                f"shared prefix recorded before row {self.at} cannot be adopted at row {at}"
+            )
+        config, structures, counters = self._side
+        if cpu.config.as_dict() != config:
+            raise ConfigError("shared prefix was recorded under a different CPUConfig")
+        for name, (sets, stamp, accesses, misses) in zip(MEMORY_STRUCTURES, structures):
+            structure = getattr(cpu, name)
+            structure._sets = sets
+            structure._stamp, structure.accesses, structure.misses = stamp, accesses, misses
+        for name, value in zip(MEMORY_COUNTERS, counters):
+            setattr(cpu.counters, name, value)
+        self._side = None
+        self.done = True
 
 
 def _validate_text(text: str) -> None:

@@ -12,7 +12,11 @@ campaign cache.
 from __future__ import annotations
 
 import errno
+import os
 import shutil
+import signal
+from collections import defaultdict
+from functools import partial
 
 import pytest
 
@@ -25,6 +29,7 @@ from repro.experiments.scale import Scale
 from repro.isa.kinds import EventKind
 from repro.obs import Observability
 from repro.resilience.incidents import IncidentRecorder
+from repro.trace import store as trace_store
 from repro.trace.batch import TraceBatch
 from repro.trace.engine import LinkMode
 from repro.trace.store import (
@@ -36,8 +41,9 @@ from repro.trace.store import (
     trace_key,
 )
 from repro.uarch import CPU
+from repro.uarch import backend as backend_module
 from repro.uarch.backend import BatchedBackend
-from repro.uarch.machine import CheckpointStore
+from repro.uarch.machine import CheckpointStore, SharedPrefix
 from repro.workloads import ALL_WORKLOADS
 from repro.workloads.base import Workload
 
@@ -389,22 +395,32 @@ class TestRunnerTraceCache:
         assert result == self._pair(backend="reference")
         assert not list(tmp_path.rglob("meta.json"))  # never engaged
 
-    def test_uncached_pair_links_and_generates_once(self, monkeypatch):
-        calls = {"link": 0, "generate": 0}
+    def test_uncached_pair_links_and_generates_once(self, monkeypatch, tmp_path):
+        # The producer is a forked child, so its calls are counted in a
+        # file it appends to, each line naming the process that called.
+        log = tmp_path / "calls"
         real_init, real_stream = Workload.__init__, stream_segments
 
+        def note(call: str) -> None:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {call}\n")
+
         def counting_init(self, *args, **kwargs):
-            calls["link"] += 1
+            note("link")
             real_init(self, *args, **kwargs)
 
         def counting_stream(*args, **kwargs):
-            calls["generate"] += 1
+            note("generate")
             return real_stream(*args, **kwargs)
 
         monkeypatch.setattr(Workload, "__init__", counting_init)
+        monkeypatch.setattr(trace_store, "stream_segments", counting_stream)
         monkeypatch.setattr(runner, "stream_segments", counting_stream)
         run_pair("memcached", self.SCALE, abtb_entries=16)
-        assert calls == {"link": 1, "generate": 1}
+        calls = [line.split() for line in log.read_text().splitlines()]
+        producers = {pid for pid, _ in calls}
+        assert len(producers) == 1 and str(os.getpid()) not in producers
+        assert sorted(call for _, call in calls) == ["generate", "link"]
 
 
 # ------------------------------------------------------------ pair tape
@@ -421,18 +437,56 @@ def _fingerprint(result) -> tuple:
     )
 
 
+@pytest.fixture
+def producers(monkeypatch):
+    """The pids of the processes forked during the test."""
+    pids: list[int] = []
+    real_fork = os.fork
+
+    def fork() -> int:
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _assert_reaped(pids: list[int]) -> None:
+    """Each pid was a child of this process and has been reaped: no
+    producer is left running or as a zombie."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class _MapsNothing(TrampolineSkipMechanism):
+    """A mechanism whose ABTB never maps a target, so nothing is skipped."""
+
+    def mapped_target(self, real_target: int) -> None:
+        return None
+
+
 class TestPairTape:
-    """An uncached batched pair generates once: the enhanced run replays
-    the base run's tape, and must report exactly what generating would."""
+    """An uncached batched pair generates once, in a forked producer, while
+    its enhanced run retires; the base run replays the tape and shares the
+    enhanced run's start.  Each side must report exactly what two
+    independent runs would."""
 
     SCALE = Scale("t", {"apache": (2, 3), "memcached": (3, 4), "mysql": (1, 2), "firefox": (1, 2)})
+    NO_WARMUP = Scale(
+        "t0", {"apache": (0, 3), "memcached": (0, 4), "mysql": (0, 2), "firefox": (0, 2)}
+    )
     ABTB = 16
 
-    def _generated(self, name, **kwargs):
+    def _generated(self, name, scale=None, mechanism_class=TrampolineSkipMechanism, **kwargs):
         """Base and enhanced as two independent run_workload calls."""
+        scale = scale or self.SCALE
         config = ALL_WORKLOADS[name].config()
-        windows = (self.SCALE.warmup(name), self.SCALE.measured(name))
-        mechanism = TrampolineSkipMechanism(MechanismConfig(abtb_entries=self.ABTB))
+        windows = (scale.warmup(name), scale.measured(name))
+        mechanism = mechanism_class(MechanismConfig(abtb_entries=self.ABTB))
         return [
             runner.run_workload(config, mech, *windows, label=label, **kwargs)
             for label, mech in (("base", None), ("enhanced", mechanism))
@@ -445,19 +499,106 @@ class TestPairTape:
         assert [_fingerprint(r) for r in taped] == [_fingerprint(r) for r in generated]
 
     @pytest.mark.parametrize("name", PROFILES)
-    def test_replay_after_a_warm_base_machine(self, name, tmp_path):
-        # Only the base machine is cached: the base run restores it and
-        # drains start-up and warm-up through the recorder, and the
-        # enhanced run, whose machine misses, replays all three segments.
+    def test_pair_without_warmup_equals_generated(self, name):
+        taped = run_pair(name, self.NO_WARMUP, abtb_entries=self.ABTB)
+        generated = self._generated(name, self.NO_WARMUP)
+        assert [_fingerprint(r) for r in taped] == [_fingerprint(r) for r in generated]
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_prefix_ends_at_warmup_when_nothing_is_skipped(self, name, monkeypatch):
+        recorded = []
+        real_record = SharedPrefix.record
+
+        def record(prefix, cpu, at):
+            recorded.append(at)
+            real_record(prefix, cpu, at)
+
+        monkeypatch.setattr(SharedPrefix, "record", record)
+        monkeypatch.setattr(runner, "TrampolineSkipMechanism", _MapsNothing)
+        taped = run_pair(name, self.SCALE, abtb_entries=self.ABTB)
+        generated = self._generated(name, mechanism_class=_MapsNothing)
+        assert taped[1].counters.trampolines_skipped == 0
+        assert [_fingerprint(r) for r in taped] == [_fingerprint(r) for r in generated]
+        # No skip, and no MARK before the measured window: the record
+        # falls at the end of warm-up.
+        bundle = generate_bundle(
+            Workload(ALL_WORKLOADS[name].config(), LinkMode.DYNAMIC),
+            self.SCALE.warmup(name),
+            self.SCALE.measured(name),
+        )
+        assert recorded == [len(bundle.startup) + len(bundle.warmup)]
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_base_memory_passes_start_at_the_recorded_row(self, name, monkeypatch):
+        """The base run probes no cache or TLB before the first row where
+        the enhanced run skips or meets a mark, and probes from there on."""
+        spans = defaultdict(list)  # cpu -> (row, probed, skips, has a mark)
+        earlier = defaultdict(int)  # cpu -> rows of its earlier run_batches calls
+        probes: list[int] = []
+        real_run = BatchedBackend.run_batches
+        real_span = BatchedBackend._retire_span
+        real_pass = backend_module._lru_pass
+
+        def run_batches(self, *args, **kwargs):
+            try:
+                return real_run(self, *args, **kwargs)
+            finally:
+                earlier[self.cpu] += self.position
+
+        def retire_span(self, cols, tags, lo, hi):
+            probes.clear()
+            skipped = self.cpu.counters.trampolines_skipped
+            real_span(self, cols, tags, lo, hi)
+            spans[self.cpu].append((
+                earlier[self.cpu] + self.position + lo,
+                bool(probes),
+                self.cpu.counters.trampolines_skipped > skipped,
+                bool((cols["kind"][lo:hi] == int(EventKind.MARK)).any()),
+            ))
+
+        def lru_pass(structure, keys):
+            probes.append(len(keys))
+            return real_pass(structure, keys)
+
+        monkeypatch.setattr(BatchedBackend, "run_batches", run_batches)
+        monkeypatch.setattr(BatchedBackend, "_retire_span", retire_span)
+        monkeypatch.setattr(backend_module, "_lru_pass", lru_pass)
+        base, enhanced = run_pair(name, self.SCALE, abtb_entries=self.ABTB)
+        recorded = next(
+            row for row, _, skips, mark in spans[enhanced.cpu] if skips or mark
+        )
+        base_spans = spans[base.cpu]
+        assert any(row < recorded for row, *_ in base_spans)
+        assert all(probed == (row >= recorded) for row, probed, *_ in base_spans)
+        assert all(probed for _, probed, *_ in spans[enhanced.cpu])
+
+    def _pair_after_one_warm_side(self, name, tmp_path, mechanism) -> None:
+        """Cache one side's machine (``mechanism`` None: the base one),
+        then check the pair: that side restores it and neither records
+        nor adopts, and the other side simulates everything."""
         machines = CheckpointStore(tmp_path)
         config = ALL_WORKLOADS[name].config()
         windows = (self.SCALE.warmup(name), self.SCALE.measured(name))
-        run_workload(config, None, *windows, machine_cache=machines)
+        run_workload(config, mechanism, *windows, machine_cache=machines)
         assert len(list(tmp_path.iterdir())) == 1
         taped = run_pair(name, self.SCALE, abtb_entries=self.ABTB, machine_cache=machines)
         assert len(list(tmp_path.iterdir())) == 2
         generated = self._generated(name)
         assert [_fingerprint(r) for r in taped] == [_fingerprint(r) for r in generated]
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_replay_after_a_warm_base_machine(self, name, tmp_path):
+        # The enhanced run keeps all three segments from the producer and
+        # records; the base run replays only the measured window.
+        self._pair_after_one_warm_side(name, tmp_path, None)
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_replay_after_a_warm_enhanced_machine(self, name, tmp_path):
+        # The enhanced run keeps the start-up and warm-up frames without
+        # decoding them and records nothing; the base run replays all
+        # three segments with no prefix to adopt.
+        mechanism = TrampolineSkipMechanism(MechanismConfig(abtb_entries=self.ABTB))
+        self._pair_after_one_warm_side(name, tmp_path, mechanism)
 
     @pytest.mark.parametrize("name", PROFILES)
     def test_replayed_side_reports_the_same_progress(self, name, monkeypatch):
@@ -479,31 +620,83 @@ class TestPairTape:
         assert totals[:2] == totals[2:]
         assert [_fingerprint(r) for r in taped] == [_fingerprint(r) for r in generated]
 
+    # ------------------------------------------------- producer lifecycle
+
+    def test_producer_exception_is_raised_with_its_type(self, monkeypatch, producers):
+        def no_program(self, *args, **kwargs):
+            raise ConfigError("cannot link this program")
+
+        # The forked producer inherits the patch.
+        monkeypatch.setattr(Workload, "__init__", no_program)
+        with pytest.raises(ConfigError, match="cannot link this program"):
+            run_pair("memcached", self.SCALE, abtb_entries=self.ABTB)
+        _assert_reaped(producers)
+
+    def test_raising_progress_leaves_no_child(self, producers):
+        def progress(n: int) -> None:
+            raise RuntimeError("progress callback failed")
+
+        # MySQL's start-up alone fills the pipe many times over, so the
+        # producer is still generating when the first window retires.
+        with pytest.raises(RuntimeError, match="progress callback failed"):
+            run_pair("mysql", self.SCALE, abtb_entries=self.ABTB, progress=progress)
+        _assert_reaped(producers)
+
+    def test_killed_producer_raises_corruption(self, monkeypatch, producers):
+        real = trace_store.stream_segments
+        test_process = os.getpid()
+
+        def killed_after_one_chunk(workload, warmup, measured):
+            startup, *rest = real(workload, warmup, measured)
+
+            def first_chunk_then_sigkill():
+                yield next(startup)
+                assert os.getpid() != test_process, "generated in the test process"
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            return (first_chunk_then_sigkill(), *rest)
+
+        monkeypatch.setattr(trace_store, "stream_segments", killed_after_one_chunk)
+        with pytest.raises(TraceCorruptionError, match="ended before the trace did"):
+            run_pair("memcached", self.SCALE, abtb_entries=self.ABTB)
+        _assert_reaped(producers)
+
+    # ----------------------------------------------------- tape contract
+
     @staticmethod
-    def _recording(warmup=3, measured=4):
-        workload = _workload("memcached")
-        key = trace_key(workload.config, LinkMode.DYNAMIC, warmup, measured)
+    def _producing(warmup=3, measured=4):
+        config = ALL_WORKLOADS["memcached"].config(seed=SEED)
+        key = trace_key(config, LinkMode.DYNAMIC, warmup, measured)
         tape = TraceTape()
-        streams = tape.record(key, stream_segments(workload, warmup, measured))
-        return tape, key, streams, workload
+        streams = tape.produce(
+            key, partial(Workload, config, LinkMode.DYNAMIC), warmup, measured
+        )
+        return tape, key, streams, config
 
     def _recorded(self):
-        """A finished recording, as a recording run leaves it: every
-        stream used up, then the usage statistics set."""
-        tape, key, streams, workload = self._recording()
+        """A filled tape, as a first run leaves it: every stream used up."""
+        tape, key, streams, config = self._producing()
         recorded = [[chunk.to_bytes() for chunk in stream] for stream in streams]
-        tape.stats = collect_stats(workload)
-        return tape, key, recorded, workload
+        return tape, key, recorded, config
 
-    def test_replay_is_byte_identical_to_the_recording(self):
+    def test_replay_is_byte_identical_to_the_recording(self, producers):
         tape, key, recorded, _ = self._recorded()
         assert all(recorded)
+        # The producer sends what generating here would.
+        workload = _workload("memcached")
+        generated = [
+            [chunk.to_bytes() for chunk in stream]
+            for stream in stream_segments(workload, 3, 4)
+        ]
+        assert recorded == generated
+        assert tape.stats == collect_stats(workload)
         replayed = [[chunk.to_bytes() for chunk in stream] for stream in tape.replay(key)]
         assert replayed == recorded
         # The measured window's request marks ride in the tag tables.
         assert all(TraceBatch.from_bytes(raw).tags for raw in recorded[2])
         with pytest.raises(ConfigError, match="replays once"):
             tape.replay(key)
+        _assert_reaped(producers)
 
     def test_warm_replay_decodes_only_the_measured_frames(self):
         tape, key, recorded, _ = self._recorded()
@@ -512,17 +705,21 @@ class TestPairTape:
         assert [chunk.to_bytes() for chunk in measured] == recorded[2]
 
     def test_replay_under_another_trace_key_raises(self):
-        tape, _, _, workload = self._recorded()
+        tape, _, _, config = self._recorded()
         with pytest.raises(ConfigError, match="cannot replay under"):
-            tape.replay(trace_key(workload.config, LinkMode.DYNAMIC, 3, 5))
+            tape.replay(trace_key(config, LinkMode.DYNAMIC, 3, 5))
 
-    def test_tape_not_used_up_cannot_replay(self):
-        tape, key, (startup, warmup, measured), _ = self._recording()
-        list(startup)
-        list(warmup)
-        next(measured)
-        with pytest.raises(ConfigError, match="not used up"):
-            tape.replay(key)
+    def test_tape_not_used_up_cannot_replay(self, producers):
+        tape, key, (startup, warmup, measured), _ = self._producing()
+        try:
+            list(startup)
+            list(warmup)
+            next(measured)
+            with pytest.raises(ConfigError, match="not used up"):
+                tape.replay(key)
+        finally:
+            tape.close()
+        _assert_reaped(producers)
 
     def test_flipped_byte_in_a_frame_raises(self):
         tape, key, _, _ = self._recorded()
