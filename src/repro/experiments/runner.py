@@ -459,6 +459,62 @@ def run_workload(
     )
 
 
+def _pair_recipe(
+    workload_name: str, scale, seed: int | None = None
+) -> tuple[WorkloadConfig, int, int]:
+    """The workload config and the warm-up and measured window lengths
+    that a side of a named workload's pair runs with."""
+    try:
+        module = ALL_WORKLOADS[workload_name]
+    except KeyError:
+        raise ConfigError(f"unknown workload {workload_name!r}") from None
+    warmup = scale.warmup(workload_name)
+    measured = scale.measured(workload_name)
+    if warmup < 0:
+        raise ConfigError(f"scale yields negative warmup ({warmup}) for {workload_name}")
+    if measured < 1:
+        raise ConfigError(
+            f"scale yields an empty measurement window ({measured}) for {workload_name}"
+        )
+    config = module.config() if seed is None else module.config(seed=seed)
+    return config, warmup, measured
+
+
+def _run_side(
+    label: str,
+    workload_name: str,
+    scale,
+    abtb_entries: int = 256,
+    cpu_config: CPUConfig | None = None,
+    mechanism_config: MechanismConfig | None = None,
+    seed: int | None = None,
+    obs=None,
+    **run_kwargs,
+) -> RunResult:
+    """One side of a named workload's pair, ``"base"`` or ``"enhanced"``,
+    through :func:`run_workload`; ``run_kwargs`` are its caches,
+    ``backend``, ``progress`` and ``tape``.  :func:`run_pair`, a
+    campaign's pre-pass and its points all build their sides here."""
+    config, warmup, measured = _pair_recipe(workload_name, scale, seed)
+    mechanism = None
+    if label == "enhanced":
+        mechanism = TrampolineSkipMechanism(
+            mechanism_config or MechanismConfig(abtb_entries=abtb_entries)
+        )
+    obs_label = f"{workload_name}/abtb={abtb_entries}/{label}" if obs is not None else None
+    return run_workload(
+        config, mechanism, warmup, measured, cpu_config,
+        label=label, obs=obs, obs_label=obs_label, **run_kwargs,
+    )
+
+
+def _nonempty(base: RunResult) -> RunResult:
+    """``base``, unless its measurement window retired nothing."""
+    if base.counters.instructions == 0:
+        raise ExperimentError("empty measurement window")
+    return base
+
+
 def run_pair(
     workload_name: str,
     scale,
@@ -475,12 +531,15 @@ def run_pair(
     """Base vs enhanced over identical traces of a named workload.
 
     With a ``machine_cache``, each side's startup + warm-up is simulated
-    once per machine configuration and restored thereafter.  The base
-    machine's warm-up is independent of the ABTB size, so an ABTB sweep
-    re-simulates base warm-up exactly once, and repeated campaigns reuse
-    everything.  ``backend`` is passed through to :func:`run_workload`;
-    warm-machine checkpoints are shareable between the production path
-    and the oracle because the two are counter-for-counter equivalent.
+    once per machine configuration and restored thereafter: the base
+    machine's checkpoint key has no mechanism field, so every ABTB size
+    of one workload and CPU geometry restores one warm base machine.
+    ``backend`` is passed through to :func:`run_workload`; warm-machine
+    checkpoints are shareable between the production path and the oracle
+    because the two are counter-for-counter equivalent.  A campaign goes
+    one step further and runs a base side that several of its points
+    share only once (see :func:`run_campaign`); those points never call
+    this function.
 
     ``trace_cache`` shares *generated traces* the same way: the trace
     key covers only the workload recipe and window lengths — not the
@@ -502,18 +561,6 @@ def run_pair(
     An ``obs`` session and ``backend="reference"`` take no tape; their
     sides run base first and each generates its own trace.
     """
-    try:
-        module = ALL_WORKLOADS[workload_name]
-    except KeyError:
-        raise ConfigError(f"unknown workload {workload_name!r}") from None
-    warmup = scale.warmup(workload_name)
-    measured = scale.measured(workload_name)
-    if warmup < 0:
-        raise ConfigError(f"scale yields negative warmup ({warmup}) for {workload_name}")
-    if measured < 1:
-        raise ConfigError(
-            f"scale yields an empty measurement window ({measured}) for {workload_name}"
-        )
     tape = (
         TraceTape()
         if backend == "batched" and obs is None and trace_cache is None
@@ -521,22 +568,12 @@ def run_pair(
     )
     results = {}
     for label in ("enhanced", "base") if tape is not None else ("base", "enhanced"):
-        cfg = module.config() if seed is None else module.config(seed=seed)
-        mech = None
-        if label == "enhanced":
-            mcfg = mechanism_config or MechanismConfig(abtb_entries=abtb_entries)
-            mech = TrampolineSkipMechanism(mcfg)
-        obs_label = f"{workload_name}/abtb={abtb_entries}/{label}" if obs is not None else None
-        results[label] = run_workload(
-            cfg, mech, warmup, measured, cpu_config,
-            label=label, obs=obs, obs_label=obs_label,
-            machine_cache=machine_cache, trace_cache=trace_cache,
+        results[label] = _run_side(
+            label, workload_name, scale, abtb_entries, cpu_config, mechanism_config, seed,
+            obs=obs, machine_cache=machine_cache, trace_cache=trace_cache,
             backend=backend, progress=progress, tape=tape,
         )
-    base, enhanced = results["base"], results["enhanced"]
-    if base.counters.instructions == 0:
-        raise ExperimentError("empty measurement window")
-    return base, enhanced
+    return _nonempty(results["base"]), results["enhanced"]
 
 
 def _pair_marks(
@@ -693,20 +730,35 @@ class CampaignPoint:
     cpu: dict | None = None
 
 
-def summarize_pair(base: RunResult, enhanced: RunResult) -> dict:
-    """JSON-serialisable summary of one base/enhanced pair."""
+def _base_summary(base: RunResult) -> dict:
+    """What a pair summary reads from its base side: all that a
+    campaign's pre-pass keeps of a shared base run."""
     return {
         "instructions": int(base.counters.instructions),
         "base_cycles": float(base.counters.cycles),
+        "unmatched_marks": base.unmatched_marks,
+    }
+
+
+def _summary(base: dict, enhanced: RunResult) -> dict:
+    """A pair summary from a :func:`_base_summary` and the enhanced side."""
+    return {
+        "instructions": base["instructions"],
+        "base_cycles": base["base_cycles"],
         "enhanced_cycles": float(enhanced.counters.cycles),
         "speedup": (
-            float(base.counters.cycles / enhanced.counters.cycles)
+            float(base["base_cycles"] / enhanced.counters.cycles)
             if enhanced.counters.cycles
             else 1.0
         ),
         "skip_rate": float(enhanced.skip_rate),
-        "unmatched_marks": base.unmatched_marks + enhanced.unmatched_marks,
+        "unmatched_marks": base["unmatched_marks"] + enhanced.unmatched_marks,
     }
+
+
+def summarize_pair(base: RunResult, enhanced: RunResult) -> dict:
+    """JSON-serialisable summary of one base/enhanced pair."""
+    return _summary(_base_summary(base), enhanced)
 
 
 def _load_checkpoint(
@@ -759,24 +811,108 @@ def _save_checkpoint(path: Path, completed: dict[str, dict]) -> None:
     write_artifact(path, {"completed": completed}, CHECKPOINT_SCHEMA, CHECKPOINT_VERSION)
 
 
-def _run_point(task: dict, run_fn, obs=None) -> dict:
+def _point_configs(mechanism: dict | None = None, cpu: dict | None = None) -> dict:
+    """A point's JSON-safe config dicts as :func:`run_pair` takes them."""
+    return {
+        "cpu_config": CPUConfig.from_dict(cpu) if cpu else None,
+        "mechanism_config": MechanismConfig(**mechanism) if mechanism else None,
+    }
+
+
+def _point_pair(workload, scale, abtb, mechanism=None, cpu=None, **run_kwargs):
+    """The default campaign ``run_fn``: :func:`run_pair` on a point's
+    config dicts, with the campaign's ``obs`` session and caches bound
+    into ``run_kwargs``."""
+    return run_pair(
+        workload, scale, abtb_entries=abtb, **_point_configs(mechanism, cpu), **run_kwargs
+    )
+
+
+def _run_point(
+    task: dict, run_fn, obs=None, machine_cache=None, trace_cache=None
+) -> dict:
     """Run one campaign point's pair once; returns ``{"summary": ...}``.
 
     ``mechanism``/``cpu`` reach ``run_fn`` only when the point sets them
     (see :class:`CampaignPoint`), so a ``run_fn`` taking just
-    ``(workload, scale, abtb)`` serves a plain grid.  An exception from
+    ``(workload, scale, abtb)`` serves a plain grid.  A task that carries
+    its pre-run ``base`` summary (see :func:`_prerun_bases`) runs only
+    its enhanced side, with the campaign's caches.  An exception from
     the pair propagates: the lease loop fails the attempt, and the queue
     requeues or quarantines it.  Serial and sharded campaigns both run
     pairs through here, so their summaries come from identical code.
     """
     kwargs = {name: task[name] for name in ("mechanism", "cpu") if task[name] is not None}
     args = (task["workload"], task["scale"], task["abtb"])
+    if task["base"] is not None:
+        enhanced = _run_side(
+            "enhanced", *args, **_point_configs(**kwargs),
+            machine_cache=machine_cache, trace_cache=trace_cache,
+        )
+        return {"summary": _summary(task["base"], enhanced)}
     if obs is not None and obs.tracer is not None:
         with obs.tracer.span(f"pair {task['key']}", category="campaign"):
             base, enhanced = run_fn(*args, **kwargs)
     else:
         base, enhanced = run_fn(*args, **kwargs)
     return {"summary": summarize_pair(base, enhanced)}
+
+
+def _base_group(workload: str, cpu: dict | None) -> tuple[str, str | None]:
+    """What a point's base side depends on: its workload and CPU geometry."""
+    return workload, json.dumps(cpu, sort_keys=True) if cpu is not None else None
+
+
+def _prerun_bases(
+    tasks, scale, machine_cache: CheckpointStore | None, trace_cache: TraceStore
+) -> dict[tuple[str, str | None], dict]:
+    """A campaign's pre-pass: run each base side that two or more
+    pending points share once, and generate every missing trace, before
+    the fan-out.
+
+    A base run's inputs are the workload recipe, link mode, CPU config
+    and windows — its warm-up checkpoint key plus the measured requests —
+    and no mechanism field, so points of one workload and CPU geometry
+    (see :func:`_base_group`) share it exactly.  Each shared base runs
+    here once, through :func:`run_workload` with the campaign's caches,
+    and only its :func:`_base_summary` goes out with those points'
+    tasks, retries included.  A base that one point uses is left to that
+    point: pre-running it would only move its work from a worker into
+    this serial process.
+
+    The pre-pass never decides an outcome.  A base that raises or
+    retires an empty window, and a trace that fails to generate, are
+    skipped: their points run :func:`run_pair` and surface the error
+    through their own leases.
+    """
+    groups: dict[tuple[str, str | None], list[dict | None]] = {}
+    for _key, workload, _abtb, _mech, cpu in tasks:
+        groups.setdefault(_base_group(workload, cpu), []).append(cpu)
+    bases = {}
+    for group, cpus in groups.items():
+        if len(cpus) < 2:
+            continue
+        try:
+            base = _run_side(
+                "base", group[0], scale, **_point_configs(cpu=cpus[0]),
+                machine_cache=machine_cache, trace_cache=trace_cache,
+            )
+            bases[group] = _base_summary(_nonempty(base))
+        except Exception:
+            pass  # the points run run_pair, and their leases surface the error
+    for workload in dict.fromkeys(workload for workload, _cpu in groups):
+        try:
+            config, warmup, measured = _pair_recipe(workload, scale)
+            key = trace_key(config, LinkMode.DYNAMIC, warmup, measured)
+            if not trace_cache.has(key):
+                bundle = generate_bundle(Workload(config, LinkMode.DYNAMIC), warmup, measured)
+                trace_cache.save(key, bundle)
+                # The miss the first point's load would have counted, so
+                # serial and sharded campaigns count alike.
+                trace_cache.misses += 1
+        except Exception:
+            pass
+    return bases
 
 
 def _obs_spec(obs) -> dict | None:
@@ -840,16 +976,9 @@ def _campaign_worker(task: dict) -> dict:
         else None
     )
 
-    def run_fn(w, s, n, mechanism=None, cpu=None):
-        return run_pair(
-            w, s, abtb_entries=n,
-            cpu_config=CPUConfig.from_dict(cpu) if cpu else None,
-            mechanism_config=MechanismConfig(**mechanism) if mechanism else None,
-            obs=obs, machine_cache=cache, trace_cache=traces,
-        )
-
+    run_fn = partial(_point_pair, obs=obs, machine_cache=cache, trace_cache=traces)
     try:
-        outcome = _run_point(task, run_fn, obs)
+        outcome = _run_point(task, run_fn, obs, cache, traces)
     except Exception as exc:
         raise AttemptFailed(exc, recorder.as_dicts()) from exc
     if traces is not None:
@@ -890,7 +1019,7 @@ def run_campaign(
     list of :class:`CampaignPoint` tasks, each carrying its own
     checkpoint key and optional mechanism/CPU config dicts — the
     substrate the sweep engine (:mod:`repro.sweep`) builds on.  All the
-    machinery below (leases, checkpointing, sharding, cache prefill)
+    machinery below (leases, checkpointing, sharding, the pre-pass)
     applies to points exactly as it does to grid pairs;
     ``workloads``/``abtb_sizes`` must be empty when points are given.
 
@@ -923,9 +1052,21 @@ def run_campaign(
     ``machine_cache_dir`` holds warm-machine checkpoints shared by all
     workers (see :func:`run_workload`); atomic writes make the racy
     first-fill benign.  ``trace_cache_dir`` holds the content-addressed
-    trace store: every shard serialises each workload's trace once and
-    thereafter loads the stored batches instead of regenerating them
-    (see :func:`run_workload`).
+    trace store: each workload's trace is generated once and every run
+    loads the stored batches instead of regenerating them (see
+    :func:`run_workload`).
+
+    With a trace cache, no ``obs`` session and the default ``run_fn``,
+    a serial pre-pass runs before the leases, in either mode (see
+    :func:`_prerun_bases`).  It generates every missing trace, counting
+    each generation as a trace-store miss, and it runs each base side
+    that two or more pending points share once: the base side depends
+    only on the workload and CPU geometry, never on the mechanism.
+    Those points then run only their enhanced side, serially or in a
+    worker, and build the same summary as :func:`run_pair` gives.  A
+    base that only one point uses stays with its point, which runs
+    :func:`run_pair`, and so do the points of a base that fails in the
+    pre-pass: their leases surface the error.
 
     With an ``obs`` session, each pair attempt runs under a host-clock
     trace span and the sweep's progress lands in counters
@@ -966,16 +1107,13 @@ def run_campaign(
             "fault injection needs worker processes: jobs > 1 and the "
             "default run_fn"
         )
+    # The pre-pass shares base sides only among points that run exactly
+    # what run_pair runs: the default run_fn, unobserved, from the stores.
+    prerun = run_fn is None and obs is None and trace_cache is not None
     if run_fn is None:
-        def run_fn(w, s, n, mechanism=None, cpu=None):
-            return run_pair(
-                w, s, abtb_entries=n,
-                cpu_config=CPUConfig.from_dict(cpu) if cpu else None,
-                mechanism_config=(
-                    MechanismConfig(**mechanism) if mechanism else None
-                ),
-                obs=obs, machine_cache=machine_cache, trace_cache=trace_cache,
-            )
+        run_fn = partial(
+            _point_pair, obs=obs, machine_cache=machine_cache, trace_cache=trace_cache
+        )
     path = Path(checkpoint_path) if checkpoint_path is not None else None
     completed = _load_checkpoint(path, recorder) if path is not None else {}
     result = CampaignResult(completed=dict(completed))
@@ -1014,30 +1152,6 @@ def run_campaign(
             result.resumed += 1
         else:
             tasks.append((key, workload, abtb, mech_cfg, cpu_cfg))
-
-    if trace_cache is not None and obs is None and tasks and parallel:
-        # Seed the cross-shard artifacts before fanning out — otherwise
-        # every concurrently-started cold shard of the same workload
-        # regenerates the identical trace bundle and re-simulates the
-        # identical base-machine warm-up (the racy first-fill is benign
-        # but wasteful, and on few-core machines the waste is pure
-        # wall-clock).  Base machines are warmed per distinct CPU
-        # geometry: points sweeping BTB/gshare shapes each get their own
-        # shared base checkpoint.
-        distinct_cpus: list[dict | None] = []
-        seen_cpus: set = set()
-        for _k, _w, _a, _m, cpu_cfg in tasks:
-            mark = (
-                json.dumps(cpu_cfg, sort_keys=True) if cpu_cfg is not None else None
-            )
-            if mark not in seen_cpus:
-                seen_cpus.add(mark)
-                distinct_cpus.append(cpu_cfg)
-        _prefill_caches(
-            dict.fromkeys(w for _k, w, _a, _m, _c in tasks),
-            scale, machine_cache, trace_cache,
-            cpu_dicts=distinct_cpus,
-        )
 
     def absorb(key: str, outcome: dict, attempts: int) -> None:
         """Fold one completed pair into the result + obs, in task order."""
@@ -1108,7 +1222,7 @@ def run_campaign(
 
     def finish() -> CampaignResult:
         if trace_cache is not None and (trace_cache.hits or trace_cache.misses):
-            # Loads done in this process: the serial leases and the prefill.
+            # Loads done in this process: the pre-pass and the serial leases.
             for field_name, count in (
                 ("hits", trace_cache.hits), ("misses", trace_cache.misses),
             ):
@@ -1131,12 +1245,13 @@ def run_campaign(
 
     def make_task(
         key: str, workload: str, abtb: int,
-        mechanism: dict | None = None, cpu: dict | None = None,
+        mechanism: dict | None, cpu: dict | None, bases: dict,
     ) -> dict:
         return {
             "key": key, "workload": workload, "abtb": abtb,
             "mechanism": mechanism, "cpu": cpu,
             "scale": scale,
+            "base": bases.get(_base_group(workload, cpu)),
             "obs_spec": _obs_spec(obs),
             "machine_cache_dir": (
                 str(machine_cache_dir) if machine_cache_dir is not None else None
@@ -1147,10 +1262,14 @@ def run_campaign(
         }
 
     def execute() -> CampaignResult:
+        bases = _prerun_bases(tasks, scale, machine_cache, trace_cache) if prerun else {}
         workers = LocalWorkers(
-            _campaign_worker if parallel else partial(_run_point, run_fn=run_fn, obs=obs),
+            _campaign_worker if parallel else partial(
+                _run_point, run_fn=run_fn, obs=obs,
+                machine_cache=machine_cache, trace_cache=trace_cache,
+            ),
             [
-                (key, make_task(key, workload, abtb, mech_cfg, cpu_cfg))
+                (key, make_task(key, workload, abtb, mech_cfg, cpu_cfg, bases))
                 for key, workload, abtb, mech_cfg, cpu_cfg in tasks
             ],
             jobs=jobs,
@@ -1190,80 +1309,6 @@ def run_campaign(
                 checkpoint=str(path) if path is not None else None,
             )
         raise
-
-
-def _prefill_caches(
-    workload_names,
-    scale,
-    machine_cache: CheckpointStore | None,
-    trace_cache: TraceStore,
-    cpu_dicts: Sequence[dict | None] = (None,),
-) -> None:
-    """Serially warm the cross-shard artifacts before fanning out.
-
-    Two artifacts are shared by *every* shard of one workload: the trace
-    bundle (the key excludes mechanism and ABTB size) and the warm base
-    machine (its checkpoint key has no mechanism either).  Each is
-    generated/simulated once here, in the parent, so every shard's
-    shared work becomes a pure cache hit.  Enhanced machines are
-    per-(workload, mechanism config) — exactly one shard each — and are
-    left to the shards.  Mirrors the default :func:`run_pair` recipe
-    (module default config, DYNAMIC mode, scale-derived windows) so the
-    keys match what :func:`run_workload` computes; ``cpu_dicts`` lists
-    the distinct CPU geometries in play (``None`` = default), each of
-    which gets its own warm base machine.
-
-    Anything that cannot be prefilled — an unknown workload, a
-    degenerate scale, an invalid CPU dict — is skipped: the
-    corresponding pair surfaces the real error (or fills the caches
-    itself) through its own lease.
-    """
-    for name in workload_names:
-        module = ALL_WORKLOADS.get(name)
-        if module is None:
-            continue
-        warmup = scale.warmup(name)
-        measured = scale.measured(name)
-        if warmup < 0 or measured < 1:
-            continue
-        config = module.config()
-        key = trace_key(config, LinkMode.DYNAMIC, warmup, measured)
-        bundle = trace_cache.load(key) if trace_cache.has(key) else None
-        if bundle is None:
-            bundle = generate_bundle(
-                Workload(config, LinkMode.DYNAMIC), warmup, measured
-            )
-            trace_cache.save(key, bundle)
-        if machine_cache is None:
-            continue
-        for cpu_dict in cpu_dicts:
-            try:
-                cpu = CPU(CPUConfig.from_dict(cpu_dict)) if cpu_dict else CPU()
-            except (ConfigError, ValueError):
-                continue
-            base_key = warmup_machine_key(
-                config, LinkMode.DYNAMIC, cpu.config, None, warmup
-            )
-            if machine_cache.load(base_key) is not None:
-                continue
-            # Two streams, as run_workload retires them: a pair head at
-            # the end of start-up must not pair across the boundary.
-            retire(cpu, (bundle.startup,))
-            if warmup:
-                retire(cpu, (bundle.warmup,))
-            cpu.finalize()
-            machine_cache.save(
-                base_key,
-                MachineState.capture(
-                    cpu,
-                    meta={
-                        "workload": config.name,
-                        "mode": LinkMode.DYNAMIC.value,
-                        "label": "base",
-                        "warmup_requests": warmup,
-                    },
-                ),
-            )
 
 
 def _write_manifest(

@@ -20,7 +20,10 @@ points land, and a rerun of the same output directory resumes — a fully
 completed sweep re-executes *zero* points and goes straight to
 analysis.  Trace generation is deduplicated by construction: the trace
 key covers only (workload recipe, windows), so all points of one
-workload share one stored bundle, prefilled before the fan-out.
+workload share one stored bundle.  The campaign's pre-pass generates it
+before the fan-out and runs each base side that several points share
+once (it has no mechanism field), so those points retire only their
+enhanced side; ``jobs=1`` and ``jobs>1`` write the same bytes.
 """
 
 from __future__ import annotations

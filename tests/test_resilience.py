@@ -713,7 +713,8 @@ class TestOneFailurePolicy:
             raise RuntimeError("trace store gave up")
 
         # Patched before the fork, so both workers inherit it; the
-        # parent's prefill finds an empty store and never loads.
+        # parent's pre-pass pre-runs no base for a single point, finds
+        # an empty store and generates without a load.
         monkeypatch.setattr(TraceStore, "load", damaged_then_raise)
         recorder = IncidentRecorder()
         result = run_campaign(

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigError, ExperimentError
+from repro.experiments import runner
 from repro.experiments.runner import (
+    CampaignPoint,
     RequestSample,
     RunResult,
     _pair_marks,
@@ -29,8 +32,12 @@ from repro.experiments.runner import (
 from repro.experiments.scale import SMOKE, Scale
 from repro.isa.events import block, mark
 from repro.resilience import IncidentRecorder, LeasePolicy
+from repro.trace.store import TraceStore
 from repro.uarch import CPU
+from repro.uarch.cpu import CPUConfig
+from repro.uarch.machine import CheckpointStore
 from repro.workloads import ALL_WORKLOADS
+from repro.workloads.base import Workload
 
 
 def _cpu_with_marks(tags):
@@ -296,17 +303,16 @@ class TestCampaign:
         assert summary["unmatched_marks"] == 0
 
 
-class TestPrefill:
-    def test_prefilled_base_checkpoint_matches_run_workload(self, tmp_path):
+class TestPrePass:
+    def test_pre_run_base_matches_run_workload_and_run_pair(self, tmp_path, monkeypatch):
         # Start-up ends in a pair head whose jump opens warm-up: the two
         # segments are separate streams, so the head must not pair across
         # the boundary in either checkpoint.
-        from repro.experiments.runner import _prefill_caches, warmup_machine_key
+        from repro.experiments.runner import warmup_machine_key
         from repro.isa.events import call_direct, jmp_indirect, ret
         from repro.trace.batch import TraceBatch
         from repro.trace.engine import LinkMode
-        from repro.trace.store import TraceBundle, TraceStore, trace_key
-        from repro.uarch.machine import CheckpointStore
+        from repro.trace.store import TraceBundle, trace_key
 
         site, stub, func, got = 0x400100, 0x401020, 0x7F0000_0000, 0x601018
         startup = [block(0x400000, 8), call_direct(site, stub)]
@@ -321,12 +327,185 @@ class TestPrefill:
                 stats={},
             ),
         )
-        prefilled = CheckpointStore(tmp_path / "prefilled")
-        _prefill_caches(["memcached"], Scale("tiny", {"memcached": (1, 1)}), prefilled, traces)
+        scale = Scale("tiny", {"memcached": (1, 1)})
+
+        def no_pair(*args, **kwargs):
+            raise AssertionError("a point with a pre-run base called run_pair")
+
+        # Two points share the base: the pre-pass runs it, and the points
+        # run only their enhanced sides.
+        monkeypatch.setattr(runner, "run_pair", no_pair)
+        result = run_campaign(
+            ["memcached"], scale, abtb_sizes=(16, 64),
+            machine_cache_dir=tmp_path / "prerun", trace_cache_dir=tmp_path / "traces",
+        )
+        monkeypatch.undo()
+        assert result.ok and len(result.completed) == 2
         captured = CheckpointStore(tmp_path / "captured")
         run_workload(
             config, warmup_requests=1, measured_requests=1,
             machine_cache=captured, trace_cache=traces,
         )
         key = warmup_machine_key(config, LinkMode.DYNAMIC, CPU().config, None, 1)
-        assert prefilled.load(key).to_json() == captured.load(key).to_json()
+        prerun = CheckpointStore(tmp_path / "prerun")
+        assert prerun.load(key).to_json() == captured.load(key).to_json()
+        for abtb in (16, 64):
+            pair = run_pair("memcached", scale, abtb_entries=abtb, trace_cache=traces)
+            assert result.completed[pair_key("memcached", abtb, "tiny")] == summarize_pair(*pair)
+
+
+TINY = Scale("tiny", {"memcached": (1, 2), "apache": (1, 2)})
+
+
+def _record_sides(monkeypatch, log):
+    """Append each run_workload call's workload, side and pid to ``log``;
+    forked workers inherit the wrapper."""
+    real = runner.run_workload
+
+    def recording(config, mechanism=None, *args, **kwargs):
+        with open(log, "a") as fh:
+            side = "base" if mechanism is None else "enhanced"
+            fh.write(f"{config.name} {side} {os.getpid()}\n")
+        return real(config, mechanism, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_workload", recording)
+
+
+def _sides(log) -> list[tuple[str, str, int]]:
+    """The (workload, side, pid) calls :func:`_record_sides` logged; clears the log."""
+    rows = [line.split() for line in log.read_text().splitlines()]
+    log.unlink()
+    return sorted((w, side, int(pid)) for w, side, pid in rows)
+
+
+def _files(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _unlinkable_memcached(monkeypatch) -> None:
+    real_init = Workload.__init__
+
+    def init(self, config, *args, **kwargs):
+        if config.name == "memcached":
+            raise ConfigError("memcached failed to link")
+        real_init(self, config, *args, **kwargs)
+
+    # Forked workers inherit the patch.
+    monkeypatch.setattr(Workload, "__init__", init)
+
+
+class TestSharedBases:
+    """With a trace cache, a campaign runs each base side that several
+    points share once, in the parent, and each of those points only its
+    enhanced side; summaries, checkpoint and machine cache stay those of
+    per-point run_pair."""
+
+    @staticmethod
+    def _campaign(tmp_path, name, run_fn=None, **kwargs):
+        return run_campaign(
+            checkpoint_path=tmp_path / name / "checkpoint.json",
+            machine_cache_dir=tmp_path / name / "machines",
+            trace_cache_dir=tmp_path / name / "traces",
+            run_fn=run_fn,
+            **kwargs,
+        )
+
+    def _reference(self, tmp_path, **kwargs):
+        """The same campaign through a custom run_fn calling run_pair,
+        which takes no pre-pass."""
+        caches = dict(
+            machine_cache=CheckpointStore(tmp_path / "reference" / "machines"),
+            trace_cache=TraceStore(tmp_path / "reference" / "traces"),
+        )
+
+        def run_fn(workload, scale, abtb, mechanism=None, cpu=None):
+            return run_pair(
+                workload, scale, abtb_entries=abtb,
+                cpu_config=CPUConfig.from_dict(cpu) if cpu else None, **caches,
+            )
+
+        return self._campaign(tmp_path, "reference", run_fn, **kwargs)
+
+    def _assert_matches_reference(self, tmp_path, result, reference):
+        assert result.ok and reference.ok
+        assert result.completed == reference.completed
+        for part in ("checkpoint.json", "machines"):
+            assert _files(tmp_path / "run" / part) == _files(tmp_path / "reference" / part)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_shared_base_runs_once_in_the_parent(self, jobs, tmp_path, monkeypatch):
+        log = tmp_path / "sides.log"
+        _record_sides(monkeypatch, log)
+        grid = dict(workloads=["memcached", "apache"], scale=TINY, abtb_sizes=(16, 64))
+        result = self._campaign(tmp_path, "run", jobs=jobs, **grid)
+        sides = _sides(log)
+        parent = os.getpid()
+        assert sorted((w, pid) for w, side, pid in sides if side == "base") == [
+            ("apache", parent), ("memcached", parent),
+        ]
+        assert sorted(w for w, side, _pid in sides if side == "enhanced") == [
+            "apache", "apache", "memcached", "memcached",
+        ]
+        # The reference runs both sides of every point in this process.
+        reference = self._reference(tmp_path, **grid)
+        assert _sides(log) == sorted(
+            (w, side, parent)
+            for w in ("memcached", "apache")
+            for side in ("base", "enhanced")
+            for _abtb in (16, 64)
+        )
+        self._assert_matches_reference(tmp_path, result, reference)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_points_with_their_own_geometry_pre_run_no_base(self, jobs, tmp_path, monkeypatch):
+        log = tmp_path / "sides.log"
+        _record_sides(monkeypatch, log)
+        points = [
+            CampaignPoint(f"{w}::btb={n}", w, 64, cpu={"btb_entries": n})
+            for w in ("memcached", "apache")
+            for n in (512, 1024)
+        ]
+        result = self._campaign(tmp_path, "run", workloads=[], scale=TINY, points=points, jobs=jobs)
+        sides = _sides(log)
+        # One base and one enhanced run per point, all inside the leases.
+        assert [side for _w, side, _pid in sides].count("base") == 4
+        assert [side for _w, side, _pid in sides].count("enhanced") == 4
+        reference = self._reference(tmp_path, workloads=[], scale=TINY, points=points)
+        self._assert_matches_reference(tmp_path, result, reference)
+
+    def test_a_base_that_raises_leaves_its_points_to_their_leases(self, tmp_path, monkeypatch):
+        _unlinkable_memcached(monkeypatch)
+        outcomes = {}
+        for jobs in (1, 2):
+            result = self._campaign(
+                tmp_path, f"jobs{jobs}", workloads=["apache", "memcached"], scale=TINY,
+                abtb_sizes=(16, 64), jobs=jobs,
+                lease_policy=LeasePolicy(max_shard_failures=2, backoff_base_s=0.0),
+            )
+            outcomes[jobs] = (
+                sorted(result.completed),
+                {key: info["last_error"] for key, info in result.quarantined.items()},
+            )
+        assert outcomes[1] == outcomes[2]
+        completed, errors = outcomes[1]
+        assert completed == [pair_key("apache", n, "tiny") for n in (16, 64)]
+        assert errors == {
+            pair_key("memcached", n, "tiny"): "ConfigError: memcached failed to link"
+            for n in (16, 64)
+        }
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_with_an_unlinkable_workload_exits_3(self, jobs, tmp_path, monkeypatch, capsys):
+        from repro.cli import main as cli_main
+
+        _unlinkable_memcached(monkeypatch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"name": "u", "workloads": ["apache", "memcached"], "warmup": 1,
+             "measured": 2, "abtb_entries": [16, 64]}
+        ))
+        code = cli_main(
+            ["sweep", "run", "--spec", str(spec), "--out", str(tmp_path / "o"), "--jobs", jobs]
+        )
+        assert code == 3
+        assert "2/4 point(s) completed" in capsys.readouterr().out

@@ -40,6 +40,11 @@ def _tiny_spec(**overrides) -> SweepSpec:
     return SweepSpec(**base)
 
 
+def _files(root) -> dict:
+    """Relative path -> bytes of every file under ``root``."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 # --------------------------------------------------------------------------
 # SweepSpec
 # --------------------------------------------------------------------------
@@ -313,6 +318,14 @@ class TestEngine:
                 serial.campaign.completed[key]["speedup"]
                 == sharded.campaign.completed[key]["speedup"]
             )
+        # Byte for byte, trace-cache counts in summary.json and
+        # report.html included: both modes run the same pre-pass.
+        serial_dir, sharded_dir = tmp_path / "serial", tmp_path / "sharded"
+        checkpoint = "checkpoint.json"
+        assert (serial_dir / checkpoint).read_bytes() == (sharded_dir / checkpoint).read_bytes()
+        analysis = _files(serial_dir / "analysis")
+        assert len(analysis) == 6
+        assert analysis == _files(sharded_dir / "analysis")
 
 
 # --------------------------------------------------------------------------
