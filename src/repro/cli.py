@@ -32,7 +32,7 @@ Subcommands:
   ``--require`` kind is present);
 * ``dash --from DIR`` — render the zero-dependency campaign dashboard
   from exported artifacts (``metrics.jsonl``, ``incidents.jsonl``,
-  ``events.jsonl``, ``profile.json``, ``trace.json``).
+  ``profile.json``, ``trace.json``).
 
 SIGTERM is graceful: ``campaign`` and ``sweep`` flush their checkpoint
 and exit 130.
@@ -310,7 +310,6 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     out = write_dashboard(snapshot, args.out)
     print(
         f"dash: wrote {out} — {len(snapshot['series'])} series, "
-        f"{len(snapshot['events'])} event(s), "
         f"{len(snapshot['incidents'])} incident(s)"
         + (", trampoline profile" if snapshot["profile"] else "")
     )
@@ -651,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     dash.add_argument(
         "--from", dest="artifacts", required=True, metavar="DIR",
         help="artifact directory (metrics.jsonl / incidents.jsonl / "
-        "events.jsonl / profile.json / trace.json, all optional)",
+        "profile.json / trace.json, all optional)",
     )
     dash.add_argument(
         "--out", default="dashboard.html", metavar="PATH",

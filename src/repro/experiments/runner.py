@@ -181,7 +181,7 @@ def _cut_at_intervals(chunks, every: int, cuts: deque):
         position += len(data)
 
 
-def retire(cpu: CPU, chunks, sampler=None, progress=None, prefix=None) -> int:
+def retire(cpu: CPU, chunks, sampler=None, prefix=None) -> int:
     """Retire a stream of :class:`~repro.trace.batch.TraceBatch` chunks
     on ``cpu`` through :meth:`BatchedBackend.run_batches`; returns the
     number of events retired.
@@ -190,39 +190,34 @@ def retire(cpu: CPU, chunks, sampler=None, progress=None, prefix=None) -> int:
     :class:`~repro.obs.metrics.PerfCounterSampler`) samples at the first
     batch sync point after every ``sampler.every`` trace instructions —
     batches are cut where the cumulative ``n_instr`` column crosses each
-    boundary — and once more at the end of the stream.  ``progress(n)``
-    receives the events retired since its previous call at every sync
-    point.
+    boundary — and once more at the end of the stream.  Without one, the
+    backend runs with no sync hook.
 
     ``prefix`` (a :class:`~repro.uarch.machine.SharedPrefix`) is passed
     to ``run_batches``.  An adopting one leaves the memory side stale at
-    the sync points before its recorded row, so only ``progress``
-    positions are reported there; a ``sampler``, which reads counts at
-    sync points, never runs with one (obs sessions take no tape).
+    the sync points before its recorded row, so a ``sampler``, which
+    reads counts at sync points, never runs with one (obs sessions take
+    no tape).
     """
     backend = BatchedBackend(cpu)
-    if sampler is None and progress is None:
+    if sampler is None:
         backend.run_batches(chunks, prefix=prefix)
         return backend.position
     cuts: deque = deque()
-    if sampler is not None:
-        chunks = _cut_at_intervals(chunks, sampler.every, cuts)
-    reported = 0
     sampled_at = None
 
     def on_sync(position: int) -> None:
-        nonlocal reported, sampled_at
-        if progress is not None and position > reported:
-            progress(position - reported)
-            reported = position
+        nonlocal sampled_at
         if cuts and position >= cuts[0]:
             while cuts and position >= cuts[0]:
                 cuts.popleft()
             sampler.sample()
             sampled_at = position
 
-    backend.run_batches(chunks, sync_hook=on_sync, prefix=prefix)
-    if sampler is not None and sampled_at != backend.position:
+    backend.run_batches(
+        _cut_at_intervals(chunks, sampler.every, cuts), sync_hook=on_sync, prefix=prefix
+    )
+    if sampled_at != backend.position:
         sampler.sample()
     return backend.position
 
@@ -256,7 +251,6 @@ def run_workload(
     machine_cache: CheckpointStore | None = None,
     trace_cache: TraceStore | None = None,
     backend: str = "batched",
-    progress=None,
     tape: TraceTape | None = None,
 ) -> RunResult:
     """Run startup + warmup, then measure a steady-state window.
@@ -291,9 +285,6 @@ def run_workload(
     the warm machine and retiring the measured batch, and only that
     segment is read from the store.
 
-    ``progress(n)`` is told about retired events at every batch sync
-    point.
-
     ``tape`` (a :class:`~repro.trace.store.TraceTape`) is how
     :func:`run_pair` links and generates an uncached pair's trace once.
     With a fresh tape this run builds no :class:`Workload`: a forked
@@ -318,7 +309,7 @@ def run_workload(
     ``backend="reference"`` is the test oracle, not a production path:
     the legacy event iterators retire on the reference interpreter
     (:meth:`CPU.run`).  It honours ``machine_cache`` and the profiler,
-    and ignores ``trace_cache``, counter sampling and ``progress``.
+    and ignores ``trace_cache`` and counter sampling.
     Equivalence of the two is enforced by :mod:`repro.difftest` and the
     golden-counter tests.
     """
@@ -398,7 +389,7 @@ def run_workload(
             cpu.run(stream)
             return
         sampler = obs.sampler(cpu, obs_label) if obs is not None else None
-        retire(cpu, stream, sampler=sampler, progress=progress, prefix=prefix)
+        retire(cpu, stream, sampler=sampler, prefix=prefix)
 
     try:
         if state is not None:
@@ -493,7 +484,7 @@ def _run_side(
 ) -> RunResult:
     """One side of a named workload's pair, ``"base"`` or ``"enhanced"``,
     through :func:`run_workload`; ``run_kwargs`` are its caches,
-    ``backend``, ``progress`` and ``tape``.  :func:`run_pair`, a
+    ``backend`` and ``tape``.  :func:`run_pair`, a
     campaign's pre-pass and its points all build their sides here."""
     config, warmup, measured = _pair_recipe(workload_name, scale, seed)
     mechanism = None
@@ -526,7 +517,6 @@ def run_pair(
     machine_cache: CheckpointStore | None = None,
     trace_cache: TraceStore | None = None,
     backend: str = "batched",
-    progress=None,
 ) -> tuple[RunResult, RunResult]:
     """Base vs enhanced over identical traces of a named workload.
 
@@ -571,7 +561,7 @@ def run_pair(
         results[label] = _run_side(
             label, workload_name, scale, abtb_entries, cpu_config, mechanism_config, seed,
             obs=obs, machine_cache=machine_cache, trace_cache=trace_cache,
-            backend=backend, progress=progress, tape=tape,
+            backend=backend, tape=tape,
         )
     return _nonempty(results["base"]), results["enhanced"]
 
@@ -926,7 +916,6 @@ def _obs_spec(obs) -> dict | None:
         "metrics": obs.metrics is not None,
         "sample_every": obs.sample_every,
         "profile": obs.profiler is not None,
-        "sampled_fields": tuple(obs.sampled_fields),
     }
 
 
@@ -937,11 +926,7 @@ def _obs_from_spec(spec: dict | None):
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer
 
-    obs = Observability(
-        sample_every=spec["sample_every"],
-        profile=spec["profile"],
-        sampled_fields=spec["sampled_fields"],
-    )
+    obs = Observability(sample_every=spec["sample_every"], profile=spec["profile"])
     if spec["trace"]:
         obs.tracer = Tracer()
     if spec["metrics"] and obs.metrics is None:
@@ -1009,8 +994,6 @@ def run_campaign(
     lease_policy: LeasePolicy | None = None,
     fault_plan: FaultPlan | None = None,
     manifest_path: str | Path | None = None,
-    bus=None,
-    campaign_id: str = "",
     points: Sequence[CampaignPoint] | None = None,
 ) -> CampaignResult:
     """Sweep (workload × ABTB size) as leases from one queue, with checkpointing.
@@ -1081,13 +1064,6 @@ def run_campaign(
     checkpoints are then healed (entries requeued) instead of raising.
     ``manifest_path`` writes an integrity-checked end-of-campaign
     manifest including quarantined pairs and incident counts.
-
-    ``bus`` (a :class:`repro.obs.events.EventBus`) narrates the sweep:
-    one ``campaign_started`` event up front, one ``pair_completed`` /
-    ``pair_failed`` (quarantined) per pair (correlated by
-    ``campaign_id`` and the pair key), and a final
-    ``campaign_complete``.  Default None — the disabled path emits
-    nothing and pays nothing.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -1135,17 +1111,6 @@ def run_campaign(
             for workload in workloads
             for abtb in abtb_sizes
         ]
-    if bus is not None:
-        bus.emit(
-            "campaign_started",
-            f"campaign over {len(specs)} point(s) at scale {scale_name} "
-            f"(jobs={jobs})",
-            campaign_id=campaign_id,
-            workloads=sorted({w for _k, w, _a, _m, _c in specs}),
-            abtb_sizes=list(abtb_sizes) if points is None else [],
-            points=len(specs),
-            jobs=jobs,
-        )
     tasks: list[tuple[str, str, int, dict | None, dict | None]] = []
     for key, workload, abtb, mech_cfg, cpu_cfg in specs:
         if key in completed:
@@ -1178,16 +1143,6 @@ def run_campaign(
             obs.metrics.series("campaign.speedup").append(
                 float(len(result.completed)), outcome["summary"]["speedup"]
             )
-        if bus is not None:
-            bus.emit(
-                "pair_completed",
-                f"pair {key} completed "
-                f"(speedup {outcome['summary']['speedup']:.3f})",
-                campaign_id=campaign_id,
-                shard_key=key,
-                attempts=attempts,
-                speedup=outcome["summary"]["speedup"],
-            )
 
     def give_up(key: str, info: dict) -> None:
         """Record one quarantined pair, in task order."""
@@ -1198,16 +1153,6 @@ def run_campaign(
             if failures > 1:
                 obs.metrics.counter("campaign.retries").inc(failures - 1)
             obs.metrics.counter("campaign.pairs_failed").inc()
-        if bus is not None:
-            bus.emit(
-                "pair_failed",
-                f"pair {key} quarantined after {failures} "
-                f"attempt(s): {info['last_error']}",
-                severity="warning",
-                campaign_id=campaign_id,
-                shard_key=key,
-                attempts=failures,
-            )
 
     #: Summaries of every pair that has landed, in arrival order — ahead
     #: of ``result.completed``, which fills in task order.
@@ -1231,16 +1176,6 @@ def run_campaign(
                 )
         if manifest_path is not None:
             _write_manifest(manifest_path, result, recorder)
-        if bus is not None:
-            bus.emit(
-                "campaign_complete",
-                f"campaign finished: {len(result.completed)} completed, "
-                f"{len(result.quarantined)} quarantined",
-                severity="warning" if result.quarantined else "info",
-                campaign_id=campaign_id,
-                completed=len(result.completed),
-                quarantined=len(result.quarantined),
-            )
         return result
 
     def make_task(

@@ -6,7 +6,7 @@ disabled configuration constructs nothing and wraps nothing):
 * :mod:`repro.obs.tracer` — structured tracing (spans + instant events)
   exported as Chrome trace-event JSON, loadable in Perfetto;
 * :mod:`repro.obs.metrics` — time-series metrics: a registry of
-  counters/gauges/histograms plus ring-buffered series fed by a
+  counters plus ring-buffered series fed by a
   :class:`~repro.obs.metrics.PerfCounterSampler` that snapshots
   :class:`~repro.uarch.counters.PerfCounters` deltas every N
   instructions; JSON-lines and Prometheus-text exporters;
@@ -21,20 +21,18 @@ pass it to :func:`repro.quick_comparison`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
+from repro.errors import ConfigError
 from repro.isa.events import TraceEvent
 from repro.obs.dashboard import (
     load_snapshot_from_dir,
     render_dashboard,
     write_dashboard,
 )
-from repro.obs.events import Event, EventBus, downsample, load_event_log
 from repro.obs.metrics import (
     DEFAULT_SAMPLED_FIELDS,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     PerfCounterSampler,
     TimeSeries,
@@ -56,7 +54,6 @@ class Observability:
         sample_every: instruction interval for counter sampling
             (0 disables; requires nothing else to be enabled).
         profile: collect per-call-site trampoline attribution.
-        sampled_fields: counter fields the sampler tracks.
     """
 
     def __init__(
@@ -65,14 +62,12 @@ class Observability:
         metrics_out: str | None = None,
         sample_every: int = 0,
         profile: bool = False,
-        sampled_fields=DEFAULT_SAMPLED_FIELDS,
     ) -> None:
         if sample_every < 0:
-            raise ValueError(f"sample_every must be >= 0, got {sample_every}")
+            raise ConfigError(f"sample_every must be >= 0, got {sample_every}")
         self.trace_out = trace_out
         self.metrics_out = metrics_out
         self.sample_every = sample_every
-        self.sampled_fields = tuple(sampled_fields)
         self.tracer: Tracer | None = Tracer() if trace_out else None
         want_metrics = bool(metrics_out) or sample_every > 0
         self.metrics: MetricsRegistry | None = MetricsRegistry() if want_metrics else None
@@ -90,10 +85,6 @@ class Observability:
         if not (trace_out or metrics_out or sample_every or profile):
             return None
         return cls(trace_out, metrics_out, sample_every, profile)
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.tracer or self.metrics or self.profiler)
 
     # ------------------------------------------------------------- wiring
 
@@ -143,7 +134,6 @@ class Observability:
             cpu,
             self.metrics,
             self.sample_every,
-            fields=self.sampled_fields,
             prefix=f"{label}." if label else "",
             tracer=self.tracer,
             tracer_tid=self.tid_for(label) if label else 1,
@@ -233,10 +223,6 @@ __all__ = [
     "ChainedHooks",
     "Counter",
     "DEFAULT_SAMPLED_FIELDS",
-    "Event",
-    "EventBus",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Observability",
     "PerfCounterSampler",
@@ -244,9 +230,7 @@ __all__ = [
     "TimeSeries",
     "Tracer",
     "TrampolineProfiler",
-    "downsample",
     "emit_request_spans",
-    "load_event_log",
     "load_snapshot_from_dir",
     "render_dashboard",
     "sampled",

@@ -3,12 +3,12 @@
 One self-contained HTML page — inline CSS, inline JS, inline SVG charts,
 no npm, no CDN — rendered from a JSON *snapshot*.
 ``python -m repro dash --from <dir>`` builds the snapshot from a run's
-exported artifacts (metrics, incidents, events, optional profile/trace)
-via :func:`load_snapshot_from_dir`.
+exported artifacts (metrics, incidents, optional profile/trace) via
+:func:`load_snapshot_from_dir`.
 
 The page shows summary tiles, warm-up curves, the hot-trampoline table
-from :class:`~repro.obs.profiler.TrampolineProfiler` exports, and a
-correlated incident/event feed.
+from :class:`~repro.obs.profiler.TrampolineProfiler` exports, and the
+campaign's incident feed.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-
-from repro.obs.events import downsample
 
 #: Schema version stamped on every snapshot.
 SNAPSHOT_SCHEMA_VERSION = 1
@@ -28,8 +26,36 @@ _PLACEHOLDER = "__SNAPSHOT__"
 #: Point budget per series in a snapshot (downsampled, first/last kept).
 SNAPSHOT_MAX_POINTS = 150
 
-#: Events retained in a snapshot's feed seed.
-SNAPSHOT_MAX_EVENTS = 100
+
+def downsample(
+    points: list[tuple[float, float]], max_points: int
+) -> list[tuple[float, float]]:
+    """Bucket-mean downsample of a (t, value) series to ``max_points``.
+
+    Keeps the exact first and last points (so warm-up start and the
+    current value are never averaged away) and replaces each interior
+    bucket with its mean point.  Series at or under the budget pass
+    through untouched.
+    """
+    if max_points < 2:
+        raise ValueError(f"max_points must be >= 2, got {max_points}")
+    n = len(points)
+    if n <= max_points:
+        return list(points)
+    interior = points[1:-1]
+    buckets = max_points - 2
+    out = [points[0]]
+    if buckets > 0:
+        step = len(interior) / buckets
+        for b in range(buckets):
+            chunk = interior[int(b * step): int((b + 1) * step)]
+            if not chunk:
+                continue
+            t = sum(p[0] for p in chunk) / len(chunk)
+            v = sum(p[1] for p in chunk) / len(chunk)
+            out.append((t, v))
+    out.append(points[-1])
+    return out
 
 
 def load_snapshot_from_dir(directory: str | Path) -> dict:
@@ -37,10 +63,10 @@ def load_snapshot_from_dir(directory: str | Path) -> dict:
 
     Recognised files (all optional — the dashboard renders empty states
     for whatever is missing): ``metrics.jsonl`` (the registry's JSONL
-    export), ``incidents.jsonl``, ``events.jsonl`` (the bus export),
-    ``profile.json`` (:meth:`TrampolineProfiler.write_json`), and
-    ``trace.json`` (Chrome trace, counted only).  Unparseable lines are
-    skipped — a dashboard must render *something* from a damaged export.
+    export), ``incidents.jsonl``, ``profile.json``
+    (:meth:`TrampolineProfiler.write_json`), and ``trace.json`` (Chrome
+    trace, counted only).  Unparseable lines are skipped — a dashboard
+    must render *something* from a damaged export.
     """
     d = Path(directory)
     if not d.is_dir():
@@ -64,9 +90,7 @@ def load_snapshot_from_dir(directory: str | Path) -> dict:
                 ] if points else [],
                 "appended": int(record.get("appended", len(points))),
             }
-        elif kind in ("counter", "gauge") and isinstance(
-            record.get("value"), (int, float)
-        ):
+        elif kind == "counter" and isinstance(record.get("value"), (int, float)):
             counters[name] = float(record["value"])
 
     incidents = [
@@ -76,10 +100,6 @@ def load_snapshot_from_dir(directory: str | Path) -> dict:
     for incident in incidents:
         kind = str(incident["kind"])
         incident_counts[kind] = incident_counts.get(kind, 0) + 1
-
-    events = [
-        r for r in _jsonl_records(d / "events.jsonl") if r.get("kind")
-    ][-SNAPSHOT_MAX_EVENTS:]
 
     profile = None
     profile_path = d / "profile.json"
@@ -112,7 +132,6 @@ def load_snapshot_from_dir(directory: str | Path) -> dict:
         "incidents": incidents[-50:],
         "series": series,
         "counters": counters,
-        "events": events,
         "profile": profile,
         "trace_events": trace_events,
     }
@@ -293,7 +312,6 @@ svg.chart text {
 .feed .ico.info { color: var(--text-muted); }
 .feed .kind { color: var(--text-secondary); white-space: nowrap; }
 .feed .msg { flex: 1; }
-.feed .corr { color: var(--text-muted); font-size: 11px; white-space: nowrap; }
 """
 
 _TEMPLATE = """<!DOCTYPE html>
@@ -324,7 +342,7 @@ _TEMPLATE = """<!DOCTYPE html>
     </section>
   </div>
   <section class="card">
-    <h2>Incident &amp; event feed</h2>
+    <h2>Incident feed</h2>
     <div id="feed" class="feed"></div>
   </section>
 </main>
@@ -357,8 +375,7 @@ function renderTiles(snap) {
   Object.keys(counts).forEach(function (k) { incidents += counts[k]; });
   var tiles = [
     ["Shards completed", fmt(counters["campaign.pairs_completed"] || 0)],
-    ["Incidents", fmt(incidents)],
-    ["Events seen", fmt(counters["events.total"] || (snap.events || []).length)]
+    ["Incidents", fmt(incidents)]
   ];
   var root = document.getElementById("tiles");
   root.textContent = "";
@@ -534,24 +551,17 @@ function feedLine(entry) {
   var sev = entry.severity || "info";
   var line = el("div", "ev");
   line.appendChild(el("span", "ico " + sev, SEV_ICON[sev] || SEV_ICON.info));
-  line.appendChild(el("span", "kind",
-    entry.kind + (entry.seq ? " #" + entry.seq : "")));
+  line.appendChild(el("span", "kind", entry.kind));
   line.appendChild(el("span", "msg", entry.message || ""));
-  var corr = [entry.campaign_id, entry.shard_key, entry.worker_id]
-    .filter(Boolean).join(" · ");
-  if (corr) line.appendChild(el("span", "corr", corr));
   return line;
 }
 
 function renderFeed(snap) {
   var root = document.getElementById("feed");
   root.textContent = "";
-  var entries = (snap.events || []).slice();
-  if (!entries.length && (snap.incidents || []).length) {
-    entries = snap.incidents.slice();
-  }
+  var entries = snap.incidents || [];
   if (!entries.length) {
-    root.appendChild(el("div", "empty", "No events yet."));
+    root.appendChild(el("div", "empty", "No incidents."));
     return;
   }
   entries.slice().reverse().forEach(function (entry) {

@@ -1,4 +1,4 @@
-"""Time-series metrics: counters, gauges, histograms, ring-buffered series.
+"""Time-series metrics: counters and ring-buffered series.
 
 The registry turns the model's end-of-run :class:`~repro.uarch.counters.
 PerfCounters` totals into *plottable time series*: a
@@ -20,20 +20,15 @@ stream — the fast path is the absence of this module.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from collections import deque
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.isa.events import TraceEvent
-from repro.uarch.counters import PerfCounters
+from repro.resilience.integrity import atomic_write
 from repro.uarch.cpu import CPU
 
-#: Histogram bucket upper bounds used when none are given.
-DEFAULT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0)
-
-#: Counter fields the sampler tracks by default — the structures the
-#: paper's Table 4 and Figures 5-8 argue about.
+#: Counter fields the sampler tracks — the structures the paper's
+#: Table 4 and Figures 5-8 argue about.
 DEFAULT_SAMPLED_FIELDS = (
     "l1i_misses",
     "itlb_misses",
@@ -61,57 +56,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name}: cannot decrease (got {amount})")
         self.value += amount
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-class Histogram:
-    """A cumulative-bucket histogram (Prometheus semantics)."""
-
-    kind = "histogram"
-
-    def __init__(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS, help: str = ""
-    ) -> None:
-        if list(buckets) != sorted(buckets):
-            raise ValueError(f"histogram {name}: buckets must be sorted")
-        self.name = name
-        self.help = help
-        self.buckets = tuple(float(b) for b in buckets)
-        self.bucket_counts = [0] * len(self.buckets)
-        self.count = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.sum += value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
-
-    def cumulative_counts(self) -> list[int]:
-        """Bucket counts with each bucket including all smaller ones."""
-        out, running = [], 0
-        for c in self.bucket_counts:
-            running += c
-            out.append(running)
-        return out
 
 
 class TimeSeries:
@@ -153,43 +97,27 @@ class MetricsRegistry:
     are the same call, so instrumentation sites stay one line.
     """
 
-    def __init__(self, series_capacity: int = 4096) -> None:
-        self.series_capacity = series_capacity
-        self._metrics: dict[str, object] = {}
+    def __init__(self) -> None:
+        self._metrics: dict[str, Counter | TimeSeries] = {}
 
-    def _get(self, name: str, kind: type, factory) -> object:
+    def _get(self, name: str, kind: type, factory):
         existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, kind):
-                raise ValueError(
-                    f"metric {name!r} already registered as {existing.kind}"  # type: ignore[attr-defined]
-                )
+                raise ValueError(f"metric {name!r} already registered as {existing.kind}")
             return existing
         created = factory()
         self._metrics[name] = created
         return created
 
     def counter(self, name: str, help: str = "") -> Counter:
-        return self._get(name, Counter, lambda: Counter(name, help))  # type: ignore[return-value]
+        return self._get(name, Counter, lambda: Counter(name, help))
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get(name, Gauge, lambda: Gauge(name, help))  # type: ignore[return-value]
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS, help: str = ""
-    ) -> Histogram:
-        return self._get(name, Histogram, lambda: Histogram(name, buckets, help))  # type: ignore[return-value]
-
-    def series(self, name: str, help: str = "", capacity: int | None = None) -> TimeSeries:
-        cap = capacity if capacity is not None else self.series_capacity
-        return self._get(name, TimeSeries, lambda: TimeSeries(name, cap, help))  # type: ignore[return-value]
+    def series(self, name: str, help: str = "", capacity: int = 4096) -> TimeSeries:
+        return self._get(name, TimeSeries, lambda: TimeSeries(name, capacity, help))
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
-
-    def get(self, name: str):
-        """Look a metric up by name (KeyError when absent)."""
-        return self._metrics[name]
 
     # ------------------------------------------------------- worker merging
 
@@ -202,15 +130,10 @@ class MetricsRegistry:
         out: dict[str, dict] = {}
         for name in self.names():
             metric = self._metrics[name]
-            record: dict[str, object] = {"kind": metric.kind, "help": metric.help}  # type: ignore[attr-defined]
-            if isinstance(metric, (Counter, Gauge)):
+            record: dict[str, object] = {"kind": metric.kind, "help": metric.help}
+            if isinstance(metric, Counter):
                 record["value"] = metric.value
-            elif isinstance(metric, Histogram):
-                record["buckets"] = list(metric.buckets)
-                record["bucket_counts"] = list(metric.bucket_counts)
-                record["count"] = metric.count
-                record["sum"] = metric.sum
-            elif isinstance(metric, TimeSeries):
+            else:
                 record["capacity"] = metric.capacity
                 record["points"] = [[t, v] for t, v in metric.points()]
                 record["appended"] = metric.appended
@@ -220,9 +143,8 @@ class MetricsRegistry:
     def merge_state(self, state: dict) -> None:
         """Fold a worker's :meth:`state_dict` into this registry.
 
-        Counters and histograms sum, gauges take the incoming value
-        (last-writer-wins), series extend with the worker's points.  Kind
-        or bucket mismatches raise ValueError rather than merge nonsense.
+        Counters sum and series extend with the worker's points.  A kind
+        mismatch raises ValueError rather than merge nonsense.
         """
         for name in sorted(state):
             record = state[name]
@@ -230,19 +152,6 @@ class MetricsRegistry:
             help_text = record.get("help", "")
             if kind == "counter":
                 self.counter(name, help_text).value += float(record["value"])
-            elif kind == "gauge":
-                self.gauge(name, help_text).set(float(record["value"]))
-            elif kind == "histogram":
-                hist = self.histogram(name, tuple(record["buckets"]), help_text)
-                if list(hist.buckets) != list(record["buckets"]):
-                    raise ValueError(
-                        f"histogram {name!r}: incoming buckets {record['buckets']} "
-                        f"do not match existing {list(hist.buckets)}"
-                    )
-                for i, c in enumerate(record["bucket_counts"]):
-                    hist.bucket_counts[i] += int(c)
-                hist.count += int(record["count"])
-                hist.sum += float(record["sum"])
             elif kind == "series":
                 series = self.series(name, help_text, capacity=int(record["capacity"]))
                 points = record["points"]
@@ -260,85 +169,47 @@ class MetricsRegistry:
         lines = []
         for name in self.names():
             metric = self._metrics[name]
-            record: dict[str, object] = {"name": name, "kind": metric.kind}  # type: ignore[attr-defined]
-            if isinstance(metric, (Counter, Gauge)):
+            record: dict[str, object] = {"name": name, "kind": metric.kind}
+            if isinstance(metric, Counter):
                 record["value"] = metric.value
-            elif isinstance(metric, Histogram):
-                record["count"] = metric.count
-                record["sum"] = metric.sum
-                record["buckets"] = [
-                    {"le": b, "count": c}
-                    for b, c in zip(metric.buckets, metric.cumulative_counts())
-                ]
-            elif isinstance(metric, TimeSeries):
+            else:
                 record["points"] = [[t, v] for t, v in metric.points()]
                 record["appended"] = metric.appended
             lines.append(json.dumps(record))
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_prometheus(self) -> str:
-        """Prometheus text exposition format (fully compliant).
+        """Prometheus text exposition format.
 
         Every family gets a ``# HELP`` (the metric's help text, or a
         generated placeholder — the exposition format expects HELP before
-        TYPE for each family) and a ``# TYPE``; histograms emit
-        cumulative ``le`` buckets ending in ``+Inf`` plus ``_sum`` and
-        ``_count``.  Series export their most recent value as a gauge
-        (Prometheus scrapes are point-in-time); the full history lives in
-        the JSONL export.
+        TYPE for each family) and a ``# TYPE``.  Series export their most
+        recent value as a gauge (Prometheus scrapes are point-in-time);
+        the full history lives in the JSONL export.
         """
         out: list[str] = []
-
-        def _family(prom: str, help_text: str, kind: str) -> None:
-            text = help_text or f"repro metric {prom}"
-            out.append(f"# HELP {prom} {_prom_escape_help(text)}")
-            out.append(f"# TYPE {prom} {kind}")
-
         for name in self.names():
             metric = self._metrics[name]
             prom = _prom_name(name)
-            if isinstance(metric, (Counter, Gauge)):
-                _family(prom, metric.help, metric.kind)
-                out.append(f"{prom} {_prom_value(metric.value)}")
-            elif isinstance(metric, Histogram):
-                _family(prom, metric.help, "histogram")
-                for bound, count in zip(metric.buckets, metric.cumulative_counts()):
-                    out.append(f'{prom}_bucket{{le="{_prom_value(bound)}"}} {count}')
-                out.append(f'{prom}_bucket{{le="+Inf"}} {metric.count}')
-                out.append(f"{prom}_sum {_prom_value(metric.sum)}")
-                out.append(f"{prom}_count {metric.count}")
-            elif isinstance(metric, TimeSeries):
-                _family(prom, metric.help, "gauge")
-                last = metric.values()[-1] if len(metric) else 0.0
-                out.append(f"{prom} {_prom_value(last)}")
+            if isinstance(metric, Counter):
+                kind, value = "counter", metric.value
+            else:
+                kind, value = "gauge", metric.values()[-1] if len(metric) else 0.0
+            text = metric.help or f"repro metric {prom}"
+            out.append(f"# HELP {prom} {_prom_escape_help(text)}")
+            out.append(f"# TYPE {prom} {kind}")
+            out.append(f"{prom} {_prom_value(value)}")
         return "\n".join(out) + ("\n" if out else "")
 
     def write(self, path: str) -> None:
         """Write the registry to ``path``; ``.prom`` selects Prometheus
         text format, anything else JSON-lines.
 
-        The write is atomic (mkstemp + rename): a scraper reading the
-        ``.prom`` file mid-export sees the old complete file or the new
-        one, never a torn mix.
+        The write is atomic (:func:`~repro.resilience.integrity.
+        atomic_write`): a scraper reading the ``.prom`` file mid-export
+        sees the old complete file or the new one, never a torn mix.
         """
-        text = self.to_prometheus() if path.endswith(".prom") else self.to_jsonl()
-        directory = os.path.dirname(path) or "."
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def write_jsonl(self, fh: IO[str]) -> None:
-        fh.write(self.to_jsonl())
+        atomic_write(path, self.to_prometheus() if path.endswith(".prom") else self.to_jsonl())
 
 
 def _prom_name(name: str) -> str:
@@ -360,7 +231,8 @@ def _prom_value(value: float) -> str:
 class PerfCounterSampler:
     """Snapshots :class:`PerfCounters` deltas every N instructions.
 
-    Each sample appends, per tracked field, two points timestamped by the
+    Each sample appends, per field of :data:`DEFAULT_SAMPLED_FIELDS`,
+    two points timestamped by the
     cumulative instruction count:
 
     * ``<prefix><field>_pki`` — cumulative per-kilo-instruction rate (the
@@ -378,23 +250,15 @@ class PerfCounterSampler:
         cpu: CPU,
         registry: MetricsRegistry,
         every: int,
-        fields: Sequence[str] = DEFAULT_SAMPLED_FIELDS,
         prefix: str = "",
         tracer=None,
         tracer_tid: int = 1,
     ) -> None:
         if every < 1:
             raise ValueError(f"sample interval must be positive, got {every}")
-        for field in fields:
-            if field not in PerfCounters.field_names():
-                raise ValueError(
-                    f"unknown counter field {field!r}; valid fields: "
-                    f"{', '.join(PerfCounters.field_names())}"
-                )
         self.cpu = cpu
         self.registry = registry
         self.every = every
-        self.fields = tuple(fields)
         self.prefix = prefix
         self.tracer = tracer
         self.tracer_tid = tracer_tid
@@ -405,13 +269,6 @@ class PerfCounterSampler:
     def due(self) -> bool:
         return self.cpu.counters.instructions >= self._next_at
 
-    def maybe_sample(self) -> bool:
-        """Take a sample iff the instruction interval has elapsed."""
-        if not self.due():
-            return False
-        self.sample()
-        return True
-
     def sample(self) -> None:
         """Record one snapshot unconditionally (also used at end-of-run)."""
         counters = self.cpu.counters
@@ -419,7 +276,7 @@ class PerfCounterSampler:
         t = float(counters.instructions)
         window = counters.delta(self._last)
         reg = self.registry
-        for field in self.fields:
+        for field in DEFAULT_SAMPLED_FIELDS:
             cumulative = counters.pki(field)
             reg.series(f"{self.prefix}{field}_pki").append(t, cumulative)
             reg.series(f"{self.prefix}{field}_pki_window").append(t, window.pki(field))

@@ -9,17 +9,19 @@ to the originating call site, then renders top-N "hot trampoline" tables
 via :class:`repro.analysis.report.Table`.
 
 Call sites are named through a ``site_pc → "caller:symbol"`` map built
-from the workload's linked program (:meth:`TrampolineProfiler.
-from_workload`), so the output reads like a real profiler's: symbols,
+from the workload's linked program (:meth:`repro.obs.Observability.
+attach_workload`), so the output reads like a real profiler's: symbols,
 not addresses.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from repro.analysis.report import Table
 from repro.uarch.counters import PerfCounters
+from repro.resilience.integrity import atomic_write
 from repro.uarch.cpu import CPUHooks
 
 #: Label for trampoline work with no known call site (tail-called stubs).
@@ -65,16 +67,6 @@ class TrampolineProfiler(CPUHooks):
     def __init__(self, site_names: dict[int, str] | None = None) -> None:
         self.site_names = site_names or {}
         self.sites: dict[int, SiteStats] = {}
-
-    @classmethod
-    def from_workload(cls, workload) -> "TrampolineProfiler":
-        """Build a profiler whose site map names every call site of a
-        built :class:`~repro.workloads.base.Workload`."""
-        names = {
-            pc: f"{caller}:{symbol}"
-            for pc, caller, symbol in workload.all_call_sites()
-        }
-        return cls(names)
 
     # -------------------------------------------------------------- hook
 
@@ -194,15 +186,12 @@ class TrampolineProfiler(CPUHooks):
 
     def write_json(self, path, top: int = 20) -> None:
         """Write the top-N profile as JSON (consumed by ``repro dash``)."""
-        import json
-        from pathlib import Path
-
         payload = {
             "sites": self.as_dicts(top),
             "total_instructions": self.total_instructions(),
             "attributed_instructions": self.attributed_instructions(),
         }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
     def summary_lines(self, counters: PerfCounters | None = None) -> list[str]:
         """Human-readable attribution summary printed under the table."""

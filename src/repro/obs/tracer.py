@@ -26,11 +26,11 @@ dispatch on any hot path.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
+
+from repro.resilience.integrity import atomic_write
 
 #: ``pid`` of host-clock (wall time) records.
 HOST_PID = 1
@@ -190,23 +190,11 @@ class Tracer:
     def write(self, path: str) -> None:
         """Serialise the trace to ``path`` as Chrome trace JSON.
 
-        Atomic (mkstemp + rename): a crash mid-export leaves the previous
-        trace or none, never a truncated JSON that Perfetto rejects.
+        Atomic (:func:`~repro.resilience.integrity.atomic_write`): a
+        crash mid-export leaves the previous trace or none, never a
+        truncated JSON that Perfetto rejects.
         """
-        directory = os.path.dirname(path) or "."
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(self.to_chrome(), fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, json.dumps(self.to_chrome()))
 
 
 #: Phases that require a ``dur`` field.

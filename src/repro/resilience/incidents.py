@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import enum
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.resilience.integrity import atomic_write
 
 #: Schema version stamped on every serialised incident.
 INCIDENT_SCHEMA_VERSION = 1
@@ -142,21 +142,20 @@ def _incident_problems(data: object) -> list[str]:
 class IncidentRecorder:
     """Collects incidents; optionally mirrors them into obs metrics/tracer.
 
+    ``repro campaign`` builds one for ``--incidents-out`` and
+    ``--manifest``; with obs flags it comes from
+    :meth:`repro.obs.Observability.incident_recorder`, wired to the
+    session's metrics and tracer.
+
     Args:
         metrics: a :class:`repro.obs.metrics.MetricsRegistry` (or None).
         tracer: a :class:`repro.obs.tracer.Tracer` (or None).
-        bus: a :class:`repro.obs.events.EventBus` (or None) — every
-            incident also lands on the bus as an ``incident`` event, so
-            anything that records through this recorder (the local
-            workers, the stores) shows up in the bus's event log without
-            knowing the bus exists.
         clock: timestamp source (overridable for deterministic tests).
     """
 
-    def __init__(self, metrics=None, tracer=None, bus=None, clock=time.time) -> None:
+    def __init__(self, metrics=None, tracer=None, clock=time.time) -> None:
         self.metrics = metrics
         self.tracer = tracer
-        self.bus = bus
         self._clock = clock
         self.incidents: list[Incident] = []
 
@@ -197,17 +196,6 @@ class IncidentRecorder:
                 message=incident.message,
                 **incident.context,
             )
-        if self.bus is not None:
-            ctx = incident.context
-            self.bus.emit(
-                "incident",
-                incident.message,
-                severity=incident.severity,
-                campaign_id=str(ctx.get("campaign_id", "")),
-                shard_key=str(ctx.get("key", ctx.get("shard_key", ""))),
-                worker_id=str(ctx.get("worker_id", "")),
-                incident_kind=incident.kind,
-            )
 
     def extend_dicts(self, records: list[dict] | None) -> int:
         """Merge serialised incidents (from a worker process); returns the
@@ -235,29 +223,12 @@ class IncidentRecorder:
     # ------------------------------------------------------------- export
 
     def write_jsonl(self, path: str | Path) -> Path:
-        """Atomically write the incident log as JSON lines.
-
-        The temp file comes from ``mkstemp`` (unique per writer), so two
-        processes exporting to the same path cannot race on a shared
-        ``.tmp`` name — the last rename wins and both files are intact.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = "".join(
-            json.dumps(i.as_dict(), sort_keys=True) + "\n" for i in self.incidents
+        """Atomically write the incident log as JSON lines (see
+        :func:`~repro.resilience.integrity.atomic_write`)."""
+        return atomic_write(
+            path,
+            "".join(json.dumps(i.as_dict(), sort_keys=True) + "\n" for i in self.incidents),
         )
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
 
 
 def load_incident_log(path: str | Path) -> list[Incident]:

@@ -15,7 +15,7 @@ The checksum is computed over the canonical payload serialisation
 envelope's own formatting: envelopes written in the older ``indent=2``
 layout still read.  The payload is serialised once per write: that one
 canonical text is hashed and spliced into the envelope as it stands
-(:func:`envelope_text`).  Writes are atomic (temp file + ``os.replace``),
+(:func:`envelope_text`).  Writes are atomic (:func:`atomic_write`),
 so a crash mid-write leaves either the old artifact or none — never a
 torn one.  Reads verify the envelope shape, schema name, schema version
 and checksum (an envelope in the one-line layout by hashing its stored
@@ -71,6 +71,30 @@ def envelope_text(canonical: str, schema: str, schema_version: int) -> str:
     )
 
 
+def atomic_write(path: str | Path, data: str | bytes) -> Path:
+    """Write ``data`` (text is UTF-8 encoded) to ``path`` atomically,
+    creating its directory.
+
+    Each writer gets its own temp file in the target directory, so two
+    processes writing the same path cannot race on a shared ``.tmp``
+    name: each rename is whole, and the last one wins.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
+
+
 def write_artifact(
     path: str | Path, payload: object, schema: str, schema_version: int
 ) -> Path:
@@ -86,21 +110,7 @@ def write_canonical(
     For callers that already hold ``canonical_payload(payload)`` (and have
     checked it): the text is hashed and written as it stands.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = envelope_text(canonical, schema, schema_version)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write(path, envelope_text(canonical, schema, schema_version))
 
 
 def _stored_payload_text(text: str, schema: str, schema_version: int) -> str | None:

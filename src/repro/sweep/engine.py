@@ -140,8 +140,6 @@ def run_sweep(
     spec: SweepSpec | None,
     out_dir: str | Path,
     jobs: int = 1,
-    recorder=None,
-    bus=None,
 ) -> SweepResult:
     """Execute (or resume) a sweep into ``out_dir``.
 
@@ -169,14 +167,11 @@ def run_sweep(
         jobs=jobs,
         machine_cache_dir=out / "machine-cache",
         trace_cache_dir=out / "trace-cache",
-        recorder=recorder,
-        bus=bus,
-        campaign_id=f"sweep:{spec.name}",
     )
     return _finish(spec, out, points, campaign, dropped)
 
 
-def report_sweep(out_dir: str | Path, recorder=None) -> SweepResult:
+def report_sweep(out_dir: str | Path) -> SweepResult:
     """Recompute ``analysis/`` from the checkpoint without executing.
 
     Useful mid-sweep (analysis over the points finished so far) and
@@ -185,7 +180,7 @@ def report_sweep(out_dir: str | Path, recorder=None) -> SweepResult:
     out = Path(out_dir)
     spec = load_spec(out)
     points = spec.expand()
-    completed = _load_checkpoint(out / "checkpoint.json", recorder)
+    completed = _load_checkpoint(out / "checkpoint.json")
     campaign = CampaignResult(completed=dict(completed), resumed=len(completed))
     return _finish(spec, out, points, campaign, spec.size() - len(points))
 

@@ -19,9 +19,7 @@ and referenced by index, keeping the array purely numeric.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 import zlib
 from itertools import islice
 from operator import attrgetter
@@ -33,6 +31,7 @@ import numpy as np
 from repro.errors import TraceCorruptionError, TraceError
 from repro.isa.events import TraceEvent, event_from_row
 from repro.isa.kinds import MAX_EVENT_KIND
+from repro.resilience.integrity import atomic_write
 
 # Single-attribute getters: ``np.fromiter(map(getter, events), ...)`` fills
 # a column at C speed, several times faster than building per-event row
@@ -326,20 +325,7 @@ class TraceBatch:
 
     def save(self, path: str | Path) -> Path:
         """Atomically write the batch in the binary trace format."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(self.to_bytes())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return atomic_write(path, self.to_bytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "TraceBatch":

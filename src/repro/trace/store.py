@@ -55,13 +55,13 @@ import os
 import pickle
 import signal
 import struct
-import tempfile
 import traceback
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.errors import ConfigError, ExperimentError, TraceCorruptionError
+from repro.resilience.integrity import atomic_write
 from repro.trace.batch import TRACE_FORMAT_VERSION, TraceBatch
 
 #: Bump when the entry layout or sidecar schema changes; part of the key,
@@ -554,9 +554,9 @@ class TraceStore:
         if (entry / "meta.json").exists():
             return entry
         entry.mkdir(parents=True, exist_ok=True)
-        # Each segment lands via tempfile + os.replace (inside
-        # TraceBatch.save), so readers only ever observe complete files;
-        # meta.json goes last as the all-or-nothing commit marker.
+        # Each segment lands atomically (TraceBatch.save), so readers
+        # only ever observe complete files; meta.json goes last as the
+        # all-or-nothing commit marker.
         for seg, batch in zip(SEGMENTS, bundle.segments()):
             batch.save(entry / f"{seg}.trace")
         payload = json.dumps(
@@ -572,15 +572,5 @@ class TraceStore:
             sort_keys=True,
             indent=2,
         )
-        fd, tmp = tempfile.mkstemp(dir=entry, prefix=".meta-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, entry / "meta.json")
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(entry / "meta.json", payload)
         return entry

@@ -115,6 +115,27 @@ class TestCommands:
         names = {json.loads(line)["name"] for line in metrics.read_text().splitlines()}
         assert any(n.startswith("enhanced.") and n.endswith("_pki") for n in names)
 
+    def test_obs_exports_create_their_directories(self, capsys, tmp_path):
+        out = tmp_path / "new"
+        assert main([
+            "profile", "memcached", "--requests", "10",
+            "--metrics-out", str(out / "m" / "metrics.jsonl"),
+            "--trace-out", str(out / "t" / "trace.json"),
+            "--profile-out", str(out / "p" / "profile.json"),
+        ]) == 0
+        assert json.loads((out / "p" / "profile.json").read_text())["sites"]
+        trace = json.loads((out / "t" / "trace.json").read_text())
+        assert validate_chrome_trace(trace) == []
+        assert (out / "m" / "metrics.jsonl").read_text()
+        assert sorted(p.name for p in out.rglob("*") if p.is_file()) == [
+            "metrics.jsonl", "profile.json", "trace.json",
+        ]
+
+    def test_negative_sample_interval_is_an_error(self, capsys):
+        assert main(["compare", "memcached", "--sample-every", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sample_every" in err
+
     def test_unknown_experiment_exits_nonzero(self, capsys):
         assert main(["run", "nonesuch"]) == 1
         assert "unknown experiment" in capsys.readouterr().err

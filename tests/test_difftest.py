@@ -1,9 +1,10 @@
 """Tests for the differential-correctness harness.
 
 Two halves: the harness certifies the real backend as clean on seeded
-workload slices, and — the part that proves the harness itself works — a
-deliberately sabotaged machine produces a report that localises the
-divergence to a minimal event window with named snapshot fields.
+workload slices and on chaos-perturbed streams, and — the part that
+proves the harness itself works — a deliberately sabotaged machine
+produces a report that localises the divergence to a minimal event
+window with named snapshot fields.
 """
 
 from __future__ import annotations
@@ -12,6 +13,15 @@ from dataclasses import replace
 
 import pytest
 
+from repro.chaos import (
+    ChaosContext,
+    ChaosRunConfig,
+    CorrectnessOracle,
+    Injector,
+    SyntheticSlots,
+    default_faults,
+)
+from repro.chaos.campaign import _mechanism as _chaos_mechanism
 from repro.difftest import (
     ABLATION_SHAPES,
     DEFAULT_ABTB_SIZES,
@@ -26,7 +36,8 @@ from repro.isa.events import block, jmp_direct
 from repro.isa.kinds import EventKind
 from repro.uarch import CPU
 from repro.uarch.btb import BTB
-from repro.workloads import Workload, apache
+from repro.uarch.cpu import CPUHooks
+from repro.workloads import ALL_WORKLOADS, Workload, apache
 
 
 class TestSnapshotDiff:
@@ -100,6 +111,81 @@ class TestCleanRuns:
         assert len(a) != len(b) or any(
             x.pc != y.pc or x.mem_addr != y.mem_addr for x, y in zip(a, b)
         )
+
+
+def _chaos_stream(cfg: ChaosRunConfig) -> tuple[list, Injector, CorrectnessOracle]:
+    """The events of a single-core chaos run, as ``run_chaos`` builds it:
+    start-up, then the requests with the injector's faults spliced in.
+    A reference CPU with the oracle's hooks consumes them while they are
+    recorded, because faults fire against the live program and machine."""
+    workload = Workload(ALL_WORKLOADS[cfg.workload].config(seed=1234 + cfg.seed))
+    oracle = CorrectnessOracle(
+        workload.program, expect_hazards=not cfg.use_bloom and not cfg.software_invalidate
+    )
+    mechanism = _chaos_mechanism(cfg)
+    cpu = CPU(mechanism=mechanism, hooks=oracle)
+    events = list(workload.startup_trace())
+    cpu.run(events)
+    injector = Injector(
+        default_faults(software_invalidate=cfg.software_invalidate),
+        ChaosContext(workload.program, oracle, mechanism, SyntheticSlots()),
+        seed=cfg.seed,
+        rate=cfg.rate,
+    )
+
+    def recorded(stream):
+        for ev in stream:
+            events.append(ev)
+            yield ev
+
+    cpu.run(recorded(injector.wrap(workload.trace(cfg.requests))))
+    return events, injector, oracle
+
+
+#: ``ChaosRunConfig`` fields of each chaos case: seeds 1-3 with the Bloom
+#: filter, seed 1 without it, and seed 1 without it and with software
+#: invalidation broken (the §3.4 hazard).
+CHAOS_CASES = (
+    pytest.param({"seed": 1}, id="seed1"),
+    pytest.param({"seed": 2}, id="seed2"),
+    pytest.param({"seed": 3}, id="seed3"),
+    pytest.param({"seed": 1, "use_bloom": False}, id="seed1-no-bloom"),
+    pytest.param(
+        {"seed": 1, "use_bloom": False, "software_invalidate": False},
+        id="seed1-no-bloom-hazard",
+    ),
+)
+
+
+class TestChaosStreams:
+    """Streams perturbed by GOT rewrites, ifunc re-selection, spurious
+    invalidations and the other chaos faults stay difftest-clean.  Each
+    is diffed without hooks, where the backend passes over the stores
+    and snoops that cannot hit the Bloom filter, and with a no-op hook,
+    which takes every store through the control loop."""
+
+    def _check(self, workload: str, case: dict) -> None:
+        cfg = ChaosRunConfig(workload=workload, **case)
+        events, injector, oracle = _chaos_stream(cfg)
+        assert injector.injected > 0
+        if not cfg.software_invalidate:
+            assert oracle.hazards_detected > 0
+        for hooks in (None, CPUHooks()):
+            report = diff_backends(
+                events,
+                lambda: CPU(mechanism=_chaos_mechanism(cfg), hooks=hooks),
+                label=f"{workload}/chaos/hooks={hooks is not None}",
+            )
+            assert report.ok, report.render()
+
+    @pytest.mark.parametrize("case", CHAOS_CASES)
+    def test_memcached_chaos_stream_clean(self, case):
+        self._check("memcached", case)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("case", CHAOS_CASES)
+    def test_apache_chaos_stream_clean(self, case):
+        self._check("apache", case)
 
 
 class _DroppingBTB(BTB):

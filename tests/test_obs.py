@@ -18,8 +18,6 @@ from repro.core import MechanismConfig, TrampolineSkipMechanism
 from repro.obs import Observability, emit_request_spans
 from repro.obs.metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     PerfCounterSampler,
     TimeSeries,
@@ -120,23 +118,6 @@ class TestMetricsPrimitives:
         with pytest.raises(ValueError, match="cannot decrease"):
             c.inc(-1)
 
-    def test_gauge_moves_both_ways(self):
-        g = Gauge("occupancy")
-        g.set(10)
-        g.inc(-3)
-        assert g.value == 7.0
-
-    def test_histogram_buckets(self):
-        h = Histogram("latency", buckets=(1.0, 10.0, 100.0))
-        for v in (0.5, 5.0, 50.0, 500.0):
-            h.observe(v)
-        assert h.count == 4 and h.sum == pytest.approx(555.5)
-        assert h.cumulative_counts() == [1, 2, 3]
-
-    def test_histogram_rejects_unsorted_buckets(self):
-        with pytest.raises(ValueError, match="sorted"):
-            Histogram("bad", buckets=(10.0, 1.0))
-
     def test_series_ring_buffer_drops_old_points(self):
         s = TimeSeries("pki", capacity=3)
         for i in range(5):
@@ -156,18 +137,20 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(ValueError, match="already registered as counter"):
-            reg.gauge("x")
+            reg.series("x")
+        reg.series("y")
+        with pytest.raises(ValueError, match="already registered as series"):
+            reg.counter("y")
 
     def test_jsonl_export_parses(self):
         reg = MetricsRegistry()
         reg.counter("a").inc(2)
         reg.series("b").append(1.0, 0.5)
-        reg.histogram("c", buckets=(1.0,)).observe(0.5)
         records = [json.loads(line) for line in reg.to_jsonl().splitlines()]
         by_name = {r["name"]: r for r in records}
-        assert by_name["a"]["value"] == 2.0
+        assert by_name["a"] == {"name": "a", "kind": "counter", "value": 2.0}
         assert by_name["b"]["points"] == [[1.0, 0.5]]
-        assert by_name["c"]["buckets"] == [{"le": 1.0, "count": 1}]
+        assert by_name["b"]["appended"] == 1
 
     def test_prometheus_export_shape(self):
         reg = MetricsRegistry()
@@ -180,6 +163,22 @@ class TestMetricsRegistry:
         # Series export their latest value as a point-in-time gauge.
         assert "warmup 2.5" in text
 
+    def test_merge_state_sums_counters_and_extends_series(self):
+        worker = MetricsRegistry()
+        worker.counter("pairs", help="pairs done").inc(2)
+        series = worker.series("curve", capacity=2)
+        for i in range(3):
+            series.append(float(i), float(i))
+        parent = MetricsRegistry()
+        parent.counter("pairs").inc()
+        parent.merge_state(worker.state_dict())
+        assert parent.counter("pairs").value == 3.0
+        merged = parent.series("curve")
+        assert merged.points() == [(1.0, 1.0), (2.0, 2.0)]
+        assert merged.appended == 3
+        with pytest.raises(ValueError, match="unknown kind"):
+            parent.merge_state({"h": {"kind": "histogram"}})
+
     def test_write_selects_format_by_extension(self, tmp_path):
         reg = MetricsRegistry()
         reg.counter("n").inc()
@@ -191,13 +190,9 @@ class TestMetricsRegistry:
 
 
 class TestSampler:
-    def test_rejects_unknown_fields_and_bad_interval(self):
-        cpu = CPU()
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError, match="unknown counter field"):
-            PerfCounterSampler(cpu, reg, every=100, fields=("bogus",))
+    def test_rejects_bad_interval(self):
         with pytest.raises(ValueError, match="positive"):
-            PerfCounterSampler(cpu, reg, every=0)
+            PerfCounterSampler(CPU(), MetricsRegistry(), every=0)
 
     def test_sampling_produces_series_and_final_point(self):
         wl = Workload(ALL_WORKLOADS["memcached"].config())
@@ -302,7 +297,6 @@ class TestObservabilitySession:
 
     def test_disabled_session_is_a_null_sink(self):
         obs = Observability()
-        assert not obs.enabled
         assert obs.hooks() is None
         events = iter([])
         # No sampling configured: the stream comes back unwrapped.

@@ -17,6 +17,7 @@ import shutil
 import signal
 from collections import defaultdict
 from functools import partial
+from itertools import islice
 
 import pytest
 
@@ -602,20 +603,24 @@ class TestPairTape:
 
     @pytest.mark.parametrize("name", PROFILES)
     def test_replayed_side_reports_the_same_progress(self, name, monkeypatch):
+        # Each side's total of retired events, summed from what retire
+        # returns, is the same replayed as generated.
         totals: list[int] = []
-
-        def progress(n: int) -> None:
-            totals[-1] += n
-
-        real = runner.run_workload
+        real_run, real_retire = runner.run_workload, runner.retire
 
         def one_total_per_side(*args, **kwargs):
             totals.append(0)
-            return real(*args, **kwargs)
+            return real_run(*args, **kwargs)
+
+        def counted(*args, **kwargs):
+            retired = real_retire(*args, **kwargs)
+            totals[-1] += retired
+            return retired
 
         monkeypatch.setattr(runner, "run_workload", one_total_per_side)
-        taped = run_pair(name, self.SCALE, abtb_entries=self.ABTB, progress=progress)
-        generated = self._generated(name, progress=progress)
+        monkeypatch.setattr(runner, "retire", counted)
+        taped = run_pair(name, self.SCALE, abtb_entries=self.ABTB)
+        generated = self._generated(name)
         assert len(totals) == 4 and totals[0] > 0
         assert totals[:2] == totals[2:]
         assert [_fingerprint(r) for r in taped] == [_fingerprint(r) for r in generated]
@@ -632,14 +637,18 @@ class TestPairTape:
             run_pair("memcached", self.SCALE, abtb_entries=self.ABTB)
         _assert_reaped(producers)
 
-    def test_raising_progress_leaves_no_child(self, producers):
-        def progress(n: int) -> None:
-            raise RuntimeError("progress callback failed")
+    def test_raising_progress_leaves_no_child(self, monkeypatch, producers):
+        real = runner.retire
+
+        def one_chunk_then_raise(cpu, chunks, **kwargs):
+            real(cpu, islice(chunks, 1), **kwargs)
+            raise RuntimeError("retirement failed")
 
         # MySQL's start-up alone fills the pipe many times over, so the
-        # producer is still generating when the first window retires.
-        with pytest.raises(RuntimeError, match="progress callback failed"):
-            run_pair("mysql", self.SCALE, abtb_entries=self.ABTB, progress=progress)
+        # producer is still generating when the first chunk retires.
+        monkeypatch.setattr(runner, "retire", one_chunk_then_raise)
+        with pytest.raises(RuntimeError, match="retirement failed"):
+            run_pair("mysql", self.SCALE, abtb_entries=self.ABTB)
         _assert_reaped(producers)
 
     def test_killed_producer_raises_corruption(self, monkeypatch, producers):
