@@ -14,8 +14,8 @@ Subcommands:
 * ``campaign`` — hardened (workload × ABTB) sweep: every pair is a
   lease from one queue, and a failed attempt is requeued with backoff
   until its failure budget is spent, then quarantined; integrity-checked
-  checkpoint/resume; with ``--jobs N`` the leases run on N worker
-  processes (heartbeats, hang detection, dead workers replaced).  The
+  checkpoint/resume; the leases run on ``--jobs`` worker processes, one
+  by default (heartbeats, hang detection, dead workers replaced).  The
   command exits 0 when complete, 3 when complete-but-degraded
   (quarantined pairs, partial manifest), 1 on an error;
 * ``sweep run|resume|report`` — declarative design-space exploration
@@ -32,7 +32,7 @@ Subcommands:
   ``--require`` kind is present);
 * ``dash --from DIR`` — render the zero-dependency campaign dashboard
   from exported artifacts (``metrics.jsonl``, ``incidents.jsonl``,
-  ``profile.json``, ``trace.json``).
+  ``profile.json``).
 
 SIGTERM is graceful: ``campaign`` and ``sweep`` flush their checkpoint
 and exit 130.
@@ -523,8 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard pairs over N worker processes leasing from one queue; dead or "
-        "hung workers are replaced (results are byte-identical to serial)",
+        help="run pairs on N worker processes leasing from one queue; dead or "
+        "hung workers are replaced, and results are byte-identical at any N "
+        "[default: 1]",
     )
     campaign.add_argument(
         "--machine-cache",
@@ -544,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     resilience = campaign.add_argument_group("resilience")
     resilience.add_argument(
         "--shard-deadline", type=float, default=120.0, metavar="SECONDS",
-        help="with --jobs: heartbeat silence after which a worker's lease "
-        "expires and the worker is killed [default: 120]",
+        help="heartbeat silence after which a worker's lease expires and the "
+        "worker is killed [default: 120]",
     )
     resilience.add_argument(
         "--max-shard-failures", type=int, default=3, metavar="N",
@@ -563,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--chaos-kill", default=None, metavar="MATCH[:N]",
-        help="fault injection (tests/CI, needs --jobs): SIGKILL the worker of "
+        help="fault injection (tests/CI): SIGKILL the worker of "
         "shards whose key contains MATCH on their first N attempts [default N: 1]",
     )
     resilience.add_argument(
@@ -650,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     dash.add_argument(
         "--from", dest="artifacts", required=True, metavar="DIR",
         help="artifact directory (metrics.jsonl / incidents.jsonl / "
-        "profile.json / trace.json, all optional)",
+        "profile.json, all optional)",
     )
     dash.add_argument(
         "--out", default="dashboard.html", metavar="PATH",

@@ -12,10 +12,12 @@ claim mechanically rather than trusting it:
   payloads — every counter (priced ``cycles`` included), every
   cache/TLB/BTB entry and LRU order, mechanism state, marks — are
   compared field by field.
-* On divergence, the harness *shrinks*: it re-runs both machines from a
-  cold start with ``batch_events=1`` so sync points land after (almost)
-  every event, and reports the minimal event window ``[last-good,
-  first-bad)`` together with the exact snapshot paths that differ.
+* On divergence, the harness *shrinks* the bad window only: fresh
+  machines retire the stream up to the last good sync point unobserved,
+  then re-run the window with ``batch_events=1`` so sync points land
+  after (almost) every event, and it reports the minimal event window
+  ``[last-good, first-bad)`` together with the exact snapshot paths
+  that differ.
 * :func:`difftest_workload` / :func:`run_matrix` wrap this in the paper's
   workload profiles: seeded traces (startup + request window), base and
   enhanced machines at configurable ABTB sizes.
@@ -36,6 +38,7 @@ from repro.core.config import MechanismConfig
 from repro.core.mechanism import TrampolineSkipMechanism
 from repro.errors import ConfigError
 from repro.isa.arch import Arch
+from repro.trace.batch import TraceBatch, iter_batches
 from repro.trace.engine import LinkMode
 from repro.uarch.backend import BatchedBackend
 from repro.uarch.cpu import CPU, CPUConfig
@@ -154,8 +157,24 @@ class _DivergenceFound(Exception):
     """Internal control flow: stop the fast run at the first bad sync."""
 
 
+def _split_rows(batches: list, at: int) -> tuple[list, list]:
+    """``batches`` cut into zero-copy views of the rows before stream row
+    ``at`` and of those from it on (the backend skips empty batches)."""
+    head, tail, seen = [], [], 0
+    for batch in batches:
+        cut = min(max(at - seen, 0), len(batch))
+        head.append(TraceBatch(batch.data[:cut], batch.tags))
+        tail.append(TraceBatch(batch.data[cut:], batch.tags))
+        seen += len(batch)
+    return head, tail
+
+
 def _run_and_compare(
-    events: list, make_cpu, batch_events: int, fast_batches: list | None = None
+    events: list,
+    make_cpu,
+    batch_events: int,
+    fast_batches: list | None = None,
+    window: tuple[int, int, int] | None = None,
 ) -> tuple[int, tuple[int, int, list] | None]:
     """One ref-vs-fast pass; returns (sync_points, found).
 
@@ -170,18 +189,34 @@ def _run_and_compare(
     ``events`` — so one pass proves generation *and* retirement
     equivalence.  A stream-length mismatch between the two is itself
     reported as a divergence (at position 0) rather than silently
-    truncating the comparison.
+    truncating the comparison.  Without them the fast machine retires
+    ``events`` cut by :func:`~repro.trace.batch.iter_batches`, as
+    :meth:`BatchedBackend.run` would.
+
+    ``window = (start, stop, head_batch_events)`` compares only within
+    ``events[start:stop]``.  Both machines first reach ``start``
+    unobserved: the fast machine retires the rows before it in batches of
+    ``head_batch_events`` with no hook, and the reference runs them in
+    one call.  ``start`` and ``stop`` must be sync positions of an earlier
+    pass (or the stream's ends): sync positions are pair-closed, so
+    cutting the stream there splits no lookahead window.
     """
     reference = _ReferenceRunner(make_cpu(), events)
     fast_cpu = make_cpu()
-    backend = BatchedBackend(fast_cpu, batch_events)
-    if fast_batches is not None:
-        total = sum(len(b) for b in fast_batches)
-        if total != len(events):
-            return 0, (0, min(total, len(events)), [("stream.len", len(events), total)])
-    state = {"syncs": 0, "good": 0, "found": None}
+    start, stop, head_batch_events = window or (0, len(events), batch_events)
+    if fast_batches is None:
+        fast_batches = list(iter_batches(events, head_batch_events))
+    total = sum(len(b) for b in fast_batches)
+    if total != len(events):
+        return 0, (0, min(total, len(events)), [("stream.len", len(events), total)])
+    head, rest = _split_rows(fast_batches, start)
+    if start:
+        BatchedBackend(fast_cpu, head_batch_events).run_batches(head)
+        reference.run_until(start)
+    state = {"syncs": 0, "good": start, "found": None}
 
     def sync_hook(position: int) -> None:
+        position += start
         state["syncs"] += 1
         reference.run_until(position)
         diffs = snapshot_diff(reference.cpu.snapshot(), fast_cpu.snapshot())
@@ -191,16 +226,15 @@ def _run_and_compare(
         state["good"] = position
 
     try:
-        if fast_batches is not None:
-            backend.run_batches(fast_batches, sync_hook=sync_hook)
-        else:
-            backend.run(iter(events), sync_hook=sync_hook)
+        BatchedBackend(fast_cpu, batch_events).run_batches(
+            _split_rows(rest, stop - start)[0], sync_hook=sync_hook
+        )
     except _DivergenceFound:
         return state["syncs"], state["found"]
-    reference.run_until(len(events))
+    reference.run_until(stop)
     diffs = snapshot_diff(reference.cpu.snapshot(), fast_cpu.snapshot())
     if diffs:
-        return state["syncs"], (state["good"], len(events), diffs)
+        return state["syncs"], (state["good"], stop, diffs)
     return state["syncs"], None
 
 
@@ -229,12 +263,15 @@ def diff_backends(
         return DiffReport(label, len(events), sync_points, batch_events)
 
     last_good, first_bad, diffs = found
-    # Shrink: single-event batches make sync points as dense as the
-    # backend allows (trampoline pairs still retire whole), so the first
-    # bad position brackets a minimal window.
+    # Shrink the bad window only: both machines reach ``last_good``
+    # unobserved, then single-event batches make sync points as dense as
+    # the backend allows (trampoline pairs still retire whole) up to
+    # ``first_bad``, so the first bad position brackets a minimal window.
     shrunk = True
     if batch_events > 1:
-        _, refound = _run_and_compare(events, make_cpu, 1, fast_batches)
+        _, refound = _run_and_compare(
+            events, make_cpu, 1, fast_batches, window=(last_good, first_bad, batch_events)
+        )
         if refound is not None:
             last_good, first_bad, diffs = refound
         else:

@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -809,45 +810,6 @@ def _point_configs(mechanism: dict | None = None, cpu: dict | None = None) -> di
     }
 
 
-def _point_pair(workload, scale, abtb, mechanism=None, cpu=None, **run_kwargs):
-    """The default campaign ``run_fn``: :func:`run_pair` on a point's
-    config dicts, with the campaign's ``obs`` session and caches bound
-    into ``run_kwargs``."""
-    return run_pair(
-        workload, scale, abtb_entries=abtb, **_point_configs(mechanism, cpu), **run_kwargs
-    )
-
-
-def _run_point(
-    task: dict, run_fn, obs=None, machine_cache=None, trace_cache=None
-) -> dict:
-    """Run one campaign point's pair once; returns ``{"summary": ...}``.
-
-    ``mechanism``/``cpu`` reach ``run_fn`` only when the point sets them
-    (see :class:`CampaignPoint`), so a ``run_fn`` taking just
-    ``(workload, scale, abtb)`` serves a plain grid.  A task that carries
-    its pre-run ``base`` summary (see :func:`_prerun_bases`) runs only
-    its enhanced side, with the campaign's caches.  An exception from
-    the pair propagates: the lease loop fails the attempt, and the queue
-    requeues or quarantines it.  Serial and sharded campaigns both run
-    pairs through here, so their summaries come from identical code.
-    """
-    kwargs = {name: task[name] for name in ("mechanism", "cpu") if task[name] is not None}
-    args = (task["workload"], task["scale"], task["abtb"])
-    if task["base"] is not None:
-        enhanced = _run_side(
-            "enhanced", *args, **_point_configs(**kwargs),
-            machine_cache=machine_cache, trace_cache=trace_cache,
-        )
-        return {"summary": _summary(task["base"], enhanced)}
-    if obs is not None and obs.tracer is not None:
-        with obs.tracer.span(f"pair {task['key']}", category="campaign"):
-            base, enhanced = run_fn(*args, **kwargs)
-    else:
-        base, enhanced = run_fn(*args, **kwargs)
-    return {"summary": summarize_pair(base, enhanced)}
-
-
 def _base_group(workload: str, cpu: dict | None) -> tuple[str, str | None]:
     """What a point's base side depends on: its workload and CPU geometry."""
     return workload, json.dumps(cpu, sort_keys=True) if cpu is not None else None
@@ -868,7 +830,7 @@ def _prerun_bases(
     and only its :func:`_base_summary` goes out with those points'
     tasks, retries included.  A base that one point uses is left to that
     point: pre-running it would only move its work from a worker into
-    this serial process.
+    this process, which runs the pre-pass serially.
 
     The pre-pass never decides an outcome.  A base that raises or
     retires an empty window, and a trace that fails to generate, are
@@ -897,8 +859,7 @@ def _prerun_bases(
             if not trace_cache.has(key):
                 bundle = generate_bundle(Workload(config, LinkMode.DYNAMIC), warmup, measured)
                 trace_cache.save(key, bundle)
-                # The miss the first point's load would have counted, so
-                # serial and sharded campaigns count alike.
+                # The miss the first point's load would have counted.
                 trace_cache.misses += 1
         except Exception:
             pass
@@ -908,14 +869,15 @@ def _prerun_bases(
 def _obs_spec(obs) -> dict | None:
     """Picklable recipe for rebuilding an equivalent obs session in a
     worker process (live sessions hold tracers/registries and workload
-    references that must not cross the fork/spawn boundary)."""
+    references that must not cross the fork/spawn boundary).  Only
+    metrics and trace events come back from a worker, so the recipe
+    builds no trampoline profiler."""
     if obs is None:
         return None
     return {
         "trace": obs.tracer is not None,
         "metrics": obs.metrics is not None,
         "sample_every": obs.sample_every,
-        "profile": obs.profiler is not None,
     }
 
 
@@ -926,7 +888,7 @@ def _obs_from_spec(spec: dict | None):
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer
 
-    obs = Observability(sample_every=spec["sample_every"], profile=spec["profile"])
+    obs = Observability(sample_every=spec["sample_every"])
     if spec["trace"]:
         obs.tracer = Tracer()
     if spec["metrics"] and obs.metrics is None:
@@ -935,13 +897,16 @@ def _obs_from_spec(spec: dict | None):
 
 
 def _campaign_worker(task: dict) -> dict:
-    """Worker-process entry point: run one pair outside the parent.
+    """Worker-process entry point: run one campaign point's pair once.
 
-    Rebuilds the per-worker obs session and machine cache from picklable
-    specs, runs the pair through :func:`_run_point`, and ships the
-    outcome back together with the worker's metric state, trace events
-    and incident records for the parent to merge.  A pair that raises
-    raises here too, as an
+    Rebuilds the per-worker obs session and caches from picklable specs.
+    ``mechanism``/``cpu`` config dicts reach the run only when the point
+    sets them (see :class:`CampaignPoint`).  A task that carries its
+    pre-run ``base`` summary (see :func:`_prerun_bases`) runs only its
+    enhanced side; any other runs :func:`run_pair`, under a ``pair
+    <key>`` span when the session traces.  The outcome goes back with
+    the worker's metric state, trace events and incident records for the
+    parent to merge.  A pair that raises raises here too, as an
     :class:`~repro.resilience.workers.AttemptFailed` carrying the
     attempt's incident records, and the worker loop fails its lease.
     """
@@ -957,15 +922,31 @@ def _campaign_worker(task: dict) -> dict:
     )
     traces = (
         TraceStore(task["trace_cache_dir"], recorder=recorder)
-        if task.get("trace_cache_dir") is not None
+        if task["trace_cache_dir"] is not None
         else None
     )
-
-    run_fn = partial(_point_pair, obs=obs, machine_cache=cache, trace_cache=traces)
+    args = (task["workload"], task["scale"], task["abtb"])
+    configs = _point_configs(task["mechanism"], task["cpu"])
     try:
-        outcome = _run_point(task, run_fn, obs, cache, traces)
+        if task["base"] is not None:
+            enhanced = _run_side(
+                "enhanced", *args, **configs, machine_cache=cache, trace_cache=traces
+            )
+            summary = _summary(task["base"], enhanced)
+        else:
+            span = (
+                obs.tracer.span(f"pair {task['key']}", category="campaign")
+                if obs is not None and obs.tracer is not None
+                else nullcontext()
+            )
+            with span:
+                base, enhanced = run_pair(
+                    *args, **configs, obs=obs, machine_cache=cache, trace_cache=traces
+                )
+            summary = summarize_pair(base, enhanced)
     except Exception as exc:
         raise AttemptFailed(exc, recorder.as_dicts()) from exc
+    outcome = {"summary": summary}
     if traces is not None:
         # Per-task store instance, so these counters sum cleanly in the
         # parent's CampaignResult.cache_stats aggregation.
@@ -985,7 +966,6 @@ def run_campaign(
     scale,
     abtb_sizes: Sequence[int] = (256,),
     checkpoint_path: str | Path | None = None,
-    run_fn: Callable[..., tuple[RunResult, RunResult]] | None = None,
     obs=None,
     jobs: int = 1,
     machine_cache_dir: str | Path | None = None,
@@ -1008,29 +988,25 @@ def run_campaign(
 
     Every pair is a shard of one
     :class:`~repro.resilience.leases.LeaseQueue`, and each attempt runs
-    once.  An exception from the pair fails its lease exactly as a dead
-    or hung worker does: the queue requeues it with ``lease_policy``
-    backoff and quarantines it after ``lease_policy.max_shard_failures``
-    failures.  The campaign then completes *degraded* (see
-    :attr:`CampaignResult.degraded`) with a partial report.  ``run_fn``
-    exists for tests: the default is :func:`run_pair`.
+    once, in one of ``jobs`` long-lived worker processes that take
+    leases from the queue in this process (see
+    :mod:`repro.resilience.workers`); ``jobs == 1`` is one worker.
+    Every pair runs through :func:`_campaign_worker`.  This process
+    runs only the pre-pass, writes the campaign checkpoint as outcomes
+    land and merges them in task order, so a campaign's summaries and
+    checkpoint are byte-identical at any ``jobs``.
 
-    ``jobs == 1`` takes every lease in this process (see
-    :meth:`~repro.resilience.workers.LocalWorkers.run_in_process`).
-    ``jobs > 1`` shards the remaining pairs over ``jobs`` long-lived
-    worker processes that take leases from the queue in this process
-    (see :mod:`repro.resilience.workers`).  Every sharded pair runs
-    through :func:`_campaign_worker`, outcomes are merged in task
-    order in either mode, and the campaign checkpoint is written as
-    pairs land — so a sharded campaign produces byte-identical summaries
-    and checkpoints to a serial one.  Worker processes add crash
-    tolerance: a worker that dies fails its lease, and a worker whose
-    lease expires (``lease_policy.shard_deadline_s`` without a
-    heartbeat) is killed; nothing bounds a pair that hangs in this
-    process.  ``fault_plan`` injects deterministic worker kills/hangs
-    for tests and the chaos CI job.  A custom ``run_fn`` runs in this
-    process whatever ``jobs`` says: a test's ``run_fn`` records its
-    calls here, where a forked worker's records would be lost.
+    An exception from the pair fails its lease exactly as a dead or hung
+    worker does: the queue requeues it with ``lease_policy`` backoff and
+    quarantines it after ``lease_policy.max_shard_failures`` failures.
+    The campaign then completes *degraded* (see
+    :attr:`CampaignResult.degraded`) with a partial report.  A worker
+    that dies fails its lease, and a worker whose lease expires
+    (``lease_policy.shard_deadline_s`` without a heartbeat) is killed.
+    The deadline bounds a silent worker: a pair that blocks while the
+    worker's heartbeat thread still beats is not bounded.
+    ``fault_plan`` injects deterministic worker kills/hangs for tests
+    and the chaos CI job.
 
     ``machine_cache_dir`` holds warm-machine checkpoints shared by all
     workers (see :func:`run_workload`); atomic writes make the racy
@@ -1039,15 +1015,14 @@ def run_campaign(
     loads the stored batches instead of regenerating them (see
     :func:`run_workload`).
 
-    With a trace cache, no ``obs`` session and the default ``run_fn``,
-    a serial pre-pass runs before the leases, in either mode (see
-    :func:`_prerun_bases`).  It generates every missing trace, counting
-    each generation as a trace-store miss, and it runs each base side
-    that two or more pending points share once: the base side depends
-    only on the workload and CPU geometry, never on the mechanism.
-    Those points then run only their enhanced side, serially or in a
-    worker, and build the same summary as :func:`run_pair` gives.  A
-    base that only one point uses stays with its point, which runs
+    With a trace cache and no ``obs`` session, a pre-pass runs in this
+    process before the leases (see :func:`_prerun_bases`).  It generates
+    every missing trace, counting each generation as a trace-store miss,
+    and it runs each base side that two or more pending points share
+    once: the base side depends only on the workload and CPU geometry,
+    never on the mechanism.  Those points then run only their enhanced
+    side and build the same summary as :func:`run_pair` gives.  A base
+    that only one point uses stays with its point, which runs
     :func:`run_pair`, and so do the points of a base that fails in the
     pre-pass: their leases surface the error.
 
@@ -1055,10 +1030,10 @@ def run_campaign(
     trace span and the sweep's progress lands in counters
     (``campaign.pairs_completed``, ``campaign.pairs_failed`` for
     quarantined pairs, ``campaign.retries`` for failed attempts before
-    the last) plus a per-pair speedup series — deep CPU-level sampling
-    is wired through :func:`run_pair` when ``run_fn`` is the default.
-    Sharded workers sample into their own registries/tracers, which are
-    merged into the parent session in deterministic pair order.
+    the last) plus a per-pair speedup series; deep CPU-level sampling is
+    wired through :func:`run_pair`.  Workers sample into their own
+    registries/tracers, which are merged into the parent session in
+    deterministic pair order.
 
     ``recorder`` collects every incident — corrupted campaign
     checkpoints are then healed (entries requeued) instead of raising.
@@ -1077,19 +1052,9 @@ def run_campaign(
         if trace_cache_dir is not None
         else None
     )
-    parallel = jobs > 1 and run_fn is None
-    if fault_plan is not None and not parallel:
-        raise ConfigError(
-            "fault injection needs worker processes: jobs > 1 and the "
-            "default run_fn"
-        )
     # The pre-pass shares base sides only among points that run exactly
-    # what run_pair runs: the default run_fn, unobserved, from the stores.
-    prerun = run_fn is None and obs is None and trace_cache is not None
-    if run_fn is None:
-        run_fn = partial(
-            _point_pair, obs=obs, machine_cache=machine_cache, trace_cache=trace_cache
-        )
+    # what run_pair runs: unobserved, from the stores.
+    prerun = obs is None and trace_cache is not None
     path = Path(checkpoint_path) if checkpoint_path is not None else None
     completed = _load_checkpoint(path, recorder) if path is not None else {}
     result = CampaignResult(completed=dict(completed))
@@ -1167,7 +1132,7 @@ def run_campaign(
 
     def finish() -> CampaignResult:
         if trace_cache is not None and (trace_cache.hits or trace_cache.misses):
-            # Loads done in this process: the pre-pass and the serial leases.
+            # Loads done in this process: the pre-pass.
             for field_name, count in (
                 ("hits", trace_cache.hits), ("misses", trace_cache.misses),
             ):
@@ -1199,10 +1164,7 @@ def run_campaign(
     def execute() -> CampaignResult:
         bases = _prerun_bases(tasks, scale, machine_cache, trace_cache) if prerun else {}
         workers = LocalWorkers(
-            _campaign_worker if parallel else partial(
-                _run_point, run_fn=run_fn, obs=obs,
-                machine_cache=machine_cache, trace_cache=trace_cache,
-            ),
+            _campaign_worker,
             [
                 (key, make_task(key, workload, abtb, mech_cfg, cpu_cfg, bases))
                 for key, workload, abtb, mech_cfg, cpu_cfg in tasks
@@ -1213,7 +1175,7 @@ def run_campaign(
             fault_plan=fault_plan,
             on_outcome=land,
         )
-        report = workers.run() if parallel else workers.run_in_process()
+        report = workers.run()
         # Merge in task order so attempts/completed/quarantined and the
         # obs streams are deterministic regardless of arrival order.
         for key, *_rest in tasks:

@@ -3,7 +3,7 @@
 One self-contained HTML page — inline CSS, inline JS, inline SVG charts,
 no npm, no CDN — rendered from a JSON *snapshot*.
 ``python -m repro dash --from <dir>`` builds the snapshot from a run's
-exported artifacts (metrics, incidents, optional profile/trace) via
+exported artifacts (metrics, incidents, optional profile) via
 :func:`load_snapshot_from_dir`.
 
 The page shows summary tiles, warm-up curves, the hot-trampoline table
@@ -63,10 +63,9 @@ def load_snapshot_from_dir(directory: str | Path) -> dict:
 
     Recognised files (all optional — the dashboard renders empty states
     for whatever is missing): ``metrics.jsonl`` (the registry's JSONL
-    export), ``incidents.jsonl``, ``profile.json``
-    (:meth:`TrampolineProfiler.write_json`), and ``trace.json`` (Chrome
-    trace, counted only).  Unparseable lines are skipped — a dashboard
-    must render *something* from a damaged export.
+    export), ``incidents.jsonl`` and ``profile.json``
+    (:meth:`TrampolineProfiler.write_json`).  Unparseable lines are
+    skipped — a dashboard must render *something* from a damaged export.
     """
     d = Path(directory)
     if not d.is_dir():
@@ -111,18 +110,6 @@ def load_snapshot_from_dir(directory: str | Path) -> dict:
         except (json.JSONDecodeError, OSError):
             profile = None
 
-    trace_events = 0
-    trace_path = d / "trace.json"
-    if trace_path.is_file():
-        try:
-            trace = json.loads(trace_path.read_text())
-            events_list = (
-                trace.get("traceEvents") if isinstance(trace, dict) else trace
-            )
-            trace_events = len(events_list) if isinstance(events_list, list) else 0
-        except (json.JSONDecodeError, OSError):
-            trace_events = 0
-
     return {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
         "mode": "offline",
@@ -133,7 +120,6 @@ def load_snapshot_from_dir(directory: str | Path) -> dict:
         "series": series,
         "counters": counters,
         "profile": profile,
-        "trace_events": trace_events,
     }
 
 

@@ -16,7 +16,7 @@ infrastructure* the same property.  Four pillars:
   schedules with: deadline leases renewed by heartbeat, expiry,
   requeue with exponential backoff, quarantine after repeated failures;
 * :mod:`repro.resilience.workers` — the engine behind ``run_campaign``:
-  serial in-process leases, or long-lived worker processes taking leases
+  long-lived worker processes (one for a serial campaign) taking leases
   from a queue in the parent, with dead and hung workers replaced.
 
 See ``docs/RESILIENCE.md`` for the state machines and policies.

@@ -15,7 +15,7 @@ Workers never own shards — they hold *leases* with deadlines:
   shard's lease with the worker's outcome.
 
 The local lease loop behind ``run_campaign`` and ``run_sweep``
-(:mod:`repro.resilience.workers`), serial or sharded, drives the queue.
+(:mod:`repro.resilience.workers`) drives the queue.
 The knobs live in :class:`LeasePolicy`.  The queue is in-memory state
 that lives as long as one campaign run.
 """

@@ -2,11 +2,9 @@
 
 A campaign takes its shards as leases from a
 :class:`~repro.resilience.leases.LeaseQueue`, with one deadline, backoff
-and quarantine policy for its serial and sharded runs.
-:meth:`LocalWorkers.run_in_process` takes the leases one at a time in
-this process.  :meth:`LocalWorkers.run` forks
-``jobs`` long-lived worker processes once; each owns one pipe to the
-parent:
+and quarantine policy.  :meth:`LocalWorkers.run` forks ``jobs``
+long-lived worker processes once, one for a serial campaign; each owns
+one pipe to the parent:
 
 * the parent sends ``(key, payload, attempt)`` for each lease it grants,
   and ``None`` when the campaign is over;
@@ -17,7 +15,7 @@ parent:
   waits for its next lease.
 
 Failures are the queue's business, and one rule covers every failed
-attempt in both modes: the shard goes back in line with backoff
+attempt: the shard goes back in line with backoff
 (``shard_requeued``) or, once its failure budget is spent, into
 quarantine (``shard_quarantined``).  A ``worker_fn`` that **raises**
 fails its lease.  A worker that **dies** (killed, OOM, segfault) closes
@@ -179,12 +177,11 @@ class _Worker:
 
 
 class LocalWorkers:
-    """Runs ``(key, payload)`` shards as leases, in this process or on
-    ``jobs`` local worker processes (see module doc).
+    """Runs ``(key, payload)`` shards as leases on ``jobs`` local worker
+    processes (see module doc).
 
     Args:
-        worker_fn: ``payload -> outcome dict``, called in the worker (or
-            here, by :meth:`run_in_process`).
+        worker_fn: ``payload -> outcome dict``, called in the worker.
         shards: ordered ``(key, payload)`` pairs; keys must be unique.
         jobs: worker processes kept alive while shards remain.
         policy: lease deadline / failure budget / backoff.
@@ -242,28 +239,6 @@ class LocalWorkers:
                 self._sweep()
         finally:
             self._stop_all()
-        return self.report
-
-    def run_in_process(self) -> LeaseReport:
-        """Take every shard's leases one at a time in this process.
-
-        Each attempt calls ``worker_fn`` once and completes or fails its
-        lease; while every pending shard backs off, sleep until the first
-        is ready.  No lease expires here: nothing bounds a ``worker_fn``
-        that hangs, and no fault plan applies.
-        """
-        while self.queue.has_work():
-            acquired = self.queue.acquire("local")
-            if acquired is None:
-                time.sleep(max(0.0, self.queue.next_ready_at() - self.queue.clock()))
-                continue
-            lease, payload = acquired
-            try:
-                outcome = self.worker_fn(payload)
-            except Exception as exc:
-                self._fail(lease.key, _error_text(exc))
-            else:
-                self._complete(lease, outcome)
         return self.report
 
     # ------------------------------------------------------------ workers

@@ -34,6 +34,7 @@ from repro.difftest import (
 from repro.errors import ConfigError
 from repro.isa.events import block, jmp_direct
 from repro.isa.kinds import EventKind
+from repro.trace.batch import TraceBatch
 from repro.uarch import CPU
 from repro.uarch.btb import BTB
 from repro.uarch.cpu import CPUHooks
@@ -227,18 +228,58 @@ class TestDivergenceDetection:
         for i in range(100):
             events.append(jmp_direct(0x1000 + 32 * i, 0x90_0000 + 32 * i))
             events.append(block(0x90_0000 + 32 * i, 2))
-        report = diff_backends(
-            events, self._make_factory(trip), batch_events=16, label="sabotage"
-        )
+        # The stream position each instruction count is reached at, to
+        # place the snapshots the shrinking pass takes.
+        position_of, total = {0: 0}, 0
+        for position, event in enumerate(events, start=1):
+            total += event.n_instr
+            position_of[total] = position
+        make_cpu = self._make_factory(trip)
+        built, shrink_positions = [], []
+
+        def recording_factory() -> CPU:
+            cpu = make_cpu()
+            built.append(cpu)
+            if len(built) > 2:  # the shrinking pass's machines
+                real = cpu.snapshot
+
+                def snapshot():
+                    shrink_positions.append(position_of[cpu.counters.instructions])
+                    return real()
+
+                cpu.snapshot = snapshot
+            return cpu
+
+        report = diff_backends(events, recording_factory, batch_events=16, label="sabotage")
         assert not report.ok
         div = report.divergence
         assert div.shrunk
         # Shrunk to (at most) one jump + one block around the dropped update.
         assert div.first_bad - div.last_good <= 2
         assert div.last_good <= 2 * trip <= div.first_bad
+        # The shrink compares only inside the bad window of the first pass.
+        assert shrink_positions and min(shrink_positions) >= div.last_good
         assert any("btb" in path for path, _, _ in div.diffs)
         assert div.window  # the offending events are quoted
         assert "DIVERGED" in report.render()
+
+    def test_shrink_cuts_fast_batches_at_the_window(self):
+        # The same sabotage with the fast machine on batches whose
+        # boundaries fall inside the bad window and between sync points.
+        trip = 40
+        events = []
+        for i in range(100):
+            events.append(jmp_direct(0x1000 + 32 * i, 0x90_0000 + 32 * i))
+            events.append(block(0x90_0000 + 32 * i, 2))
+        batches = [TraceBatch.from_events(events[a:b]) for a, b in ((0, 37), (37, 81), (81, 200))]
+        report = diff_backends(
+            events, self._make_factory(trip), batch_events=16, label="sabotage",
+            fast_batches=batches,
+        )
+        div = report.divergence
+        assert div is not None and div.shrunk
+        assert div.first_bad - div.last_good <= 2
+        assert div.last_good <= 2 * trip <= div.first_bad
 
     def test_divergence_at_stream_end(self):
         # Trip on the very last update: only the end-of-stream comparison

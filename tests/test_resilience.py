@@ -3,8 +3,8 @@
 Covers the integrity envelope (checksummed, schema-versioned artifacts),
 checkpoint-corruption handling in both the machine cache and the campaign
 checkpoint, the binary trace codec's corruption taxonomy, the local
-lease workers behind ``run_campaign`` (kill/requeue, hang/quarantine),
-one failure policy across the serial and sharded engines, the incident
+lease workers behind ``run_campaign`` (kill/requeue, hang/quarantine,
+serial campaigns included), one failure policy at any ``jobs``, the incident
 recorder, and the ``incidents`` CLI.  The lease queue's own unit tests
 and the shutdown path live in ``tests/test_service.py``.
 
@@ -37,7 +37,12 @@ from repro.errors import (
     TraceError,
 )
 from repro.experiments import runner
-from repro.experiments.runner import _load_checkpoint, _save_checkpoint, run_campaign
+from repro.experiments.runner import (
+    _load_checkpoint,
+    _save_checkpoint,
+    pair_key,
+    run_campaign,
+)
 from repro.experiments.scale import SMOKE, Scale
 from repro.isa import events as ev
 from repro.resilience import (
@@ -608,6 +613,44 @@ class TestSupervisedCampaign:
         assert payload["degraded"] is False
         assert payload["incident_counts"] == counts
 
+    def test_serial_campaign_survives_a_kill(self, serial_reference):
+        """A serial campaign is one lease worker: a SIGKILLed attempt
+        requeues, and the counters equal the clean run's."""
+        recorder = IncidentRecorder()
+        result = run_campaign(
+            WORKLOADS,
+            SMOKE,
+            abtb_sizes=ABTB,
+            jobs=1,
+            recorder=recorder,
+            lease_policy=FAST,
+            fault_plan=FaultPlan(kill_match="memcached", kill_attempts=1),
+        )
+        assert result.ok
+        assert result.completed == serial_reference.completed
+        assert result.attempts == {
+            pair_key("apache", 64, "smoke"): 1, pair_key("memcached", 64, "smoke"): 2,
+        }
+        counts = recorder.counts()
+        assert counts["worker_death"] == 1 and counts["shard_requeued"] == 1
+
+    def test_serial_campaign_kills_a_silent_worker(self):
+        """The lease deadline bounds a serial campaign's silent worker."""
+        recorder = IncidentRecorder()
+        result = run_campaign(
+            ["memcached"],
+            Scale("tiny", {"memcached": (1, 2)}),
+            abtb_sizes=(64,),
+            jobs=1,
+            recorder=recorder,
+            lease_policy=LeasePolicy(shard_deadline_s=1.0, backoff_base_s=0.0),
+            fault_plan=FaultPlan(hang_match="memcached", hang_attempts=1),
+        )
+        assert result.ok
+        assert result.attempts == {pair_key("memcached", 64, "tiny"): 2}
+        counts = recorder.counts()
+        assert counts["worker_hang"] == 1 and counts["shard_requeued"] == 1
+
     def test_quarantine_yields_degraded_partial_manifest(self, tmp_path):
         policy = LeasePolicy(
             shard_deadline_s=1.0, max_shard_failures=1, backoff_base_s=0.05
@@ -671,8 +714,8 @@ def _raising_pair(*args, **kwargs):
 
 
 class TestOneFailurePolicy:
-    """A pair that always raises ends the same way in every campaign
-    engine: each attempt runs once, the lease queue requeues it once and
+    """A pair that always raises ends the same way at one worker and at
+    two: each attempt runs once, the lease queue requeues it once and
     then quarantines it, and no worker is reported dead."""
 
     POLICY = LeasePolicy(max_shard_failures=2, backoff_base_s=0.0)
@@ -680,18 +723,12 @@ class TestOneFailurePolicy:
     @pytest.mark.parametrize("engine", ["serial", "jobs2"])
     def test_raising_pair_is_quarantined_after_its_budget(self, engine, monkeypatch):
         recorder = IncidentRecorder()
-        if engine == "serial":
-            result = run_campaign(
-                ["memcached"], SMOKE, abtb_sizes=(64,), run_fn=_raising_pair,
-                recorder=recorder, lease_policy=self.POLICY,
-            )
-        else:
-            # Forked workers inherit the patched module global.
-            monkeypatch.setattr(runner, "run_pair", _raising_pair)
-            result = run_campaign(
-                ["memcached"], SMOKE, abtb_sizes=(64,), jobs=2,
-                recorder=recorder, lease_policy=self.POLICY,
-            )
+        # Forked workers inherit the patched module global.
+        monkeypatch.setattr(runner, "run_pair", _raising_pair)
+        result = run_campaign(
+            ["memcached"], SMOKE, abtb_sizes=(64,), jobs=1 if engine == "serial" else 2,
+            recorder=recorder, lease_policy=self.POLICY,
+        )
         key = "memcached::abtb=64::scale=smoke"
         assert result.completed == {} and list(result.quarantined) == [key]
         assert result.quarantined[key]["failures"] == 2

@@ -34,7 +34,6 @@ from repro.isa.events import block, mark
 from repro.resilience import IncidentRecorder, LeasePolicy
 from repro.trace.store import TraceStore
 from repro.uarch import CPU
-from repro.uarch.cpu import CPUConfig
 from repro.uarch.machine import CheckpointStore
 from repro.workloads import ALL_WORKLOADS
 from repro.workloads.base import Workload
@@ -145,65 +144,75 @@ def _fake_pair(cycles_base=200.0, cycles_enh=100.0):
     return mk(cycles_base), mk(cycles_enh)
 
 
+def _logged_calls(log) -> list[str]:
+    """The calls a fake ``run_pair`` appended to ``log`` (one per line)."""
+    return log.read_text().splitlines() if log.exists() else []
+
+
+def _counting_pair(log, fail=lambda workload, abtb, calls: False):
+    """A fake ``run_pair`` for forked workers: appends ``workload abtb`` to
+    ``log`` (worker memory does not reach the test), then raises
+    :class:`ExperimentError` when ``fail(workload, abtb, calls)`` says so,
+    ``calls`` counting this one; otherwise returns :func:`_fake_pair`."""
+
+    def fake(workload, scale, abtb_entries=256, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{workload} {abtb_entries}\n")
+        if fail(workload, abtb_entries, len(_logged_calls(log))):
+            raise ExperimentError("injected")
+        return _fake_pair()
+
+    return fake
+
+
 class TestCampaign:
-    def test_retry_with_backoff_then_success(self):
+    def test_retry_with_backoff_then_success(self, tmp_path, monkeypatch):
         # A raising attempt fails its lease; the queue requeues it with
         # exponential backoff and the third attempt completes the pair.
-        calls = {"n": 0}
-
-        def flaky(workload, scale, abtb):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise ExperimentError("transient")
-            return _fake_pair()
-
+        log = tmp_path / "calls.log"
+        monkeypatch.setattr(
+            runner, "run_pair", _counting_pair(log, lambda w, n, calls: calls < 3)
+        )
         recorder = IncidentRecorder()
         result = run_campaign(
             ["memcached"],
             SMOKE,
             abtb_sizes=(64,),
-            run_fn=flaky,
             recorder=recorder,
             lease_policy=LeasePolicy(backoff_base_s=0.01),
         )
         key = pair_key("memcached", 64, "smoke")
         assert result.ok
-        assert result.attempts[key] == 3
+        assert result.attempts[key] == 3 and len(_logged_calls(log)) == 3
         requeued = [i for i in recorder.incidents if i.kind == "shard_requeued"]
         assert [i.context["backoff_s"] for i in requeued] == [0.01, 0.02]
+        assert "ExperimentError: injected" in requeued[0].message
         assert result.completed[key]["speedup"] == pytest.approx(2.0)
 
-    def test_retries_exhausted_records_failure(self):
-        calls = []
-
-        def always_fails(workload, scale, abtb):
-            calls.append(abtb)
-            raise ExperimentError("still broken")
-
+    def test_retries_exhausted_records_failure(self, tmp_path, monkeypatch):
+        log = tmp_path / "calls.log"
+        monkeypatch.setattr(runner, "run_pair", _counting_pair(log, lambda *_: True))
         result = run_campaign(
             ["memcached"],
             SMOKE,
             abtb_sizes=(64,),
-            run_fn=always_fails,
             lease_policy=FAST_QUARANTINE,
         )
         key = pair_key("memcached", 64, "smoke")
         assert not result.ok and result.degraded
         assert result.quarantined[key]["failures"] == 2
-        assert "still broken" in result.quarantined[key]["last_error"]
-        assert result.attempts[key] == 2 and len(calls) == 2
+        assert "injected" in result.quarantined[key]["last_error"]
+        assert result.attempts[key] == 2 and len(_logged_calls(log)) == 2
 
-    def test_graceful_degradation_partial_report(self):
-        def picky(workload, scale, abtb):
-            if workload == "apache":
-                raise ExperimentError("bad day")
-            return _fake_pair()
-
+    def test_graceful_degradation_partial_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            runner, "run_pair",
+            _counting_pair(tmp_path / "calls.log", lambda w, n, calls: w == "apache"),
+        )
         result = run_campaign(
             ["memcached", "apache"],
             SMOKE,
             abtb_sizes=(64,),
-            run_fn=picky,
             lease_policy=FAST_QUARANTINE,
         )
         assert not result.ok
@@ -211,24 +220,20 @@ class TestCampaign:
         assert pair_key("apache", 64, "smoke") in result.quarantined
         rendered = result.render()
         assert "1 quarantined" in rendered
-        assert "QUARANTINED after 2 failure(s): ExperimentError: bad day" in rendered
+        assert "QUARANTINED after 2 failure(s): ExperimentError: injected" in rendered
 
-    def test_checkpoint_resume_skips_completed(self, tmp_path):
+    def test_checkpoint_resume_skips_completed(self, tmp_path, monkeypatch):
         path = tmp_path / "ckpt.json"
-        calls = []
-
-        def counting(workload, scale, abtb):
-            calls.append((workload, abtb))
-            return _fake_pair()
+        log = tmp_path / "calls.log"
+        monkeypatch.setattr(runner, "run_pair", _counting_pair(log))
 
         first = run_campaign(
             ["memcached"],
             SMOKE,
             abtb_sizes=(32, 64),
             checkpoint_path=path,
-            run_fn=counting,
         )
-        assert first.ok and len(calls) == 2
+        assert first.ok and _logged_calls(log) == ["memcached 32", "memcached 64"]
         envelope = json.loads(path.read_text())
         assert envelope["schema"] == "repro.campaign-checkpoint"
         assert envelope["schema_version"] == 2
@@ -242,27 +247,23 @@ class TestCampaign:
             SMOKE,
             abtb_sizes=(32, 64),
             checkpoint_path=path,
-            run_fn=counting,
         )
         assert second.resumed == 2
-        assert len(calls) == 2  # nothing re-ran
+        assert len(_logged_calls(log)) == 2  # nothing re-ran
         assert second.completed == first.completed
 
-    def test_checkpoint_written_after_each_pair(self, tmp_path):
+    def test_checkpoint_written_after_each_pair(self, tmp_path, monkeypatch):
         # A failure on the second pair must not lose the first pair's work.
         path = tmp_path / "ckpt.json"
-
-        def second_fails(workload, scale, abtb):
-            if abtb == 64:
-                raise ExperimentError("died mid-campaign")
-            return _fake_pair()
-
+        monkeypatch.setattr(
+            runner, "run_pair",
+            _counting_pair(tmp_path / "calls.log", lambda w, n, calls: n == 64),
+        )
         result = run_campaign(
             ["memcached"],
             SMOKE,
             abtb_sizes=(32, 64),
             checkpoint_path=path,
-            run_fn=second_fails,
             lease_policy=FAST_QUARANTINE,
         )
         assert not result.ok
@@ -274,13 +275,13 @@ class TestCampaign:
         path = tmp_path / "ckpt.json"
         path.write_text("{not json")
         with pytest.raises(ExperimentError):
-            run_campaign(["memcached"], SMOKE, checkpoint_path=path, run_fn=_fake_pair)
+            run_campaign(["memcached"], SMOKE, checkpoint_path=path)
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps({"version": 99, "completed": {}}))
         with pytest.raises(ExperimentError):
-            run_campaign(["memcached"], SMOKE, checkpoint_path=path, run_fn=_fake_pair)
+            run_campaign(["memcached"], SMOKE, checkpoint_path=path)
 
     def test_summarize_pair_is_json_serialisable(self):
         base, enh = _fake_pair(300.0, 150.0)
@@ -289,7 +290,7 @@ class TestCampaign:
         assert summary["speedup"] == pytest.approx(2.0)
 
     def test_real_pair_end_to_end(self, tmp_path):
-        # Default run_fn drives the actual simulator once.
+        # The worker drives the actual simulator once.
         result = run_campaign(
             ["memcached"],
             SMOKE,
@@ -401,30 +402,20 @@ class TestSharedBases:
     per-point run_pair."""
 
     @staticmethod
-    def _campaign(tmp_path, name, run_fn=None, **kwargs):
+    def _campaign(tmp_path, name, **kwargs):
         return run_campaign(
             checkpoint_path=tmp_path / name / "checkpoint.json",
             machine_cache_dir=tmp_path / name / "machines",
             trace_cache_dir=tmp_path / name / "traces",
-            run_fn=run_fn,
             **kwargs,
         )
 
-    def _reference(self, tmp_path, **kwargs):
-        """The same campaign through a custom run_fn calling run_pair,
-        which takes no pre-pass."""
-        caches = dict(
-            machine_cache=CheckpointStore(tmp_path / "reference" / "machines"),
-            trace_cache=TraceStore(tmp_path / "reference" / "traces"),
-        )
-
-        def run_fn(workload, scale, abtb, mechanism=None, cpu=None):
-            return run_pair(
-                workload, scale, abtb_entries=abtb,
-                cpu_config=CPUConfig.from_dict(cpu) if cpu else None, **caches,
-            )
-
-        return self._campaign(tmp_path, "reference", run_fn, **kwargs)
+    def _reference(self, tmp_path, monkeypatch, **kwargs):
+        """The same campaign with a pre-pass that pre-runs nothing, so
+        every point runs run_pair from the campaign's caches."""
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_prerun_bases", lambda *args: {})
+            return self._campaign(tmp_path, "reference", **kwargs)
 
     def _assert_matches_reference(self, tmp_path, result, reference):
         assert result.ok and reference.ok
@@ -446,14 +437,16 @@ class TestSharedBases:
         assert sorted(w for w, side, _pid in sides if side == "enhanced") == [
             "apache", "apache", "memcached", "memcached",
         ]
-        # The reference runs both sides of every point in this process.
-        reference = self._reference(tmp_path, **grid)
-        assert _sides(log) == sorted(
-            (w, side, parent)
+        # The reference runs both sides of every point in a worker.
+        reference = self._reference(tmp_path, monkeypatch, **grid)
+        sides = _sides(log)
+        assert sorted((w, side) for w, side, _pid in sides) == sorted(
+            (w, side)
             for w in ("memcached", "apache")
             for side in ("base", "enhanced")
             for _abtb in (16, 64)
         )
+        assert parent not in {pid for _w, _side, pid in sides}
         self._assert_matches_reference(tmp_path, result, reference)
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -470,7 +463,9 @@ class TestSharedBases:
         # One base and one enhanced run per point, all inside the leases.
         assert [side for _w, side, _pid in sides].count("base") == 4
         assert [side for _w, side, _pid in sides].count("enhanced") == 4
-        reference = self._reference(tmp_path, workloads=[], scale=TINY, points=points)
+        reference = self._reference(
+            tmp_path, monkeypatch, workloads=[], scale=TINY, points=points
+        )
         self._assert_matches_reference(tmp_path, result, reference)
 
     def test_a_base_that_raises_leaves_its_points_to_their_leases(self, tmp_path, monkeypatch):

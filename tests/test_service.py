@@ -163,23 +163,27 @@ class TestLeaseQueue:
 
 
 class TestShutdownHardening:
-    def test_run_campaign_interrupt_flushes_checkpoint(self, tmp_path):
+    def test_run_campaign_interrupt_flushes_checkpoint(self, tmp_path, monkeypatch):
+        """SIGINT in a serial campaign once its first pair has landed: the
+        one worker is stopped, the flush keeps that pair, and the shutdown
+        is logged."""
         checkpoint = tmp_path / "campaign.json"
-        recorder = IncidentRecorder()
-        calls = []
+        real_save = runner._save_checkpoint
+        saves = []
 
-        def run_fn(workload, scale, abtb):
-            calls.append(abtb)
-            if len(calls) == 2:
+        def save_then_interrupt(path, completed):
+            real_save(path, completed)
+            saves.append(sorted(completed))
+            if len(saves) == 1:
                 raise KeyboardInterrupt
-            from repro.experiments.runner import run_pair
 
-            return run_pair(workload, scale, abtb)
-
+        monkeypatch.setattr(runner, "_campaign_worker", _synthetic_campaign_worker)
+        monkeypatch.setattr(runner, "_save_checkpoint", save_then_interrupt)
+        recorder = IncidentRecorder()
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
                 ["apache"], SMOKE, abtb_sizes=(16, 64, 256),
-                checkpoint_path=checkpoint, run_fn=run_fn, recorder=recorder,
+                checkpoint_path=checkpoint, recorder=recorder,
             )
         assert recorder.counts().get("shutdown") == 1
         resumed = _load_checkpoint(checkpoint, recorder)

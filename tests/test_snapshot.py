@@ -20,7 +20,13 @@ import pytest
 from repro.core import TrampolineSkipMechanism
 from repro.core.config import MechanismConfig
 from repro.errors import ChaosError, ConfigError, TraceError
-from repro.experiments.runner import run_campaign, run_workload
+from repro.experiments.runner import (
+    pair_key,
+    run_campaign,
+    run_pair,
+    run_workload,
+    summarize_pair,
+)
 from repro.experiments.scale import Scale
 from repro.isa.kinds import EventKind
 from repro.trace.engine import LinkMode, TraceCursor
@@ -373,6 +379,13 @@ def test_sharded_campaign_matches_serial_byte_for_byte(tmp_path) -> None:
     assert (tmp_path / "serial.json").read_bytes() == (
         tmp_path / "sharded.json"
     ).read_bytes()
+    # Both run in workers; the reference that depends on no engine is a
+    # pair run in this process.
+    assert serial.completed == {
+        pair_key(w, n, "tiny"): summarize_pair(*run_pair(w, TINY, abtb_entries=n))
+        for w in workloads
+        for n in (16, 64)
+    }
 
 
 def test_sharded_campaign_resumes_from_checkpoint(tmp_path) -> None:
@@ -386,28 +399,6 @@ def test_sharded_campaign_resumes_from_checkpoint(tmp_path) -> None:
     assert again.resumed == 1  # the abtb=16 pair came from the checkpoint
     assert first.completed["firefox::abtb=16::scale=tiny"] == \
         again.completed["firefox::abtb=16::scale=tiny"]
-
-
-def test_campaign_custom_run_fn_stays_serial(tmp_path) -> None:
-    """A custom run_fn runs in this process with jobs > 1, so the calls
-    it records are the parent's to read."""
-    calls = []
-
-    def fake_run(workload, scale, abtb):
-        calls.append((workload, abtb))
-        from types import SimpleNamespace
-        counters = SimpleNamespace(
-            instructions=100, cycles=50.0, trampolines_skipped=1,
-            trampolines_executed=1,
-        )
-        run = SimpleNamespace(counters=counters, unmatched_marks=0, skip_rate=0.5)
-        return run, run
-
-    result = run_campaign(
-        ["firefox"], TINY, abtb_sizes=(16, 64), jobs=4, run_fn=fake_run,
-    )
-    assert result.ok
-    assert calls == [("firefox", 16), ("firefox", 64)]
 
 
 def test_campaign_rejects_bad_jobs() -> None:

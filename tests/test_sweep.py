@@ -12,6 +12,7 @@ from repro.core.config import MechanismConfig
 from repro.difftest import difftest_workload
 from repro.errors import ConfigError
 from repro.experiments.hwcost import mechanism_storage_bytes
+from repro.experiments.runner import run_pair, summarize_pair
 from repro.sweep import (
     SweepSpec,
     aggregate_configs,
@@ -22,6 +23,7 @@ from repro.sweep import (
     run_sweep,
     sensitivity,
 )
+from repro.uarch.cpu import CPUConfig
 
 # Addresses on the 16-byte PLT-stub pitch: every +16 lands in the next set.
 STRIDE = 16
@@ -326,6 +328,16 @@ class TestEngine:
         analysis = _files(serial_dir / "analysis")
         assert len(analysis) == 6
         assert analysis == _files(sharded_dir / "analysis")
+        # Both run in workers; the reference that depends on no engine is
+        # each point's pair run in this process.
+        for point in spec.expand():
+            pair = run_pair(
+                point.workload, spec.scale(),
+                abtb_entries=point.mechanism["abtb_entries"],
+                cpu_config=CPUConfig.from_dict(point.cpu) if point.cpu else None,
+                mechanism_config=MechanismConfig(**point.mechanism),
+            )
+            assert serial.campaign.completed[point.key] == summarize_pair(*pair)
 
 
 # --------------------------------------------------------------------------

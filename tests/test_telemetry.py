@@ -20,6 +20,7 @@ from repro.obs.dashboard import (
 )
 from repro.obs.metrics import MetricsRegistry, PerfCounterSampler
 from repro.obs.profiler import TrampolineProfiler
+from repro.obs.tracer import Tracer
 from repro.resilience import IncidentRecorder
 from repro.uarch import CPU
 from repro.workloads import Workload, memcached
@@ -152,6 +153,17 @@ class TestDashboard:
         html = render_dashboard(snap)
         assert "apache:memcpy" in html and "__SNAPSHOT__" not in html
         assert "Events seen" not in html
+
+    def test_snapshot_reads_no_chrome_trace(self, tmp_path):
+        """A ``trace.json`` beside the exports is not the dashboard's: no
+        snapshot key carries a count of its events."""
+        self._write_artifacts(tmp_path)
+        tracer = Tracer()
+        tracer.instant("x")
+        tracer.write(str(tmp_path / "trace.json"))
+        snap = load_snapshot_from_dir(tmp_path)
+        assert "trace_events" not in snap
+        assert snap["profile"]["sites"][0]["symbol"] == "apache:memcpy"
 
     def test_offline_tolerates_empty_dir(self, tmp_path):
         snap = load_snapshot_from_dir(tmp_path)

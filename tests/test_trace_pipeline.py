@@ -779,6 +779,12 @@ class TestDeterminism:
             assert result.ok
             summaries[jobs] = result.completed
         assert summaries[1] == summaries[4]
+        # Both run in workers; the reference that depends on no engine is
+        # a pair run in this process.
+        assert summaries[1] == {
+            runner.pair_key(w, 16, "t"): summarize_pair(*run_pair(w, scale, abtb_entries=16))
+            for w in ("memcached", "apache")
+        }
         files1 = sorted(
             p.relative_to(tmp_path / "jobs1")
             for p in (tmp_path / "jobs1").rglob("*.trace")
