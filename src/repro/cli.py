@@ -15,7 +15,7 @@ Subcommands:
   lease from one queue, and a failed attempt is requeued with backoff
   until its failure budget is spent, then quarantined; integrity-checked
   checkpoint/resume; the leases run on ``--jobs`` worker processes, one
-  by default (heartbeats, hang detection, dead workers replaced).  The
+  by default (a per-attempt deadline, dead and hung workers replaced).  The
   command exits 0 when complete, 3 when complete-but-degraded
   (quarantined pairs, partial manifest), 1 on an error;
 * ``sweep run|resume|report`` — declarative design-space exploration
@@ -545,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     resilience = campaign.add_argument_group("resilience")
     resilience.add_argument(
         "--shard-deadline", type=float, default=120.0, metavar="SECONDS",
-        help="heartbeat silence after which a worker's lease expires and the "
-        "worker is killed [default: 120]",
+        help="wall time one attempt at a pair may take before its lease expires "
+        "and its worker is killed [default: 120]",
     )
     resilience.add_argument(
         "--max-shard-failures", type=int, default=3, metavar="N",
@@ -569,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--chaos-hang", default=None, metavar="MATCH[:N]",
-        help="fault injection: wedge the worker of matching shards "
-        "(no heartbeats) on their first N attempts",
+        help="fault injection: wedge the worker of matching shards until "
+        "their lease deadline kills it, on their first N attempts",
     )
     _add_obs_flags(campaign)
     campaign.set_defaults(func=_cmd_campaign)

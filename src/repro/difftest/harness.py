@@ -12,10 +12,12 @@ claim mechanically rather than trusting it:
   payloads — every counter (priced ``cycles`` included), every
   cache/TLB/BTB entry and LRU order, mechanism state, marks — are
   compared field by field.
-* On divergence, the harness *shrinks* the bad window only: fresh
+* On divergence, the harness *shrinks* the bad window in stages: fresh
   machines retire the stream up to the last good sync point unobserved,
-  then re-run the window with ``batch_events=1`` so sync points land
-  after (almost) every event, and it reports the minimal event window
+  then re-run only the window at a sixteenth of the batch size, so its
+  first bad sync point brackets a sixteenth-sized window for the next
+  stage, down to ``batch_events=1``, where sync points land after
+  (almost) every event.  It reports the smallest event window
   ``[last-good, first-bad)`` together with the exact snapshot paths
   that differ.
 * :func:`difftest_workload` / :func:`run_matrix` wrap this in the paper's
@@ -91,18 +93,26 @@ class Divergence:
     first_bad: int
     #: Differing snapshot leaves at ``first_bad``: (path, reference, fast).
     diffs: list[tuple] = field(default_factory=list)
-    #: The minimal event window ``events[last_good:first_bad]`` (reprs),
-    #: after shrinking with single-event batches.
+    #: The event window ``events[last_good:first_bad]`` (reprs), after
+    #: shrinking.
     window: list[str] = field(default_factory=list)
-    #: False when the single-event-batch re-run did not reproduce the
-    #: divergence (a batch-size-dependent bug); the window is then the
-    #: original batch, not a minimal one.
-    shrunk: bool = True
+    #: Batch size of the pass the window comes from.  It stays above 1
+    #: when a smaller batch did not reproduce the divergence (a
+    #: batch-size-dependent bug); the window is then not a minimal one.
+    batch_events: int = 1
+
+    @property
+    def shrunk(self) -> bool:
+        """Whether the window comes from single-event batches."""
+        return self.batch_events <= 1
 
     def render(self) -> str:
         head = f"divergence in events [{self.last_good}, {self.first_bad})"
         if not self.shrunk:
-            head += "  (not reproducible at batch_events=1; window is one full batch)"
+            head += (
+                f"  (window from batch_events={self.batch_events}; "
+                "not reproducible at a smaller batch)"
+            )
         lines = [head]
         for ev in self.window[:8]:
             lines.append(f"  event: {ev}")
@@ -157,24 +167,24 @@ class _DivergenceFound(Exception):
     """Internal control flow: stop the fast run at the first bad sync."""
 
 
-def _split_rows(batches: list, at: int) -> tuple[list, list]:
-    """``batches`` cut into zero-copy views of the rows before stream row
-    ``at`` and of those from it on (the backend skips empty batches)."""
-    head, tail, seen = [], [], 0
+def _rows(batches: list, lo: int, hi: int) -> list:
+    """Zero-copy views of stream rows ``[lo, hi)`` of ``batches``, cut at
+    the same batch boundaries (the backend skips empty batches)."""
+    views, seen = [], 0
     for batch in batches:
-        cut = min(max(at - seen, 0), len(batch))
-        head.append(TraceBatch(batch.data[:cut], batch.tags))
-        tail.append(TraceBatch(batch.data[cut:], batch.tags))
+        a, b = (min(max(at - seen, 0), len(batch)) for at in (lo, hi))
+        views.append(TraceBatch(batch.data[a:b], batch.tags))
         seen += len(batch)
-    return head, tail
+    return views
 
 
 def _run_and_compare(
     events: list,
     make_cpu,
+    fast_batches: list,
     batch_events: int,
-    fast_batches: list | None = None,
-    window: tuple[int, int, int] | None = None,
+    head=(),
+    stop: int | None = None,
 ) -> tuple[int, tuple[int, int, list] | None]:
     """One ref-vs-fast pass; returns (sync_points, found).
 
@@ -183,36 +193,37 @@ def _run_and_compare(
     partial batch syncs there too, so this is belt-and-braces for empty
     streams).
 
-    When ``fast_batches`` is given the fast machine consumes those
-    :class:`~repro.trace.batch.TraceBatch` objects zero-copy
-    (:meth:`BatchedBackend.run_batches`) while the reference still walks
-    ``events`` — so one pass proves generation *and* retirement
-    equivalence.  A stream-length mismatch between the two is itself
-    reported as a divergence (at position 0) rather than silently
-    truncating the comparison.  Without them the fast machine retires
-    ``events`` cut by :func:`~repro.trace.batch.iter_batches`, as
-    :meth:`BatchedBackend.run` would.
+    The fast machine consumes the
+    :class:`~repro.trace.batch.TraceBatch` objects ``fast_batches``
+    zero-copy (:meth:`BatchedBackend.run_batches`) in batches of
+    ``batch_events`` while the reference walks ``events``.  A
+    stream-length mismatch between the two is itself reported as a
+    divergence (at position 0) rather than silently truncating the
+    comparison.
 
-    ``window = (start, stop, head_batch_events)`` compares only within
-    ``events[start:stop]``.  Both machines first reach ``start``
-    unobserved: the fast machine retires the rows before it in batches of
-    ``head_batch_events`` with no hook, and the reference runs them in
-    one call.  ``start`` and ``stop`` must be sync positions of an earlier
-    pass (or the stream's ends): sync positions are pair-closed, so
-    cutting the stream there splits no lookahead window.
+    ``head`` and ``stop`` confine the comparison to
+    ``events[start:stop]``, where ``start`` is where ``head`` ends.  Both
+    machines first reach ``start`` unobserved: the reference runs the
+    rows before it in one call, and the fast machine retires them with
+    no hook in ``head``'s ``(until, batch)`` steps, each retiring the
+    rows up to ``until`` in batches of ``batch``, so it passes the sync
+    points the passes before passed.  ``start`` and ``stop`` must be
+    sync positions of an earlier pass (or the stream's ends): sync
+    positions are pair-closed, so cutting the stream there splits no
+    lookahead window.
     """
     reference = _ReferenceRunner(make_cpu(), events)
     fast_cpu = make_cpu()
-    start, stop, head_batch_events = window or (0, len(events), batch_events)
-    if fast_batches is None:
-        fast_batches = list(iter_batches(events, head_batch_events))
+    start = head[-1][0] if head else 0
+    stop = len(events) if stop is None else stop
     total = sum(len(b) for b in fast_batches)
     if total != len(events):
         return 0, (0, min(total, len(events)), [("stream.len", len(events), total)])
-    head, rest = _split_rows(fast_batches, start)
-    if start:
-        BatchedBackend(fast_cpu, head_batch_events).run_batches(head)
-        reference.run_until(start)
+    done = 0
+    for until, batch in head:
+        BatchedBackend(fast_cpu, batch).run_batches(_rows(fast_batches, done, until))
+        done = until
+    reference.run_until(start)
     state = {"syncs": 0, "good": start, "found": None}
 
     def sync_hook(position: int) -> None:
@@ -227,7 +238,7 @@ def _run_and_compare(
 
     try:
         BatchedBackend(fast_cpu, batch_events).run_batches(
-            _split_rows(rest, stop - start)[0], sync_hook=sync_hook
+            _rows(fast_batches, start, stop), sync_hook=sync_hook
         )
     except _DivergenceFound:
         return state["syncs"], state["found"]
@@ -249,7 +260,7 @@ def diff_backends(
 
     ``make_cpu`` is a zero-argument factory producing identically
     configured CPUs; it is called twice (reference and fast) and again
-    for the shrinking re-run, so it must not share mutable state between
+    for each shrinking stage, so it must not share mutable state between
     calls.  Without ``fast_batches`` the stream is materialised once and
     both machines consume the same list — any divergence is the
     backend's, never the generator's.  With ``fast_batches`` the fast
@@ -258,31 +269,38 @@ def diff_backends(
     them.
     """
     events = list(events)
-    sync_points, found = _run_and_compare(events, make_cpu, batch_events, fast_batches)
+    if fast_batches is None:
+        fast_batches = list(iter_batches(events, batch_events))
+    sync_points, found = _run_and_compare(events, make_cpu, fast_batches, batch_events)
     if found is None:
         return DiffReport(label, len(events), sync_points, batch_events)
 
     last_good, first_bad, diffs = found
-    # Shrink the bad window only: both machines reach ``last_good``
-    # unobserved, then single-event batches make sync points as dense as
-    # the backend allows (trampoline pairs still retire whole) up to
-    # ``first_bad``, so the first bad position brackets a minimal window.
-    shrunk = True
-    if batch_events > 1:
+    # Shrink the bad window in stages.  Each stage re-runs only the
+    # current window, at a sixteenth of the batch size it came from:
+    # both machines reach ``last_good`` unobserved, then denser sync
+    # points bracket a narrower window up to ``first_bad``.  Stages go
+    # down to single-event batches (trampoline pairs still retire
+    # whole).  A stage that does not reproduce the divergence ends the
+    # shrink with the last window that did.
+    window_batch, head = batch_events, [(last_good, batch_events)]
+    while window_batch > 1:
+        stage_batch = max(1, window_batch // 16)
         _, refound = _run_and_compare(
-            events, make_cpu, 1, fast_batches, window=(last_good, first_bad, batch_events)
+            events, make_cpu, fast_batches, stage_batch, head, first_bad
         )
-        if refound is not None:
-            last_good, first_bad, diffs = refound
-        else:
-            shrunk = False
+        if refound is None:
+            break
+        last_good, first_bad, diffs = refound
+        window_batch = stage_batch
+        head.append((last_good, stage_batch))
     window = [repr(ev) for ev in events[last_good:first_bad]]
     return DiffReport(
         label,
         len(events),
         sync_points,
         batch_events,
-        Divergence(last_good, first_bad, diffs, window, shrunk),
+        Divergence(last_good, first_bad, diffs, window, window_batch),
     )
 
 

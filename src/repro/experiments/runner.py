@@ -1001,10 +1001,10 @@ def run_campaign(
     quarantines it after ``lease_policy.max_shard_failures`` failures.
     The campaign then completes *degraded* (see
     :attr:`CampaignResult.degraded`) with a partial report.  A worker
-    that dies fails its lease, and a worker whose lease expires
-    (``lease_policy.shard_deadline_s`` without a heartbeat) is killed.
-    The deadline bounds a silent worker: a pair that blocks while the
-    worker's heartbeat thread still beats is not bounded.
+    that dies fails its lease, and a worker whose attempt is still
+    running ``lease_policy.shard_deadline_s`` after its lease was
+    granted is killed: the deadline bounds each attempt's wall time,
+    whether the pair stalled, blocked or looped.
     ``fault_plan`` injects deterministic worker kills/hangs for tests
     and the chaos CI job.
 

@@ -214,10 +214,6 @@ class LinkedProgram:
         slot = self._got[(caller, symbol)]
         return slot.value if slot.resolved else None
 
-    def is_resolved(self, caller: str, symbol: str) -> bool:
-        """Whether the (caller, symbol) GOT slot has been populated."""
-        return self._got[(caller, symbol)].resolved
-
     def resolved_count(self) -> int:
         """Number of populated GOT slots."""
         return sum(1 for s in self._got.values() if s.resolved)
@@ -314,19 +310,6 @@ class LinkedProgram:
                 slots_reset=len(reset),
             )
         return reset
-
-    # ------------------------------------------------------------ geometry
-
-    def plt_ranges(self) -> list[tuple[int, int]]:
-        """PLT section ranges of all loaded modules."""
-        return [image.plt_range for image in self.modules.values()]
-
-    def trampoline_module(self, pc: int) -> str | None:
-        """Module whose PLT contains ``pc``, or None."""
-        for image in self.modules.values():
-            if image.contains_plt(pc):
-                return image.name
-        return None
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import LayoutError
-from repro.linker.module import ModuleImage, ModuleSpec
+from repro.linker.module import ModuleSpec
 
 #: 2 GB: the reach of an x86-64 ``call rel32`` in either direction.
 REL32_REACH = 2 * 1024 * 1024 * 1024
@@ -150,11 +150,3 @@ class CompatLayout(LayoutPolicy):
 def within_rel32(call_site: int, target: int) -> bool:
     """Whether ``target`` is reachable from ``call_site`` via ``call rel32``."""
     return abs(target - (call_site + 5)) < REL32_REACH
-
-
-def classify_plt_pc(modules: dict[str, ModuleImage], pc: int) -> str | None:
-    """Name of the module whose PLT contains ``pc``, or None."""
-    for image in modules.values():
-        if image.contains_plt(pc):
-            return image.name
-    return None

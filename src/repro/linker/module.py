@@ -172,8 +172,3 @@ class ModuleImage:
     def text_range(self) -> tuple[int, int]:
         """Half-open byte range of the text segment."""
         return (self.text_base, self.text_end)
-
-    def contains_plt(self, addr: int) -> bool:
-        """Whether ``addr`` lies inside this module's PLT."""
-        lo, hi = self.plt_range
-        return lo <= addr < hi

@@ -90,10 +90,6 @@ class CallSitePatcher:
         """Whether the call at ``site_pc`` has been rewritten."""
         return site_pc in self._patched
 
-    def patched_pages(self) -> set[int]:
-        """Distinct code pages written to so far."""
-        return set(self._pages)
-
     # ------------------------------------------------------------ patching
 
     def patch_site(self, site_pc: int, caller: str, symbol: str) -> PatchRecord | None:

@@ -7,8 +7,6 @@ hardware aims to match while keeping dynamic linking's benefits.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.errors import LinkError
 from repro.linker.dynamic import CallBinding
 from repro.linker.layout import _align_up
@@ -61,10 +59,6 @@ class StaticProgram:
             func_size=func.size,
             first_call=False,
         )
-
-    def trampoline_module(self, pc: int) -> str | None:
-        """Static programs have no trampolines."""
-        return None
 
 
 class StaticLinker:

@@ -140,7 +140,3 @@ class AddressSpace:
     def private_bytes(self) -> int:
         """Bytes in frames referenced only by this address space."""
         return sum(PAGE_SIZE for m in self._pages.values() if m.frame.refcount == 1)
-
-    def resident_frames(self) -> set[int]:
-        """Identities of all frames this space references."""
-        return {m.frame.frame_id for m in self._pages.values()}

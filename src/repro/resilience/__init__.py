@@ -13,7 +13,7 @@ infrastructure* the same property.  Four pillars:
   JSON artifacts written atomically; corrupted or truncated files are
   *detected* (and rebuilt by their owners) instead of trusted;
 * :mod:`repro.resilience.leases` — the :class:`LeaseQueue` every campaign
-  schedules with: deadline leases renewed by heartbeat, expiry,
+  schedules with: leases whose deadline bounds each attempt, expiry,
   requeue with exponential backoff, quarantine after repeated failures;
 * :mod:`repro.resilience.workers` — the engine behind ``run_campaign``:
   long-lived worker processes (one for a serial campaign) taking leases

@@ -3,14 +3,15 @@
 Workers never own shards — they hold *leases* with deadlines:
 
 * :meth:`LeaseQueue.acquire` hands the oldest ready pending shard to a
-  worker as a :class:`Lease` expiring ``shard_deadline_s`` from now;
-* the worker renews via heartbeat (:meth:`LeaseQueue.renew`) every
-  ``shard_deadline_s / 3`` while it simulates;
-* a lease that expires — the worker crashed or hung, the queue can't
-  tell and doesn't need to — is swept by :meth:`LeaseQueue.expire`: the
-  shard goes back to pending with exponential backoff, and after
-  ``max_shard_failures`` failed attempts it is **quarantined** (the
-  campaign then completes *degraded* rather than never);
+  worker as a :class:`Lease` expiring ``shard_deadline_s`` from now.
+  The deadline is set once and never moves, so it bounds the attempt's
+  wall time;
+* a lease still held at its deadline — the attempt hung, blocked or
+  is merely too slow, the queue can't tell and doesn't need to — is
+  swept by :meth:`LeaseQueue.expire`: the shard goes back to pending
+  with exponential backoff, and after ``max_shard_failures`` failed
+  attempts it is **quarantined** (the campaign then completes
+  *degraded* rather than never);
 * :meth:`LeaseQueue.complete` and :meth:`LeaseQueue.fail` settle a
   shard's lease with the worker's outcome.
 
@@ -31,12 +32,13 @@ from repro.errors import SupervisorError
 
 @dataclass(frozen=True)
 class LeasePolicy:
-    """Lease TTL, quarantine budget and requeue backoff (defaults sized
-    for real campaigns; tests shrink the deadline to keep hang detection
-    fast).  Heartbeats go every ``shard_deadline_s / 3``."""
+    """Attempt deadline, quarantine budget and requeue backoff (defaults
+    sized for real campaigns; tests shrink the deadline to keep hang
+    detection fast)."""
 
-    #: A lease not renewed for this long expires; the local loop then
-    #: SIGKILLs the silent worker.
+    #: Wall time one attempt may take from its lease being granted; a
+    #: lease still held then expires, and the local loop SIGKILLs its
+    #: worker.
     shard_deadline_s: float = 120.0
     #: Failed attempts (a raise, a dead worker, an expired lease) before
     #: a shard is quarantined.  Each attempt runs once: this budget is
@@ -55,10 +57,6 @@ class LeasePolicy:
             raise SupervisorError(
                 f"max_shard_failures must be >= 1, got {self.max_shard_failures}"
             )
-
-    @property
-    def heartbeat_interval_s(self) -> float:
-        return self.shard_deadline_s / 3.0
 
     def backoff(self, failures: int) -> float:
         return self.backoff_base_s * self.backoff_factor ** max(0, failures - 1)
@@ -110,7 +108,7 @@ class LeaseQueue:
     """FIFO shard queue with deadline leases (see module doc).
 
     Args:
-        policy: lease TTL / quarantine budget / backoff knobs.
+        policy: attempt deadline / quarantine budget / backoff knobs.
         clock: monotonic time source (injectable for deterministic tests).
     """
 
@@ -166,25 +164,6 @@ class LeaseQueue:
             return lease, shard.payload
         return None
 
-    def renew(self, lease_id: str, worker_id: str) -> Lease | None:
-        """Extend a live lease's deadline; None when the lease is gone
-        (expired and swept, or settled) or owned by another worker."""
-        lease = self._leases.get(lease_id)
-        if lease is None or lease.worker_id != worker_id:
-            return None
-        if lease.expires_at <= self.clock():
-            return None  # expired but not yet swept: do not resurrect
-        renewed = Lease(
-            lease_id=lease.lease_id,
-            key=lease.key,
-            worker_id=lease.worker_id,
-            attempt=lease.attempt,
-            expires_at=self.clock() + self.policy.shard_deadline_s,
-        )
-        self._leases[lease_id] = renewed
-        self._shards[lease.key].lease = renewed
-        return renewed
-
     def expire(self) -> list[ExpiredLease]:
         """Sweep expired leases: requeue with backoff or quarantine.
 
@@ -200,8 +179,8 @@ class LeaseQueue:
             shard = self._shards[lease.key]
             error = (
                 f"lease {lease_id} for shard {lease.key} held by "
-                f"{lease.worker_id} expired after "
-                f"{self.policy.shard_deadline_s:.1f}s without renewal"
+                f"{lease.worker_id} expired: the attempt was still running "
+                f"{self.policy.shard_deadline_s:.1f}s after it was granted"
             )
             quarantined, backoff = self._fail(shard, error)
             events.append(

@@ -8,11 +8,10 @@ one pipe to the parent:
 
 * the parent sends ``(key, payload, attempt)`` for each lease it grants,
   and ``None`` when the campaign is over;
-* while a shard runs, a worker thread sends a heartbeat every
-  ``shard_deadline_s / 3`` and the parent renews the lease;
-* the worker sends the outcome (or the error a raising ``worker_fn``
-  escaped with, and the incidents an :class:`AttemptFailed` carries) and
-  waits for its next lease.
+* the worker, single-threaded, runs the shard and sends exactly one
+  message back: the outcome (or the error a raising ``worker_fn``
+  escaped with, and the incidents an :class:`AttemptFailed` carries).
+  Then it waits for its next lease.
 
 Failures are the queue's business, and one rule covers every failed
 attempt: the shard goes back in line with backoff
@@ -20,8 +19,10 @@ attempt: the shard goes back in line with backoff
 quarantine (``shard_quarantined``).  A ``worker_fn`` that **raises**
 fails its lease.  A worker that **dies** (killed, OOM, segfault) closes
 its pipe: its lease fails (``worker_death``) and a fresh worker takes
-the dead one's place.  A worker whose lease **expires** is hung: it is
-killed with SIGKILL (``worker_hang``) and replaced the same way.  A
+the dead one's place.  The parent's clock is the only liveness signal:
+a worker still running its shard when the lease's deadline passes is
+hung, whether it stalled, blocked or looped, and is killed with SIGKILL
+(``worker_hang``) and replaced the same way.  A
 shard that finished in a worker that then died simply runs again;
 shards are deterministic, so the counters are the same.  Every
 transition is recorded on the optional
@@ -37,7 +38,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
@@ -59,7 +59,7 @@ class FaultPlan:
     #: SIGKILL the worker before it runs a matching shard.
     kill_match: str = ""
     kill_attempts: int = 1
-    #: Stall without heartbeats on matching shards (exercises expiry).
+    #: Stall on matching shards until killed (exercises expiry).
     hang_match: str = ""
     hang_attempts: int = 1
 
@@ -108,15 +108,7 @@ class LeaseReport:
 # --------------------------------------------------------------- worker side
 
 
-def _heartbeat(send, key: str, interval: float, stop: threading.Event) -> None:
-    while not stop.wait(interval):
-        try:
-            send(("hb", key))
-        except OSError:
-            return
-
-
-def _worker_main(conn, worker_fn, interval: float, fault_plan, inherited) -> None:
+def _worker_main(conn, worker_fn, fault_plan, inherited) -> None:
     """Entry point of one worker process: run leased shards until told
     to stop (or until the parent's end of the pipe closes)."""
     # The parent owns shutdown: Ctrl-C in the terminal reaches the whole
@@ -126,12 +118,6 @@ def _worker_main(conn, worker_fn, interval: float, fault_plan, inherited) -> Non
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for other in inherited:  # the parent's pipe ends, inherited by fork
         other.close()
-    lock = threading.Lock()
-
-    def send(message) -> None:
-        with lock:
-            conn.send(message)
-
     while True:
         try:
             task = conn.recv()
@@ -141,26 +127,18 @@ def _worker_main(conn, worker_fn, interval: float, fault_plan, inherited) -> Non
             return
         key, payload, attempt = task
         if fault_plan.should_hang(key, attempt):
-            time.sleep(3600)  # no heartbeats: only the lease deadline ends this
+            time.sleep(3600)  # only the lease deadline ends this
             return
         if fault_plan.should_kill(key, attempt):
             os.kill(os.getpid(), signal.SIGKILL)
-        stop = threading.Event()
-        beat = threading.Thread(
-            target=_heartbeat, args=(send, key, interval, stop), daemon=True
-        )
-        beat.start()
         try:
-            message = ("done", key, worker_fn(payload))
+            message = ("done", worker_fn(payload))
         except AttemptFailed as exc:
-            message = ("error", key, str(exc), exc.incidents)
+            message = ("error", str(exc), exc.incidents)
         except Exception as exc:
-            message = ("error", key, _error_text(exc), [])
-        finally:
-            stop.set()
-            beat.join()
+            message = ("error", _error_text(exc), [])
         try:
-            send(message)
+            conn.send(message)
         except OSError:  # the parent is gone: nobody to deliver to
             return
 
@@ -251,7 +229,6 @@ class LocalWorkers:
             args=(
                 child_end,
                 self.worker_fn,
-                self.policy.heartbeat_interval_s,
                 self.fault_plan,
                 # Our end too: a child holding a copy of it would never
                 # see EOF, and would outlive a parent killed outright.
@@ -324,20 +301,13 @@ class LocalWorkers:
         except (EOFError, OSError):
             self._lost(worker)
             return
-        tag, key = message[0], message[1]
-        lease = worker.lease
-        if lease is None or lease.key != key:
-            return
-        if tag == "hb":
-            self.queue.renew(lease.lease_id, worker.worker_id)
-            return
-        worker.lease = None
-        if tag == "done":
-            self._complete(lease, message[2])
+        lease, worker.lease = worker.lease, None
+        if message[0] == "done":
+            self._complete(lease, message[1])
             return
         if self.recorder is not None:
-            self.recorder.extend_dicts(message[3])
-        self._fail(key, message[2])
+            self.recorder.extend_dicts(message[2])
+        self._fail(lease.key, message[1])
 
     def _lost(self, worker: _Worker) -> None:
         """The worker's pipe closed: it died, holding its lease or not."""
@@ -361,7 +331,7 @@ class LocalWorkers:
         self._retire(worker, kill=False)
 
     def _sweep(self) -> None:
-        """Expire silent leases: kill each holder, requeue or quarantine."""
+        """Expire overdue leases: kill each holder, requeue or quarantine."""
         for event in self.queue.expire():
             for worker in self._workers:
                 if worker.lease is not None and worker.lease.lease_id == event.lease_id:
@@ -370,7 +340,7 @@ class LocalWorkers:
                     break
             self._record(
                 IncidentKind.WORKER_HANG,
-                f"worker for shard {event.key} silent for "
+                f"worker for shard {event.key} still running after "
                 f"{self.policy.shard_deadline_s:.1f}s (lease deadline); killed",
                 key=event.key,
                 attempt=event.failures,

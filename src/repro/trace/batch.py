@@ -196,11 +196,6 @@ class TraceBatch:
         for i in range(len(self.data)):
             yield self.event(i)
 
-    @property
-    def nbytes_storage(self) -> int:
-        """Array storage footprint (excludes the Python tag table)."""
-        return int(self.data.nbytes)
-
     def slices(self, batch_events: int) -> Iterator["TraceBatch"]:
         """Re-cut into batches of at most ``batch_events`` events.
 

@@ -7,9 +7,9 @@ position the capture was taken at.
 
 The intended use is warm-up reuse: a run simulates startup + warm-up once,
 captures a checkpoint, and later runs with the *identical machine
-configuration* restore it instead of re-simulating — the trace generator
-is advanced to the same position by draining (see
-:meth:`repro.trace.engine.TraceCursor.drain`), which is far cheaper than
+configuration* restore it instead of re-simulating — the run drains its
+start-up and warm-up chunk streams without retiring them, which advances
+the trace generator to the same position far more cheaply than
 simulating, and the measurement window then produces counter-for-counter
 identical results.  :class:`CheckpointStore` keys checkpoints by a hash of
 everything that determines warm-up state, so mismatched configurations can

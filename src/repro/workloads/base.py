@@ -32,7 +32,7 @@ from repro.isa.events import (
 )
 from repro.linker.dynamic import DynamicLinker, LinkedProgram
 from repro.linker.layout import ClassicLayout, CompatLayout
-from repro.linker.module import ModuleImage, ModuleSpec
+from repro.linker.module import ModuleSpec
 from repro.linker.patcher import CallSitePatcher
 from repro.linker.static import StaticLinker, StaticProgram
 from repro.linker.symbols import FunctionSpec, SymbolKind
@@ -837,7 +837,3 @@ class Workload:
                 for site in p.sites:
                     out.append((site, p.caller, p.symbol))
         return out
-
-    def module_image(self, name: str) -> ModuleImage:
-        """Convenience passthrough to the linked program."""
-        return self.program.module(name)

@@ -263,6 +263,59 @@ class TestDivergenceDetection:
         assert div.window  # the offending events are quoted
         assert "DIVERGED" in report.render()
 
+    def test_shrink_narrows_the_window_in_stages(self):
+        # One 256-event batch holds the whole stream, so the first pass
+        # can only say "somewhere in [0, 200)".  Sixteen-event batches
+        # narrow that to one window of 16 before single-event batches
+        # compare inside it, instead of at every event up to the trip.
+        trip = 40
+        events = []
+        for i in range(100):
+            events.append(jmp_direct(0x1000 + 32 * i, 0x90_0000 + 32 * i))
+            events.append(block(0x90_0000 + 32 * i, 2))
+        make_cpu = self._make_factory(trip)
+        built, shrink_snapshots = [], []
+
+        def recording_factory() -> CPU:
+            cpu = make_cpu()
+            built.append(cpu)
+            if len(built) > 2:  # the shrinking stages' machines
+                real = cpu.snapshot
+
+                def snapshot():
+                    shrink_snapshots.append(cpu.counters.instructions)
+                    return real()
+
+                cpu.snapshot = snapshot
+            return cpu
+
+        report = diff_backends(events, recording_factory, batch_events=256, label="sabotage")
+        div = report.divergence
+        assert div is not None and div.shrunk
+        assert div.first_bad - div.last_good <= 2
+        assert div.last_good <= 2 * trip <= div.first_bad
+        assert len(shrink_snapshots) <= 40
+
+    def test_shrink_stops_at_the_last_stage_that_reproduces(self):
+        # A bug that shows at batch_events 256 and 16 but not 1: the
+        # single-event stage compares clean, so the report keeps the
+        # 16-event stage's window and names its batch size.
+        events = [block(0x1000 + 64 * i, 2) for i in range(300)]
+        calls = {"n": 0}
+
+        def make_cpu() -> CPU:
+            calls["n"] += 1
+            cpu = CPU()
+            if calls["n"] in (1, 3):  # the references of the first two passes
+                cpu.counters.instructions += 1
+            return cpu
+
+        report = diff_backends(events, make_cpu, batch_events=256, label="batch")
+        div = report.divergence
+        assert div is not None and not div.shrunk and div.batch_events == 16
+        assert (div.last_good, div.first_bad) == (0, 16)
+        assert "window from batch_events=16;" in report.render()
+
     def test_shrink_cuts_fast_batches_at_the_window(self):
         # The same sabotage with the fast machine on batches whose
         # boundaries fall inside the bad window and between sync points.

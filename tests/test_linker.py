@@ -82,10 +82,11 @@ class TestModuleImage:
         with pytest.raises(LinkError):
             tiny_program.module("app").function("nope")
 
-    def test_contains_plt(self, tiny_program):
+    def test_plt_range_holds_stubs_not_functions(self, tiny_program):
         app = tiny_program.module("app")
-        assert app.contains_plt(app.plt_entry("printf"))
-        assert not app.contains_plt(app.function("main").entry)
+        lo, hi = app.plt_range
+        assert lo <= app.plt_entry("printf") < hi
+        assert not lo <= app.function("main").entry < hi
 
     def test_functions_laid_out_in_order(self, tiny_program):
         app = tiny_program.module("app")

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -42,6 +44,8 @@ from repro.experiments.runner import (
     _save_checkpoint,
     pair_key,
     run_campaign,
+    run_pair,
+    summarize_pair,
 )
 from repro.experiments.scale import SMOKE, Scale
 from repro.isa import events as ev
@@ -69,11 +73,12 @@ from repro.uarch.machine import (
     MachineState,
 )
 
-# Fast-converging knobs for local-worker tests: short deadlines (so
-# heartbeats every 2/3 s), near-instant backoff.  Wall clock per test
-# stays well under the shortest deadline * retry budget.
+# Fast-converging knobs for local-worker tests: near-instant backoff,
+# and a deadline far above the SMOKE pairs it bounds (cold ones take
+# about 1 s), since it bounds each attempt's wall time.  Tests that
+# need an expiry set their own deadline.
 FAST = LeasePolicy(
-    shard_deadline_s=2.0,
+    shard_deadline_s=30.0,
     max_shard_failures=3,
     backoff_base_s=0.05,
     backoff_factor=2.0,
@@ -90,6 +95,17 @@ def _echo_worker(payload):
 
 def _raising_worker(payload):
     raise RuntimeError(f"worker bug for {payload['key']}")
+
+
+def _sleeping_worker(payload):
+    """Shard ``slow`` sleeps 4 s: alive and busy, but past any 1 s deadline."""
+    if payload["key"] == "slow":
+        time.sleep(4.0)
+    return _echo_worker(payload)
+
+
+def _thread_counting_worker(payload):
+    return {"summary": {"threads": threading.active_count()}, "incidents": []}
 
 
 def _machine_state() -> MachineState:
@@ -480,6 +496,33 @@ class TestSupervisor:
         counts = recorder.counts()
         assert counts["worker_hang"] == 2 and counts["shard_quarantined"] == 1
 
+    def test_busy_worker_past_its_deadline_is_killed(self):
+        # A worker still busy at its deadline is hung: the shard that
+        # sleeps past it is killed on every attempt and quarantined,
+        # while its sibling completes.
+        recorder = IncidentRecorder()
+        started = time.monotonic()
+        report = LocalWorkers(
+            _sleeping_worker,
+            [("slow", {"key": "slow", "value": 1}), ("s1", {"key": "s1", "value": 1})],
+            jobs=1,
+            policy=LeasePolicy(shard_deadline_s=1.0, backoff_base_s=0.0),
+            recorder=recorder,
+        ).run()
+        assert report.quarantined["slow"]["failures"] == 3
+        assert "expired" in report.quarantined["slow"]["last_error"]
+        assert report.outcomes == {"s1": {"summary": {"value": 2}, "incidents": []}}
+        counts = recorder.counts()
+        assert counts["worker_hang"] == 3
+        assert counts["shard_requeued"] == 2 and counts["shard_quarantined"] == 1
+        assert time.monotonic() - started < 3 * 4.0
+
+    def test_worker_runs_its_shard_single_threaded(self):
+        # No thread runs beside a shard, so a pair's forked trace
+        # producer is forked from a single-threaded process.
+        report = LocalWorkers(_thread_counting_worker, _shards(2), jobs=1, policy=FAST).run()
+        assert [o["summary"]["threads"] for o in report.outcomes.values()] == [1, 1]
+
     def test_worker_exception_quarantines(self):
         policy = LeasePolicy(
             shard_deadline_s=2.0, max_shard_failures=2, backoff_base_s=0.02
@@ -561,6 +604,9 @@ def _running(pid: int) -> bool:
 
 WORKLOADS = ("apache", "memcached")
 ABTB = (64,)
+#: Pairs short enough that a deadline of a few seconds is ten times theirs
+#: (cold: apache about 0.3 s, memcached about 0.1 s).
+TINY = Scale("tiny", {"apache": (1, 2), "memcached": (1, 2)})
 
 
 @pytest.fixture(scope="module")
@@ -635,15 +681,16 @@ class TestSupervisedCampaign:
         assert counts["worker_death"] == 1 and counts["shard_requeued"] == 1
 
     def test_serial_campaign_kills_a_silent_worker(self):
-        """The lease deadline bounds a serial campaign's silent worker."""
+        """The lease deadline bounds a serial campaign's silent worker.
+        A tiny memcached pair takes about 0.1 s, a twentieth of it."""
         recorder = IncidentRecorder()
         result = run_campaign(
             ["memcached"],
-            Scale("tiny", {"memcached": (1, 2)}),
+            TINY,
             abtb_sizes=(64,),
             jobs=1,
             recorder=recorder,
-            lease_policy=LeasePolicy(shard_deadline_s=1.0, backoff_base_s=0.0),
+            lease_policy=LeasePolicy(shard_deadline_s=2.0, backoff_base_s=0.0),
             fault_plan=FaultPlan(hang_match="memcached", hang_attempts=1),
         )
         assert result.ok
@@ -652,14 +699,15 @@ class TestSupervisedCampaign:
         assert counts["worker_hang"] == 1 and counts["shard_requeued"] == 1
 
     def test_quarantine_yields_degraded_partial_manifest(self, tmp_path):
+        # A tiny apache pair takes about 0.3 s, under a tenth of the deadline.
         policy = LeasePolicy(
-            shard_deadline_s=1.0, max_shard_failures=1, backoff_base_s=0.05
+            shard_deadline_s=5.0, max_shard_failures=1, backoff_base_s=0.05
         )
         recorder = IncidentRecorder()
         manifest = tmp_path / "manifest.json"
         result = run_campaign(
             WORKLOADS,
-            SMOKE,
+            TINY,
             abtb_sizes=ABTB,
             jobs=2,
             recorder=recorder,
@@ -675,6 +723,41 @@ class TestSupervisedCampaign:
         assert payload["degraded"] is True
         assert sorted(payload["quarantined"]) == sorted(result.quarantined)
         assert "quarantined" in result.render()
+
+    def test_serial_campaign_kills_a_blocked_pair(self, monkeypatch):
+        """A pair that blocks in the worker, busy but making no progress,
+        meets the deadline as a stalled worker does.  The blocked read is
+        bounded, so a deadline that fails to fire fails the test rather
+        than hanging it."""
+
+        def blocking_pair(workload_name, *args, **kwargs):
+            if workload_name == "memcached":
+                read_end, _write_end = os.pipe()  # nothing is ever written
+                select.select([read_end], [], [], 20.0)
+            return run_pair(workload_name, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_pair", blocking_pair)
+        recorder = IncidentRecorder()
+        result = run_campaign(
+            WORKLOADS,
+            TINY,
+            abtb_sizes=ABTB,
+            jobs=1,
+            recorder=recorder,
+            # A tiny apache pair takes about 0.3 s, under a tenth of the deadline.
+            lease_policy=LeasePolicy(
+                shard_deadline_s=5.0, max_shard_failures=1, backoff_base_s=0.0
+            ),
+        )
+        assert result.degraded
+        assert list(result.quarantined) == [pair_key("memcached", 64, "tiny")]
+        assert result.completed == {
+            pair_key("apache", 64, "tiny"): summarize_pair(
+                *run_pair("apache", TINY, abtb_entries=64)
+            )
+        }
+        counts = recorder.counts()
+        assert counts["worker_hang"] == 1 and counts["shard_quarantined"] == 1
 
     def test_resume_after_kill_merges_identically(self, serial_reference, tmp_path):
         """SIGKILL mid-campaign, then resume from the incremental

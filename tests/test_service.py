@@ -75,20 +75,6 @@ class TestLeaseQueue:
         with pytest.raises(SupervisorError):
             q.add("a", {})
 
-    def test_renew_extends_deadline(self):
-        q, clock = self._queue()
-        q.add("a", {})
-        lease, _ = q.acquire("w1")
-        clock.advance(8.0)
-        renewed = q.renew(lease.lease_id, "w1")
-        assert renewed is not None and renewed.expires_at == pytest.approx(18.0)
-        clock.advance(8.0)  # t=16 < 18: still alive thanks to the renewal
-        assert q.expire() == []
-        clock.advance(3.0)  # t=19 > 18: now it expires
-        events = q.expire()
-        assert [e.key for e in events] == ["a"]
-        assert not events[0].quarantined
-
     def test_unrenewed_lease_expires_and_requeues_with_backoff(self):
         q, clock = self._queue()
         q.add("a", {})
@@ -137,25 +123,15 @@ class TestLeaseQueue:
         q.complete("a")
         assert q.phase("a") is ShardPhase.COMPLETED
 
-    def test_renew_wrong_worker_or_expired_is_refused(self):
-        q, clock = self._queue()
-        q.add("a", {})
-        lease, _ = q.acquire("w1")
-        assert q.renew(lease.lease_id, "w2") is None
-        clock.advance(10.1)
-        assert q.renew(lease.lease_id, "w1") is None  # expired: no resurrection
-        assert q.renew("L999", "w1") is None
-
     def test_worker_reported_failure_and_discard(self):
         q, _ = self._queue()
         q.add("a", {})
-        lease, _ = q.acquire("w1")
+        q.acquire("w1")
         quarantined, backoff = q.fail("a", "boom")
         assert not quarantined and backoff > 0
         assert q.failures("a") == 1 and q.last_error("a") == "boom"
         assert q.phase("a") is ShardPhase.PENDING
-        # The failed lease is discarded: it neither renews nor expires.
-        assert q.renew(lease.lease_id, "w1") is None
+        # The failed lease is discarded: it no longer expires.
         assert q.next_expiry() is None
 
 
