@@ -53,7 +53,7 @@ def main() -> None:
     after = measure(wl.phys, children)
     stats = wl.patcher.stats
     extra = after.total_bytes - shared_before.total_bytes
-    print(f"\nlazy patch-after-fork (the naive software emulation):")
+    print("\nlazy patch-after-fork (the naive software emulation):")
     print(f"  call sites patched : {stats.sites_patched:,}")
     print(f"  code pages touched : {stats.pages_touched:,}")
     print(f"  mprotect calls     : {stats.mprotect_calls:,}")

@@ -29,7 +29,7 @@ from repro.uarch import CPU
 
 def plugin_spec(version: int) -> ModuleSpec:
     return ModuleSpec(
-        f"plugin.so",
+        "plugin.so",
         [FunctionSpec("plugin_handle", 256 + 64 * version), FunctionSpec("plugin_misc", 128)],
         imports=[],
     )

@@ -12,9 +12,9 @@ Subcommands:
 * ``chaos`` — seeded fault-injection campaign audited by the stale-target
   correctness oracle (exit 0 iff the campaign verdict is OK);
 * ``campaign`` — hardened (workload × ABTB) sweep: every pair is a
-  lease from one queue, and a failed attempt is requeued with backoff
+  shard of one supervisor, and a failed attempt is requeued with backoff
   until its failure budget is spent, then quarantined; integrity-checked
-  checkpoint/resume; the leases run on ``--jobs`` worker processes, one
+  checkpoint/resume; the shards run on ``--jobs`` worker processes, one
   by default (a per-attempt deadline, dead and hung workers replaced).  The
   command exits 0 when complete, 3 when complete-but-degraded
   (quarantined pairs, partial manifest), 1 on an error;
@@ -38,11 +38,12 @@ SIGTERM is graceful: ``campaign`` and ``sweep`` flush their checkpoint
 and exit 130.
 
 ``run``, ``compare``, ``profile``, ``chaos`` and ``campaign`` all accept
-the observability flags ``--trace-out``, ``--metrics-out`` and
-``--sample-every`` (see ``docs/OBSERVABILITY.md``).  ``run`` records
-per-experiment spans and shape-check counters; the simulator-level
-commands additionally capture linker/engine/chaos instants, perf-counter
-time series, and reconstructed request spans on the simulated clock.
+the observability flags ``--trace-out`` and ``--metrics-out`` (see
+``docs/OBSERVABILITY.md``).  ``run`` records per-experiment spans and
+shape-check counters; the simulator-level commands also take
+``--sample-every`` and capture linker/engine/chaos instants,
+perf-counter time series, and reconstructed request spans on the
+simulated clock.
 """
 
 from __future__ import annotations
@@ -418,9 +419,13 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_obs_flags(parser: argparse.ArgumentParser, sample_default: int = 0) -> None:
-    """The shared observability flag group (off by default: all three
-    unset keeps the simulator on its null-sink fast path)."""
+def _add_obs_flags(
+    parser: argparse.ArgumentParser, sample_default: int = 0, sample: bool = True
+) -> None:
+    """The shared observability flag group (off by default: every flag
+    unset keeps the simulator on its null-sink fast path).  ``sample``
+    False leaves out ``--sample-every``, for commands that run no
+    sampler."""
     group = parser.add_argument_group("observability")
     group.add_argument(
         "--trace-out",
@@ -434,6 +439,8 @@ def _add_obs_flags(parser: argparse.ArgumentParser, sample_default: int = 0) -> 
         metavar="PATH",
         help="write metric series (JSON lines, or Prometheus text if PATH ends in .prom)",
     )
+    if not sample:
+        return
     group.add_argument(
         "--sample-every",
         type=int,
@@ -462,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument("experiment", help="experiment id (see 'list'), or 'all'")
     run.add_argument("--scale", choices=("smoke", "paper"), default="smoke")
-    _add_obs_flags(run)
+    _add_obs_flags(run, sample=False)  # experiments take no obs session
     run.set_defaults(func=_cmd_run)
 
     compare = sub.add_parser("compare", help="base vs enhanced on one workload")
@@ -545,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     resilience = campaign.add_argument_group("resilience")
     resilience.add_argument(
         "--shard-deadline", type=float, default=120.0, metavar="SECONDS",
-        help="wall time one attempt at a pair may take before its lease expires "
+        help="wall time one attempt at a pair may take before it expires "
         "and its worker is killed [default: 120]",
     )
     resilience.add_argument(
@@ -570,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     resilience.add_argument(
         "--chaos-hang", default=None, metavar="MATCH[:N]",
         help="fault injection: wedge the worker of matching shards until "
-        "their lease deadline kills it, on their first N attempts",
+        "their deadline kills it, on their first N attempts",
     )
     _add_obs_flags(campaign)
     campaign.set_defaults(func=_cmd_campaign)

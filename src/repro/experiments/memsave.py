@@ -62,8 +62,6 @@ def measure(scale: Scale, processes: int = MODEL_PROCESSES):
     assert parent2 is not None and wl2.patcher is not None
     wl2.patcher.spaces = [parent2]
     records = wl2.patcher.patch_all_sites(wl2.all_call_sites())
-    children2 = [parent2.fork(f"worker{i}") for i in range(processes)]
-    after2 = measure_cow(wl2.phys, children2 + [parent2])
     patch_before = {
         "pages_patched": wl2.patcher.stats.pages_touched,
         "per_process_bytes": 0,

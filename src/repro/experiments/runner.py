@@ -28,8 +28,7 @@ from repro.core.mechanism import TrampolineSkipMechanism
 from repro.errors import CheckpointCorruptionError, ConfigError, ExperimentError
 from repro.resilience.incidents import IncidentKind, IncidentRecorder
 from repro.resilience.integrity import read_artifact, write_artifact
-from repro.resilience.leases import LeasePolicy
-from repro.resilience.workers import AttemptFailed, FaultPlan, LocalWorkers
+from repro.resilience.workers import AttemptFailed, FaultPlan, LeasePolicy, LocalWorkers
 from repro.trace.batch import TraceBatch
 from repro.trace.engine import LinkMode
 from repro.trace.store import (
@@ -630,10 +629,11 @@ def _pair_marks(
 #
 # A campaign sweeps (workload × ABTB size) pairs.  Long sweeps die in
 # practice for boring reasons — a killed worker, a hung one, a pair that
-# raises — so every pair runs as a lease from one
-# :class:`~repro.resilience.leases.LeaseQueue`: an attempt runs once, a
-# failed attempt goes back in line with backoff, and a pair that spends
-# its failure budget is quarantined while the sweep moves on.  A JSON
+# raises — so every pair runs as a shard of one
+# :class:`~repro.resilience.workers.LocalWorkers` supervisor: an attempt
+# runs once, a failed attempt goes back in line with backoff, and a pair
+# that spends its failure budget is quarantined while the sweep moves
+# on.  A JSON
 # checkpoint (written atomically after every completed pair) lets a
 # resume skip completed work.
 
@@ -651,11 +651,11 @@ class CampaignResult:
     """Outcome of a (possibly resumed, possibly degraded) campaign."""
 
     completed: dict[str, dict] = field(default_factory=dict)
-    #: Per executed pair: the lease attempt that completed it, or the
+    #: Per executed pair: the attempt that completed it, or the
     #: failure count that quarantined it.
     attempts: dict[str, int] = field(default_factory=dict)
     resumed: int = 0  # pairs skipped because the checkpoint had them
-    #: Shards the lease queue gave up on (key → failure details); the
+    #: Shards the lease workers gave up on (key → failure details); the
     #: campaign still completes, *degraded*, with a partial manifest.
     quarantined: dict[str, dict] = field(default_factory=dict)
     #: Aggregated trace-store load outcomes across the parent and every
@@ -908,7 +908,7 @@ def _campaign_worker(task: dict) -> dict:
     the worker's metric state, trace events and incident records for the
     parent to merge.  A pair that raises raises here too, as an
     :class:`~repro.resilience.workers.AttemptFailed` carrying the
-    attempt's incident records, and the worker loop fails its lease.
+    attempt's incident records, and the worker loop fails its attempt.
     """
     obs = _obs_from_spec(task["obs_spec"])
     recorder = IncidentRecorder(
@@ -976,7 +976,7 @@ def run_campaign(
     manifest_path: str | Path | None = None,
     points: Sequence[CampaignPoint] | None = None,
 ) -> CampaignResult:
-    """Sweep (workload × ABTB size) as leases from one queue, with checkpointing.
+    """Sweep (workload × ABTB size) on lease workers, with checkpointing.
 
     ``points`` replaces the (workload × ABTB size) grid with an explicit
     list of :class:`CampaignPoint` tasks, each carrying its own
@@ -987,24 +987,23 @@ def run_campaign(
     ``workloads``/``abtb_sizes`` must be empty when points are given.
 
     Every pair is a shard of one
-    :class:`~repro.resilience.leases.LeaseQueue`, and each attempt runs
-    once, in one of ``jobs`` long-lived worker processes that take
-    leases from the queue in this process (see
-    :mod:`repro.resilience.workers`); ``jobs == 1`` is one worker.
+    :class:`~repro.resilience.workers.LocalWorkers` supervisor in this
+    process, and each attempt runs once, in one of ``jobs`` long-lived
+    worker processes it hands shards to; ``jobs == 1`` is one worker.
     Every pair runs through :func:`_campaign_worker`.  This process
     runs only the pre-pass, writes the campaign checkpoint as outcomes
     land and merges them in task order, so a campaign's summaries and
     checkpoint are byte-identical at any ``jobs``.
 
-    An exception from the pair fails its lease exactly as a dead or hung
-    worker does: the queue requeues it with ``lease_policy`` backoff and
-    quarantines it after ``lease_policy.max_shard_failures`` failures.
-    The campaign then completes *degraded* (see
+    An exception from the pair fails its attempt exactly as a dead or
+    hung worker does: the supervisor requeues it with ``lease_policy``
+    backoff and quarantines it after ``lease_policy.max_shard_failures``
+    failures.  The campaign then completes *degraded* (see
     :attr:`CampaignResult.degraded`) with a partial report.  A worker
-    that dies fails its lease, and a worker whose attempt is still
-    running ``lease_policy.shard_deadline_s`` after its lease was
-    granted is killed: the deadline bounds each attempt's wall time,
-    whether the pair stalled, blocked or looped.
+    that dies fails its attempt, and a worker whose attempt is still
+    running ``lease_policy.shard_deadline_s`` after it was handed out
+    is killed: the deadline bounds each attempt's wall time, whether
+    the pair stalled, blocked or looped.
     ``fault_plan`` injects deterministic worker kills/hangs for tests
     and the chaos CI job.
 

@@ -11,7 +11,6 @@ from repro.trace.engine import (
     SYMTAB_DATA_BASE,
     ExecutionEngine,
     LinkMode,
-    TraceCursor,
 )
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "LinkMode",
     "TraceBatch",
     "TraceBundle",
-    "TraceCursor",
     "TraceStore",
     "generate_bundle",
     "iter_batches",

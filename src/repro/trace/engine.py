@@ -60,52 +60,6 @@ PATCH_OVERHEAD_INSTRUCTIONS = 2600
 CALL_SITE_LEN = 5
 
 
-class TraceCursor:
-    """A position-tracking, seekable cursor over an event stream.
-
-    Trace generation is stateful (lazy bindings resolve, patchers rewrite
-    sites, samplers advance), so resuming a simulation from a checkpoint
-    cannot simply *skip* generation — the generator must be advanced to
-    the same position.  The cursor makes that explicit: :meth:`drain`
-    consumes events without yielding them (advancing generator state at
-    generation cost, no simulation cost), and iteration yields the rest
-    while tracking the absolute position for later checkpoints.
-    """
-
-    def __init__(self, events, base_index: int = 0) -> None:
-        self._it = iter(events)
-        #: Absolute stream position (events consumed so far).
-        self.index = base_index
-
-    def __iter__(self):
-        for ev in self._it:
-            self.index += 1
-            yield ev
-
-    def drain(self, n: int | None = None) -> int:
-        """Consume up to ``n`` events (all remaining if None) without
-        yielding them; returns how many were consumed."""
-        consumed = 0
-        for _ in self._it:
-            self.index += 1
-            consumed += 1
-            if n is not None and consumed >= n:
-                break
-        return consumed
-
-    def seek(self, index: int) -> None:
-        """Advance to absolute position ``index`` (forward-only)."""
-        if index < self.index:
-            raise TraceError(
-                f"cannot seek backwards: at {self.index}, asked for {index}"
-            )
-        self.drain(index - self.index)
-        if self.index != index:
-            raise TraceError(
-                f"stream ended at {self.index} before reaching {index}"
-            )
-
-
 class LinkMode(enum.Enum):
     """How library calls are bound in the generated trace."""
 

@@ -25,7 +25,6 @@ from repro.chaos import (
     LossyCoherence,
     SpuriousInvalFault,
     corrupted_stream,
-    default_faults,
     run_chaos,
     run_corruption_trials,
     run_fault_campaign,

@@ -46,12 +46,17 @@ class TestParser:
         for sub in (["run", "hwcost"], ["compare", "memcached"],
                     ["chaos"], ["campaign"], ["profile", "apache"]):
             args = build_parser().parse_args(
-                sub + ["--trace-out", "t.json", "--metrics-out", "m.prom",
-                       "--sample-every", "500"]
+                sub + ["--trace-out", "t.json", "--metrics-out", "m.prom"]
             )
             assert args.trace_out == "t.json"
             assert args.metrics_out == "m.prom"
+        # Only the commands that run a sampler take --sample-every.
+        for sub in (["compare", "memcached"], ["chaos"], ["campaign"],
+                    ["profile", "apache"]):
+            args = build_parser().parse_args(sub + ["--sample-every", "500"])
             assert args.sample_every == 500
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "hwcost", "--sample-every", "500"])
 
     def test_sample_every_rejects_non_integer(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,5 @@
 """Concurrency hardening: trace-store commit discipline and the lease
-queue's requeue backoff.
+workers' requeue backoff.
 
 Two failure modes this file pins down:
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 
-from repro.resilience import LeasePolicy, LeaseQueue
+from repro.resilience import IncidentRecorder, LeasePolicy, LocalWorkers
 from repro.trace.engine import LinkMode
 from repro.trace.store import TraceStore, generate_bundle, trace_key
 from repro.workloads import ALL_WORKLOADS, Workload
@@ -111,7 +111,7 @@ class TestTraceStoreConcurrency:
 
 
 # --------------------------------------------------------------------------
-# LeaseQueue: exponential requeue backoff, bounded by the failure budget.
+# LocalWorkers: exponential requeue backoff, bounded by the failure budget.
 # --------------------------------------------------------------------------
 
 
@@ -124,16 +124,19 @@ class TestBackoff:
     def test_cap_bounds_the_exponential_curve(self):
         # The failure budget caps the curve: the failure that spends it
         # quarantines the shard instead of making it wait again.
-        policy = LeasePolicy(max_shard_failures=4)
-        now = [0.0]
-        queue = LeaseQueue(policy, clock=lambda: now[0])
-        queue.add("a", {})
-        waits = []
-        for _ in range(policy.max_shard_failures):
-            assert queue.acquire("w1") is not None
-            quarantined, backoff = queue.fail("a", "boom")
-            waits.append(backoff)
-            now[0] += backoff
-        assert quarantined and queue.acquire("w1") is None
-        assert waits == [0.25, 0.5, 1.0, 0.0]
+        policy = LeasePolicy(max_shard_failures=4, backoff_base_s=0.01)
+        recorder = IncidentRecorder()
+        report = LocalWorkers(
+            _always_raises, [("a", {})], jobs=1, policy=policy, recorder=recorder
+        ).run()
+        waits = [
+            i.context["backoff_s"] for i in recorder.incidents if i.kind == "shard_requeued"
+        ]
+        assert waits == [0.01, 0.02, 0.04]
         assert max(waits) == policy.backoff(policy.max_shard_failures - 1)
+        assert report.quarantined["a"]["failures"] == 4
+        assert recorder.counts()["shard_quarantined"] == 1
+
+
+def _always_raises(payload):
+    raise RuntimeError("boom")

@@ -21,7 +21,7 @@ from repro.isa.events import (
     ret,
     store,
 )
-from repro.uarch import CPU, CPUConfig
+from repro.uarch import CPU
 
 SITE = 0x400100
 PLT = 0x401020

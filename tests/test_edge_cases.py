@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.core import TrampolineSkipMechanism
-from repro.isa.events import block, call_direct, jmp_indirect, load, mark, ret
+from repro.isa.events import block, call_direct, jmp_indirect, load, mark
 from repro.isa.kinds import EventKind
 from repro.uarch import CPU, CPUConfig, PerfCounters
 from repro.uarch.timing import TimingModel

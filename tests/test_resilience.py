@@ -5,8 +5,8 @@ checkpoint-corruption handling in both the machine cache and the campaign
 checkpoint, the binary trace codec's corruption taxonomy, the local
 lease workers behind ``run_campaign`` (kill/requeue, hang/quarantine,
 serial campaigns included), one failure policy at any ``jobs``, the incident
-recorder, and the ``incidents`` CLI.  The lease queue's own unit tests
-and the shutdown path live in ``tests/test_service.py``.
+recorder, and the ``incidents`` CLI.  The shutdown path lives in
+``tests/test_service.py``.
 
 The acceptance property threaded through the campaign tests: a campaign
 that survives a SIGKILLed worker and a corrupted machine checkpoint must
@@ -81,7 +81,6 @@ FAST = LeasePolicy(
     shard_deadline_s=30.0,
     max_shard_failures=3,
     backoff_base_s=0.05,
-    backoff_factor=2.0,
 )
 
 
@@ -530,6 +529,55 @@ class TestSupervisor:
         report = LocalWorkers(_raising_worker, _shards(1), jobs=1, policy=policy).run()
         assert not report.ok and "s0" in report.quarantined
         assert "RuntimeError" in report.quarantined["s0"]["last_error"]
+
+    def test_shards_are_handed_out_in_shard_order(self):
+        # One worker takes the shards in the order given, and a requeued
+        # shard keeps its place in line: with no backoff, the killed
+        # first shard runs again before the second.
+        landed = []
+        report = LocalWorkers(
+            _echo_worker,
+            [(key, {"key": key, "value": 1}) for key in ("s2", "s0", "s1")],
+            jobs=1,
+            policy=LeasePolicy(shard_deadline_s=30.0, backoff_base_s=0.0),
+            fault_plan=FaultPlan(kill_match="s2", kill_attempts=1),
+            on_outcome=lambda key, outcome: landed.append(key),
+        ).run()
+        assert landed == ["s2", "s0", "s1"]
+        assert report.attempts == {"s2": 2, "s0": 1, "s1": 1}
+
+    def test_reported_error_is_never_also_expired(self):
+        # The shard's backoff outlasts the deadline of the attempt that
+        # raised, so a deadline kept past the error report would fire
+        # while the worker waits idle.
+        recorder = IncidentRecorder()
+        report = LocalWorkers(
+            _raising_worker,
+            _shards(1),
+            jobs=1,
+            policy=LeasePolicy(
+                shard_deadline_s=0.5, max_shard_failures=2, backoff_base_s=1.0
+            ),
+            recorder=recorder,
+        ).run()
+        assert report.quarantined["s0"]["failures"] == 2
+        assert "RuntimeError" in report.quarantined["s0"]["last_error"]
+        assert recorder.counts() == {"shard_requeued": 1, "shard_quarantined": 1}
+
+    def test_hung_shard_last_error_names_its_attempt(self):
+        report = LocalWorkers(
+            _echo_worker,
+            _shards(1),
+            jobs=1,
+            policy=LeasePolicy(shard_deadline_s=0.5, max_shard_failures=1),
+            fault_plan=FaultPlan(hang_match="s0", hang_attempts=99),
+        ).run()
+        error = report.quarantined["s0"]["last_error"]
+        assert "expired" in error and "lease L" not in error
+        assert error == (
+            "attempt 1 at shard s0 on w1 expired: "
+            "still running 0.5s after it was handed out"
+        )
 
     def test_duplicate_keys_rejected(self):
         from repro.errors import SupervisorError

@@ -1,10 +1,9 @@
-"""Tests for the lease queue and the campaign engine's shutdown path.
+"""Tests for the campaign engine's shutdown path.
 
-Covers the lease queue's deadline/backoff/quarantine semantics under a
-fake clock, and shutdown hardening: a KeyboardInterrupt flushes the
-campaign checkpoint (sharded runs included) and ``repro campaign`` exits
-130; a missing checkpoint is a silent miss, not an incident; the atomic
-writers leave no temporary files behind.
+Shutdown hardening: a KeyboardInterrupt flushes the campaign checkpoint
+(sharded runs included) and ``repro campaign`` exits 130; a missing
+checkpoint is a silent miss, not an incident; the atomic writers leave
+no temporary files behind.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.errors import SupervisorError
 from repro.experiments import runner
 from repro.experiments.runner import (
     _load_checkpoint,
@@ -23,116 +21,7 @@ from repro.experiments.runner import (
     run_campaign,
 )
 from repro.experiments.scale import SMOKE
-from repro.resilience import IncidentRecorder, LeasePolicy, LeaseQueue, ShardPhase
-
-
-# --------------------------------------------------------------- lease queue
-
-
-class Clock:
-    """Deterministic monotonic clock for lease tests."""
-
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
-
-
-#: Lease knobs on the fake clock: TTL 10 s, backoff 1 s doubling.
-QUEUE_POLICY = LeasePolicy(
-    shard_deadline_s=10.0,
-    max_shard_failures=3,
-    backoff_base_s=1.0,
-    backoff_factor=2.0,
-)
-
-
-class TestLeaseQueue:
-    def _queue(self):
-        clock = Clock()
-        return LeaseQueue(QUEUE_POLICY, clock=clock), clock
-
-    def test_fifo_acquire_and_complete(self):
-        q, _ = self._queue()
-        q.add("a", {"n": 1})
-        q.add("b", {"n": 2})
-        lease, payload = q.acquire("w1")
-        assert (lease.key, payload) == ("a", {"n": 1})
-        assert lease.attempt == 1
-        assert q.phase("a") is ShardPhase.LEASED
-        q.complete("a")
-        assert q.phase("a") is ShardPhase.COMPLETED
-        assert q.acquire("w1")[0].key == "b"
-        assert q.phase("b") is ShardPhase.LEASED
-
-    def test_duplicate_add_rejected(self):
-        q, _ = self._queue()
-        q.add("a", {})
-        with pytest.raises(SupervisorError):
-            q.add("a", {})
-
-    def test_unrenewed_lease_expires_and_requeues_with_backoff(self):
-        q, clock = self._queue()
-        q.add("a", {})
-        q.acquire("w1")
-        clock.advance(10.1)
-        events = q.expire()
-        assert len(events) == 1 and events[0].failures == 1
-        assert q.phase("a") is ShardPhase.PENDING
-        # Still backing off: not leasable yet.
-        assert q.acquire("w2") is None
-        clock.advance(events[0].backoff_s + 0.01)
-        lease, _ = q.acquire("w2")
-        assert lease.key == "a" and lease.attempt == 2
-
-    def test_quarantine_after_failure_budget(self):
-        q, clock = self._queue()
-        q.add("a", {})
-        for i in range(QUEUE_POLICY.max_shard_failures):
-            clock.advance(QUEUE_POLICY.backoff(i) + 0.01)
-            assert q.acquire("w1") is not None
-            clock.advance(QUEUE_POLICY.shard_deadline_s + 0.1)
-            events = q.expire()
-        assert events[-1].quarantined
-        assert q.phase("a") is ShardPhase.QUARANTINED
-        assert q.acquire("w1") is None
-
-    def test_completion_is_idempotent_and_heals_quarantine(self):
-        q, _ = self._queue()
-        q.add("a", {})
-        q.acquire("w1")
-        q.complete("a")
-        q.complete("a")
-        assert q.phase("a") is ShardPhase.COMPLETED
-        q.add("b", {})
-        for _ in range(QUEUE_POLICY.max_shard_failures):
-            q.fail("b", "gave up")
-        assert q.phase("b") is ShardPhase.QUARANTINED
-        q.complete("b")
-        assert q.phase("b") is ShardPhase.COMPLETED and q.last_error("b") == ""
-        assert not q.has_work()
-
-    def test_completion_accepted_from_pending(self):
-        # Completing needs no live lease: a pending shard completes too.
-        q, _ = self._queue()
-        q.add("a", {})
-        q.complete("a")
-        assert q.phase("a") is ShardPhase.COMPLETED
-
-    def test_worker_reported_failure_and_discard(self):
-        q, _ = self._queue()
-        q.add("a", {})
-        q.acquire("w1")
-        quarantined, backoff = q.fail("a", "boom")
-        assert not quarantined and backoff > 0
-        assert q.failures("a") == 1 and q.last_error("a") == "boom"
-        assert q.phase("a") is ShardPhase.PENDING
-        # The failed lease is discarded: it no longer expires.
-        assert q.next_expiry() is None
+from repro.resilience import IncidentRecorder
 
 
 # ------------------------------------------------------- shutdown hardening

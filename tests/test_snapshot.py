@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import TrampolineSkipMechanism
 from repro.core.config import MechanismConfig
-from repro.errors import ChaosError, ConfigError, TraceError
+from repro.errors import ChaosError, ConfigError
 from repro.experiments.runner import (
     pair_key,
     run_campaign,
@@ -29,7 +29,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scale import Scale
 from repro.isa.kinds import EventKind
-from repro.trace.engine import LinkMode, TraceCursor
+from repro.trace.engine import LinkMode
 from repro.uarch import CPU, CPUConfig, CheckpointStore, MachineState
 from repro.uarch.component import default_registry, verify_component_roundtrip
 from repro.uarch.cpu import ChainedHooks, CPUHooks
@@ -225,14 +225,14 @@ def test_machine_state_save_load_verify(tmp_path) -> None:
     cfg = ALL_WORKLOADS["memcached"].config()
     workload = Workload(cfg)
     cpu = CPU(mechanism=TrampolineSkipMechanism(MechanismConfig(abtb_entries=32)))
-    cursor = TraceCursor(workload.startup_trace())
-    cpu.run(cursor)
+    events = list(workload.startup_trace())
+    cpu.run(events)
     cpu.finalize()
-    state = MachineState.capture(cpu, trace_position=cursor.index, meta={"w": "memcached"})
+    state = MachineState.capture(cpu, trace_position=len(events), meta={"w": "memcached"})
     path = state.save(tmp_path / "m.json")
     loaded = MachineState.load(path)
     loaded.validate_roundtrip()
-    assert loaded.trace_position == cursor.index
+    assert loaded.trace_position == len(events)
     rebuilt = loaded.build_cpu()
     assert rebuilt.counters.as_dict() == cpu.counters.as_dict()
     assert rebuilt.mechanism is not None
@@ -315,28 +315,6 @@ def test_cpu_config_rejects_bad_values(field: str, value) -> None:
 
 def test_cpu_config_defaults_still_valid() -> None:
     CPUConfig()  # must not raise
-
-
-# ------------------------------------------------------------- TraceCursor
-
-
-def test_trace_cursor_drain_and_seek() -> None:
-    cursor = TraceCursor(iter(range(10)))
-    assert cursor.drain(3) == 3
-    assert cursor.index == 3
-    cursor.seek(7)
-    assert next(iter(cursor)) == 7
-    assert cursor.index == 8
-    with pytest.raises(TraceError):
-        cursor.seek(2)
-    with pytest.raises(TraceError):
-        cursor.seek(99)
-
-
-def test_trace_cursor_base_index_offsets_position() -> None:
-    cursor = TraceCursor(iter(range(5)), base_index=100)
-    cursor.drain()
-    assert cursor.index == 105
 
 
 def test_injector_base_index_drops_prefix_schedule() -> None:
